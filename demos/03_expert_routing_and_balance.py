@@ -8,6 +8,7 @@ import numpy as np
 
 from switchtext import AdamW, Tape, Tensor
 from switchtext import tensor as T
+from switchtext.layers import named_tensors
 from switchtext.moe import SwitchParams, expert_utilization, switch_forward
 
 rng = np.random.default_rng(7)
@@ -44,10 +45,7 @@ def train_layer(aux_weight, seed=1, steps=200):
                              1.8 * direction + gen.normal(0, 0.1, (32, 8))])
     targets = Tensor(np.maximum(0.0, tokens @ (gen.standard_normal((8, 8)) * 0.5)))
     layer = SwitchParams.create(8, 16, 2, gen, capacity_factor=4.0)
-    flat = [layer.gate.weight, layer.gate.bias]
-    for e in layer.experts:
-        flat += [e.lin1.weight, e.lin1.bias, e.lin2.weight, e.lin2.bias]
-    opt = AdamW(flat)
+    opt = AdamW(named_tensors(layer, "switch"))  # gate, then every expert
     record = None
     for _ in range(steps):
         with Tape() as tape:

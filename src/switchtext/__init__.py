@@ -15,7 +15,7 @@ from .layers import (  # noqa: F401
     embed, glorot_normal, layer_norm, linear, dropout,
 )
 from .attention import (  # noqa: F401
-    AttentionHeadParams, FfnParams, MultiHeadParams,
+    FfnParams, MultiHeadParams,
     multi_head_attention, position_wise_ffn, scaled_dot_product_attention,
 )
 from .moe import (  # noqa: F401

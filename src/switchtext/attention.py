@@ -15,45 +15,37 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ContractError
-from .layers import LinearParams, linear
+from .layers import LinearParams, glorot_normal, linear
 from .tensor import Tensor
 
 MASK_BIAS = -1e30
 
 
 @dataclass
-class AttentionHeadParams:
-    """Projections for one head; d_k = d_model / num_heads."""
+class MultiHeadParams:
+    """Query, key and value projections, each [d_model, d_model] with head h
+    in columns h*d_k:(h+1)*d_k (d_k = d_model / num_heads), and the output
+    map."""
 
     wq: Tensor
     wk: Tensor
     wv: Tensor
-
-    @staticmethod
-    def create(d_model: int, d_k: int, rng: np.random.Generator) -> "AttentionHeadParams":
-        from .layers import glorot_normal
-
-        return AttentionHeadParams(
-            wq=glorot_normal(d_model, d_k, rng),
-            wk=glorot_normal(d_model, d_k, rng),
-            wv=glorot_normal(d_model, d_k, rng),
-        )
-
-
-@dataclass
-class MultiHeadParams:
-    heads: list[AttentionHeadParams]
     wo: LinearParams
+    num_heads: int
 
     @staticmethod
     def create(d_model: int, num_heads: int, rng: np.random.Generator) -> "MultiHeadParams":
         if d_model % num_heads != 0:
             raise ConfigError(f"d_model {d_model} not divisible by num_heads {num_heads}")
         d_k = d_model // num_heads
-        return MultiHeadParams(
-            heads=[AttentionHeadParams.create(d_model, d_k, rng) for _ in range(num_heads)],
-            wo=LinearParams.create(num_heads * d_k, d_model, rng),
-        )
+        # Each head's q, k and v blocks are drawn in turn at Glorot scale for
+        # fan_out d_k; this draw order fixes the values a seed gives.
+        draws = [[glorot_normal(d_model, d_k, rng).data for _ in range(3)]
+                 for _ in range(num_heads)]
+        wq, wk, wv = (Tensor(np.concatenate([head[i] for head in draws], axis=1),
+                             requires_grad=True) for i in range(3))
+        return MultiHeadParams(wq=wq, wk=wk, wv=wv,
+                               wo=LinearParams.create(d_model, d_model, rng), num_heads=num_heads)
 
 
 @dataclass
@@ -104,16 +96,13 @@ def _swap_last(ndim: int) -> tuple[int, ...]:
 
 
 def multi_head_attention(x: Tensor, p: MultiHeadParams, pad_mask=None) -> Tensor:
-    """Per-head projections, scaled attention, concatenation, output map.
-
-    The per-head weight matrices are concatenated so all heads run as one
-    stacked attention call.
-    """
-    num_heads = len(p.heads)
-    d_k = p.heads[0].wq.shape[1]
-    q = T.matmul(x, T.concat([h.wq for h in p.heads], axis=1))
-    k = T.matmul(x, T.concat([h.wk for h in p.heads], axis=1))
-    v = T.matmul(x, T.concat([h.wv for h in p.heads], axis=1))
+    """Projections, per-head scaled attention, head concatenation, output
+    map.  All heads run as one stacked attention call."""
+    num_heads = p.num_heads
+    d_k = p.wq.shape[1] // num_heads
+    q = T.matmul(x, p.wq)
+    k = T.matmul(x, p.wk)
+    v = T.matmul(x, p.wv)
     lead = x.shape[:-1]
     split = lead + (num_heads, d_k)
     perm = (1, 0, 2) if len(lead) == 1 else (0, 2, 1, 3)  # self-inverse

@@ -17,8 +17,6 @@ import sys
 import time
 from dataclasses import asdict, fields
 
-import numpy as np
-
 from .data import generate_synthetic_corpus, read_jsonl, write_jsonl
 from .errors import ConfigError, SwitchTextError
 from .interpret import attribution_for_ids, rank_misclassified
@@ -183,7 +181,7 @@ def cmd_export_embeddings(args) -> int:
     model, vocab, dataset, encoded, run_cfg = _prepare_eval_inputs(
         args.checkpoint, args.data, args.split
     )
-    rows = [(e.example_id, e.ids, np.ones(len(e.ids), dtype=bool), e.label) for e in encoded]
+    rows = [(e.example_id, e.ids, e.label) for e in encoded]
     os.makedirs(args.output_dir, exist_ok=True)
     out_path = f"{args.output_dir}/embeddings_layer{args.layer}_{args.split}.tsv"
     count = export_hidden_embeddings(model, rows, args.layer, out_path)
@@ -225,9 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test", choices=["train", "val", "test", "all"])
-    p.add_argument("--ids", help="comma-separated example ids; omit for --misclassified")
-    p.add_argument("--misclassified", action="store_true",
-                   help="attribute every misclassified example (default when --ids absent)")
+    p.add_argument("--ids", help="comma-separated example ids; omit to attribute every "
+                                 "misclassified example")
     p.add_argument("--target", default="true", choices=["true", "predicted"])
     p.add_argument("--num-steps", type=int, default=128)
     p.add_argument("--baseline", default="pad", choices=["pad", "zero"])

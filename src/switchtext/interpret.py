@@ -161,8 +161,6 @@ def rank_misclassified(model: EncoderModel, encoded, vocab: Vocabulary | None = 
     attributions explain the true class (default) or the predicted one.
     Returns a list of (EncodedExample, AttributionReport).
     """
-    if target not in ("true", "predicted"):
-        raise ConfigError(f"target must be 'true' or 'predicted', got {target!r}")
     from .training import evaluate
 
     outcome = evaluate(model, encoded, batch_size=eval_batch_size)
@@ -171,30 +169,35 @@ def rank_misclassified(model: EncoderModel, encoded, vocab: Vocabulary | None = 
     wrong.sort(key=lambda i: (outcome.labels[i] != 1, i))
     if limit is not None:
         wrong = wrong[:limit]
-    reports = []
-    for i in wrong:
-        example = encoded[i]
-        mask = np.ones(len(example.ids), dtype=bool)
-        target_class = example.label if target == "true" else int(outcome.predictions[i])
-        reports.append((example, integrated_gradients(
-            model, example.ids, mask, target_class, vocab=vocab,
-            baseline=baseline, num_steps=num_steps,
-        )))
-    return reports
+    return _attribute_each(model, [(encoded[i], int(outcome.predictions[i])) for i in wrong],
+                           vocab, target, num_steps, baseline)
 
 
 def attribution_for_ids(model: EncoderModel, encoded, example_ids, vocab=None,
                         target: str = "true", num_steps: int = 128, baseline: str = "pad"):
     """Attribution reports for specific example ids within a split."""
     by_id = {e.example_id: e for e in encoded}
-    reports = []
     for example_id in example_ids:
         if example_id not in by_id:
             raise LookupError_(f"example id {example_id} not found in the requested split")
-        example = by_id[example_id]
+    return _attribute_each(model, [(by_id[i], None) for i in example_ids],
+                           vocab, target, num_steps, baseline)
+
+
+def _attribute_each(model: EncoderModel, pairs, vocab, target: str, num_steps: int,
+                    baseline: str):
+    """Integrated gradients for each (EncodedExample, predicted class) pair
+    against the true or the predicted class; a predicted class of None is
+    taken from a batch-1 forward pass.  Returns (example, report) pairs."""
+    if target not in ("true", "predicted"):
+        raise ConfigError(f"target must be 'true' or 'predicted', got {target!r}")
+    reports = []
+    for example, predicted in pairs:
         mask = np.ones(len(example.ids), dtype=bool)
         if target == "true":
             target_class = example.label
+        elif predicted is not None:
+            target_class = predicted
         else:
             logits = model.forward(example.ids[None, :], mask[None, :]).logits.data[0]
             target_class = int(logits.argmax())

@@ -1,13 +1,14 @@
 """Parameterized primitive layers: affine maps, layer normalization,
 token + learned-position embeddings, and Glorot-normal initialization.
 
-Parameter containers are plain dataclasses of tensors; the functional ops
-below compose tape primitives so their gradients are exact by construction.
+Parameter containers are plain dataclasses of tensors, which
+``named_tensors`` walks to name every parameter; the functional ops below
+compose tape primitives so their gradients are exact by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -96,6 +97,27 @@ class EmbeddingTable:
             table=glorot_normal(vocab_size, dim, rng),
             positional=glorot_normal(max_len, dim, rng),
         )
+
+
+def named_tensors(node, prefix: str) -> list[tuple[str, Tensor]]:
+    """Every tensor under a parameter container as (dotted name, Tensor).
+
+    Walks dataclass fields in declaration order and list items by index, so
+    the names follow the container layout, e.g. ``blocks.0.mixer.lin1.weight``.
+    Fields holding anything else (epsilons, flags) are not parameters.
+    """
+    if isinstance(node, Tensor):
+        return [(prefix, node)]
+    if isinstance(node, list):
+        children = [(str(i), child) for i, child in enumerate(node)]
+    elif is_dataclass(node):
+        children = [(f.name, getattr(node, f.name)) for f in fields(node)]
+    else:
+        return []
+    named = []
+    for key, child in children:
+        named += named_tensors(child, f"{prefix}.{key}")
+    return named
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:

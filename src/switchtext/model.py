@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field, asdict
 
@@ -16,13 +17,15 @@ import numpy as np
 
 from . import tensor as T
 from .attention import FfnParams, MultiHeadParams, multi_head_attention, position_wise_ffn
+from .data import Vocabulary, pad_batch
 from .errors import CompatibilityError, ConfigError, ContractError, DimensionError
-from .layers import EmbeddingTable, LayerNormParams, LinearParams, dropout, embed, layer_norm, linear
+from .layers import (EmbeddingTable, LayerNormParams, LinearParams, dropout, embed, layer_norm,
+                     linear, named_tensors)
 from .moe import RoutingRecord, SwitchParams, switch_forward
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"SWTCKPT1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -123,7 +126,6 @@ class EncoderModel:
                 mixer = SwitchParams.create(
                     config.d_model, config.d_ff, config.num_experts, rng,
                     capacity_factor=config.capacity_factor,
-                    aux_loss_weight=config.aux_loss_weight,
                     dense_mixture=config.dense_moe,
                 )
             blocks.append(EncoderBlock(
@@ -222,48 +224,10 @@ class EncoderModel:
     # parameters
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        named: list[tuple[str, Tensor]] = [
-            ("embeddings.table", self.embeddings.table),
-            ("embeddings.positional", self.embeddings.positional),
-        ]
-        for i, block in enumerate(self.blocks):
-            for h, head in enumerate(block.mha.heads):
-                named += [
-                    (f"blocks.{i}.mha.heads.{h}.wq", head.wq),
-                    (f"blocks.{i}.mha.heads.{h}.wk", head.wk),
-                    (f"blocks.{i}.mha.heads.{h}.wv", head.wv),
-                ]
-            named += [
-                (f"blocks.{i}.mha.wo.weight", block.mha.wo.weight),
-                (f"blocks.{i}.mha.wo.bias", block.mha.wo.bias),
-                (f"blocks.{i}.norm1.gamma", block.norm1.gamma),
-                (f"blocks.{i}.norm1.beta", block.norm1.beta),
-            ]
-            if isinstance(block.mixer, SwitchParams):
-                named += [
-                    (f"blocks.{i}.moe.gate.weight", block.mixer.gate.weight),
-                    (f"blocks.{i}.moe.gate.bias", block.mixer.gate.bias),
-                ]
-                for e, expert in enumerate(block.mixer.experts):
-                    named += [
-                        (f"blocks.{i}.moe.experts.{e}.lin1.weight", expert.lin1.weight),
-                        (f"blocks.{i}.moe.experts.{e}.lin1.bias", expert.lin1.bias),
-                        (f"blocks.{i}.moe.experts.{e}.lin2.weight", expert.lin2.weight),
-                        (f"blocks.{i}.moe.experts.{e}.lin2.bias", expert.lin2.bias),
-                    ]
-            else:
-                named += [
-                    (f"blocks.{i}.ffn.lin1.weight", block.mixer.lin1.weight),
-                    (f"blocks.{i}.ffn.lin1.bias", block.mixer.lin1.bias),
-                    (f"blocks.{i}.ffn.lin2.weight", block.mixer.lin2.weight),
-                    (f"blocks.{i}.ffn.lin2.bias", block.mixer.lin2.bias),
-                ]
-            named += [
-                (f"blocks.{i}.norm2.gamma", block.norm2.gamma),
-                (f"blocks.{i}.norm2.beta", block.norm2.beta),
-            ]
-        named += [("head.weight", self.head.weight), ("head.bias", self.head.bias)]
-        return named
+        """Every trainable tensor with its dotted name, in a fixed order."""
+        return (named_tensors(self.embeddings, "embeddings")
+                + named_tensors(self.blocks, "blocks")
+                + named_tensors(self.head, "head"))
 
     def zero_grad(self) -> None:
         for _, p in self.parameters():
@@ -300,7 +264,7 @@ def count_parameters(model: EncoderModel) -> ParamCountReport:
 def export_hidden_embeddings(model: EncoderModel, encoded, layer: int, path,
                              batch_size: int = 32) -> int:
     """Write one record per example: id, label, pooled hidden vector at
-    ``layer``.  ``encoded`` is a sequence of (example_id, ids, mask, label).
+    ``layer``.  ``encoded`` is a sequence of (example_id, ids, label).
     Returns the record count.  Deterministic formatting, so re-export with
     the same checkpoint is byte-identical."""
     if not 0 <= layer < model.config.num_layers:
@@ -312,11 +276,9 @@ def export_hidden_embeddings(model: EncoderModel, encoded, layer: int, path,
         fh.write("example_id\tlabel\t" + "\t".join(f"h{i}" for i in range(model.config.d_model)) + "\n")
         for start in range(0, len(encoded), batch_size):
             chunk = encoded[start:start + batch_size]
-            width = max(len(ids) for _, ids, _, _ in chunk)
-            ids = np.stack([np.pad(i, (0, width - len(i))) for _, i, _, _ in chunk])
-            mask = np.stack([np.pad(m, (0, width - len(m))) for _, _, m, _ in chunk])
+            ids, mask = pad_batch([seq for _, seq, _ in chunk])
             pooled = model.pooled_hidden(ids, mask, layer)
-            for row, (example_id, _, _, label) in zip(pooled, chunk):
+            for row, (example_id, _, label) in zip(pooled, chunk):
                 vec = "\t".join(f"{v:.17g}" for v in row)
                 fh.write(f"{example_id}\t{label}\t{vec}\n")
                 written += 1
@@ -350,36 +312,62 @@ def save_checkpoint(path, model: EncoderModel, vocab=None, extra: dict | None = 
 
 def load_checkpoint(path):
     """Rebuild (model, vocab, extra) from a checkpoint file; parameter
-    tensors round-trip bit-exactly."""
-    from .data import Vocabulary
+    tensors round-trip bit-exactly.
 
+    All or nothing: a foreign or older-format file, a truncated or malformed
+    header or payload, trailing bytes, or a parameter set that differs from
+    the model's raises CompatibilityError.  Tensors are read one at a time.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise CompatibilityError(f"not a checkpoint file: {path}")
-        (blob_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
-        if header.get("format_version") != CHECKPOINT_VERSION:
+        (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "header length"))
+        if blob_len > os.fstat(fh.fileno()).st_size:
+            raise CompatibilityError(f"truncated checkpoint {path}: header length exceeds the file")
+        try:
+            header = json.loads(_read_exact(fh, blob_len, path, "header").decode("utf-8"))
+        except ValueError as e:
+            raise CompatibilityError(f"malformed checkpoint header in {path}: {e}") from e
+        version = header.get("format_version") if isinstance(header, dict) else None
+        if version != CHECKPOINT_VERSION:
             raise CompatibilityError(
-                f"unsupported checkpoint version {header.get('format_version')}"
+                f"unsupported checkpoint format version {version} in {path}: this build reads "
+                f"version {CHECKPOINT_VERSION} (parameter names generated from the model's "
+                f"parameter tree); retrain to write a compatible checkpoint"
             )
-        config = ModelConfig(**header["config"])
+        try:
+            config = ModelConfig(**header["config"])
+            specs = [(spec["name"], tuple(spec["shape"])) for spec in header["params"]]
+        except (KeyError, TypeError) as e:
+            raise CompatibilityError(f"malformed checkpoint header in {path}: {e!r}") from e
         model = EncoderModel.build(config)
         by_name = dict(model.parameters())
-        for spec in header["params"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape))
-            raw = fh.read(count * 8)
-            if spec["name"] not in by_name:
-                raise CompatibilityError(f"checkpoint parameter {spec['name']!r} not in model")
-            param = by_name[spec["name"]]
+        missing = sorted(by_name.keys() - {name for name, _ in specs})
+        if missing:
+            raise CompatibilityError(f"checkpoint {path} lacks model parameters {missing}")
+        for name, shape in specs:
+            if name not in by_name:
+                raise CompatibilityError(f"checkpoint parameter {name!r} not in model")
+            param = by_name[name]
             if param.shape != shape:
                 raise CompatibilityError(
-                    f"checkpoint parameter {spec['name']!r} has shape {shape}, model expects {param.shape}"
+                    f"checkpoint parameter {name!r} has shape {shape}, model expects {param.shape}"
                 )
-            param.data = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            raw = _read_exact(fh, param.size * 8, path, f"parameter {name!r}")
+            param.data = np.frombuffer(raw, dtype="<f8").reshape(param.shape).copy()
+        if fh.read(1):
+            raise CompatibilityError(f"checkpoint {path} has bytes after its last parameter")
     vocab = Vocabulary.from_dict(header["vocab"]) if header.get("vocab") else None
     return model, vocab, header.get("extra", {})
+
+
+def _read_exact(fh, count: int, path, what: str) -> bytes:
+    data = fh.read(count)
+    if len(data) != count:
+        raise CompatibilityError(
+            f"truncated checkpoint {path}: {what} has {len(data)} of {count} bytes"
+        )
+    return data
 
 
 def file_digest(path) -> str:

@@ -25,7 +25,6 @@ class SwitchParams:
     gate: LinearParams
     experts: list[FfnParams]
     capacity_factor: float = 1.25
-    aux_loss_weight: float = 0.01
     dense_mixture: bool = False
 
     @property
@@ -39,20 +38,16 @@ class SwitchParams:
         num_experts: int,
         rng: np.random.Generator,
         capacity_factor: float = 1.25,
-        aux_loss_weight: float = 0.01,
         dense_mixture: bool = False,
     ) -> "SwitchParams":
         if num_experts < 1:
             raise ConfigError(f"num_experts must be >= 1, got {num_experts}")
         if capacity_factor < 1.0:
             raise ConfigError(f"capacity_factor must be >= 1, got {capacity_factor}")
-        if aux_loss_weight < 0.0:
-            raise ConfigError(f"aux_loss_weight must be >= 0, got {aux_loss_weight}")
         return SwitchParams(
             gate=LinearParams.create(d_model, num_experts, rng),
             experts=[FfnParams.create(d_model, d_ff, rng) for _ in range(num_experts)],
             capacity_factor=capacity_factor,
-            aux_loss_weight=aux_loss_weight,
             dense_mixture=dense_mixture,
         )
 

@@ -41,14 +41,17 @@ class AdamW:
 
     def step(self, lr: float) -> None:
         """One update from the gradients accumulated in each param's .grad.
-        Parameters with no gradient this step keep their moments decaying."""
+        Parameters with no gradient this step keep their moments decaying.
+        A non-finite gradient anywhere aborts the step before any state
+        changes."""
+        for name, p in self.params:
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise NumericError(f"non-finite gradient for {name}; step {self.t + 1} aborted")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for (name, p), m, v in zip(self.params, self.m, self.v):
+        for (_, p), m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros(p.shape)
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient for {name}; step {self.t} aborted")
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

@@ -16,7 +16,7 @@ and safe to share across threads for read-only use.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -393,24 +393,6 @@ def transpose(x, axes: tuple[int, ...] | None = None) -> Tensor:
         axes = tuple(range(x.ndim - 1, -1, -1))
     inverse = tuple(np.argsort(axes))
     return _maybe_record(x.data.transpose(axes), [(x, lambda g: g.transpose(inverse))])
-
-
-def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
-    parts = [_as_tensor(t) for t in tensors]
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + [p.data.shape[axis] for p in parts])
-
-    def make_vjp(i):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def vjp(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-
-        return vjp
-
-    return _maybe_record(out, [(p, make_vjp(i)) for i, p in enumerate(parts)])
 
 
 # ---------------------------------------------------------------------------

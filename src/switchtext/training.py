@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .data import (LabeledDataset, Vocabulary, build_vocab, class_weights,
-                   encode, split_dataset, FRENCH_STOPWORDS)
+                   encode, pad_batch, split_dataset, FRENCH_STOPWORDS)
 from .errors import ConfigError
 from .metrics import EvalReport, classification_metrics, confusion, roc_auc
 from .model import EncoderModel, ModelConfig, file_digest, load_checkpoint, save_checkpoint
@@ -152,18 +152,17 @@ def encode_examples(examples, vocab: Vocabulary, max_len: int) -> list[EncodedEx
 
 def make_batch(chunk: list[EncodedExample]):
     """Pad a chunk to its own max length; returns (ids, mask, labels)."""
-    width = max(len(e.ids) for e in chunk)
-    ids = np.zeros((len(chunk), width), dtype=np.int64)
-    mask = np.zeros((len(chunk), width), dtype=bool)
-    for row, e in enumerate(chunk):
-        ids[row, : len(e.ids)] = e.ids
-        mask[row, : len(e.ids)] = True
-    labels = np.asarray([e.label for e in chunk], dtype=np.int64)
-    return ids, mask, labels
+    ids, mask = pad_batch([e.ids for e in chunk])
+    return ids, mask, np.asarray([e.label for e in chunk], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # loss
+
+
+def _example_weights(labels: np.ndarray, weights=None) -> np.ndarray:
+    """Per-example loss weight: its class weight, or 1 without weighting."""
+    return np.ones(len(labels)) if weights is None else np.asarray(weights)[labels]
 
 
 def weighted_cross_entropy(logits: Tensor, labels: np.ndarray, weights=None) -> Tensor:
@@ -171,16 +170,18 @@ def weighted_cross_entropy(logits: Tensor, labels: np.ndarray, weights=None) -> 
     weight so uniform weights give the plain mean."""
     logp = T.log_softmax(logits, axis=1)
     picked = T.pick(logp, np.arange(len(labels)), labels)
-    w = np.ones(len(labels)) if weights is None else np.asarray(weights)[labels]
+    w = _example_weights(labels, weights)
     return T.mul(T.sum_(T.mul(picked, Tensor(-w))), 1.0 / float(w.sum()))
 
 
 def total_loss(logits: Tensor, labels: np.ndarray, aux: Tensor,
-               aux_weight: float, weights=None) -> Tensor:
+               aux_weight: float, weights=None) -> tuple[Tensor, Tensor]:
+    """The training objective, cross-entropy plus ``aux_weight`` times the
+    routing auxiliary loss; returns ``(total, cross_entropy)``."""
     ce = weighted_cross_entropy(logits, labels, weights)
     if aux_weight == 0.0:
-        return ce
-    return T.add(ce, T.mul(aux, aux_weight))
+        return ce, ce
+    return T.add(ce, T.mul(aux, aux_weight)), ce
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +211,10 @@ def evaluate(model: EncoderModel, encoded: list[EncodedExample], batch_size: int
         chunk = encoded[start: start + batch_size]
         ids, mask, labels = make_batch(chunk)
         result = model.forward(ids, mask, training=False)
-        logp = T.log_softmax(result.logits, axis=1).data
-        w = np.ones(len(labels)) if weights is None else np.asarray(weights)[labels]
-        loss_sum += float(-(w * logp[np.arange(len(labels)), labels]).sum())
-        weight_sum += float(w.sum())
-        probs = np.exp(logp)
+        w_sum = float(_example_weights(labels, weights).sum())
+        loss_sum += weighted_cross_entropy(result.logits, labels, weights).item() * w_sum
+        weight_sum += w_sum
+        probs = np.exp(T.log_softmax(result.logits, axis=1).data)
         all_scores.append(probs[:, 1])
         all_preds.append(probs.argmax(axis=1))
         all_labels.append(labels)
@@ -373,11 +373,11 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
                 ids, mask, labels = make_batch(chunk)
                 with Tape() as tape:
                     result = model.forward(ids, mask, training=True)
-                    ce = weighted_cross_entropy(result.logits, labels, weights)
-                    loss = ce if aux_weight == 0.0 else T.add(ce, T.mul(result.aux_loss, aux_weight))
+                    loss, ce = total_loss(result.logits, labels, result.aux_loss,
+                                          aux_weight, weights)
                 tape.backward(loss)
                 micro_count += 1
-                w_sum = float(len(labels) if weights is None else np.asarray(weights)[labels].sum())
+                w_sum = float(_example_weights(labels, weights).sum())
                 run_loss += ce.item() * w_sum
                 run_weight += w_sum
                 run_preds.append(result.logits.data.argmax(axis=1))

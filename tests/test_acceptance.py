@@ -83,8 +83,7 @@ class TestCriterion1GradientCorrectness:
         mha_coeffs = Tensor(gen.standard_normal((4, 8)))
         worst = max(worst, check_many_params(
             lambda: T.sum_(T.mul(multi_head_attention(xa, mha, mask), mha_coeffs)),
-            [(mha.heads[0], "wq"), (mha.heads[0], "wk"), (mha.heads[0], "wv"),
-             (mha.heads[1], "wq"), (mha.wo, "weight"), (mha.wo, "bias")]))
+            [(mha, "wq"), (mha, "wk"), (mha, "wv"), (mha.wo, "weight"), (mha.wo, "bias")]))
 
         ffn = FfnParams.create(8, 16, gen)
         worst = max(worst, check_many_params(
@@ -122,7 +121,7 @@ class TestCriterion1GradientCorrectness:
                 return T.add(ce, T.mul(result.aux_loss, 0.01))
 
             targets = [
-                (model.embeddings, "table"), (model.blocks[0].mha.heads[0], "wq"),
+                (model.embeddings, "table"), (model.blocks[0].mha, "wq"),
                 (model.blocks[1].mha.wo, "weight"), (model.blocks[0].norm1, "gamma"),
                 (model.head, "weight"),
             ]
@@ -148,7 +147,7 @@ class TestCriterion2MoeEquivalences:
         switch = EncoderModel.build(ModelConfig(variant="switch", num_experts=1, **common))
         by_name = dict(switch.parameters())
         for name, p in dense.parameters():
-            by_name[name.replace(".ffn.", ".moe.experts.0.")].data = p.data.copy()
+            by_name[name.replace(".mixer.", ".mixer.experts.0.")].data = p.data.copy()
         ids = np.array([[2, 3, 4, 5], [6, 7, 0, 0]])
         mask = ids != 0
         diff = np.abs(dense.forward(ids, mask).logits.data

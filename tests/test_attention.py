@@ -8,7 +8,7 @@ import pytest
 
 from switchtext import Tensor, finite_difference_check
 from switchtext import tensor as T
-from switchtext.attention import (AttentionHeadParams, FfnParams, MultiHeadParams,
+from switchtext.attention import (FfnParams, MultiHeadParams,
                                   multi_head_attention, position_wise_ffn,
                                   scaled_dot_product_attention)
 from switchtext.errors import ConfigError, ContractError
@@ -88,10 +88,9 @@ class TestMultiHeadAttention:
     def test_single_head_reduces_to_sdpa(self):
         d = 4
         identity = lambda: Tensor(np.eye(d), requires_grad=True)
-        head = AttentionHeadParams(wq=identity(), wk=identity(), wv=identity())
         wo = LinearParams(weight=Tensor(np.eye(d), requires_grad=True),
                           bias=Tensor(np.zeros(d), requires_grad=True))
-        p = MultiHeadParams(heads=[head], wo=wo)
+        p = MultiHeadParams(wq=identity(), wk=identity(), wv=identity(), wo=wo, num_heads=1)
         x = Tensor(rng.standard_normal((3, d)))
         mask = np.array([True, True, True])
         out = multi_head_attention(x, p, mask)
@@ -129,7 +128,7 @@ class TestMultiHeadAttention:
             return T.sum_(T.mul(multi_head_attention(Tensor(x), p, mask), coeffs))
 
         check_many_params(make_loss, [
-            (p.heads[0], "wq"), (p.heads[1], "wk"), (p.heads[0], "wv"),
+            (p, "wq"), (p, "wk"), (p, "wv"),
             (p.wo, "weight"), (p.wo, "bias"),
         ])
 

@@ -143,6 +143,15 @@ class TestEval:
         assert "category=compatibility" in capsys.readouterr().err
 
 
+    def test_truncated_checkpoint_compatibility_error(self, workdir, tmp_path, capsys):
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(workdir["ckpt"].read_bytes()[:-4])
+        code = main(["eval", "--checkpoint", str(cut), "--data", str(workdir["data"]),
+                     "--output-dir", str(tmp_path / "x")])
+        assert code == EXIT_CODES["compatibility"]
+        assert "category=compatibility" in capsys.readouterr().err
+
+
 class TestAttribute:
     def test_misclassified_reports(self, workdir, tmp_path):
         out = tmp_path / "attr"

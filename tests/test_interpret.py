@@ -202,3 +202,5 @@ class TestTrainedModelProperties:
         assert reports[0][0].example_id == wanted
         with pytest.raises(LookupError_):
             attribution_for_ids(toy_run.model, encoded, [999999], num_steps=16)
+        with pytest.raises(ConfigError, match="target"):
+            attribution_for_ids(toy_run.model, encoded, [wanted], target="bogus", num_steps=16)

@@ -2,6 +2,9 @@
 invariance, parameter accounting against an independent closed form,
 end-to-end gradient checks, hidden-state export, and checkpointing."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,8 @@ from helpers import check_many_params
 from switchtext import ModelConfig, EncoderModel, Tensor, count_parameters
 from switchtext import tensor as T
 from switchtext.errors import CompatibilityError, ConfigError, ContractError
-from switchtext.model import export_hidden_embeddings, file_digest, load_checkpoint, save_checkpoint
+from switchtext.model import (CHECKPOINT_MAGIC, export_hidden_embeddings, file_digest,
+                              load_checkpoint, save_checkpoint)
 from switchtext.moe import SwitchParams
 from switchtext.training import weighted_cross_entropy
 
@@ -81,7 +85,7 @@ class TestForward:
         switch = EncoderModel.build(tiny_config("switch", num_experts=1))
         by_name = dict(switch.parameters())
         for name, p in dense.parameters():
-            twin = by_name[name.replace(".ffn.", ".moe.experts.0.")]
+            twin = by_name[name.replace(".mixer.", ".mixer.experts.0.")]
             twin.data = p.data.copy()
         ids = np.array([[2, 3, 4, 0], [5, 6, 0, 0]])
         mask = ids != 0
@@ -131,6 +135,20 @@ class TestParameterCount:
         assert items["blocks.0.norm1.gamma"] + items["blocks.0.norm1.beta"] == 16
         assert items["head.weight"] + items["head.bias"] == 8 * 2 + 2
 
+    def test_names_follow_the_parameter_tree(self):
+        model = EncoderModel.build(tiny_config("switch", num_layers=1, num_experts=2))
+        experts = [f"blocks.0.mixer.experts.{e}.lin{i}.{k}"
+                   for e in range(2) for i in (1, 2) for k in ("weight", "bias")]
+        assert [name for name, _ in model.parameters()] == [
+            "embeddings.table", "embeddings.positional",
+            "blocks.0.mha.wq", "blocks.0.mha.wk", "blocks.0.mha.wv",
+            "blocks.0.mha.wo.weight", "blocks.0.mha.wo.bias",
+            "blocks.0.norm1.gamma", "blocks.0.norm1.beta",
+            "blocks.0.mixer.gate.weight", "blocks.0.mixer.gate.bias", *experts,
+            "blocks.0.norm2.gamma", "blocks.0.norm2.beta",
+            "head.weight", "head.bias",
+        ]
+
     def test_switch_minus_dense_identity(self):
         common = dict(num_layers=4, num_heads=4, d_model=16, d_ff=64,
                       vocab_size=50, max_len=12, num_experts=4)
@@ -160,7 +178,7 @@ class TestEndToEndGradients:
 
         targets = [
             (model.embeddings, "table"), (model.embeddings, "positional"),
-            (model.blocks[0].mha.heads[0], "wq"), (model.blocks[1].mha.wo, "weight"),
+            (model.blocks[0].mha, "wq"), (model.blocks[1].mha.wo, "weight"),
             (model.blocks[0].norm1, "gamma"), (model.blocks[1].norm2, "beta"),
             (model.head, "weight"), (model.head, "bias"),
         ]
@@ -185,7 +203,7 @@ class TestHiddenExport:
         for i in range(n):
             length = int(gen.integers(2, 6))
             ids = gen.integers(2, model.config.vocab_size, size=length)
-            rows.append((i, ids, np.ones(length, bool), int(gen.integers(0, 2))))
+            rows.append((i, ids, int(gen.integers(0, 2))))
         return rows
 
     def test_layer_out_of_range_names_limit(self, tmp_path):
@@ -236,4 +254,45 @@ class TestCheckpoint:
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\x00" * 64)
         with pytest.raises(CompatibilityError):
+            load_checkpoint(path)
+
+    def saved(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, EncoderModel.build(tiny_config()))
+        raw = path.read_bytes()
+        (blob_len,) = struct.unpack("<Q", raw[8:16])
+        return path, raw, blob_len
+
+    @pytest.mark.parametrize("part", ["header_length", "header", "payload"])
+    def test_truncated_file_rejected(self, tmp_path, part):
+        path, raw, blob_len = self.saved(tmp_path)
+        keep = {"header_length": 12, "header": 16 + blob_len - 1, "payload": len(raw) - 3}[part]
+        path.write_bytes(raw[:keep])
+        with pytest.raises(CompatibilityError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path, raw, _ = self.saved(tmp_path)
+        path.write_bytes(raw + b"\x00")
+        with pytest.raises(CompatibilityError, match="after its last parameter"):
+            load_checkpoint(path)
+
+    def rewrite(self, path, raw, blob_len, edit_header, payload_end=None):
+        header = json.loads(raw[16:16 + blob_len])
+        edit_header(header)
+        blob = json.dumps(header).encode("utf-8")
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob
+                         + raw[16 + blob_len:payload_end])
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path, raw, blob_len = self.saved(tmp_path)
+        # head.bias is the last tensor: drop its header entry and its 2 floats.
+        self.rewrite(path, raw, blob_len, lambda h: h["params"].pop(), payload_end=-16)
+        with pytest.raises(CompatibilityError, match="lacks model parameters.*head.bias"):
+            load_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        path, raw, blob_len = self.saved(tmp_path)
+        self.rewrite(path, raw, blob_len, lambda h: h.update(format_version=1))
+        with pytest.raises(CompatibilityError, match="version 1"):
             load_checkpoint(path)

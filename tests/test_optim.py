@@ -77,6 +77,22 @@ class TestAdamW:
         with pytest.raises(NumericError, match="head.weight"):
             AdamW([("head.weight", p)]).step(lr=0.1)
 
+    def test_non_finite_gradient_changes_nothing(self):
+        params = [make_param([1.0, 2.0]), make_param([3.0]), make_param([4.0, 5.0])]
+        opt = AdamW(params, weight_decay=0.01)
+        for p in params:
+            p.grad = np.ones(p.shape)
+        opt.step(lr=0.1)
+        params[-1].grad = np.array([0.5, np.nan])
+        before = ([p.data.copy() for p in params], [m.copy() for m in opt.m],
+                  [v.copy() for v in opt.v], opt.t)
+        with pytest.raises(NumericError, match="param2"):
+            opt.step(lr=0.1)
+        assert opt.t == before[3]
+        for now, then in zip(([p.data for p in params], opt.m, opt.v), before[:3]):
+            for a, b in zip(now, then):
+                np.testing.assert_array_equal(a, b)
+
 
 class TestClip:
     def test_global_norm_scaling(self):

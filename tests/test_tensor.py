@@ -188,7 +188,6 @@ class TestFiniteDifferenceCheck:
         lambda t: T.sum_(T.log_softmax(T.reshape(t, (2, 3)), axis=1)),
         lambda t: T.sum_(T.mul(T.transpose(T.reshape(t, (2, 3))), 1.5)),
         lambda t: T.sum_(T.pow_scalar(T.add(T.mul(t, t), 0.5), -0.5)),
-        lambda t: T.mean(T.concat([T.reshape(t, (2, 3)), T.reshape(t, (2, 3))], axis=0)),
     ])
     def test_randomized_ops(self, build):
         x = Tensor(rng.standard_normal(6) + 0.2)

@@ -53,10 +53,10 @@ class TestLoss:
         logits = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         labels = np.array([0, 1, 1, 0])
         aux = Tensor(5.0)
-        ce_only = total_loss(logits, labels, aux, aux_weight=0.0)
-        with_aux = total_loss(logits, labels, aux, aux_weight=0.01)
+        ce_only, ce_part = total_loss(logits, labels, aux, aux_weight=0.0)
+        with_aux, ce_term = total_loss(logits, labels, aux, aux_weight=0.01)
         ce = weighted_cross_entropy(logits, labels)
-        assert ce_only.item() == ce.item()
+        assert ce_only.item() == ce.item() == ce_part.item() == ce_term.item()
         np.testing.assert_allclose(with_aux.item(), ce.item() + 0.05, atol=1e-12)
 
 
