@@ -1,5 +1,5 @@
-"""Corpus handling: whitespace-unigram vocabulary, encoding with padding
-masks, stratified splitting, inverse-frequency class weights, JSON-lines
+"""Corpus handling: whitespace-unigram vocabulary, encoding, batch padding
+with masks, stratified splitting, inverse-frequency class weights, JSON-lines
 dataset files, and a synthetic note generator with planted keywords.
 
 Tokenization lowercases and strips punctuation while preserving accents
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, DataError
 from .layers import PAD_ID, UNK_ID
 
 _TOKEN_CLEANER = re.compile(r"[^\w\s]", flags=re.UNICODE)
@@ -64,10 +64,6 @@ class Vocabulary:
     stopwords: frozenset[str] | None = None
 
     def __len__(self) -> int:
-        return len(self.id_to_token)
-
-    @property
-    def size(self) -> int:
         return len(self.id_to_token)
 
     def lookup(self, token: str) -> int:
@@ -119,21 +115,13 @@ def build_vocab(corpus, min_frequency: int = 1, stopwords=None,
     )
 
 
-def encode(text: str, vocab: Vocabulary, max_len: int, pad_to: int | None = None):
+def encode(text: str, vocab: Vocabulary, max_len: int) -> np.ndarray:
     """Tokenize and map to ids (UNK for out-of-vocabulary), truncating to the
     first ``max_len`` tokens.  Empty text encodes as a single UNK, never an
-    all-PAD sequence.  Returns ``(ids, mask)`` where the mask marks real
-    tokens; with ``pad_to`` the sequence is right-padded with PAD."""
+    all-PAD sequence.  Batches are padded by ``pad_batch``."""
     tokens = tokenize(text, stopwords=vocab.stopwords, merge_negations=vocab.merge_negations)
     ids = [vocab.lookup(t) for t in tokens[:max_len]] or [UNK_ID]
-    real = len(ids)
-    if pad_to is not None:
-        if pad_to < real:
-            raise ContractError(f"pad_to={pad_to} shorter than sequence length {real}")
-        ids = ids + [PAD_ID] * (pad_to - real)
-    mask = np.zeros(len(ids), dtype=bool)
-    mask[:real] = True
-    return np.asarray(ids, dtype=np.int64), mask
+    return np.asarray(ids, dtype=np.int64)
 
 
 def decode(ids, vocab: Vocabulary) -> list[str]:

@@ -16,7 +16,7 @@ import numpy as np
 from . import tensor as T
 from .data import Vocabulary, decode
 from .errors import ConfigError, ContractError, NumericError, LookupError_
-from .layers import PAD_ID
+from .layers import PAD_ID, embed
 from .model import EncoderModel
 from .tensor import Tape, Tensor
 
@@ -93,15 +93,9 @@ def path_integrated_gradients(fn, x: np.ndarray, baseline: np.ndarray,
     return attributions, delta, residual
 
 
-def _input_embedding(model: EncoderModel, ids: np.ndarray) -> np.ndarray:
-    seq_len = len(ids)
-    return model.embeddings.table.data[ids] + model.embeddings.positional.data[:seq_len]
-
-
 def _baseline_embedding(model: EncoderModel, seq_len: int, kind: str) -> np.ndarray:
     if kind == "pad":
-        pad_ids = np.full(seq_len, PAD_ID, dtype=np.int64)
-        return _input_embedding(model, pad_ids)
+        return embed(np.full(seq_len, PAD_ID, dtype=np.int64), model.embeddings).data
     if kind == "zero":
         return np.zeros((seq_len, model.config.d_model))
     raise ConfigError(f"baseline must be 'pad' or 'zero', got {kind!r}")
@@ -128,7 +122,7 @@ def integrated_gradients(model: EncoderModel, ids: np.ndarray, mask: np.ndarray,
         )
         return T.pick(result.logits, np.array([0]), np.array([target])).sum()
 
-    x = _input_embedding(model, ids)
+    x = embed(ids, model.embeddings).data
     base = _baseline_embedding(model, len(ids), baseline)
     attributions, delta, residual = path_integrated_gradients(
         logit_fn, x, base, num_steps, method=method

@@ -18,14 +18,14 @@ import numpy as np
 from . import tensor as T
 from .attention import FfnParams, MultiHeadParams, multi_head_attention, position_wise_ffn
 from .data import Vocabulary, pad_batch
-from .errors import CompatibilityError, ConfigError, ContractError, DimensionError
+from .errors import CompatibilityError, ConfigError, ContractError
 from .layers import (EmbeddingTable, LayerNormParams, LinearParams, dropout, embed, layer_norm,
                      linear, named_tensors)
 from .moe import RoutingRecord, SwitchParams, switch_forward
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"SWTCKPT1"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -43,7 +43,6 @@ class ModelConfig:
     dropout: float = 0.35
     capacity_factor: float = 1.25
     aux_loss_weight: float = 0.01
-    dense_moe: bool = False
     pooling: str = "mean"  # {"mean", "first"}
     num_classes: int = 2
     layer_norm_eps: float = 1e-5
@@ -126,7 +125,6 @@ class EncoderModel:
                 mixer = SwitchParams.create(
                     config.d_model, config.d_ff, config.num_experts, rng,
                     capacity_factor=config.capacity_factor,
-                    dense_mixture=config.dense_moe,
                 )
             blocks.append(EncoderBlock(
                 mha=mha,
@@ -332,8 +330,7 @@ def load_checkpoint(path):
         if version != CHECKPOINT_VERSION:
             raise CompatibilityError(
                 f"unsupported checkpoint format version {version} in {path}: this build reads "
-                f"version {CHECKPOINT_VERSION} (parameter names generated from the model's "
-                f"parameter tree); retrain to write a compatible checkpoint"
+                f"version {CHECKPOINT_VERSION}; retrain to write a compatible checkpoint"
             )
         try:
             config = ModelConfig(**header["config"])

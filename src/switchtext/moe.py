@@ -3,13 +3,12 @@ dispatch, per-expert capacity, and a load-balancing auxiliary loss.
 
 Routing decisions (argmax, capacity cuts) are taken on raw values and held
 fixed; gradients flow through the chosen gate probability and through the
-expert computation.  A ``dense_mixture`` flag switches to the full weighted
-sum over all experts, useful as an oracle for the top-1 path.
+expert computation.  Capacity cuts apply in training only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,6 @@ class SwitchParams:
     gate: LinearParams
     experts: list[FfnParams]
     capacity_factor: float = 1.25
-    dense_mixture: bool = False
 
     @property
     def num_experts(self) -> int:
@@ -38,7 +36,6 @@ class SwitchParams:
         num_experts: int,
         rng: np.random.Generator,
         capacity_factor: float = 1.25,
-        dense_mixture: bool = False,
     ) -> "SwitchParams":
         if num_experts < 1:
             raise ConfigError(f"num_experts must be >= 1, got {num_experts}")
@@ -48,7 +45,6 @@ class SwitchParams:
             gate=LinearParams.create(d_model, num_experts, rng),
             experts=[FfnParams.create(d_model, d_ff, rng) for _ in range(num_experts)],
             capacity_factor=capacity_factor,
-            dense_mixture=dense_mixture,
         )
 
 
@@ -102,13 +98,14 @@ def load_balance_loss(probs: Tensor, chosen: np.ndarray, num_experts: int) -> Te
 
 
 def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
-    """Route each of the T tokens in ``x`` [T, d] through the expert mixture.
+    """Route each of the T tokens in ``x`` [T, d] to its top-1 expert.
 
-    Returns ``(output, RoutingRecord, aux_loss)``.  Under top-1 routing each
-    token's output is its chosen gate probability times that expert's FFN;
-    tokens beyond an expert's capacity floor(capacity_factor*T/E) contribute
-    zero (the caller's residual connection carries them).  Overflow is
-    recorded, never an error.
+    Returns ``(output, RoutingRecord, aux_loss)``.  Each token's output is
+    its chosen gate probability times that expert's FFN.  In training an
+    expert serves at most floor(capacity_factor*T/E) tokens; the rest
+    contribute zero (the caller's residual connection carries them) and are
+    recorded as overflow, never an error.  Outside training every token is
+    served, so an output depends only on its own input.
     """
     if x.ndim != 2:
         raise ContractError(f"switch_forward expects [T, d] input, got shape {x.shape}")
@@ -116,45 +113,25 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
     E = p.num_experts
     probs = gate_probs(x, p.gate)
     chosen = np.argmax(probs.data, axis=1)  # ties resolve to the lowest index
-    chosen_prob = probs.data[np.arange(num_tokens), chosen]
     aux = load_balance_loss(probs, chosen, E)
 
-    if p.dense_mixture:
-        out = None
-        rows = np.arange(num_tokens)
-        for j, expert in enumerate(p.experts):
-            coef = T.reshape(T.pick(probs, rows, np.full(num_tokens, j)), (num_tokens, 1))
-            term = T.mul(coef, position_wise_ffn(x, expert))
-            out = term if out is None else T.add(out, term)
-        record = RoutingRecord(
-            chosen=chosen,
-            chosen_prob=chosen_prob,
-            counts=np.bincount(chosen, minlength=E),
-            overflow=0,
-            capacity=num_tokens,
-        )
-        return out, record, aux
-
-    capacity = int(np.floor(p.capacity_factor * num_tokens / E))
-    out = Tensor(np.zeros(x.shape))
+    capacity = int(np.floor(p.capacity_factor * num_tokens / E)) if training else num_tokens
+    combined = Tensor(np.zeros(x.shape))
     counts = np.zeros(E, dtype=int)
-    overflow = 0
     for j, expert in enumerate(p.experts):
-        idx = np.nonzero(chosen == j)[0]
-        kept = idx[:capacity]
-        overflow += len(idx) - len(kept)
+        kept = np.nonzero(chosen == j)[0][:capacity]
         counts[j] = len(kept)
-        if len(kept) == 0:
-            continue
-        coef = T.reshape(T.pick(probs, kept, np.full(len(kept), j)), (len(kept), 1))
-        routed = T.mul(coef, position_wise_ffn(T.take_rows(x, kept), expert))
-        out = T.add(out, T.scatter_rows(routed, kept, num_tokens))
+        if len(kept):
+            served = position_wise_ffn(T.take_rows(x, kept), expert)
+            combined = T.add(combined, T.scatter_rows(served, kept, num_tokens))
+    rows = np.arange(num_tokens)
+    out = T.mul(combined, T.reshape(T.pick(probs, rows, chosen), (num_tokens, 1)))
 
     record = RoutingRecord(
         chosen=chosen,
-        chosen_prob=chosen_prob,
+        chosen_prob=probs.data[rows, chosen],
         counts=counts,
-        overflow=overflow,
+        overflow=num_tokens - int(counts.sum()),
         capacity=capacity,
     )
     return out, record, aux

@@ -17,7 +17,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class RunConfig:
     dropout: float = 0.35
     capacity_factor: float = 1.25
     aux_loss_weight: float = 0.01
-    dense_moe: bool = False
     pooling: str = "mean"
     # data
     data_path: str = ""
@@ -82,13 +81,12 @@ class RunConfig:
     stop_at_val_accuracy: float = 0.0
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        return ModelConfig(
-            variant=self.variant, num_layers=self.num_layers, num_heads=self.num_heads,
-            num_experts=self.num_experts, d_model=self.d_model, d_ff=self.d_ff,
-            vocab_size=vocab_size, max_len=self.max_len, dropout=self.dropout,
-            capacity_factor=self.capacity_factor, aux_loss_weight=self.aux_loss_weight,
-            dense_moe=self.dense_moe, pooling=self.pooling, seed=self.seed,
-        )
+        """The ModelConfig holding every field this config shares with it by
+        name, plus ``vocab_size``; the remaining ModelConfig fields keep
+        their defaults."""
+        own = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name in own}
+        return ModelConfig(vocab_size=vocab_size, **shared)
 
     def violations(self, check_paths: bool = False) -> list[str]:
         problems = self.model_config(vocab_size=2).violations()
@@ -145,7 +143,7 @@ class EncodedExample:
 def encode_examples(examples, vocab: Vocabulary, max_len: int) -> list[EncodedExample]:
     out = []
     for e in examples:
-        ids, _ = encode(e.text, vocab, max_len)
+        ids = encode(e.text, vocab, max_len)
         out.append(EncodedExample(example_id=e.example_id, ids=ids, label=e.label, text=e.text))
     return out
 

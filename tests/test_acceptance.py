@@ -154,16 +154,16 @@ class TestCriterion2MoeEquivalences:
                       - switch.forward(ids, mask).logits.data).max()
         assert diff <= 1e-10
 
-        # Dense-sum mixture with one gate forced to probability exactly 1.
-        sw = SwitchParams.create(6, 12, 3, np.random.default_rng(5), dense_mixture=True)
+        # Top-1 routing at inference with one gate forced to probability exactly 1.
+        sw = SwitchParams.create(6, 12, 3, np.random.default_rng(5))
         sw.gate.weight.data = np.zeros_like(sw.gate.weight.data)
         sw.gate.bias.data = np.array([0.0, -1e30, -1e30])
         x = rng.standard_normal((5, 6))
-        out, _, _ = switch_forward(Tensor(x), sw)
+        out, _, _ = switch_forward(Tensor(x), sw, training=False)
         expert_out = position_wise_ffn(Tensor(x), sw.experts[0]).data
         np.testing.assert_array_equal(out.data, expert_out)
         report(2, "mixture equivalences",
-               f"switch(E=1) vs dense max logit diff {diff:.2e}; forced-gate dense sum exact")
+               f"switch(E=1) vs dense max logit diff {diff:.2e}; forced-gate top-1 exact")
 
 
 class TestCriterion3RoutingInvariants:

@@ -73,44 +73,38 @@ class TestEncode:
         self.vocab = build_vocab(["un deux trois quatre"], min_frequency=1)
 
     def test_empty_text_single_unk(self):
-        ids, mask = encode("", self.vocab, max_len=8)
+        ids = encode("", self.vocab, max_len=8)
         np.testing.assert_array_equal(ids, [UNK_ID])
-        np.testing.assert_array_equal(mask, [True])
 
     def test_head_truncation(self):
         text = " ".join(["deux"] * 300)
-        ids, mask = encode(text, self.vocab, max_len=256)
-        assert len(ids) == 256 and mask.all()
+        ids = encode(text, self.vocab, max_len=256)
+        assert len(ids) == 256
         assert (ids == self.vocab.lookup("deux")).all()
 
     def test_roundtrip_in_vocab_tokens(self):
         text = "trois un quatre deux"
-        ids, _ = encode(text, self.vocab, max_len=16)
+        ids = encode(text, self.vocab, max_len=16)
         assert decode(ids, self.vocab) == ["trois", "un", "quatre", "deux"]
 
     def test_oov_maps_to_unk(self):
-        ids, _ = encode("un cinq", self.vocab, max_len=8)
+        ids = encode("un cinq", self.vocab, max_len=8)
         assert ids[1] == UNK_ID
 
-    def test_padding_and_mask(self):
-        ids, mask = encode("un deux", self.vocab, max_len=8, pad_to=5)
-        assert len(ids) == 5
-        np.testing.assert_array_equal(ids[2:], [PAD_ID] * 3)
-        np.testing.assert_array_equal(mask, [True, True, False, False, False])
-
     def test_pad_batch(self):
-        a, _ = encode("un", self.vocab, 8)
-        b, _ = encode("un deux trois", self.vocab, 8)
+        a = encode("un", self.vocab, 8)
+        b = encode("un deux trois", self.vocab, 8)
         ids, mask = pad_batch([a, b])
         assert ids.shape == (2, 3)
+        np.testing.assert_array_equal(ids[0, 1:], [PAD_ID] * 2)
         np.testing.assert_array_equal(mask, [[True, False, False], [True, True, True]])
         assert mask.any(axis=1).all()
 
     def test_ids_always_below_vocab_size(self):
         for text in ("", "zz yy xx", "un deux zz"):
-            ids, mask = encode(text, self.vocab, max_len=8, pad_to=8)
+            ids = encode(text, self.vocab, max_len=8)
             assert ids.max() < len(self.vocab)
-            assert mask.sum() >= 1
+            assert len(ids) >= 1
 
 
 class TestSplit:

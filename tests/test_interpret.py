@@ -8,7 +8,7 @@ import pytest
 from switchtext import EncoderModel, ModelConfig, Tensor
 from switchtext import tensor as T
 from switchtext.data import POSITIVE_KEYWORDS
-from switchtext.errors import ConfigError, LookupError_
+from switchtext.errors import ConfigError, DimensionError, LookupError_, VocabularyError
 from switchtext.interpret import (attribution_for_ids, integrated_gradients,
                                   path_integrated_gradients, rank_misclassified)
 from switchtext.training import evaluate
@@ -128,6 +128,15 @@ class TestModelAttribution:
         assert report.baseline_kind == "zero"
         assert len(report.scores) == 2
 
+    @pytest.mark.parametrize("ids, error", [
+        (np.array([3, 14]), VocabularyError),   # id 14 is beyond vocab_size 14
+        (np.full(11, 3), DimensionError),       # 11 tokens exceed max_len 10
+    ], ids=["id_beyond_vocab", "longer_than_max_len"])
+    def test_bad_input_raises_documented_error(self, ids, error):
+        with pytest.raises(error):
+            integrated_gradients(tiny_model(), ids, np.ones(len(ids), bool), target_class=1,
+                                 num_steps=16)
+
     def test_report_text_format(self):
         model = tiny_model()
         ids = np.array([3, 4], dtype=np.int64)
@@ -181,10 +190,11 @@ class TestTrainedModelProperties:
         cm = outcome.report.confusion
         reports = rank_misclassified(model, encoded, vocab=toy_run.vocab, num_steps=16)
         assert len(reports) == cm.fp + cm.fn
+        for example, report in reports:
+            assert report.predicted_class != example.label
         # false negatives lead
-        fn_count = cm.fn
-        for example, report in reports[:fn_count]:
-            assert example.label == 1 and report.predicted_class == 0
+        for example, report in reports[:cm.fn]:
+            assert example.label == 1
 
     def test_perfect_subset_gives_empty_list(self, toy_run):
         model = toy_run.model

@@ -292,7 +292,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_1_rejected(self, tmp_path):
+        # Versions 1 (per-head attention names) and 2 (a dense_moe config key)
+        # both predate the current format.
         path, raw, blob_len = self.saved(tmp_path)
-        self.rewrite(path, raw, blob_len, lambda h: h.update(format_version=1))
-        with pytest.raises(CompatibilityError, match="version 1"):
-            load_checkpoint(path)
+        for version in (1, 2):
+            self.rewrite(path, raw, blob_len, lambda h: h.update(format_version=version))
+            with pytest.raises(CompatibilityError, match=f"format version {version} in"):
+                load_checkpoint(path)

@@ -110,6 +110,21 @@ class TestSwitchForward:
         # counts + overflow account for every token
         assert record.counts.sum() + record.overflow == 6
 
+    def test_inference_serves_every_token(self):
+        p = make_params(n_experts=2, capacity_factor=1.0)
+        # The gate rigged as in the overflow case: every token to expert 0.
+        p.gate.weight.data = np.zeros_like(p.gate.weight.data)
+        p.gate.bias.data = np.array([5.0, -5.0])
+        p.experts[0].lin2.bias.data = np.ones(4)  # a served row is never zero
+        x = rng.standard_normal((6, 4))
+        out, record, _ = switch_forward(Tensor(x), p, training=False)
+        assert record.capacity == 6
+        assert record.overflow == 0
+        np.testing.assert_array_equal(record.counts, [6, 0])
+        assert (np.abs(out.data).sum(axis=1) > 0).all()
+        expected = record.chosen_prob[:, None] * ffn_numpy(x, p.experts[0])
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
     def test_input_rank_enforced(self):
         with pytest.raises(ContractError):
             switch_forward(Tensor(np.ones(4)), make_params())
@@ -164,23 +179,15 @@ class TestGradients:
         ])
 
 
-class TestDenseMixture:
-    def test_full_sum_matches_manual_oracle(self):
-        p = make_params(d=3, d_ff=5, n_experts=3, seed=6, dense_mixture=True)
-        x = rng.standard_normal((4, 3))
-        out, record, _ = switch_forward(Tensor(x), p)
-        probs = gate_probs(Tensor(x), p.gate).data
-        expected = sum(probs[:, j:j + 1] * ffn_numpy(x, p.experts[j]) for j in range(3))
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
-        assert record.overflow == 0
-
+class TestForcedGate:
     def test_gate_forced_to_one_matches_single_expert_exactly(self):
-        p = make_params(d=3, d_ff=5, n_experts=2, seed=8, dense_mixture=True)
-        # A huge negative logit underflows to probability exactly 0.
+        p = make_params(d=3, d_ff=5, n_experts=2, seed=8)
+        # A huge negative logit underflows to probability exactly 0, so the
+        # chosen probability is exactly 1 and, uncapped, every token is served.
         p.gate.weight.data = np.zeros_like(p.gate.weight.data)
         p.gate.bias.data = np.array([0.0, -1e30])
         x = rng.standard_normal((5, 3))
-        out, _, _ = switch_forward(Tensor(x), p)
+        out, _, _ = switch_forward(Tensor(x), p, training=False)
         np.testing.assert_array_equal(out.data, ffn_numpy(x, p.experts[0]))
 
 

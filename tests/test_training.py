@@ -3,6 +3,7 @@ determinism, early-stopping restore, and artifact layout."""
 
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from switchtext import RunConfig, Tensor, generate_synthetic_corpus
 from switchtext import tensor as T
 from switchtext.errors import ConfigError
-from switchtext.model import file_digest, load_checkpoint
+from switchtext.model import ModelConfig, file_digest, load_checkpoint
 from switchtext.tensor import Tape
 from switchtext.training import (EncodedExample, dataset_digest, encode_examples,
                                  evaluate, make_batch, total_loss, train,
@@ -61,22 +62,17 @@ class TestLoss:
 
 
 class TestEvaluate:
-    def test_dense_eval_invariant_to_batch_size(self, smooth_toy_run):
-        a = evaluate(smooth_toy_run.model, smooth_toy_run.encoded["val"], batch_size=7)
-        b = evaluate(smooth_toy_run.model, smooth_toy_run.encoded["val"], batch_size=64)
-        # Matrix shapes differ across batchings, so BLAS summation order can
-        # shift the last bit; identity holds at float precision.
-        np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
-        np.testing.assert_allclose(a.report.loss, b.report.loss, atol=1e-12)
-        assert a.report.accuracy == b.report.accuracy
-
-    def test_switch_eval_deterministic_at_fixed_batching(self, toy_run):
-        # Capacity floor(cf*T/E) couples examples through the batch's token
-        # count, so switch reports are only pinned for a fixed batch size.
-        a = evaluate(toy_run.model, toy_run.encoded["val"], batch_size=16)
-        b = evaluate(toy_run.model, toy_run.encoded["val"], batch_size=16)
-        assert a.report.loss == b.report.loss
-        np.testing.assert_array_equal(a.scores, b.scores)
+    @pytest.mark.parametrize("run", ["toy_run", "smooth_toy_run"])
+    def test_eval_invariant_to_batch_size(self, run, request):
+        result = request.getfixturevalue(run)
+        b = evaluate(result.model, result.encoded["val"], batch_size=64)
+        for batch_size in (1, 7):
+            a = evaluate(result.model, result.encoded["val"], batch_size=batch_size)
+            # Matrix shapes differ across batchings, so BLAS summation order can
+            # shift the last bit; identity holds at float precision.
+            np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
+            np.testing.assert_allclose(a.report.loss, b.report.loss, atol=1e-12)
+            assert a.report.accuracy == b.report.accuracy
 
     def test_report_fields_complete(self, toy_run):
         out = evaluate(toy_run.model, toy_run.encoded["val"])
@@ -108,6 +104,17 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
             RunConfig.from_dict({"mystery": 1})
+
+    def test_model_config_carries_every_shared_field(self):
+        run_fields = {f.name for f in fields(RunConfig)}
+        changed = {f.name: f.default + 1 for f in fields(ModelConfig)
+                   if f.name in run_fields and f.name not in ("variant", "pooling")}
+        changed.update(variant="dense", pooling="first")
+        assert len(changed) >= 12
+        built = RunConfig(**changed).model_config(vocab_size=37)
+        assert built.vocab_size == 37
+        for name, value in changed.items():
+            assert getattr(built, name) == value != getattr(ModelConfig(), name), name
 
     def test_missing_path_flagged_when_checked(self):
         cfg = quick_config(data_path="/nonexistent/file.jsonl")
