@@ -16,7 +16,7 @@ w = Tensor([[0.5, -1.0], [2.0, 0.0]], requires_grad=True)
 
 with Tape() as tape:
     y = T.sum_(T.relu(x @ w))
-grads = tape.backward(y)
+tape.backward(y)
 
 print("forward value:", y.item())
 print("dL/dx =\n", x.grad)

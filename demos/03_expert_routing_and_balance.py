@@ -50,7 +50,7 @@ def train_layer(aux_weight, seed=1, steps=200):
     for _ in range(steps):
         with Tape() as tape:
             out, record, aux = switch_forward(Tensor(tokens), layer, training=True)
-            diff = T.sub(out, targets)
+            diff = T.add(out, T.mul(targets, -1.0))
             loss = T.mean(T.mul(diff, diff))
             if aux_weight:
                 loss = T.add(loss, T.mul(aux, aux_weight))

@@ -42,18 +42,26 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                                 type=type(f.default))
 
 
-def _merged_config(args: argparse.Namespace) -> RunConfig:
+def _merged_config(args: argparse.Namespace) -> dict:
+    """The config file's values, overridden by the flags given, keyed by
+    RunConfig field name."""
     values: dict = {}
     if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values.update(json.load(fh))
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                values = json.load(fh)
+        except OSError as e:
+            raise ConfigError(f"cannot read config file {args.config}: {e.strerror}") from e
+        except ValueError as e:
+            raise ConfigError(f"config file {args.config} is not valid JSON: {e}") from e
+        if not isinstance(values, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object, "
+                              f"got {type(values).__name__}")
     for f in fields(RunConfig):
         override = getattr(args, f.name, None)
         if override is not None:
             values[f.name] = override
-    return RunConfig.from_dict(values)
+    return values
 
 
 def _prepare_eval_inputs(checkpoint_path: str, data_path: str, split: str):
@@ -93,11 +101,11 @@ def cmd_gen_data(args) -> int:
 def resolve_train_config(args, command: str) -> RunConfig:
     """Merge file + flag values; train-long forces early stopping off and
     defaults to a 500-epoch budget unless epochs came from file or flag."""
-    config = _merged_config(args)
+    values = _merged_config(args)
     if command == "train-long":
-        config.early_stopping = False
-        if args.epochs is None and "epochs" not in _file_keys(args):
-            config.epochs = 500
+        values.setdefault("epochs", 500)
+        values["early_stopping"] = False
+    config = RunConfig.from_dict(values)
     problems = config.violations(check_paths=True)
     if not config.data_path:
         problems.insert(0, "data_path is required")
@@ -115,13 +123,6 @@ def _run_train(args, command: str) -> int:
         print("\n".join(result.final_val.table_lines()))
     print(f"checkpoint {result.checkpoint_path} sha256={result.checkpoint_digest}")
     return 0
-
-
-def _file_keys(args) -> set:
-    if not getattr(args, "config", None) or not os.path.exists(args.config):
-        return set()
-    with open(args.config, "r", encoding="utf-8") as fh:
-        return set(json.load(fh))
 
 
 def cmd_eval(args) -> int:

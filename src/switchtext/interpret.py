@@ -48,46 +48,33 @@ class AttributionReport:
         return lines
 
 
-def path_integrated_gradients(fn, x: np.ndarray, baseline: np.ndarray,
-                              num_steps: int, method: str = "right"):
+def path_integrated_gradients(fn, x: np.ndarray, baseline: np.ndarray, num_steps: int):
     """Integrated gradients of scalar-valued ``fn`` over input ``x``.
 
-    ``fn`` maps a Tensor shaped like ``x`` to a scalar Tensor.  Returns
+    ``fn`` maps a Tensor shaped like ``x`` to a scalar Tensor.  The path
+    integral is the right-Riemann sum over ``num_steps`` points.  Returns
     ``(attributions, delta, residual)`` where delta = fn(x) - fn(baseline)
-    and residual = attributions.sum() - delta.  ``method`` selects the
-    right-Riemann sum or the trapezoid rule over the path.
+    and residual = attributions.sum() - delta.
     """
     if num_steps < 8:
         raise ConfigError(f"num_steps must be >= 8, got {num_steps}")
     if baseline.shape != x.shape:
         raise ContractError(f"baseline shape {baseline.shape} != input shape {x.shape}")
-    if method not in ("right", "trapezoid"):
-        raise ConfigError(f"method must be 'right' or 'trapezoid', got {method!r}")
 
     diff = x - baseline
-
-    def grad_at(point: np.ndarray, step_label) -> np.ndarray:
-        probe = Tensor(point, requires_grad=True)
+    total = np.zeros_like(x)
+    for k in range(1, num_steps + 1):
+        probe = Tensor(baseline + (k / num_steps) * diff, requires_grad=True)
         with Tape() as tape:
             y = fn(probe)
         tape.backward(y)
-        g = probe.grad if probe.grad is not None else np.zeros_like(point)
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient on the attribution path at step {step_label}")
-        return g
+        if probe.grad is None:
+            continue
+        if not np.isfinite(probe.grad).all():
+            raise NumericError(f"non-finite gradient on the attribution path at step {k}")
+        total += probe.grad
 
-    if method == "right":
-        total = np.zeros_like(x)
-        for k in range(1, num_steps + 1):
-            total += grad_at(baseline + (k / num_steps) * diff, k)
-        avg = total / num_steps
-    else:
-        total = 0.5 * (grad_at(baseline, 0) + grad_at(x, num_steps))
-        for k in range(1, num_steps):
-            total += grad_at(baseline + (k / num_steps) * diff, k)
-        avg = total / num_steps
-
-    attributions = diff * avg
+    attributions = diff * (total / num_steps)
     delta = fn(Tensor(x)).item() - fn(Tensor(baseline)).item()
     residual = float(attributions.sum() - delta)
     return attributions, delta, residual
@@ -103,8 +90,7 @@ def _baseline_embedding(model: EncoderModel, seq_len: int, kind: str) -> np.ndar
 
 def integrated_gradients(model: EncoderModel, ids: np.ndarray, mask: np.ndarray,
                          target_class: int, vocab: Vocabulary | None = None,
-                         baseline: str = "pad", num_steps: int = 128,
-                         method: str = "right") -> AttributionReport:
+                         baseline: str = "pad", num_steps: int = 128) -> AttributionReport:
     """Attribute the target-class logit to the example's input embeddings.
 
     Scores are summed over the embedding dimension, one per real token.
@@ -120,13 +106,11 @@ def integrated_gradients(model: EncoderModel, ids: np.ndarray, mask: np.ndarray,
         result = model.forward_from_embeddings(
             T.reshape(emb, (1,) + emb.shape), batch_mask, training=False
         )
-        return T.pick(result.logits, np.array([0]), np.array([target])).sum()
+        return T.sum_(T.pick(result.logits, np.array([0]), np.array([target])))
 
     x = embed(ids, model.embeddings).data
     base = _baseline_embedding(model, len(ids), baseline)
-    attributions, delta, residual = path_integrated_gradients(
-        logit_fn, x, base, num_steps, method=method
-    )
+    attributions, delta, residual = path_integrated_gradients(logit_fn, x, base, num_steps)
 
     logits = model.forward(ids[None, :], batch_mask, training=False).logits.data[0]
     per_token = attributions.sum(axis=1)

@@ -2,8 +2,9 @@
 token + learned-position embeddings, and Glorot-normal initialization.
 
 Parameter containers are plain dataclasses of tensors, which
-``named_tensors`` walks to name every parameter; the functional ops below
-compose tape primitives so their gradients are exact by construction.
+``named_tensors`` walks to name every parameter.  The functional ops below
+apply tape primitives to a container's tensors; layer normalization is a
+single primitive whose backward rule is the closed form, not a composite.
 """
 
 from __future__ import annotations
@@ -132,11 +133,7 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     d = p.gamma.shape[0]
     if x.shape[-1] != d:
         raise DimensionError(f"layer_norm expects last extent {d}, got shape {x.shape}")
-    mu = T.mean(x, axis=-1, keepdims=True)
-    centered = T.sub(x, mu)
-    var = T.mean(T.mul(centered, centered), axis=-1, keepdims=True)
-    inv = T.pow_scalar(T.add(var, p.epsilon), -0.5)
-    return T.add(T.mul(T.mul(centered, inv), p.gamma), p.beta)
+    return T.layer_norm(x, p.gamma, p.beta, p.epsilon)
 
 
 def embed(tokens: np.ndarray, table: EmbeddingTable) -> Tensor:

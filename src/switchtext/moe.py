@@ -77,16 +77,9 @@ class RoutingRecord:
         return (self.dispatched_counts() - self.counts) / max(1, self.num_tokens)
 
 
-def gate_probs(x, gate: LinearParams) -> Tensor:
-    """Softmax gate over experts for token(s) ``x`` of shape [d] or [T, d]."""
-    t = x if isinstance(x, Tensor) else Tensor(x)
-    single = t.ndim == 1
-    if single:
-        t = T.reshape(t, (1, t.shape[0]))
-    probs = T.softmax(linear(t, gate), axis=-1)
-    if single:
-        probs = T.reshape(probs, (probs.shape[-1],))
-    return probs
+def gate_probs(x: Tensor, gate: LinearParams) -> Tensor:
+    """Softmax gate over experts for the tokens ``x`` of shape [T, d]."""
+    return T.softmax(linear(x, gate), axis=-1)
 
 
 def load_balance_loss(probs: Tensor, chosen: np.ndarray, num_experts: int) -> Tensor:

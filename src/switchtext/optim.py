@@ -20,6 +20,8 @@ class AdamW:
     Update per parameter: m and v are exponential moment averages of the
     gradient and its square, bias-corrected, then
     ``p -= lr * m_hat / (sqrt(v_hat) + eps) + lr * weight_decay * p``.
+    ``params`` are (name, Tensor) pairs, as ``EncoderModel.parameters()``
+    and ``named_tensors`` give them; the names appear in diagnostics.
     """
 
     def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999,
@@ -28,9 +30,7 @@ class AdamW:
             raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
         if eps <= 0:
             raise ConfigError(f"eps must be positive, got {eps}")
-        self.params: list[tuple[str, Tensor]] = [
-            p if isinstance(p, tuple) else (f"param{idx}", p) for idx, p in enumerate(params)
-        ]
+        self.params: list[tuple[str, Tensor]] = list(params)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -67,12 +67,11 @@ class AdamW:
 
 
 def clip_grad_norm(params, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``.
-    Returns the pre-clip norm."""
+    """Scale the gradients of the (name, Tensor) pairs ``params`` so their
+    global L2 norm is at most ``max_norm``.  Returns the pre-clip norm."""
     total = 0.0
     grads = []
-    for item in params:
-        p = item[1] if isinstance(item, tuple) else item
+    for _, p in params:
         if p.grad is not None:
             grads.append(p)
             total += float((p.grad * p.grad).sum())

@@ -70,9 +70,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -84,47 +81,14 @@ class Tensor:
     def __radd__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     def __rmul__(self, other):
         return mul(self, other)
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise TypeError("tensor division is supported by scalar only")
-        return mul(self, 1.0 / float(other))
-
-    def __pow__(self, exponent):
-        return pow_scalar(self, float(exponent))
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes or None)
 
 
 class Tape:
@@ -134,10 +98,10 @@ class Tape:
 
         with Tape() as tape:
             loss = build_loss(...)
-        grads = tape.backward(loss)
+        tape.backward(loss)
 
-    ``backward`` returns the gradient map for the tape's leaves and also
-    accumulates into ``tensor.grad`` on every requires-grad leaf.
+    ``backward`` accumulates into ``tensor.grad`` on every requires-grad
+    leaf; a leaf the root does not depend on keeps its old ``grad``.
     """
 
     def __init__(self):
@@ -178,12 +142,8 @@ class Tape:
         self._register(out, leaf=False)
         self._nodes.append((out.node_id, tuple(pairs)))
 
-    def backward(self, root: Tensor) -> dict[int, Tensor]:
-        """Reverse sweep from a scalar ``root``; seed gradient is 1.0.
-
-        Returns the surviving gradient map, whose keys are the node ids of
-        the tape's leaves; each value is wrapped as a plain Tensor.
-        """
+    def backward(self, root: Tensor) -> None:
+        """Reverse sweep from a scalar ``root``; seed gradient is 1.0."""
         if root.data.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
         if root._tape_id != self.id or root.node_id is None:
@@ -205,7 +165,6 @@ class Tape:
             leaf = self._leaves.get(nid)
             if leaf is not None and leaf.requires_grad:
                 leaf.grad = g if leaf.grad is None else leaf.grad + g
-        return {nid: Tensor(g) for nid, g in grads.items()}
 
 
 def _as_tensor(x) -> Tensor:
@@ -245,15 +204,6 @@ def add(a, b) -> Tensor:
     ])
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data - b.data
-    return _maybe_record(out, [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(-g, b.data.shape)),
-    ])
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data
@@ -263,31 +213,10 @@ def mul(a, b) -> Tensor:
     ])
 
 
-def pow_scalar(x, exponent: float) -> Tensor:
-    x = _as_tensor(x)
-    out = x.data ** exponent
-    xd = x.data
-    return _maybe_record(out, [
-        (x, lambda g: g * exponent * xd ** (exponent - 1.0)),
-    ])
-
-
 def relu(x) -> Tensor:
     x = _as_tensor(x)
     keep = x.data > 0
     return _maybe_record(np.where(keep, x.data, 0.0), [(x, lambda g: g * keep)])
-
-
-def exp(x) -> Tensor:
-    x = _as_tensor(x)
-    out = np.exp(x.data)
-    return _maybe_record(out, [(x, lambda g: g * out)])
-
-
-def log(x) -> Tensor:
-    x = _as_tensor(x)
-    xd = x.data
-    return _maybe_record(np.log(xd), [(x, lambda g: g / xd)])
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +277,33 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalized exponentials
+# normalizations
+
+
+def layer_norm(x, gamma, beta, epsilon: float) -> Tensor:
+    """``gamma * (x - mu) / sqrt(var + epsilon) + beta`` over the last axis,
+    with the population variance, recorded as one node.
+
+    The backward rule is the closed form (Ba et al. 2016): with
+    ``xhat = (x - mu) * inv`` and ``gh = g * gamma``,
+    ``dx = inv * (gh - mean(gh) - xhat * mean(gh * xhat))``; the gamma and
+    beta gradients sum ``g * xhat`` and ``g`` over the leading axes.
+    """
+    x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = ((centered * centered).mean(axis=-1, keepdims=True) + epsilon) ** -0.5
+    xhat = centered * inv
+
+    def dx(g):
+        gh = g * gamma.data
+        return inv * (gh - gh.mean(axis=-1, keepdims=True)
+                      - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+
+    return _maybe_record(xhat * gamma.data + beta.data, [
+        (x, dx),
+        (gamma, lambda g: _unbroadcast(g * xhat, gamma.data.shape)),
+        (beta, lambda g: _unbroadcast(g, beta.data.shape)),
+    ])
 
 
 def softmax(x, axis: int = -1) -> Tensor:

@@ -121,11 +121,22 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        known = {f.name for f in fields(RunConfig)}
-        unknown = set(d) - known
+        """Build from config-file keys; each value must have its field's
+        default type, except that an int is taken where a float is due."""
+        defaults = {f.name: f.default for f in fields(RunConfig)}
+        unknown = set(d) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return RunConfig(**d)
+        values = {}
+        for key, value in d.items():
+            want = type(defaults[key])
+            if want is float and type(value) is int:
+                value = float(value)
+            if type(value) is not want:
+                raise ConfigError(f"config key {key!r} must be of type {want.__name__}, "
+                                  f"got {value!r}")
+            values[key] = value
+        return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------

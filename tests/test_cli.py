@@ -89,6 +89,33 @@ class TestTrain:
         assert code == EXIT_CODES["config"]
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ('{"epochs": 3,', "not valid JSON"),
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"epochs": "ten"}', "'epochs' must be of type int"),
+    ])
+    def test_bad_config_file_is_config_error(self, workdir, tmp_path, capsys, text, message):
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(text)
+        code = main(["train", "--config", str(cfg_file), "--data-path", str(workdir["data"]),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == EXIT_CODES["config"]
+        err = capsys.readouterr().err
+        assert "error: category=config" in err and message in err
+
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, name):
+        code = main(["train", "--config", str(tmp_path / name)])
+        assert code == EXIT_CODES["config"]
+        assert "cannot read config file" in capsys.readouterr().err
+
+    def test_int_accepted_for_float_key(self, workdir, tmp_path):
+        cfg_file = tmp_path / "run.json"
+        cfg_file.write_text(json.dumps({"data_path": str(workdir["data"]), "dropout": 0}))
+        args = build_parser().parse_args(["train", "--config", str(cfg_file)])
+        config = resolve_train_config(args, "train")
+        assert config.dropout == 0.0 and type(config.dropout) is float
+
     def test_train_long_defaults(self, workdir, tmp_path):
         parser = build_parser()
         args = parser.parse_args(["train-long", "--data-path", str(workdir["data"]),
@@ -99,6 +126,12 @@ class TestTrain:
         args = parser.parse_args(["train-long", "--data-path", str(workdir["data"]),
                                   "--epochs", "12", "--output-dir", str(tmp_path / "o")])
         assert resolve_train_config(args, "train-long").epochs == 12
+        cfg_file = tmp_path / "long.json"
+        cfg_file.write_text(json.dumps({"epochs": 7, "early_stopping": True}))
+        args = parser.parse_args(["train-long", "--config", str(cfg_file), "--data-path",
+                                  str(workdir["data"]), "--output-dir", str(tmp_path / "o")])
+        config = resolve_train_config(args, "train-long")
+        assert config.epochs == 7 and config.early_stopping is False
 
     def test_epochs_zero_immediate_exit(self, workdir, tmp_path, capsys):
         out = tmp_path / "zero"

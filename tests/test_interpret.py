@@ -55,16 +55,6 @@ class TestPathCore:
         np.testing.assert_allclose(residuals[32], residuals[16] / 2, atol=1e-10)
         np.testing.assert_allclose(residuals[64], residuals[32] / 2, atol=1e-10)
 
-    def test_trapezoid_exact_on_quadratic(self):
-        x = rng.standard_normal(6)
-
-        def fn(t):
-            return T.sum_(T.mul(t, t))
-
-        _, _, residual = path_integrated_gradients(fn, x, np.zeros_like(x), 16,
-                                                   method="trapezoid")
-        assert abs(residual) < 1e-12
-
     def test_step_floor_enforced(self):
         with pytest.raises(ConfigError):
             path_integrated_gradients(lambda t: T.sum_(t), np.ones(3), np.zeros(3), 4)

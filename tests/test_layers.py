@@ -4,6 +4,7 @@ Glorot draw statistics, embedding lookup gradients, dropout behavior."""
 import numpy as np
 import pytest
 
+from helpers import check_many_params
 from switchtext import Tape, Tensor, finite_difference_check
 from switchtext import tensor as T
 from switchtext.errors import ConfigError, DimensionError, VocabularyError
@@ -70,6 +71,24 @@ class TestLayerNorm:
             return T.sum_(T.mul(layer_norm(x_fixed, q), coeffs))
 
         assert finite_difference_check(against_gamma, Tensor(np.ones(4)), h=1e-6) < 1e-4
+
+        # [B, L, d] input with a non-trivial gamma: x, gamma and beta.
+        gen = np.random.default_rng(6)
+        q = LayerNormParams(gamma=Tensor(gen.standard_normal(4)),
+                            beta=Tensor(gen.standard_normal(4)))
+        x3 = Tensor(gen.standard_normal((2, 3, 4)) * 2 + 0.5)
+        coeffs3 = Tensor(gen.standard_normal((2, 3, 4)))
+        assert finite_difference_check(
+            lambda t: T.sum_(T.mul(layer_norm(t, q), coeffs3)), x3, h=1e-6) < 1e-4
+        check_many_params(lambda: T.sum_(T.mul(layer_norm(x3, q), coeffs3)),
+                          [(q, "gamma"), (q, "beta")])
+
+    def test_one_tape_node_per_call(self):
+        p = LayerNormParams.create(4)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        with Tape() as tape:
+            layer_norm(x, p)
+        assert len(tape._nodes) == 1
 
 
 class TestGlorot:

@@ -12,7 +12,7 @@ from switchtext import AdamW, Tape, Tensor
 from switchtext import tensor as T
 from switchtext.attention import FfnParams
 from switchtext.errors import ConfigError, ContractError
-from switchtext.layers import LinearParams
+from switchtext.layers import LinearParams, named_tensors
 from switchtext.moe import (RoutingRecord, SwitchParams, expert_utilization,
                             gate_probs, load_balance_loss, switch_forward)
 
@@ -31,18 +31,18 @@ def make_params(d=4, d_ff=8, n_experts=2, seed=0, **kw):
 class TestGateProbs:
     def test_zero_gate_uniform(self):
         gate = LinearParams(Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
-        out = gate_probs(Tensor(rng.standard_normal(4)), gate)
-        np.testing.assert_array_equal(out.data, np.full(3, 1 / 3))
+        out = gate_probs(Tensor(rng.standard_normal((1, 4))), gate)
+        np.testing.assert_array_equal(out.data, np.full((1, 3), 1 / 3))
 
     def test_single_expert_degenerate(self):
         gate = LinearParams(Tensor(rng.standard_normal((4, 1))), Tensor(rng.standard_normal(1)))
-        out = gate_probs(Tensor(rng.standard_normal(4)), gate)
-        np.testing.assert_array_equal(out.data, [1.0])
+        out = gate_probs(Tensor(rng.standard_normal((1, 4))), gate)
+        np.testing.assert_array_equal(out.data, [[1.0]])
 
     def test_log_two_closed_form(self):
         gate = LinearParams(Tensor([[math.log(2.0), 0.0]]), Tensor(np.zeros(2)))
-        out = gate_probs(Tensor([1.0]), gate)
-        np.testing.assert_allclose(out.data, [2 / 3, 1 / 3], atol=1e-15)
+        out = gate_probs(Tensor([[1.0]]), gate)
+        np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-15)
 
     def test_batch_rows_sum_to_one(self):
         gate = LinearParams(Tensor(rng.standard_normal((4, 5))), Tensor(rng.standard_normal(5)))
@@ -240,15 +240,12 @@ class TestBalanceTraining:
         w_star = gen.standard_normal((d, d)) * 0.5
         y = Tensor(np.maximum(0.0, x @ w_star))
         p = SwitchParams.create(d, 16, 2, gen, capacity_factor=4.0)
-        params = [p.gate.weight, p.gate.bias]
-        for e in p.experts:
-            params += [e.lin1.weight, e.lin1.bias, e.lin2.weight, e.lin2.bias]
-        opt = AdamW(params)
+        opt = AdamW(named_tensors(p, "switch"))
         record = None
         for _ in range(steps):
             with Tape() as tape:
                 out, record, aux = switch_forward(Tensor(x), p, training=True)
-                diff = T.sub(out, y)
+                diff = T.add(out, T.mul(y, -1.0))
                 loss = T.mean(T.mul(diff, diff))
                 if aux_weight:
                     loss = T.add(loss, T.mul(aux, aux_weight))

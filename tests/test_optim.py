@@ -24,7 +24,7 @@ class TestAdamW:
         # lr / (1 + eps).
         p = make_param([1.0])
         p.grad = np.array([1.0])
-        opt = AdamW([p], eps=5e-6, weight_decay=0.0)
+        opt = AdamW([("p", p)], eps=5e-6, weight_decay=0.0)
         opt.step(lr=0.1)
         expected = 1.0 - 0.1 / (1.0 + 5e-6)
         np.testing.assert_allclose(p.data, [expected], atol=1e-12)
@@ -33,13 +33,13 @@ class TestAdamW:
     def test_zero_gradient_no_motion(self):
         p = make_param([2.5])
         p.grad = np.array([0.0])
-        AdamW([p], weight_decay=0.0).step(lr=0.1)
+        AdamW([("p", p)], weight_decay=0.0).step(lr=0.1)
         np.testing.assert_array_equal(p.data, [2.5])
 
     def test_pure_decoupled_decay(self):
         p = make_param([1.0])
         p.grad = np.array([0.0])
-        AdamW([p], weight_decay=0.01).step(lr=0.1)
+        AdamW([("p", p)], weight_decay=0.01).step(lr=0.1)
         np.testing.assert_allclose(p.data, [0.999], atol=1e-15)
 
     def test_zero_decay_is_plain_adam_bitwise(self):
@@ -48,7 +48,7 @@ class TestAdamW:
         grads = [gen.standard_normal(6) for _ in range(5)]
 
         p = make_param(values.copy())
-        opt = AdamW([p], beta1=0.9, beta2=0.999, eps=5e-6, weight_decay=0.0)
+        opt = AdamW([("p", p)], beta1=0.9, beta2=0.999, eps=5e-6, weight_decay=0.0)
         for g in grads:
             p.grad = g.copy()
             opt.step(lr=0.01)
@@ -68,8 +68,8 @@ class TestAdamW:
     def test_non_finite_gradient_aborts(self):
         p = make_param([1.0])
         p.grad = np.array([np.nan])
-        with pytest.raises(NumericError, match="param0"):
-            AdamW([p]).step(lr=0.1)
+        with pytest.raises(NumericError, match="encoder.bias"):
+            AdamW([("encoder.bias", p)]).step(lr=0.1)
 
     def test_named_params_in_diagnostics(self):
         p = make_param([1.0])
@@ -79,14 +79,14 @@ class TestAdamW:
 
     def test_non_finite_gradient_changes_nothing(self):
         params = [make_param([1.0, 2.0]), make_param([3.0]), make_param([4.0, 5.0])]
-        opt = AdamW(params, weight_decay=0.01)
+        opt = AdamW([(f"w{i}", p) for i, p in enumerate(params)], weight_decay=0.01)
         for p in params:
             p.grad = np.ones(p.shape)
         opt.step(lr=0.1)
         params[-1].grad = np.array([0.5, np.nan])
         before = ([p.data.copy() for p in params], [m.copy() for m in opt.m],
                   [v.copy() for v in opt.v], opt.t)
-        with pytest.raises(NumericError, match="param2"):
+        with pytest.raises(NumericError, match="w2"):
             opt.step(lr=0.1)
         assert opt.t == before[3]
         for now, then in zip(([p.data for p in params], opt.m, opt.v), before[:3]):
@@ -100,7 +100,7 @@ class TestClip:
         b = make_param([4.0])
         a.grad = np.array([3.0])
         b.grad = np.array([4.0])
-        norm = clip_grad_norm([a, b], max_norm=1.0)
+        norm = clip_grad_norm([("a", a), ("b", b)], max_norm=1.0)
         assert norm == 5.0
         total = math.sqrt(float((a.grad ** 2).sum() + (b.grad ** 2).sum()))
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
@@ -108,7 +108,7 @@ class TestClip:
     def test_below_threshold_untouched(self):
         a = make_param([1.0])
         a.grad = np.array([0.3])
-        clip_grad_norm([a], max_norm=1.0)
+        clip_grad_norm([("a", a)], max_norm=1.0)
         np.testing.assert_array_equal(a.grad, [0.3])
 
 
@@ -156,7 +156,7 @@ class TestAccumulationEquivalence:
 
     def run_steps(self, micro_batches, lr=0.05):
         w = Tensor(np.linspace(-0.5, 0.5, 6).reshape(3, 2), requires_grad=True)
-        opt = AdamW([w], weight_decay=0.0)
+        opt = AdamW([("w", w)], weight_decay=0.0)
         for x, labels in micro_batches:
             with Tape() as tape:
                 loss = self.ce_loss(w, x, labels)

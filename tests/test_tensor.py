@@ -149,14 +149,6 @@ class TestBackward:
         with pytest.raises(ContractError):
             tape.backward(y)
 
-    def test_gradient_map_keys_are_leaf_node_ids(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        with Tape() as tape:
-            y = T.sum_(T.mul(x, x))
-        grads = tape.backward(y)
-        assert set(grads) == {x.node_id}
-        np.testing.assert_allclose(grads[x.node_id].data, 2.0 * x.data)
-
     def test_no_grad_buffer_without_requires_grad(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         c = Tensor([3.0, 4.0])
@@ -183,11 +175,12 @@ class TestFiniteDifferenceCheck:
 
     @pytest.mark.parametrize("build", [
         lambda t: T.sum_(T.relu(t)),
-        lambda t: T.sum_(T.exp(t)),
+        lambda t: T.sum_(T.mul(T.layer_norm(T.reshape(t, (2, 3)), Tensor([1.5, -0.5, 2.0]),
+                                            Tensor([0.1, 0.2, -0.3]), 1e-5),
+                               Tensor([[3.0, -1.0, 2.0], [0.5, -2.0, 1.0]]))),
         lambda t: T.sum_(T.mul(T.softmax(t, axis=0), Tensor([3.0, -1.0, 2.0, 0.5, -2.0, 1.0]))),
         lambda t: T.sum_(T.log_softmax(T.reshape(t, (2, 3)), axis=1)),
         lambda t: T.sum_(T.mul(T.transpose(T.reshape(t, (2, 3))), 1.5)),
-        lambda t: T.sum_(T.pow_scalar(T.add(T.mul(t, t), 0.5), -0.5)),
     ])
     def test_randomized_ops(self, build):
         x = Tensor(rng.standard_normal(6) + 0.2)
