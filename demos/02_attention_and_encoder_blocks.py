@@ -25,12 +25,15 @@ print("row sums:", weights.data.sum(axis=1))
 masked = scaled_dot_product_attention(q, k, v, np.array([True, True, False]))
 print("\nwith key 3 masked:\n", np.round(masked.data, 4))
 
-# --- multi-head attention over a batch -----------------------------------
+# --- multi-head attention over a packed batch ----------------------------
+# The encoder carries only real tokens, as [N, d] rows in the mask's
+# row-major order; attention lays them out on the [batch, len] grid inside.
 p = MultiHeadParams.create(d_model=8, num_heads=2, rng=np.random.default_rng(2))
-x = Tensor(rng.standard_normal((2, 5, 8)))
+grid = rng.standard_normal((2, 5, 8))
 mask = np.array([[True] * 5, [True, True, True, False, False]])
+x = Tensor(grid[mask])
 out = multi_head_attention(x, p, mask)
-print("\nmulti-head output shape:", out.shape)
+print("\npadded grid", grid.shape, "-> packed rows", x.shape, "-> multi-head output", out.shape)
 
 # --- a whole encoder model ------------------------------------------------
 config = ModelConfig(variant="dense", num_layers=2, num_heads=2, d_model=16,
@@ -40,7 +43,7 @@ ids = rng.integers(2, 30, size=(2, 6))
 ids[1, 4:] = 0  # pad the second sequence
 result = model.forward(ids, ids != 0)
 print("\nlogits:\n", result.logits.data)
-print("hidden states per layer:", [h.shape for h in result.hidden])
+print("hidden states per layer (10 real tokens of 12 positions):", [h.shape for h in result.hidden])
 
 # Padding invariance: appending PAD tokens never changes the logits.
 padded = np.concatenate([ids, np.zeros((2, 3), dtype=ids.dtype)], axis=1)

@@ -1,10 +1,12 @@
 """Scaled dot-product attention, multi-head self-attention, and the
 position-wise feed-forward block.
 
-All ops are shape-polymorphic over an optional batch axis: sequences may be
-``[len, d]`` or ``[batch, len, d]``.  Padding is handled with a large
-negative additive bias on masked key positions, which drives their softmax
-weight to exactly zero in float64 while keeping every softmax input finite.
+Tokens arrive packed as ``[N, d]`` rows, the real tokens of a batch in its
+``[batch, len]`` padding mask's row-major order.  Only self-attention lays
+them out on the padded grid, for the scores.  Padding is handled with a
+large negative additive bias on masked key positions, which drives their
+softmax weight to exactly zero in float64 while keeping every softmax input
+finite.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError
-from .layers import LinearParams, glorot_normal, linear
+from .errors import ConfigError, ContractError, DimensionError
+from .layers import LinearParams, init_weight, linear, pack, unpack
 from .tensor import Tensor
 
 MASK_BIAS = -1e30
@@ -34,13 +36,13 @@ class MultiHeadParams:
     num_heads: int
 
     @staticmethod
-    def create(d_model: int, num_heads: int, rng: np.random.Generator) -> "MultiHeadParams":
+    def create(d_model: int, num_heads: int, rng: np.random.Generator | None) -> "MultiHeadParams":
         if d_model % num_heads != 0:
             raise ConfigError(f"d_model {d_model} not divisible by num_heads {num_heads}")
         d_k = d_model // num_heads
         # Each head's q, k and v blocks are drawn in turn at Glorot scale for
         # fan_out d_k; this draw order fixes the values a seed gives.
-        draws = [[glorot_normal(d_model, d_k, rng).data for _ in range(3)]
+        draws = [[init_weight(d_model, d_k, rng).data for _ in range(3)]
                  for _ in range(num_heads)]
         wq, wk, wv = (Tensor(np.concatenate([head[i] for head in draws], axis=1),
                              requires_grad=True) for i in range(3))
@@ -56,7 +58,7 @@ class FfnParams:
     lin2: LinearParams
 
     @staticmethod
-    def create(d_model: int, d_ff: int, rng: np.random.Generator) -> "FfnParams":
+    def create(d_model: int, d_ff: int, rng: np.random.Generator | None) -> "FfnParams":
         return FfnParams(
             lin1=LinearParams.create(d_model, d_ff, rng),
             lin2=LinearParams.create(d_ff, d_model, rng),
@@ -95,24 +97,30 @@ def _swap_last(ndim: int) -> tuple[int, ...]:
     return tuple(axes)
 
 
-def multi_head_attention(x: Tensor, p: MultiHeadParams, pad_mask=None) -> Tensor:
-    """Projections, per-head scaled attention, head concatenation, output
-    map.  All heads run as one stacked attention call."""
+def multi_head_attention(h: Tensor, p: MultiHeadParams, pad_mask: np.ndarray) -> Tensor:
+    """Self-attention over packed rows ``h`` [N, d_model], the real tokens of
+    the [batch, len] ``pad_mask`` in its row-major order; returns [N, d_model].
+
+    The projections are laid out as [batch, heads, len, d_k], zero at padded
+    positions, for one stacked attention call, and the real rows of its
+    result are gathered before the output map.
+    """
+    if pad_mask.ndim != 2 or h.ndim != 2 or h.shape[0] != pad_mask.sum():
+        raise DimensionError(f"attention expects a [batch, len] mask and one row per real "
+                             f"token, got mask {pad_mask.shape} and rows {h.shape}")
+    batch, seq_len = pad_mask.shape
     num_heads = p.num_heads
     d_k = p.wq.shape[1] // num_heads
-    q = T.matmul(x, p.wq)
-    k = T.matmul(x, p.wk)
-    v = T.matmul(x, p.wv)
-    lead = x.shape[:-1]
-    split = lead + (num_heads, d_k)
-    perm = (1, 0, 2) if len(lead) == 1 else (0, 2, 1, 3)  # self-inverse
+    grid = (batch, seq_len, num_heads, d_k)
+    perm = (0, 2, 1, 3)  # self-inverse
+
+    def heads(t: Tensor) -> Tensor:
+        return T.transpose(T.reshape(unpack(t, pad_mask), grid), perm)
+
     out = scaled_dot_product_attention(
-        T.transpose(T.reshape(q, split), perm),
-        T.transpose(T.reshape(k, split), perm),
-        T.transpose(T.reshape(v, split), perm),
-        pad_mask,
-    )
-    return linear(T.reshape(T.transpose(out, perm), lead + (num_heads * d_k,)), p.wo)
+        heads(T.matmul(h, p.wq)), heads(T.matmul(h, p.wk)), heads(T.matmul(h, p.wv)), pad_mask)
+    rows = T.reshape(T.transpose(out, perm), (batch * seq_len, num_heads * d_k))
+    return linear(pack(rows, pad_mask), p.wo)
 
 
 def position_wise_ffn(x: Tensor, p: FfnParams) -> Tensor:

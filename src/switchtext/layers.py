@@ -1,5 +1,6 @@
 """Parameterized primitive layers: affine maps, layer normalization,
-token + learned-position embeddings, and Glorot-normal initialization.
+token + learned-position embeddings, Glorot-normal initialization, and the
+moves between a padded [batch, len] grid and packed real-token rows.
 
 Parameter containers are plain dataclasses of tensors, which
 ``named_tensors`` walks to name every parameter.  The functional ops below
@@ -39,6 +40,14 @@ def glorot_normal(fan_in: int, fan_out: int, seed) -> Tensor:
     return Tensor(draws, requires_grad=True)
 
 
+def init_weight(fan_in: int, fan_out: int, rng: np.random.Generator | None) -> Tensor:
+    """A Glorot-normal weight drawn from ``rng``, or with ``rng`` None an
+    unfilled one that draws nothing, for a checkpoint load to overwrite."""
+    if rng is None:
+        return Tensor(np.empty((fan_in, fan_out)), requires_grad=True)
+    return glorot_normal(fan_in, fan_out, rng)
+
+
 @dataclass
 class LinearParams:
     """Affine map ``x @ weight + bias`` with weight of shape [in, out]."""
@@ -47,9 +56,9 @@ class LinearParams:
     bias: Tensor
 
     @staticmethod
-    def create(fan_in: int, fan_out: int, rng: np.random.Generator) -> "LinearParams":
+    def create(fan_in: int, fan_out: int, rng: np.random.Generator | None) -> "LinearParams":
         return LinearParams(
-            weight=glorot_normal(fan_in, fan_out, rng),
+            weight=init_weight(fan_in, fan_out, rng),
             bias=Tensor(np.zeros(fan_out), requires_grad=True),
         )
 
@@ -91,12 +100,13 @@ class EmbeddingTable:
         return self.positional.shape[0]
 
     @staticmethod
-    def create(vocab_size: int, dim: int, max_len: int, rng: np.random.Generator) -> "EmbeddingTable":
+    def create(vocab_size: int, dim: int, max_len: int,
+               rng: np.random.Generator | None) -> "EmbeddingTable":
         if vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2 (PAD and UNK), got {vocab_size}")
         return EmbeddingTable(
-            table=glorot_normal(vocab_size, dim, rng),
-            positional=glorot_normal(max_len, dim, rng),
+            table=init_weight(vocab_size, dim, rng),
+            positional=init_weight(max_len, dim, rng),
         )
 
 
@@ -134,6 +144,18 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     if x.shape[-1] != d:
         raise DimensionError(f"layer_norm expects last extent {d}, got shape {x.shape}")
     return T.layer_norm(x, p.gamma, p.beta, p.epsilon)
+
+
+def pack(grid: Tensor, pad_mask: np.ndarray) -> Tensor:
+    """The real rows of [batch*len, d] grid rows: one row per True entry of
+    the [batch, len] ``pad_mask``, in its row-major order.  Without padding
+    the grid rows already are the packed rows."""
+    return grid if pad_mask.all() else T.take_rows(grid, np.flatnonzero(pad_mask))
+
+
+def unpack(h: Tensor, pad_mask: np.ndarray) -> Tensor:
+    """Packed rows placed back on the [batch*len, d] grid, zero at padding."""
+    return h if pad_mask.all() else T.scatter_rows(h, np.flatnonzero(pad_mask), pad_mask.size)
 
 
 def embed(tokens: np.ndarray, table: EmbeddingTable) -> Tensor:

@@ -1,12 +1,17 @@
 """Encoder model assembly: embeddings, a stack of encoder blocks (dense FFN
 or routed expert mixture), masked pooling, and a two-logit classifier head.
 
+The encoder computes on real tokens only: after the embedding a batch is
+packed into ``[N, d_model]`` rows, the real tokens in the ``[batch, len]``
+padding mask's row-major order.  Only self-attention lays them out padded.
+
 Also home to parameter counting, pooled hidden-state export, and the
 deterministic checkpoint container.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -20,7 +25,7 @@ from .attention import FfnParams, MultiHeadParams, multi_head_attention, positio
 from .data import Vocabulary, pad_batch
 from .errors import CompatibilityError, ConfigError, ContractError
 from .layers import (EmbeddingTable, LayerNormParams, LinearParams, dropout, embed, layer_norm,
-                     linear, named_tensors)
+                     linear, named_tensors, pack, unpack)
 from .moe import RoutingRecord, SwitchParams, switch_forward
 from .tensor import Tensor
 
@@ -93,6 +98,8 @@ class EncoderBlock:
 
 @dataclass
 class ForwardResult:
+    """``hidden`` holds each block's output as [N_real, d_model] packed rows."""
+
     logits: Tensor
     hidden: list[Tensor]
     aux_loss: Tensor
@@ -112,20 +119,18 @@ class EncoderModel:
         self.reset_dropout_rng(config.seed)
 
     @staticmethod
-    def build(config: ModelConfig) -> "EncoderModel":
+    def build(config: ModelConfig, init: bool = True) -> "EncoderModel":
+        """The model ``config`` describes, drawn from ``config.seed``; with
+        ``init`` False nothing is drawn, for a checkpoint load to fill."""
         config.validate()
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0]) if init else None
         embeddings = EmbeddingTable.create(config.vocab_size, config.d_model, config.max_len, rng)
         blocks = []
         for _ in range(config.num_layers):
             mha = MultiHeadParams.create(config.d_model, config.num_heads, rng)
-            if config.variant == "dense":
-                mixer: FfnParams | SwitchParams = FfnParams.create(config.d_model, config.d_ff, rng)
-            else:
-                mixer = SwitchParams.create(
-                    config.d_model, config.d_ff, config.num_experts, rng,
-                    capacity_factor=config.capacity_factor,
-                )
+            mixer = (FfnParams.create(config.d_model, config.d_ff, rng) if config.variant == "dense"
+                     else SwitchParams.create(config.d_model, config.d_ff, config.num_experts, rng,
+                                              capacity_factor=config.capacity_factor))
             blocks.append(EncoderBlock(
                 mha=mha,
                 norm1=LayerNormParams.create(config.d_model, config.layer_norm_eps),
@@ -146,8 +151,8 @@ class EncoderModel:
 
         ``token_ids`` and ``pad_mask`` are [batch, len]; the mask marks real
         tokens.  Returns logits [batch, num_classes], post-block hidden
-        states for every layer, and the mean auxiliary loss over routed
-        layers (0 for the dense variant).
+        states for every layer (packed [N_real, d_model] rows), and the mean
+        auxiliary loss over routed layers (0 for the dense variant).
         """
         ids = np.asarray(token_ids)
         if ids.ndim != 2 or ids.shape[0] == 0:
@@ -164,59 +169,42 @@ class EncoderModel:
 
     def _encode(self, x: Tensor, mask: np.ndarray, training: bool) -> ForwardResult:
         cfg = self.config
-        batch, seq_len, _ = x.shape
+        batch, seq_len, d = x.shape
+        if mask.shape != (batch, seq_len):
+            raise ContractError(f"pad mask shape {mask.shape} does not match the batch {(batch, seq_len)}")
         rng = self._dropout_rng
         hidden: list[Tensor] = []
         routing: list[RoutingRecord] = []
         aux_terms: list[Tensor] = []
 
-        flat_real = np.nonzero(mask.reshape(-1))[0]
+        # Block dropout draws its masks over the padded grid (layout=mask),
+        # so every real token gets the mask the padded layout would give it.
+        h = pack(T.reshape(x, (batch * seq_len, d)), mask)
         for block in self.blocks:
-            attended = multi_head_attention(x, block.mha, mask)
-            x = layer_norm(T.add(x, dropout(attended, cfg.dropout, training, rng)), block.norm1)
+            attended = multi_head_attention(h, block.mha, mask)
+            h = layer_norm(T.add(h, dropout(attended, cfg.dropout, training, rng, mask)), block.norm1)
             if isinstance(block.mixer, SwitchParams):
-                # Route only real tokens so padding never shifts capacity
-                # or balance statistics.
-                flat = T.reshape(x, (batch * seq_len, cfg.d_model))
-                routed, record, aux = switch_forward(T.take_rows(flat, flat_real), block.mixer, training)
-                mixed = T.reshape(T.scatter_rows(routed, flat_real, batch * seq_len),
-                                  (batch, seq_len, cfg.d_model))
+                mixed, record, aux = switch_forward(h, block.mixer, training)
                 routing.append(record)
                 aux_terms.append(aux)
             else:
-                mixed = position_wise_ffn(x, block.mixer)
-            x = layer_norm(T.add(x, dropout(mixed, cfg.dropout, training, rng)), block.norm2)
-            hidden.append(x)
+                mixed = position_wise_ffn(h, block.mixer)
+            h = layer_norm(T.add(h, dropout(mixed, cfg.dropout, training, rng, mask)), block.norm2)
+            hidden.append(h)
 
-        pooled = self._pool(x, mask)
-        logits = linear(dropout(pooled, cfg.dropout, training, rng), self.head)
-        if aux_terms:
-            total = aux_terms[0]
-            for term in aux_terms[1:]:
-                total = T.add(total, term)
-            aux_loss = T.mul(total, 1.0 / len(aux_terms))
-        else:
-            aux_loss = Tensor(0.0)
+        logits = linear(dropout(self._pool(h, mask), cfg.dropout, training, rng), self.head)
+        aux_loss = (T.mul(functools.reduce(T.add, aux_terms), 1.0 / len(aux_terms))
+                    if aux_terms else Tensor(0.0))
         return ForwardResult(logits=logits, hidden=hidden, aux_loss=aux_loss, routing=routing)
 
-    def _pool(self, x: Tensor, mask: np.ndarray) -> Tensor:
-        batch, seq_len, d = x.shape
+    def _pool(self, h: Tensor, mask: np.ndarray) -> Tensor:
+        """[batch, d_model] from packed rows: each sequence's first real row,
+        or the mean of its real rows."""
+        counts = mask.sum(axis=1)
         if self.config.pooling == "first":
-            flat = T.reshape(x, (batch * seq_len, d))
-            return T.take_rows(flat, np.arange(batch) * seq_len)
-        counts = mask.sum(axis=1, keepdims=True).astype(np.float64)
-        weighted = T.mul(x, Tensor(mask[..., None].astype(np.float64)))
-        return T.mul(T.sum_(weighted, axis=1), Tensor(1.0 / counts))
-
-    def pooled_hidden(self, token_ids: np.ndarray, pad_mask: np.ndarray, layer: int) -> np.ndarray:
-        """Masked-mean pooled hidden state at ``layer`` for a batch, as ndarray."""
-        if not 0 <= layer < self.config.num_layers:
-            raise ConfigError(
-                f"layer {layer} out of range: model has num_layers={self.config.num_layers}"
-            )
-        result = self.forward(token_ids, pad_mask, training=False)
-        mask = np.asarray(pad_mask, dtype=bool)
-        return self._pool(result.hidden[layer], mask).data
+            return T.take_rows(h, np.cumsum(counts) - counts)
+        summed = T.sum_(T.reshape(unpack(h, mask), mask.shape + (h.shape[1],)), axis=1)
+        return T.mul(summed, Tensor(1.0 / counts[:, None]))
 
     # ------------------------------------------------------------------
     # parameters
@@ -275,7 +263,7 @@ def export_hidden_embeddings(model: EncoderModel, encoded, layer: int, path,
         for start in range(0, len(encoded), batch_size):
             chunk = encoded[start:start + batch_size]
             ids, mask = pad_batch([seq for _, seq, _ in chunk])
-            pooled = model.pooled_hidden(ids, mask, layer)
+            pooled = model._pool(model.forward(ids, mask).hidden[layer], mask).data
             for row, (example_id, _, label) in zip(pooled, chunk):
                 vec = "\t".join(f"{v:.17g}" for v in row)
                 fh.write(f"{example_id}\t{label}\t{vec}\n")
@@ -337,7 +325,7 @@ def load_checkpoint(path):
             specs = [(spec["name"], tuple(spec["shape"])) for spec in header["params"]]
         except (KeyError, TypeError) as e:
             raise CompatibilityError(f"malformed checkpoint header in {path}: {e!r}") from e
-        model = EncoderModel.build(config)
+        model = EncoderModel.build(config, init=False)
         by_name = dict(model.parameters())
         missing = sorted(by_name.keys() - {name for name, _ in specs})
         if missing:

@@ -34,7 +34,7 @@ class SwitchParams:
         d_model: int,
         d_ff: int,
         num_experts: int,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
         capacity_factor: float = 1.25,
     ) -> "SwitchParams":
         if num_experts < 1:

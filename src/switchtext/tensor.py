@@ -307,15 +307,21 @@ def layer_norm(x, gamma, beta, epsilon: float) -> Tensor:
 
 
 def softmax(x, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` with max-subtraction for stability."""
+    """Softmax along ``axis`` with max-subtraction for stability.
+
+    The exponential and the normalization run in place on one buffer.  The
+    attention scores are the largest arrays of a forward pass; fewer
+    score-sized temporaries keep its peak memory low enough that the C heap
+    is not handed back to the system and faulted in again on every batch.
+    """
     x = _as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"softmax axis {axis} out of range for shape {x.shape}")
     if not np.isfinite(x.data).all():
         raise NumericError("softmax input contains non-finite values")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     return _maybe_record(y, [
         (x, lambda g: (g - (g * y).sum(axis=axis, keepdims=True)) * y),
     ])
@@ -409,11 +415,18 @@ def pick(x, rows, cols) -> Tensor:
 # dropout
 
 
-def dropout(x, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
+def dropout(x, rate: float, training: bool, rng: np.random.Generator,
+            layout: np.ndarray | None = None) -> Tensor:
     """Inverted dropout recorded with its mask so backward is exact.
 
     Identity (the same object) at rate 0 or outside training.  Masks come
-    from the caller's generator so a seeded run is reproducible.
+    from the caller's generator so a seeded run is reproducible.  Without
+    ``layout`` the uniforms are drawn over ``x.shape`` in row-major order.
+    With a boolean ``layout`` (e.g. a [batch, len] padding mask) whose True
+    entries, in row-major order, are the rows of ``x``, they are drawn over
+    the whole grid ``layout.shape + x.shape[1:]`` and the rows under True
+    kept: packed rows then get the mask their padded layout would, and the
+    generator advances as it would for the padded tensor.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -421,7 +434,11 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
     if not training or rate == 0.0:
         return x
     scale = 1.0 / (1.0 - rate)
-    mask = (rng.random(x.shape) >= rate) * scale
+    if layout is None:
+        uniforms = rng.random(x.shape)
+    else:
+        uniforms = rng.random(layout.shape + x.shape[1:])[layout]
+    mask = (uniforms >= rate) * scale
     return _maybe_record(x.data * mask, [(x, lambda g: g * mask)])
 
 

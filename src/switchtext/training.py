@@ -25,7 +25,7 @@ from . import __version__
 from . import tensor as T
 from .data import (LabeledDataset, Vocabulary, build_vocab, class_weights,
                    encode, pad_batch, split_dataset, FRENCH_STOPWORDS)
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .metrics import EvalReport, classification_metrics, confusion, roc_auc
 from .model import EncoderModel, ModelConfig, file_digest, load_checkpoint, save_checkpoint
 from .optim import AdamW, EarlyStopping, ScheduleConfig, clip_grad_norm, cosine_warmup_lr
@@ -211,6 +211,8 @@ def evaluate(model: EncoderModel, encoded: list[EncodedExample], batch_size: int
              weights=None, averaging: str = "positive") -> EvalOutcome:
     """Eval-mode metrics over ``encoded``: weighted cross-entropy, confusion
     metrics, and rank AUC from positive-class probabilities."""
+    if not encoded:
+        raise DataError("evaluate needs at least one example, got an empty split")
     started = time.perf_counter()
     all_scores, all_preds, all_labels = [], [], []
     loss_sum = 0.0
@@ -317,6 +319,10 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
     say = (lambda *a: None) if quiet else print
 
     splits = split_dataset(dataset, seed=config.split_seed, stratify=config.stratify)
+    if len(splits["train"]) == 0 or len(splits["val"]) == 0:
+        sizes = ", ".join(f"{name} {len(idx)}" for name, idx in splits.items())
+        raise DataError(f"training needs non-empty train and val splits; {len(dataset)} notes "
+                        f"split into {sizes}")
     vocab = build_vocab(
         (dataset.examples[i].text for i in splits["train"]),
         min_frequency=config.min_frequency,

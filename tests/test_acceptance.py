@@ -76,10 +76,11 @@ class TestCriterion1GradientCorrectness:
                                    head_coeffs)),
             Tensor(gen.standard_normal((4, 4)))))
 
-        # multi-head + FFN (d_model <= 8, len <= 4)
+        # multi-head + FFN (d_model <= 8, len <= 4); attention takes the 4
+        # real rows of a padded [2, 3] batch, packed
         mha = MultiHeadParams.create(8, 2, gen)
         xa = Tensor(gen.standard_normal((4, 8)))
-        mask = np.array([True, True, True, False])
+        mask = np.array([[True, True, True], [True, False, False]])
         mha_coeffs = Tensor(gen.standard_normal((4, 8)))
         worst = max(worst, check_many_params(
             lambda: T.sum_(T.mul(multi_head_attention(xa, mha, mask), mha_coeffs)),

@@ -11,7 +11,7 @@ from switchtext import tensor as T
 from switchtext.attention import (FfnParams, MultiHeadParams,
                                   multi_head_attention, position_wise_ffn,
                                   scaled_dot_product_attention)
-from switchtext.errors import ConfigError, ContractError
+from switchtext.errors import ConfigError, ContractError, DimensionError
 from switchtext.layers import LinearParams
 
 rng = np.random.default_rng(4242)
@@ -93,27 +93,41 @@ class TestMultiHeadAttention:
         p = MultiHeadParams(wq=identity(), wk=identity(), wv=identity(), wo=wo, num_heads=1)
         x = Tensor(rng.standard_normal((3, d)))
         mask = np.array([True, True, True])
-        out = multi_head_attention(x, p, mask)
+        out = multi_head_attention(x, p, mask[None, :])
         direct = scaled_dot_product_attention(x, x, x, mask)
         np.testing.assert_allclose(out.data, direct.data, atol=1e-12)
 
     def test_output_shape_contract(self):
         p = MultiHeadParams.create(8, 4, np.random.default_rng(0))
         x = Tensor(rng.standard_normal((5, 8)))
-        assert multi_head_attention(x, p, np.ones(5, bool)).shape == (5, 8)
-        xb = Tensor(rng.standard_normal((2, 5, 8)))
-        assert multi_head_attention(xb, p, np.ones((2, 5), bool)).shape == (2, 5, 8)
+        assert multi_head_attention(x, p, np.ones((1, 5), bool)).shape == (5, 8)
+        # Packed rows: the 7 real tokens of a padded [2, 5] batch.
+        mask = np.array([[True, True, True, False, False], [True] * 4 + [False]])
+        xb = Tensor(rng.standard_normal((7, 8)))
+        assert multi_head_attention(xb, p, mask).shape == (7, 8)
+        for bad_mask in (mask, np.ones(5, bool)):
+            with pytest.raises(DimensionError):
+                multi_head_attention(x, p, bad_mask)
 
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError):
             MultiHeadParams.create(10, 4, np.random.default_rng(0))
 
+    def test_packed_batch_matches_each_sequence_alone(self):
+        p = MultiHeadParams.create(8, 2, np.random.default_rng(5))
+        lengths = (3, 5, 1)
+        seqs = [rng.standard_normal((n, 8)) for n in lengths]
+        mask = np.arange(max(lengths))[None, :] < np.array(lengths)[:, None]
+        packed = multi_head_attention(Tensor(np.concatenate(seqs)), p, mask).data
+        alone = [multi_head_attention(Tensor(x), p, np.ones((1, len(x)), bool)).data for x in seqs]
+        np.testing.assert_allclose(packed, np.concatenate(alone), atol=1e-12)
+
     def test_permutation_equivariance(self):
         p = MultiHeadParams.create(8, 2, np.random.default_rng(3))
         x = rng.standard_normal((6, 8))
         perm = np.array([3, 0, 5, 1, 4, 2])
-        out = multi_head_attention(Tensor(x), p, np.ones(6, bool)).data
-        out_permuted = multi_head_attention(Tensor(x[perm]), p, np.ones(6, bool)).data
+        out = multi_head_attention(Tensor(x), p, np.ones((1, 6), bool)).data
+        out_permuted = multi_head_attention(Tensor(x[perm]), p, np.ones((1, 6), bool)).data
         np.testing.assert_allclose(out_permuted, out[perm], atol=1e-12)
 
     def test_gradients_all_parameters(self):
@@ -121,7 +135,7 @@ class TestMultiHeadAttention:
 
         p = MultiHeadParams.create(8, 2, np.random.default_rng(1))
         x = rng.standard_normal((4, 8))
-        mask = np.array([True, True, True, False])
+        mask = np.array([[True, True, True], [True, False, False]])
         coeffs = Tensor(rng.standard_normal((4, 8)))
 
         def make_loss():

@@ -144,6 +144,21 @@ class TestTrain:
         assert (out / "best.ckpt").exists()
 
 
+class TestEmptySplit:
+    def test_train_and_eval_on_an_empty_split_exit_with_data_error(self, workdir, tmp_path, capsys):
+        # The first 4 notes of the shared corpus: rounding leaves val empty.
+        tiny = tmp_path / "tiny.jsonl"
+        tiny.write_text("".join(workdir["data"].read_text().splitlines(keepends=True)[:4]))
+        code = main(["train", "--data-path", str(tiny), "--output-dir", str(tmp_path / "run"),
+                     "--epochs", "1", "--min-frequency", "1"])
+        assert code == EXIT_CODES["data"]
+        assert "val 0" in capsys.readouterr().err
+        code = main(["eval", "--checkpoint", str(workdir["ckpt"]), "--data", str(tiny),
+                     "--split", "val", "--output-dir", str(tmp_path / "eval")])
+        assert code == EXIT_CODES["data"]
+        assert "error: category=data" in capsys.readouterr().err
+
+
 class TestEval:
     def test_eval_writes_report(self, workdir, tmp_path, capsys):
         out = tmp_path / "eval"

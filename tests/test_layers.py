@@ -9,7 +9,8 @@ from switchtext import Tape, Tensor, finite_difference_check
 from switchtext import tensor as T
 from switchtext.errors import ConfigError, DimensionError, VocabularyError
 from switchtext.layers import (EmbeddingTable, LayerNormParams, LinearParams,
-                               dropout, embed, glorot_normal, glorot_std, layer_norm)
+                               dropout, embed, glorot_normal, glorot_std, layer_norm, pack,
+                               unpack)
 
 rng = np.random.default_rng(77)
 
@@ -179,6 +180,21 @@ class TestDropoutLayer:
         assert 0.25 < dropped < 0.45
         kept_value = out.data[out.data != 0][0]
         np.testing.assert_allclose(kept_value, 1 / 0.65, atol=1e-12)
+
+
+class TestPacking:
+    def test_pack_and_unpack_between_grid_and_real_rows(self):
+        grid = Tensor(rng.standard_normal((6, 2)))
+        mask = np.array([[True, True, False], [True, False, False]])
+        packed = pack(grid, mask)
+        np.testing.assert_array_equal(packed.data, grid.data[[0, 1, 3]])
+        expected = np.where(mask.reshape(-1, 1), grid.data, 0.0)
+        np.testing.assert_array_equal(unpack(packed, mask).data, expected)
+
+    def test_without_padding_the_grid_is_the_packed_rows(self):
+        rows = Tensor(rng.standard_normal((4, 2)))
+        mask = np.ones((2, 2), bool)
+        assert pack(rows, mask) is rows and unpack(rows, mask) is rows
 
 
 class TestLinearParams:

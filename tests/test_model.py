@@ -73,12 +73,41 @@ class TestForward:
         model = EncoderModel.build(tiny_config(num_layers=3))
         result = model.forward(np.array([[2, 3, 4]]), np.ones((1, 3), bool))
         assert len(result.hidden) == 3
-        assert all(h.shape == (1, 3, 8) for h in result.hidden)
+        assert all(h.shape == (3, 8) for h in result.hidden)
+        # Packed: only the 5 real tokens of a padded [2, 3] batch.
+        ids = np.array([[2, 3, 4], [5, 6, 0]])
+        assert all(h.shape == (5, 8) for h in model.forward(ids, ids != 0).hidden)
+
+    def test_blocks_compute_on_real_tokens_only(self, monkeypatch):
+        import switchtext.model as model_module
+
+        seen = []
+
+        def spy(fn):
+            def wrapped(x, p):
+                seen.append((fn.__name__, x.shape))
+                return fn(x, p)
+            return wrapped
+
+        monkeypatch.setattr(model_module, "position_wise_ffn", spy(model_module.position_wise_ffn))
+        monkeypatch.setattr(model_module, "layer_norm", spy(model_module.layer_norm))
+        model = EncoderModel.build(tiny_config(num_layers=2))
+        ids = np.array([[2, 3, 4, 5], [6, 7, 0, 0], [8, 0, 0, 0]])
+        mask = ids != 0
+        model.forward(ids, mask, training=True)
+        assert sorted({name for name, _ in seen}) == ["layer_norm", "position_wise_ffn"]
+        assert len(seen) == 6  # 2 layer norms and 1 FFN per block
+        assert all(shape == (mask.sum(), 8) for _, shape in seen)
 
     def test_empty_batch_rejected(self):
         model = EncoderModel.build(tiny_config())
         with pytest.raises(ContractError):
             model.forward(np.zeros((2,), dtype=int), np.ones(2, bool))
+
+    def test_mask_of_another_shape_rejected(self):
+        model = EncoderModel.build(tiny_config())
+        with pytest.raises(ContractError, match="pad mask shape"):
+            model.forward(np.array([[2, 3, 4]]), np.ones((1, 4), bool))
 
     def test_switch_single_expert_matches_dense(self):
         dense = EncoderModel.build(tiny_config("dense"))
@@ -94,20 +123,38 @@ class TestForward:
         np.testing.assert_allclose(out_switch, out_dense, atol=1e-10)
 
     def test_padding_invariance(self):
+        labels = np.array([1, 0])
         for variant in ("dense", "switch"):
-            model = EncoderModel.build(tiny_config(variant))
+            model = EncoderModel.build(tiny_config(variant))  # dropout 0
             ids = np.array([[2, 3, 4], [5, 6, 0]])
             padded = np.array([[2, 3, 4, 0, 0], [5, 6, 0, 0, 0]])
             base = model.forward(ids, ids != 0).logits.data
             extended = model.forward(padded, padded != 0).logits.data
             np.testing.assert_allclose(extended, base, atol=1e-10)
+            # Training-mode parameter gradients do not see the extra PADs.
+            grads = []
+            for batch in (ids, padded):
+                model.zero_grad()
+                with T.Tape() as tape:
+                    result = model.forward(batch, batch != 0, training=True)
+                    loss = T.add(weighted_cross_entropy(result.logits, labels),
+                                 T.mul(result.aux_loss, 0.01))
+                tape.backward(loss)
+                grads.append({name: p.grad for name, p in model.parameters()})
+            for name, g in grads[0].items():
+                np.testing.assert_allclose(grads[1][name], g, rtol=0, atol=1e-12, err_msg=name)
 
     def test_first_token_pooling(self):
         model = EncoderModel.build(tiny_config(pooling="first"))
         ids = np.array([[2, 3, 4]])
         result = model.forward(ids, np.ones((1, 3), bool))
         pooled = model._pool(result.hidden[-1], np.ones((1, 3), bool))
-        np.testing.assert_array_equal(pooled.data, result.hidden[-1].data[:, 0, :])
+        np.testing.assert_array_equal(pooled.data, result.hidden[-1].data[[0]])
+        # Packed rows of a padded batch: the sequences start at rows 0 and 3.
+        ids = np.array([[2, 3, 4], [5, 6, 0]])
+        result = model.forward(ids, ids != 0)
+        pooled = model._pool(result.hidden[-1], ids != 0)
+        np.testing.assert_array_equal(pooled.data, result.hidden[-1].data[[0, 3]])
 
     def test_config_validation_lists_violations(self):
         bad = ModelConfig(variant="both", d_model=7, num_heads=2, dropout=1.5,
@@ -242,6 +289,22 @@ class TestCheckpoint:
             model.forward(ids, mask).logits.data,
             restored.forward(ids, mask).logits.data,
         )
+
+    def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
+        import switchtext.layers
+
+        model = EncoderModel.build(tiny_config("switch"))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew a random initialization")
+
+        monkeypatch.setattr(switchtext.layers, "glorot_normal", no_draw)
+        restored, _, _ = load_checkpoint(path)
+        by_name = dict(restored.parameters())
+        for name, p in model.parameters():
+            np.testing.assert_array_equal(by_name[name].data, p.data, err_msg=name)
 
     def test_save_is_deterministic(self, tmp_path):
         model = EncoderModel.build(tiny_config())

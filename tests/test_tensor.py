@@ -261,6 +261,17 @@ class TestDropout:
         mask = (out.data != 0).astype(float) / 0.6
         np.testing.assert_allclose(x.grad, 3.0 * mask, atol=1e-12)
 
+    def test_layout_draws_over_the_padded_grid(self):
+        # Packed rows get the mask of their padded position, and the
+        # generator advances as it would for the padded tensor.
+        grid = rng.standard_normal((3, 4, 5))
+        layout = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=bool)
+        padded_gen, packed_gen = np.random.default_rng(9), np.random.default_rng(9)
+        padded = T.dropout(Tensor(grid), 0.4, True, padded_gen)
+        packed = T.dropout(Tensor(grid[layout]), 0.4, True, packed_gen, layout)
+        np.testing.assert_array_equal(packed.data, padded.data[layout])
+        assert packed_gen.random() == padded_gen.random()
+
     def test_invalid_rate(self):
         with pytest.raises(ConfigError):
             T.dropout(Tensor([1.0]), 1.0, True, np.random.default_rng(0))

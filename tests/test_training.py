@@ -10,7 +10,7 @@ import pytest
 
 from switchtext import RunConfig, Tensor, generate_synthetic_corpus
 from switchtext import tensor as T
-from switchtext.errors import ConfigError
+from switchtext.errors import ConfigError, DataError
 from switchtext.model import ModelConfig, file_digest, load_checkpoint
 from switchtext.tensor import Tape
 from switchtext.training import (EncodedExample, dataset_digest, encode_examples,
@@ -240,3 +240,20 @@ class TestTrainRuns:
         train(quick_config(variant="dense", epochs=1), corpus, out_dir=str(out), quiet=True)
         lines = (out / "routing.tsv").read_text().strip().split("\n")
         assert lines == ["epoch\tlayer\texpert\ttoken_fraction\toverflow_fraction"]
+
+
+class TestEmptySplits:
+    def test_train_rejects_an_empty_validation_split(self, tmp_path):
+        from switchtext.data import LabeledDataset
+
+        corpus = LabeledDataset(generate_synthetic_corpus(10, positive_fraction=0.5, seed=1).examples[:4])
+        with pytest.raises(DataError, match=r"train 4, val 0, test 0"):
+            train(quick_config(), corpus, out_dir=str(tmp_path))
+        assert not os.listdir(tmp_path)  # rejected before any artifact
+
+    def test_evaluate_rejects_no_examples(self):
+        from switchtext.model import EncoderModel
+
+        model = EncoderModel.build(quick_config().model_config(vocab_size=10))
+        with pytest.raises(DataError, match="empty split"):
+            evaluate(model, [])
