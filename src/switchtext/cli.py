@@ -119,8 +119,7 @@ def _run_train(args, command: str) -> int:
     os.makedirs(config.output_dir, exist_ok=True)
     dataset = read_jsonl(config.data_path)
     result = train(config, dataset, out_dir=config.output_dir, command=command)
-    if result.final_val is not None:
-        print("\n".join(result.final_val.table_lines()))
+    print("\n".join(result.final_val.table_lines()))
     print(f"checkpoint {result.checkpoint_path} sha256={result.checkpoint_digest}")
     return 0
 
@@ -148,7 +147,10 @@ def cmd_attribute(args) -> int:
         args.checkpoint, args.data, args.split
     )
     if args.ids:
-        wanted = [int(s) for s in args.ids.split(",")]
+        try:
+            wanted = [int(s) for s in args.ids.split(",")]
+        except ValueError as e:
+            raise ConfigError(f"--ids must be comma-separated integers, got {args.ids!r}") from e
         reports = attribution_for_ids(model, encoded, wanted, vocab=vocab,
                                       target=args.target, num_steps=args.num_steps,
                                       baseline=args.baseline)

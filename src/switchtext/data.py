@@ -172,23 +172,30 @@ class LabeledDataset:
 
 
 def read_jsonl(path) -> LabeledDataset:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except OSError as e:
+        raise DataError(f"cannot read dataset {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"dataset {path} is not UTF-8 text: {e}") from e
     examples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{line_no + 1}: invalid JSON record") from e
-            if "text" not in record or "label" not in record:
-                raise DataError(f"{path}:{line_no + 1}: record needs 'text' and 'label'")
-            label = record["label"]
-            if label not in (0, 1):
-                raise DataError(f"{path}:{line_no + 1}: label must be 0 or 1, got {label!r}")
-            examples.append(Example(example_id=record.get("id", len(examples)),
-                                    text=str(record["text"]), label=int(label)))
+    for line_no, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}:{line_no + 1}: invalid JSON record") from e
+        if not isinstance(record, dict) or "text" not in record or "label" not in record:
+            raise DataError(f"{path}:{line_no + 1}: record needs to be a JSON object "
+                            f"with 'text' and 'label'")
+        label = record["label"]
+        if label not in (0, 1):
+            raise DataError(f"{path}:{line_no + 1}: label must be 0 or 1, got {label!r}")
+        examples.append(Example(example_id=record.get("id", len(examples)),
+                                text=str(record["text"]), label=int(label)))
     if not examples:
         raise DataError(f"{path}: no records found")
     return LabeledDataset(examples=examples)

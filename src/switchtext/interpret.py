@@ -141,6 +141,8 @@ def rank_misclassified(model: EncoderModel, encoded, vocab: Vocabulary | None = 
     """
     from .training import evaluate
 
+    if limit is not None and limit < 0:
+        raise ConfigError(f"limit must be >= 0, got {limit}")
     outcome = evaluate(model, encoded, batch_size=eval_batch_size)
     wrong = [i for i in range(len(encoded)) if outcome.predictions[i] != outcome.labels[i]]
     # False negatives (true label 1) lead; stable by position within groups.

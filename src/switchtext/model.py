@@ -232,12 +232,6 @@ class ParamCountReport:
     total: int
     core_total: int
 
-    def lines(self) -> list[str]:
-        out = [f"{name}\t{count}" for name, count in self.items]
-        out.append(f"total\t{self.total}")
-        out.append(f"core_total (excl. token embeddings)\t{self.core_total}")
-        return out
-
 
 def count_parameters(model: EncoderModel) -> ParamCountReport:
     """Exact scalar-parameter count, itemized per component."""
@@ -300,11 +294,16 @@ def load_checkpoint(path):
     """Rebuild (model, vocab, extra) from a checkpoint file; parameter
     tensors round-trip bit-exactly.
 
-    All or nothing: a foreign or older-format file, a truncated or malformed
-    header or payload, trailing bytes, or a parameter set that differs from
-    the model's raises CompatibilityError.  Tensors are read one at a time.
+    All or nothing: a missing or unreadable path, a foreign or older-format
+    file, a truncated or malformed header or payload, trailing bytes, or a
+    parameter set that differs from the model's raises CompatibilityError.
+    Tensors are read one at a time.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as e:
+        raise CompatibilityError(f"cannot read checkpoint {path}: {e.strerror}") from e
+    with fh:
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise CompatibilityError(f"not a checkpoint file: {path}")
         (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "header length"))

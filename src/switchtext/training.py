@@ -11,13 +11,16 @@ the single artifact excluded from that guarantee.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import platform
 import sys
+import tempfile
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +30,9 @@ from .data import (LabeledDataset, Vocabulary, build_vocab, class_weights,
                    encode, pad_batch, split_dataset, FRENCH_STOPWORDS)
 from .errors import ConfigError, DataError
 from .metrics import EvalReport, classification_metrics, confusion, roc_auc
-from .model import EncoderModel, ModelConfig, file_digest, load_checkpoint, save_checkpoint
+from .model import (EncoderModel, ForwardResult, ModelConfig, file_digest, load_checkpoint,
+                    save_checkpoint)
+from .moe import RoutingRecord
 from .optim import AdamW, EarlyStopping, ScheduleConfig, clip_grad_norm, cosine_warmup_lr
 from .tensor import Tape, Tensor
 
@@ -106,11 +111,8 @@ class RunConfig:
             problems.append(f"min_frequency must be >= 1, got {self.min_frequency}")
         if self.eval_batch_size < 1:
             problems.append(f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
-        if check_paths and self.data_path:
-            import os
-
-            if not os.path.exists(self.data_path):
-                problems.append(f"data_path does not exist: {self.data_path}")
+        if check_paths and self.data_path and not os.path.exists(self.data_path):
+            problems.append(f"data_path does not exist: {self.data_path}")
         return problems
 
     def validate(self, check_paths: bool = False) -> "RunConfig":
@@ -152,11 +154,8 @@ class EncodedExample:
 
 
 def encode_examples(examples, vocab: Vocabulary, max_len: int) -> list[EncodedExample]:
-    out = []
-    for e in examples:
-        ids = encode(e.text, vocab, max_len)
-        out.append(EncodedExample(example_id=e.example_id, ids=ids, label=e.label, text=e.text))
-    return out
+    return [EncodedExample(example_id=e.example_id, ids=encode(e.text, vocab, max_len),
+                           label=e.label, text=e.text) for e in examples]
 
 
 def make_batch(chunk: list[EncodedExample]):
@@ -188,8 +187,6 @@ def total_loss(logits: Tensor, labels: np.ndarray, aux: Tensor,
     """The training objective, cross-entropy plus ``aux_weight`` times the
     routing auxiliary loss; returns ``(total, cross_entropy)``."""
     ce = weighted_cross_entropy(logits, labels, weights)
-    if aux_weight == 0.0:
-        return ce, ce
     return T.add(ce, T.mul(aux, aux_weight)), ce
 
 
@@ -204,43 +201,69 @@ class EvalOutcome:
     scores: np.ndarray
     labels: np.ndarray
     aux_loss: float
-    wall_seconds: float
+
+
+@dataclass
+class BatchTally:
+    """One pass over a split's batches, in a training epoch or in
+    ``evaluate``: the weighted cross-entropy sums, and each batch's class
+    probabilities, labels, aux loss and routing records."""
+
+    weights: np.ndarray | None = None
+    loss_sum: float = 0.0
+    weight_sum: float = 0.0
+    probs: list[np.ndarray] = field(default_factory=list)
+    labels: list[np.ndarray] = field(default_factory=list)
+    aux: list[float] = field(default_factory=list)
+    routing: list[list[RoutingRecord]] = field(default_factory=list)
+
+    def add(self, result: ForwardResult, labels: np.ndarray, ce: Tensor) -> None:
+        w_sum = float(_example_weights(labels, self.weights).sum())
+        self.loss_sum += ce.item() * w_sum
+        self.weight_sum += w_sum
+        self.probs.append(np.exp(T.log_softmax(result.logits, axis=1).data))
+        self.labels.append(labels)
+        self.aux.append(result.aux_loss.item())
+        self.routing.append(result.routing)
+
+    def outcome(self) -> EvalOutcome:
+        """Weighted mean loss, confusion metrics, and rank AUC from
+        positive-class probabilities."""
+        probs, labels = np.concatenate(self.probs), np.concatenate(self.labels)
+        preds = probs.argmax(axis=1)
+        auc = roc_auc(labels, probs[:, 1]) if len(np.unique(labels)) == 2 else None
+        report = classification_metrics(confusion(labels, preds), auc=auc)
+        report.loss = self.loss_sum / self.weight_sum
+        return EvalOutcome(report=report, predictions=preds, scores=probs[:, 1], labels=labels,
+                           aux_loss=float(np.mean(self.aux)))
+
+    def routing_rows(self, epoch: int) -> list[str]:
+        """Per layer and expert, the fractions of the routed tokens that chose
+        the expert and that overflowed it; none for a dense model."""
+        routed = [records for records in self.routing if records]
+        if not routed:
+            return []
+        tokens = sum(records[0].num_tokens for records in routed)
+        chose = sum(np.stack([r.dispatched_counts() for r in records]) for records in routed)
+        overflow = chose - sum(np.stack([r.counts for r in records]) for records in routed)
+        return [f"{epoch}\t{layer}\t{e}\t{chose[layer, e] / tokens:.6f}"
+                f"\t{overflow[layer, e] / tokens:.6f}" for layer, e in np.ndindex(chose.shape)]
 
 
 def evaluate(model: EncoderModel, encoded: list[EncodedExample], batch_size: int = 64,
-             weights=None, averaging: str = "positive") -> EvalOutcome:
+             weights=None) -> EvalOutcome:
     """Eval-mode metrics over ``encoded``: weighted cross-entropy, confusion
     metrics, and rank AUC from positive-class probabilities."""
     if not encoded:
         raise DataError("evaluate needs at least one example, got an empty split")
-    started = time.perf_counter()
-    all_scores, all_preds, all_labels = [], [], []
-    loss_sum = 0.0
-    weight_sum = 0.0
-    aux_values = []
+    if batch_size < 1:
+        raise ConfigError(f"evaluation batch size must be >= 1, got {batch_size}")
+    tally = BatchTally(weights)
     for start in range(0, len(encoded), batch_size):
-        chunk = encoded[start: start + batch_size]
-        ids, mask, labels = make_batch(chunk)
+        ids, mask, labels = make_batch(encoded[start: start + batch_size])
         result = model.forward(ids, mask, training=False)
-        w_sum = float(_example_weights(labels, weights).sum())
-        loss_sum += weighted_cross_entropy(result.logits, labels, weights).item() * w_sum
-        weight_sum += w_sum
-        probs = np.exp(T.log_softmax(result.logits, axis=1).data)
-        all_scores.append(probs[:, 1])
-        all_preds.append(probs.argmax(axis=1))
-        all_labels.append(labels)
-        aux_values.append(result.aux_loss.item())
-    scores = np.concatenate(all_scores)
-    preds = np.concatenate(all_preds)
-    labels = np.concatenate(all_labels)
-    cm = confusion(labels, preds)
-    auc = roc_auc(labels, scores) if len(np.unique(labels)) == 2 else None
-    report = classification_metrics(cm, averaging=averaging, auc=auc)
-    report.loss = loss_sum / weight_sum
-    return EvalOutcome(
-        report=report, predictions=preds, scores=scores, labels=labels,
-        aux_loss=float(np.mean(aux_values)), wall_seconds=time.perf_counter() - started,
-    )
+        tally.add(result, labels, weighted_cross_entropy(result.logits, labels, weights))
+    return tally.outcome()
 
 
 # ---------------------------------------------------------------------------
@@ -249,15 +272,18 @@ def evaluate(model: EncoderModel, encoded: list[EncodedExample], batch_size: int
 
 @dataclass
 class TrainResult:
+    """``best_epoch`` is the restored epoch (0 when no epoch ran); ``model``
+    holds its parameters and ``final_val`` its validation report."""
+
     model: EncoderModel
     vocab: Vocabulary
     splits: dict[str, np.ndarray]
     history: list[dict]
-    best_epoch: int | None
+    best_epoch: int
     stopped_early: bool
     checkpoint_path: str
     checkpoint_digest: str
-    final_val: EvalReport | None
+    final_val: EvalReport
     encoded: dict[str, list[EncodedExample]]
     out_dir: str | None
 
@@ -301,19 +327,20 @@ def write_manifest(out_dir, command: str, config_dict: dict, seed: int,
         fh.write("\n")
 
 
-def _log_row(fh, epoch, split, report: EvalReport, lr, aux):
-    fh.write(f"{epoch}\t{split}\t{report.loss:.6f}\t{report.accuracy:.6f}"
-             f"\t{report.precision:.6f}\t{report.recall:.6f}\t{lr:.10g}\t{aux:.6f}\n")
-
-
 def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None,
           command: str = "train", quiet: bool = False) -> TrainResult:
     """Full training run per ``config`` on ``dataset``.
 
+    The restored epoch is the best validation epoch under early stopping,
+    otherwise the last epoch run.  Early stopping restores it by loading its
+    checkpoint back, with or without ``out_dir`` (a temporary directory
+    stands in for a missing one).
+
     Writes, under ``out_dir``: train_log.tsv (epoch/split metric rows),
     gap.tsv (per-epoch val-train loss gap), routing.tsv (per-layer expert
-    dispatch), best.ckpt, report_val.{tsv,json}, manifest.json, and
-    timings.tsv (wall clock, excluded from determinism guarantees).
+    dispatch), best.ckpt (the restored epoch), report_val.{tsv,json} (its
+    validation report), manifest.json, and timings.tsv (wall clock,
+    excluded from determinism guarantees).
     """
     config.validate()
     say = (lambda *a: None) if quiet else print
@@ -342,8 +369,8 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
                 eps=config.adam_eps, weight_decay=config.weight_decay)
 
     n_train = len(encoded["train"])
-    batches_per_epoch = math.ceil(n_train / config.batch_size)
-    steps_per_epoch = math.ceil(batches_per_epoch / config.grad_accumulation)
+    group_size = config.batch_size * config.grad_accumulation
+    steps_per_epoch = math.ceil(n_train / group_size)
     total_steps = max(1, steps_per_epoch * config.epochs)
     schedule = ScheduleConfig(
         peak_lr=config.peak_lr, min_lr=config.min_lr,
@@ -355,144 +382,97 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
     stopper = EarlyStopping(patience=config.patience, min_delta=config.min_delta, mode="min")
 
     history: list[dict] = []
-    gap_rows: list[str] = []
-    routing_rows: list[str] = []
-    timing_rows: list[str] = []
-    ckpt_path = f"{out_dir}/best.ckpt" if out_dir else None
-    best_saved = False
+    tables = {  # artifact name -> header and rows
+        "train_log.tsv": ["epoch\tsplit\tloss\taccuracy\tprecision\trecall\tlr\taux_loss"],
+        "gap.tsv": ["epoch\tgap\ttrain_loss\tval_loss\ttrain_accuracy\tval_accuracy"],
+        "routing.tsv": ["epoch\tlayer\texpert\ttoken_fraction\toverflow_fraction"],
+        "timings.tsv": ["epoch\twall_clock_s"],
+    }
     stopped_early = False
-    step_index = 0
 
     if config.epochs == 0:
         say("warning: epochs=0, writing the initialized checkpoint and exiting")
 
-    aux_weight = config.aux_loss_weight if config.variant == "switch" else 0.0
-    for epoch in range(1, config.epochs + 1):
-        epoch_start = time.perf_counter()
-        order = shuffle_rng.permutation(n_train)
-        num_experts = config.num_experts if config.variant == "switch" else 0
-        dispatch = np.zeros((config.num_layers, max(1, num_experts)))
-        overflow = np.zeros_like(dispatch)
-        tokens_routed = 0
-        # Train-split metrics come from the training pass itself.
-        run_loss, run_weight, run_aux = 0.0, 0.0, []
-        run_preds, run_labels = [], []
+    with (contextlib.nullcontext(out_dir) if out_dir else tempfile.TemporaryDirectory()) as ckpt_dir:
+        ckpt_path = f"{ckpt_dir}/best.ckpt"
 
-        position = 0
-        while position < n_train:
-            micro_count = 0
-            lr = cosine_warmup_lr(step_index, schedule)
-            while micro_count < config.grad_accumulation and position < n_train:
-                chunk = [encoded["train"][i] for i in order[position: position + config.batch_size]]
-                position += config.batch_size
-                ids, mask, labels = make_batch(chunk)
-                with Tape() as tape:
-                    result = model.forward(ids, mask, training=True)
-                    loss, ce = total_loss(result.logits, labels, result.aux_loss,
-                                          aux_weight, weights)
-                tape.backward(loss)
-                micro_count += 1
-                w_sum = float(_example_weights(labels, weights).sum())
-                run_loss += ce.item() * w_sum
-                run_weight += w_sum
-                run_preds.append(result.logits.data.argmax(axis=1))
-                run_labels.append(labels)
-                if result.routing:
-                    run_aux.append(result.aux_loss.item())
-                    tokens_routed += result.routing[0].num_tokens
-                for layer, record in enumerate(result.routing):
-                    dispatch[layer] += record.dispatched_counts()
-                    overflow[layer] += record.dispatched_counts() - record.counts
-            if micro_count > 1:
-                inv = 1.0 / micro_count
-                for _, p in params:
-                    if p.grad is not None:
-                        p.grad = p.grad * inv
-            if config.grad_clip > 0:
-                clip_grad_norm(params, config.grad_clip)
-            opt.step(lr)
-            opt.zero_grad()
-            step_index += 1
+        def save(epoch: int) -> None:
+            save_checkpoint(ckpt_path, model, vocab,
+                            extra={"run_config": portable_config(asdict(config)), "epoch": epoch})
 
-        train_report = classification_metrics(
-            confusion(np.concatenate(run_labels), np.concatenate(run_preds))
-        )
-        train_report.loss = run_loss / run_weight
-        train_aux = float(np.mean(run_aux)) if run_aux else 0.0
-        val_out = evaluate(model, encoded["val"], config.eval_batch_size, weights)
-        lr_now = cosine_warmup_lr(min(step_index, schedule.total_steps), schedule)
-        history.append({
-            "epoch": epoch,
-            "train": train_report, "val": val_out.report,
-            "train_aux": train_aux, "val_aux": val_out.aux_loss,
-            "lr": lr_now,
-        })
-        gap_rows.append(f"{epoch}\t{val_out.report.loss - train_report.loss:.6f}"
-                        f"\t{train_report.loss:.6f}\t{val_out.report.loss:.6f}"
-                        f"\t{train_report.accuracy:.6f}\t{val_out.report.accuracy:.6f}")
-        if num_experts and tokens_routed:
-            for layer in range(config.num_layers):
-                for e in range(num_experts):
-                    routing_rows.append(
-                        f"{epoch}\t{layer}\t{e}\t{dispatch[layer, e] / tokens_routed:.6f}"
-                        f"\t{overflow[layer, e] / tokens_routed:.6f}"
-                    )
-        timing_rows.append(f"{epoch}\t{time.perf_counter() - epoch_start:.3f}")
-        say(f"epoch {epoch:3d}  train loss {train_report.loss:.4f} acc {train_report.accuracy:.4f}"
-            f"  val loss {val_out.report.loss:.4f} acc {val_out.report.accuracy:.4f}")
+        for epoch in range(1, config.epochs + 1):
+            epoch_start = time.perf_counter()
+            order = shuffle_rng.permutation(n_train)
+            tally = BatchTally(weights)
+            for step, start in enumerate(range(0, n_train, group_size), (epoch - 1) * steps_per_epoch):
+                group = order[start: start + group_size]
+                chunks = [group[i: i + config.batch_size]
+                          for i in range(0, len(group), config.batch_size)]
+                for chunk in chunks:
+                    ids, mask, labels = make_batch([encoded["train"][i] for i in chunk])
+                    with Tape() as tape:
+                        result = model.forward(ids, mask, training=True)
+                        loss, ce = total_loss(result.logits, labels, result.aux_loss,
+                                              config.aux_loss_weight, weights)
+                    tape.backward(loss)
+                    tally.add(result, labels, ce)
+                if len(chunks) > 1:
+                    for _, p in params:
+                        if p.grad is not None:
+                            p.grad = p.grad * (1.0 / len(chunks))
+                if config.grad_clip > 0:
+                    clip_grad_norm(params, config.grad_clip)
+                opt.step(cosine_warmup_lr(step, schedule))
+                opt.zero_grad()
 
-        if config.early_stopping:
-            should_stop = stopper.update(val_out.report.loss, epoch)
-            if stopper.best_epoch == epoch:
-                if ckpt_path:
-                    save_checkpoint(ckpt_path, model, vocab,
-                                    extra={"run_config": portable_config(asdict(config)),
-                                           "epoch": epoch})
-                    best_saved = True
-            if should_stop:
-                stopped_early = True
-                say(f"early stop at epoch {epoch}; best epoch {stopper.best_epoch}")
+            # Train-split metrics come from the training pass itself.
+            train_out = tally.outcome()
+            val_out = evaluate(model, encoded["val"], config.eval_batch_size, weights)
+            train_report, val_report = train_out.report, val_out.report
+            lr_now = cosine_warmup_lr(min(epoch * steps_per_epoch, total_steps), schedule)
+            history.append({"epoch": epoch, "train": train_report, "val": val_report, "lr": lr_now,
+                            "train_aux": train_out.aux_loss, "val_aux": val_out.aux_loss})
+            for split, out in (("train", train_out), ("val", val_out)):
+                r = out.report
+                tables["train_log.tsv"].append(
+                    f"{epoch}\t{split}\t{r.loss:.6f}\t{r.accuracy:.6f}\t{r.precision:.6f}"
+                    f"\t{r.recall:.6f}\t{lr_now:.10g}\t{out.aux_loss:.6f}")
+            tables["gap.tsv"].append(f"{epoch}\t{val_report.loss - train_report.loss:.6f}"
+                                     f"\t{train_report.loss:.6f}\t{val_report.loss:.6f}"
+                                     f"\t{train_report.accuracy:.6f}\t{val_report.accuracy:.6f}")
+            tables["routing.tsv"] += tally.routing_rows(epoch)
+            tables["timings.tsv"].append(f"{epoch}\t{time.perf_counter() - epoch_start:.3f}")
+            say(f"epoch {epoch:3d}  train loss {train_report.loss:.4f} acc {train_report.accuracy:.4f}"
+                f"  val loss {val_report.loss:.4f} acc {val_report.accuracy:.4f}")
+
+            if config.early_stopping:
+                should_stop = stopper.update(val_report.loss, epoch)
+                if stopper.best_epoch == epoch:
+                    save(epoch)
+                if should_stop:
+                    stopped_early = True
+                    say(f"early stop at epoch {epoch}; best epoch {stopper.best_epoch}")
+                    break
+            if config.stop_at_val_accuracy and val_report.accuracy >= config.stop_at_val_accuracy:
+                say(f"validation accuracy target {config.stop_at_val_accuracy} reached at epoch {epoch}")
                 break
-        if config.stop_at_val_accuracy and val_out.report.accuracy >= config.stop_at_val_accuracy:
-            say(f"validation accuracy target {config.stop_at_val_accuracy} reached at epoch {epoch}")
-            break
 
-    best_epoch = stopper.best_epoch if config.early_stopping else (config.epochs or None)
-    if config.early_stopping and best_saved and ckpt_path:
-        model, vocab_restored, _ = load_checkpoint(ckpt_path)
-        if vocab_restored is not None:
-            vocab = vocab_restored
-        digest = file_digest(ckpt_path)
-    elif ckpt_path:
-        digest = save_checkpoint(ckpt_path, model, vocab,
-                                 extra={"run_config": portable_config(asdict(config)),
-                                        "epoch": config.epochs})
-    else:
-        digest = ""
+        best_epoch = len(history)
+        if config.early_stopping and history:
+            model, vocab, extra = load_checkpoint(ckpt_path)
+            best_epoch = extra["epoch"]
+        elif out_dir:
+            save(best_epoch)
+        digest = file_digest(ckpt_path) if out_dir else ""
 
-    final_val = None
-    if encoded["val"]:
-        final_out = evaluate(model, encoded["val"], config.eval_batch_size, weights)
-        final_val = final_out.report
+    final_val = (history[best_epoch - 1]["val"] if history
+                 else evaluate(model, encoded["val"], config.eval_batch_size, weights).report)
 
     if out_dir:
-        header = "epoch\tsplit\tloss\taccuracy\tprecision\trecall\tlr\taux_loss\n"
-        with open(f"{out_dir}/train_log.tsv", "w", encoding="utf-8") as fh:
-            fh.write(header)
-            for row in history:
-                _log_row(fh, row["epoch"], "train", row["train"], row["lr"], row["train_aux"])
-                _log_row(fh, row["epoch"], "val", row["val"], row["lr"], row["val_aux"])
-        with open(f"{out_dir}/gap.tsv", "w", encoding="utf-8") as fh:
-            fh.write("epoch\tgap\ttrain_loss\tval_loss\ttrain_accuracy\tval_accuracy\n")
-            fh.write("\n".join(gap_rows) + ("\n" if gap_rows else ""))
-        with open(f"{out_dir}/routing.tsv", "w", encoding="utf-8") as fh:
-            fh.write("epoch\tlayer\texpert\ttoken_fraction\toverflow_fraction\n")
-            fh.write("\n".join(routing_rows) + ("\n" if routing_rows else ""))
-        with open(f"{out_dir}/timings.tsv", "w", encoding="utf-8") as fh:
-            fh.write("epoch\twall_clock_s\n")
-            fh.write("\n".join(timing_rows) + ("\n" if timing_rows else ""))
-        if final_val is not None:
-            _write_report(out_dir, "report_val", final_val)
+        for name, lines in tables.items():
+            with open(f"{out_dir}/{name}", "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{line}\n" for line in lines))
+        _write_report(out_dir, "report_val", final_val)
         write_manifest(out_dir, command, asdict(config), config.seed, dataset_digest(dataset),
                        ["train_log.tsv", "gap.tsv", "routing.tsv", "best.ckpt",
                         "report_val.tsv", "report_val.json"])
@@ -500,7 +480,7 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
     return TrainResult(
         model=model, vocab=vocab, splits=splits, history=history,
         best_epoch=best_epoch, stopped_early=stopped_early,
-        checkpoint_path=ckpt_path or "", checkpoint_digest=digest,
+        checkpoint_path=ckpt_path if out_dir else "", checkpoint_digest=digest,
         final_val=final_val, encoded=encoded, out_dir=out_dir,
     )
 

@@ -257,3 +257,36 @@ class TestExportEmbeddings:
                      "--layer", "5", "--output-dir", str(tmp_path / "x")])
         assert code == EXIT_CODES["config"]
         assert "num_layers" in capsys.readouterr().err
+
+
+# Each row: case id, command, flags that override the defaults (a trained
+# checkpoint, the shared corpus and a fresh output directory; {tmp} is a
+# directory holding the bad files below), and the error category.
+BAD_INPUT = [
+    ("data-missing", "eval", ["--data", "{tmp}/missing.jsonl"], "data"),
+    ("data-directory", "eval", ["--data", "{tmp}"], "data"),
+    ("data-not-utf8", "eval", ["--data", "{tmp}/latin1.jsonl"], "data"),
+    ("data-record-int", "eval", ["--data", "{tmp}/int.jsonl"], "data"),
+    ("data-record-null", "eval", ["--data", "{tmp}/null.jsonl"], "data"),
+    ("checkpoint-missing", "eval", ["--checkpoint", "{tmp}/missing.ckpt"], "compatibility"),
+    ("checkpoint-directory", "eval", ["--checkpoint", "{tmp}"], "compatibility"),
+    ("eval-batch-size-0", "eval", ["--batch-size", "0"], "config"),
+    ("eval-batch-size-negative", "eval", ["--batch-size", "-3"], "config"),
+    ("attribute-ids-not-int", "attribute", ["--ids", "1,x"], "config"),
+    ("attribute-limit-negative", "attribute", ["--limit", "-1"], "config"),
+]
+
+
+@pytest.mark.parametrize("command,flags,category", [row[1:] for row in BAD_INPUT],
+                         ids=[row[0] for row in BAD_INPUT])
+def test_bad_input_exits_with_its_category(workdir, tmp_path, capsys, command, flags, category):
+    (tmp_path / "latin1.jsonl").write_bytes(b'{"text": "caf\xe9", "label": 1}\n')
+    (tmp_path / "int.jsonl").write_text("5\n")
+    (tmp_path / "null.jsonl").write_text("null\n")
+    argv = [command, "--checkpoint", str(workdir["ckpt"]), "--data", str(workdir["data"]),
+            "--split", "val", "--output-dir", str(tmp_path / "out")]
+    code = main(argv + [flag.format(tmp=tmp_path) for flag in flags])
+    err = capsys.readouterr().err
+    assert code == EXIT_CODES[category]
+    assert f"error: category={category}" in err
+    assert "Traceback" not in err

@@ -10,6 +10,8 @@ import pytest
 
 from switchtext import RunConfig, Tensor, generate_synthetic_corpus
 from switchtext import tensor as T
+from switchtext import training
+from switchtext.data import class_weights
 from switchtext.errors import ConfigError, DataError
 from switchtext.model import ModelConfig, file_digest, load_checkpoint
 from switchtext.tensor import Tape
@@ -206,16 +208,19 @@ class TestTrainRuns:
         assert "warning" in capsys.readouterr().out
         assert os.path.exists(result.checkpoint_path)
         model, vocab, extra = load_checkpoint(result.checkpoint_path)
-        assert extra["epoch"] == 0
+        assert extra["epoch"] == result.best_epoch == 0
         assert result.history == []
 
-    def test_stop_at_accuracy_target(self):
+    def test_stop_at_accuracy_target(self, tmp_path):
         corpus = generate_synthetic_corpus(160, seed=6, noise=0.0,
                                            min_tokens=8, max_tokens=16)
         config = quick_config(epochs=40, stop_at_val_accuracy=0.8, peak_lr=3e-3)
-        result = train(config, corpus, out_dir=None, quiet=True)
+        result = train(config, corpus, out_dir=str(tmp_path), quiet=True)
         assert len(result.history) < 40
         assert result.history[-1]["val"].accuracy >= 0.8
+        # The model of the last epoch run is the one kept, and named so.
+        assert result.best_epoch == len(result.history)
+        assert load_checkpoint(result.checkpoint_path)[2]["epoch"] == len(result.history)
 
     def test_artifact_columns(self, tmp_path):
         corpus = generate_synthetic_corpus(80, seed=7, min_tokens=6, max_tokens=12)
@@ -240,6 +245,49 @@ class TestTrainRuns:
         train(quick_config(variant="dense", epochs=1), corpus, out_dir=str(out), quiet=True)
         lines = (out / "routing.tsv").read_text().strip().split("\n")
         assert lines == ["epoch\tlayer\texpert\ttoken_fraction\toverflow_fraction"]
+
+
+class TestRestoredEpoch:
+    """The returned model, ``best_epoch``, ``final_val`` and the checkpoint
+    describe one epoch: the best under early stopping, else the last run."""
+
+    @staticmethod
+    def run(early_stopping, out_dir=None, epochs=12):
+        # Early stopping keeps epoch 4 of the 6 this run gets to.
+        corpus = generate_synthetic_corpus(150, seed=4, noise=0.15, min_tokens=8, max_tokens=20)
+        config = quick_config(epochs=epochs, early_stopping=early_stopping, patience=2,
+                              peak_lr=1e-2)
+        return train(config, corpus, out_dir=out_dir, quiet=True)
+
+    @pytest.mark.parametrize("early_stopping", [True, False])
+    @pytest.mark.parametrize("with_out_dir", [True, False])
+    def test_final_val_is_the_restored_epochs_logged_report(self, tmp_path, early_stopping,
+                                                            with_out_dir):
+        result = self.run(early_stopping, str(tmp_path) if with_out_dir else None)
+        if early_stopping:
+            assert result.stopped_early and result.best_epoch < len(result.history)
+        else:
+            assert result.best_epoch == len(result.history) == 12
+        restored = result.history[result.best_epoch - 1]["val"]
+        assert result.final_val.to_dict() == restored.to_dict()
+        weights = class_weights(np.asarray([e.label for e in result.encoded["train"]]))
+        assert evaluate(result.model, result.encoded["val"], weights=weights).report.loss == restored.loss
+
+    def test_restore_without_out_dir_matches_the_saved_run(self, tmp_path):
+        saved = self.run(True, str(tmp_path))
+        unsaved = self.run(True)
+        assert unsaved.best_epoch == saved.best_epoch < len(saved.history)
+        assert unsaved.checkpoint_path == ""
+        for (name, p), (_, q) in zip(saved.model.parameters(), unsaved.model.parameters()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
+    @pytest.mark.parametrize("epochs", [0, 12])
+    def test_one_validation_pass_per_epoch(self, monkeypatch, epochs):
+        calls = []
+        real = training.evaluate
+        monkeypatch.setattr(training, "evaluate", lambda *a, **k: calls.append(1) or real(*a, **k))
+        result = self.run(True, epochs=epochs)
+        assert len(calls) == max(1, len(result.history))
 
 
 class TestEmptySplits:
