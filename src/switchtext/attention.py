@@ -78,23 +78,13 @@ def _key_bias(pad_mask: np.ndarray, scores_ndim: int) -> np.ndarray:
 
 
 def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, pad_mask=None) -> Tensor:
-    """softmax(q kᵀ / sqrt(d_k) + key bias) v.
+    """softmax(q kᵀ / sqrt(d_k) + key bias) v, one ``T.attention`` node.
 
     ``pad_mask`` is a boolean array marking real key positions; its shape is
     the key extent with any leading batch axes of q/k/v.  Masked keys get
     attention weight exactly 0; rows over unmasked keys sum to 1.
     """
-    d_k = q.shape[-1]
-    scores = T.mul(T.matmul(q, T.transpose(k, _swap_last(k.ndim))), 1.0 / np.sqrt(d_k))
-    if pad_mask is not None:
-        scores = T.add(scores, Tensor(_key_bias(pad_mask, scores.ndim)))
-    return T.matmul(T.softmax(scores, axis=-1), v)
-
-
-def _swap_last(ndim: int) -> tuple[int, ...]:
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
+    return T.attention(q, k, v, None if pad_mask is None else _key_bias(pad_mask, q.ndim))
 
 
 def multi_head_attention(h: Tensor, p: MultiHeadParams, pad_mask: np.ndarray) -> Tensor:
@@ -123,6 +113,7 @@ def multi_head_attention(h: Tensor, p: MultiHeadParams, pad_mask: np.ndarray) ->
     return linear(pack(rows, pad_mask), p.wo)
 
 
-def position_wise_ffn(x: Tensor, p: FfnParams) -> Tensor:
-    """ReLU(x W1 + b1) W2 + b2, independently at every position."""
-    return linear(T.relu(linear(x, p.lin1)), p.lin2)
+def position_wise_ffn(x: Tensor, p: FfnParams, sizes=None) -> Tensor:
+    """ReLU(x W1 + b1) W2 + b2, independently at every position.  With
+    ``sizes`` the maps are stacked, one per group of rows (see ``linear``)."""
+    return linear(T.relu(linear(x, p.lin1, sizes)), p.lin2, sizes)

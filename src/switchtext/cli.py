@@ -79,21 +79,31 @@ def _prepare_eval_inputs(checkpoint_path: str, data_path: str, split: str):
     return model, vocab, dataset, encoded, run_cfg
 
 
+def _make_output_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot create output directory {path}: {e.strerror}") from e
+
+
 def cmd_gen_data(args) -> int:
     dataset = generate_synthetic_corpus(
         n=args.n, positive_fraction=args.positive_fraction,
         noise=args.noise, seed=args.seed,
     )
-    write_jsonl(args.out, dataset)
     manifest = {
         "command": "gen-data",
         "n": args.n, "positive_fraction": args.positive_fraction,
         "noise": args.noise, "seed": args.seed,
         "dataset_digest": dataset_digest(dataset),
     }
-    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        write_jsonl(args.out, dataset)
+        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise ConfigError(f"cannot write {e.filename}: {e.strerror}") from e
     print(f"wrote {len(dataset)} examples to {args.out}")
     return 0
 
@@ -116,7 +126,7 @@ def resolve_train_config(args, command: str) -> RunConfig:
 
 def _run_train(args, command: str) -> int:
     config = resolve_train_config(args, command)
-    os.makedirs(config.output_dir, exist_ok=True)
+    _make_output_dir(config.output_dir)
     dataset = read_jsonl(config.data_path)
     result = train(config, dataset, out_dir=config.output_dir, command=command)
     print("\n".join(result.final_val.table_lines()))
@@ -129,8 +139,8 @@ def cmd_eval(args) -> int:
     model, vocab, dataset, encoded, run_cfg = _prepare_eval_inputs(
         args.checkpoint, args.data, args.split
     )
+    _make_output_dir(args.output_dir)
     outcome = evaluate(model, encoded, batch_size=args.batch_size)
-    os.makedirs(args.output_dir, exist_ok=True)
     name = f"report_{args.split}"
     _write_report(args.output_dir, name, outcome.report)
     with open(f"{args.output_dir}/timings_eval.tsv", "w", encoding="utf-8") as fh:
@@ -146,6 +156,7 @@ def cmd_attribute(args) -> int:
     model, vocab, dataset, encoded, run_cfg = _prepare_eval_inputs(
         args.checkpoint, args.data, args.split
     )
+    _make_output_dir(args.output_dir)
     if args.ids:
         try:
             wanted = [int(s) for s in args.ids.split(",")]
@@ -158,7 +169,6 @@ def cmd_attribute(args) -> int:
         reports = rank_misclassified(model, encoded, vocab=vocab, target=args.target,
                                      num_steps=args.num_steps, baseline=args.baseline,
                                      limit=args.limit)
-    os.makedirs(args.output_dir, exist_ok=True)
     with open(f"{args.output_dir}/attributions.txt", "w", encoding="utf-8") as text_fh, \
             open(f"{args.output_dir}/attributions.jsonl", "w", encoding="utf-8") as json_fh:
         for example, report in reports:
@@ -185,7 +195,7 @@ def cmd_export_embeddings(args) -> int:
         args.checkpoint, args.data, args.split
     )
     rows = [(e.example_id, e.ids, e.label) for e in encoded]
-    os.makedirs(args.output_dir, exist_ok=True)
+    _make_output_dir(args.output_dir)
     out_path = f"{args.output_dir}/embeddings_layer{args.layer}_{args.split}.tsv"
     count = export_hidden_embeddings(model, rows, args.layer, out_path)
     write_manifest(args.output_dir, "export-embeddings", asdict(run_cfg), run_cfg.seed,

@@ -131,8 +131,12 @@ def named_tensors(node, prefix: str) -> list[tuple[str, Tensor]]:
     return named
 
 
-def linear(x: Tensor, p: LinearParams) -> Tensor:
-    return T.add(T.matmul(x, p.weight), p.bias)
+def linear(x: Tensor, p: LinearParams, sizes=None) -> Tensor:
+    """``x @ weight + bias``; with ``sizes``, stacked [G, in, out] / [G, out]
+    maps, one per consecutive row group (``T.grouped_linear``)."""
+    if sizes is None:
+        return T.add(T.matmul(x, p.weight), p.bias)
+    return T.grouped_linear(x, p.weight, p.bias, sizes)
 
 
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:

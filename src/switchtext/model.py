@@ -30,7 +30,7 @@ from .moe import RoutingRecord, SwitchParams, switch_forward
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"SWTCKPT1"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass

@@ -15,19 +15,22 @@ import numpy as np
 from . import tensor as T
 from .attention import FfnParams, position_wise_ffn
 from .errors import ConfigError, ContractError
-from .layers import LinearParams, linear
+from .layers import LinearParams, init_weight, linear
 from .tensor import Tensor
 
 
 @dataclass
 class SwitchParams:
+    """The gate and the E expert FFNs stacked in one ``FfnParams``: slice j of
+    its [E, d_model, d_ff] / [E, d_ff, d_model] weights and biases is expert j."""
+
     gate: LinearParams
-    experts: list[FfnParams]
+    experts: FfnParams
     capacity_factor: float = 1.25
 
     @property
     def num_experts(self) -> int:
-        return len(self.experts)
+        return self.experts.lin1.weight.shape[0]
 
     @staticmethod
     def create(
@@ -41,11 +44,15 @@ class SwitchParams:
             raise ConfigError(f"num_experts must be >= 1, got {num_experts}")
         if capacity_factor < 1.0:
             raise ConfigError(f"capacity_factor must be >= 1, got {capacity_factor}")
-        return SwitchParams(
-            gate=LinearParams.create(d_model, num_experts, rng),
-            experts=[FfnParams.create(d_model, d_ff, rng) for _ in range(num_experts)],
-            capacity_factor=capacity_factor,
-        )
+        gate = LinearParams.create(d_model, num_experts, rng)
+        experts = FfnParams(*(LinearParams(Tensor(np.empty((num_experts, fan_in, fan_out)), True),
+                                           Tensor(np.zeros((num_experts, fan_out)), True))
+                              for fan_in, fan_out in ((d_model, d_ff), (d_ff, d_model))))
+        if rng is not None:  # expert by expert, as E separate FFNs would be drawn
+            for j in range(num_experts):
+                experts.lin1.weight.data[j] = init_weight(d_model, d_ff, rng).data
+                experts.lin2.weight.data[j] = init_weight(d_ff, d_model, rng).data
+        return SwitchParams(gate=gate, experts=experts, capacity_factor=capacity_factor)
 
 
 @dataclass
@@ -95,10 +102,13 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
 
     Returns ``(output, RoutingRecord, aux_loss)``.  Each token's output is
     its chosen gate probability times that expert's FFN.  In training an
-    expert serves at most floor(capacity_factor*T/E) tokens; the rest
-    contribute zero (the caller's residual connection carries them) and are
-    recorded as overflow, never an error.  Outside training every token is
-    served, so an output depends only on its own input.
+    expert serves at most floor(capacity_factor*T/E) tokens, its first in
+    token order; the rest contribute zero (the caller's residual connection
+    carries them) and are recorded as overflow, never an error.  Outside
+    training every token is served, so an output depends only on its own
+    input.  The served tokens are gathered once in stable expert order, run
+    through the stacked experts as row groups and scattered back (Gale et
+    al. 2022).
     """
     if x.ndim != 2:
         raise ContractError(f"switch_forward expects [T, d] input, got shape {x.shape}")
@@ -109,16 +119,18 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
     aux = load_balance_loss(probs, chosen, E)
 
     capacity = int(np.floor(p.capacity_factor * num_tokens / E)) if training else num_tokens
-    combined = Tensor(np.zeros(x.shape))
-    counts = np.zeros(E, dtype=int)
-    for j, expert in enumerate(p.experts):
-        kept = np.nonzero(chosen == j)[0][:capacity]
-        counts[j] = len(kept)
-        if len(kept):
-            served = position_wise_ffn(T.take_rows(x, kept), expert)
-            combined = T.add(combined, T.scatter_rows(served, kept, num_tokens))
+    dispatched = np.bincount(chosen, minlength=E)
+    order = np.argsort(chosen, kind="stable")
+    rank = np.arange(num_tokens) - (np.cumsum(dispatched) - dispatched)[chosen[order]]
+    kept = order[rank < capacity]
+    counts = np.minimum(dispatched, capacity)
+    if len(kept):
+        served = position_wise_ffn(T.take_rows(x, kept), p.experts, counts)
+        combined = T.scatter_rows(served, kept, num_tokens)
+    else:  # a capacity of 0 serves no token
+        combined = Tensor(np.zeros(x.shape))
     rows = np.arange(num_tokens)
-    out = T.mul(combined, T.reshape(T.pick(probs, rows, chosen), (num_tokens, 1)))
+    out = T.mul(combined, T.pick(probs, rows[:, None], chosen[:, None]))
 
     record = RoutingRecord(
         chosen=chosen,

@@ -215,8 +215,8 @@ def mul(a, b) -> Tensor:
 
 def relu(x) -> Tensor:
     x = _as_tensor(x)
-    keep = x.data > 0
-    return _maybe_record(np.where(keep, x.data, 0.0), [(x, lambda g: g * keep)])
+    y = np.maximum(x.data, 0.0)
+    return _maybe_record(y, [(x, lambda g: g * (y > 0))])
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +237,36 @@ def matmul(a, b) -> Tensor:
     return _maybe_record(out, [
         (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)),
         (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)),
+    ])
+
+
+def grouped_linear(x, w, b, sizes) -> Tensor:
+    """``x[rows] @ w[j] + b[j]`` for the consecutive row groups of ``x`` [N, d_in],
+    ``sizes[j]`` rows in group j, with ``w`` [G, d_in, d_out] and ``b`` [G, d_out];
+    one node.  Empty groups cost nothing and get zero gradients."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if (x.ndim != 2 or w.ndim != 3 or w.shape[:2] != (len(sizes), x.shape[1])
+            or b.shape != (len(sizes), w.shape[2]) or sum(sizes) != x.shape[0]):
+        raise DimensionError(f"grouped_linear: rows {x.shape}, weights {w.shape}, biases "
+                             f"{b.shape} and group sizes {np.asarray(sizes).tolist()} do not fit")
+    ends = np.cumsum(sizes)
+    groups = [(j, slice(end - n, end)) for j, (n, end) in enumerate(zip(sizes, ends)) if n]
+    xd, wd = x.data, w.data
+    out = np.empty((x.shape[0], w.shape[2]))
+    for j, rows in groups:
+        np.matmul(xd[rows], wd[j], out=out[rows])
+        out[rows] += b.data[j]
+
+    def per_group(shape, fill):  # fill(grad, j, rows) writes group j's share
+        grad = np.empty(shape) if len(groups) == len(sizes) else np.zeros(shape)
+        for j, rows in groups:
+            fill(grad, j, rows)
+        return grad
+
+    return _maybe_record(out, [
+        (x, lambda g: per_group(xd.shape, lambda d, j, r: np.matmul(g[r], wd[j].T, out=d[r]))),
+        (w, lambda g: per_group(wd.shape, lambda d, j, r: np.matmul(xd[r].T, g[r], out=d[j]))),
+        (b, lambda g: per_group(b.shape, lambda d, j, r: np.sum(g[r], axis=0, out=d[j]))),
     ])
 
 
@@ -307,24 +337,25 @@ def layer_norm(x, gamma, beta, epsilon: float) -> Tensor:
 
 
 def softmax(x, axis: int = -1) -> Tensor:
-    """Softmax along ``axis`` with max-subtraction for stability.
-
-    The exponential and the normalization run in place on one buffer.  The
-    attention scores are the largest arrays of a forward pass; fewer
-    score-sized temporaries keep its peak memory low enough that the C heap
-    is not handed back to the system and faulted in again on every batch.
-    """
+    """Softmax along ``axis`` with max-subtraction for stability."""
     x = _as_tensor(x)
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"softmax axis {axis} out of range for shape {x.shape}")
-    if not np.isfinite(x.data).all():
-        raise NumericError("softmax input contains non-finite values")
-    y = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
+    y = _softmax_in_place(x.data.copy(), axis)
     return _maybe_record(y, [
         (x, lambda g: (g - (g * y).sum(axis=axis, keepdims=True)) * y),
     ])
+
+
+def _softmax_in_place(y: np.ndarray, axis: int) -> np.ndarray:
+    """Overwrite ``y`` with its softmax along ``axis``.  In place, so score-sized
+    temporaries do not make the C heap shrink and re-fault on every batch."""
+    if not np.isfinite(y).all():
+        raise NumericError("softmax input contains non-finite values")
+    y -= y.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    return y
 
 
 def log_softmax(x, axis: int = -1) -> Tensor:
@@ -335,6 +366,37 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     return _maybe_record(y, [
         (x, lambda g: g - np.exp(y) * g.sum(axis=axis, keepdims=True)),
+    ])
+
+
+def attention(q, k, v, key_bias: np.ndarray | None = None) -> Tensor:
+    """``softmax(q kᵀ / sqrt(d_k) + key_bias) v`` over the last two axes as one
+    node, ``key_bias`` untracked.  Closed-form backward: with weights P and
+    ``dP = g vᵀ``, ``dS = (dP - sum(dP * P)) * P / sqrt(d_k)`` gives
+    ``dq = dS k``, ``dk = (qᵀ dS)ᵀ`` and ``dv = Pᵀ g``."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise DimensionError(f"attention needs q and k of one width and k and v of one "
+                             f"length, got q {q.shape}, k {k.shape}, v {v.shape}")
+    qd, kd, vd = q.data, k.data, v.data
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    probs = np.matmul(qd, np.swapaxes(kd, -1, -2))
+    probs *= scale
+    if key_bias is not None:
+        probs += key_bias
+    _softmax_in_place(probs, -1)
+    last = [None, None]  # (incoming gradient, its score gradient), shared by dq and dk
+
+    def d_scores(g):
+        if last[0] is not g:
+            d_probs = np.matmul(g, np.swapaxes(vd, -1, -2))
+            last[:] = g, (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True)) * probs * scale
+        return last[1]
+
+    return _maybe_record(np.matmul(probs, vd), [
+        (q, lambda g: np.matmul(d_scores(g), kd)),
+        (k, lambda g: np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), d_scores(g)), -1, -2)),
+        (v, lambda g: np.matmul(np.swapaxes(probs, -1, -2), g)),
     ])
 
 
@@ -395,7 +457,8 @@ def scatter_rows(x, indices, num_rows: int) -> Tensor:
 
 
 def pick(x, rows, cols) -> Tensor:
-    """Select entries ``x[rows[i], cols[i]]`` of a 2-D tensor, returning 1-D."""
+    """Select entries ``x[rows[i], cols[i]]`` of a 2-D tensor; the result has
+    the shape of the index arrays."""
     x = _as_tensor(x)
     if x.ndim != 2:
         raise DimensionError(f"pick needs a 2-D tensor, got shape {x.shape}")

@@ -3,6 +3,8 @@
 import numpy as np
 
 from switchtext import Tensor, finite_difference_check
+from switchtext.attention import FfnParams
+from switchtext.layers import LinearParams
 
 
 def check_param_gradient(make_loss, holder, attr, h=1e-6):
@@ -32,3 +34,10 @@ def check_many_params(make_loss, targets, h=1e-6, tol=1e-4):
         assert err < tol, f"gradient check failed for {type(holder).__name__}.{attr}: {err}"
         worst = max(worst, err)
     return worst
+
+
+def expert(p, j):
+    """Expert j of a switch layer's stacked experts as its own FfnParams,
+    holding views of slice j."""
+    return FfnParams(*(LinearParams(Tensor(lin.weight.data[j]), Tensor(lin.bias.data[j]))
+                       for lin in (p.experts.lin1, p.experts.lin2)))

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import check_many_params
+from helpers import check_many_params, expert
 from switchtext import (EncoderModel, ModelConfig, RunConfig, Tensor,
                         count_parameters, finite_difference_check,
                         generate_synthetic_corpus)
@@ -104,7 +104,7 @@ class TestCriterion1GradientCorrectness:
 
         worst = max(worst, check_many_params(switch_loss, [
             (sw.gate, "weight"), (sw.gate, "bias"),
-            (sw.experts[0].lin1, "weight"), (sw.experts[1].lin2, "weight"),
+            (sw.experts.lin1, "weight"), (sw.experts.lin2, "weight"),
         ]))
 
         # full model loss, both variants
@@ -128,7 +128,7 @@ class TestCriterion1GradientCorrectness:
             ]
             if variant == "switch":
                 targets += [(model.blocks[0].mixer.gate, "weight"),
-                            (model.blocks[1].mixer.experts[0].lin1, "weight")]
+                            (model.blocks[1].mixer.experts.lin1, "weight")]
             else:
                 targets += [(model.blocks[0].mixer.lin1, "weight")]
             worst = max(worst, check_many_params(model_loss, targets))
@@ -148,7 +148,8 @@ class TestCriterion2MoeEquivalences:
         switch = EncoderModel.build(ModelConfig(variant="switch", num_experts=1, **common))
         by_name = dict(switch.parameters())
         for name, p in dense.parameters():
-            by_name[name.replace(".mixer.", ".mixer.experts.0.")].data = p.data.copy()
+            twin = by_name[name.replace(".mixer.", ".mixer.experts.")]
+            twin.data = p.data.reshape(twin.shape).copy()
         ids = np.array([[2, 3, 4, 5], [6, 7, 0, 0]])
         mask = ids != 0
         diff = np.abs(dense.forward(ids, mask).logits.data
@@ -161,7 +162,7 @@ class TestCriterion2MoeEquivalences:
         sw.gate.bias.data = np.array([0.0, -1e30, -1e30])
         x = rng.standard_normal((5, 6))
         out, _, _ = switch_forward(Tensor(x), sw, training=False)
-        expert_out = position_wise_ffn(Tensor(x), sw.experts[0]).data
+        expert_out = position_wise_ffn(Tensor(x), expert(sw, 0)).data
         np.testing.assert_array_equal(out.data, expert_out)
         report(2, "mixture equivalences",
                f"switch(E=1) vs dense max logit diff {diff:.2e}; forced-gate top-1 exact")

@@ -3,6 +3,7 @@ config merging and overrides, error categories, and artifact layout."""
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -259,9 +260,10 @@ class TestExportEmbeddings:
         assert "num_layers" in capsys.readouterr().err
 
 
-# Each row: case id, command, flags that override the defaults (a trained
-# checkpoint, the shared corpus and a fresh output directory; {tmp} is a
-# directory holding the bad files below), and the error category.
+# Each row: case id, command, flags that override the command's defaults in
+# BASE_ARGV (a trained checkpoint, the shared corpus and a fresh output
+# path; {tmp} is a directory holding the bad files below), and the error
+# category.
 BAD_INPUT = [
     ("data-missing", "eval", ["--data", "{tmp}/missing.jsonl"], "data"),
     ("data-directory", "eval", ["--data", "{tmp}"], "data"),
@@ -270,11 +272,27 @@ BAD_INPUT = [
     ("data-record-null", "eval", ["--data", "{tmp}/null.jsonl"], "data"),
     ("checkpoint-missing", "eval", ["--checkpoint", "{tmp}/missing.ckpt"], "compatibility"),
     ("checkpoint-directory", "eval", ["--checkpoint", "{tmp}"], "compatibility"),
+    ("checkpoint-format-3", "eval", ["--checkpoint", "{tmp}/v3.ckpt"], "compatibility"),
     ("eval-batch-size-0", "eval", ["--batch-size", "0"], "config"),
     ("eval-batch-size-negative", "eval", ["--batch-size", "-3"], "config"),
     ("attribute-ids-not-int", "attribute", ["--ids", "1,x"], "config"),
     ("attribute-limit-negative", "attribute", ["--limit", "-1"], "config"),
+    ("output-dir-file-train", "train", ["--output-dir", "{tmp}/afile"], "config"),
+    ("output-dir-file-eval", "eval", ["--output-dir", "{tmp}/afile"], "config"),
+    ("output-dir-file-attribute", "attribute", ["--output-dir", "{tmp}/afile"], "config"),
+    ("output-dir-file-export", "export-embeddings", ["--output-dir", "{tmp}/afile"], "config"),
+    ("gen-data-out-missing-dir", "gen-data", ["--out", "{tmp}/missing/g.jsonl"], "config"),
 ]
+EVAL_ARGV = ["--checkpoint", "{ckpt}", "--data", "{data}", "--split", "val",
+             "--output-dir", "{tmp}/out"]
+BASE_ARGV = {
+    "eval": EVAL_ARGV,
+    "attribute": EVAL_ARGV + ["--num-steps", "8"],
+    "export-embeddings": EVAL_ARGV + ["--layer", "0"],
+    "train": ["--data-path", "{data}", "--output-dir", "{tmp}/out", "--epochs", "0",
+              "--d-model", "8", "--num-heads", "2", "--d-ff", "16", "--num-layers", "1"],
+    "gen-data": ["--n", "10", "--out", "{tmp}/g.jsonl"],
+}
 
 
 @pytest.mark.parametrize("command,flags,category", [row[1:] for row in BAD_INPUT],
@@ -283,9 +301,17 @@ def test_bad_input_exits_with_its_category(workdir, tmp_path, capsys, command, f
     (tmp_path / "latin1.jsonl").write_bytes(b'{"text": "caf\xe9", "label": 1}\n')
     (tmp_path / "int.jsonl").write_text("5\n")
     (tmp_path / "null.jsonl").write_text("null\n")
-    argv = [command, "--checkpoint", str(workdir["ckpt"]), "--data", str(workdir["data"]),
-            "--split", "val", "--output-dir", str(tmp_path / "out")]
-    code = main(argv + [flag.format(tmp=tmp_path) for flag in flags])
+    (tmp_path / "afile").write_text("")
+    raw = workdir["ckpt"].read_bytes()  # the same checkpoint, labelled format 3
+    (blob_len,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + blob_len])
+    header["format_version"] = 3
+    blob = json.dumps(header).encode("utf-8")
+    (tmp_path / "v3.ckpt").write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                                       + raw[16 + blob_len:])
+    argv = [command] + [arg.format(tmp=tmp_path, ckpt=workdir["ckpt"], data=workdir["data"])
+                        for arg in BASE_ARGV[command] + flags]
+    code = main(argv)
     err = capsys.readouterr().err
     assert code == EXIT_CODES[category]
     assert f"error: category={category}" in err

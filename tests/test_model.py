@@ -114,8 +114,8 @@ class TestForward:
         switch = EncoderModel.build(tiny_config("switch", num_experts=1))
         by_name = dict(switch.parameters())
         for name, p in dense.parameters():
-            twin = by_name[name.replace(".mixer.", ".mixer.experts.0.")]
-            twin.data = p.data.copy()
+            twin = by_name[name.replace(".mixer.", ".mixer.experts.")]
+            twin.data = p.data.reshape(twin.shape).copy()
         ids = np.array([[2, 3, 4, 0], [5, 6, 0, 0]])
         mask = ids != 0
         out_dense = dense.forward(ids, mask).logits.data
@@ -184,8 +184,7 @@ class TestParameterCount:
 
     def test_names_follow_the_parameter_tree(self):
         model = EncoderModel.build(tiny_config("switch", num_layers=1, num_experts=2))
-        experts = [f"blocks.0.mixer.experts.{e}.lin{i}.{k}"
-                   for e in range(2) for i in (1, 2) for k in ("weight", "bias")]
+        experts = [f"blocks.0.mixer.experts.lin{i}.{k}" for i in (1, 2) for k in ("weight", "bias")]
         assert [name for name, _ in model.parameters()] == [
             "embeddings.table", "embeddings.positional",
             "blocks.0.mha.wq", "blocks.0.mha.wk", "blocks.0.mha.wv",
@@ -195,6 +194,8 @@ class TestParameterCount:
             "blocks.0.norm2.gamma", "blocks.0.norm2.beta",
             "head.weight", "head.bias",
         ]
+        shapes = {name: p.shape for name, p in model.parameters()}
+        assert [shapes[name] for name in experts] == [(2, 8, 16), (2, 16), (2, 16, 8), (2, 8)]
 
     def test_switch_minus_dense_identity(self):
         common = dict(num_layers=4, num_heads=4, d_model=16, d_ff=64,
@@ -232,8 +233,8 @@ class TestEndToEndGradients:
         if variant == "switch":
             targets += [
                 (model.blocks[0].mixer.gate, "weight"),
-                (model.blocks[0].mixer.experts[0].lin1, "weight"),
-                (model.blocks[1].mixer.experts[1].lin2, "bias"),
+                (model.blocks[0].mixer.experts.lin1, "weight"),
+                (model.blocks[1].mixer.experts.lin2, "bias"),
             ]
         else:
             targets += [
@@ -355,10 +356,10 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_1_rejected(self, tmp_path):
-        # Versions 1 (per-head attention names) and 2 (a dense_moe config key)
-        # both predate the current format.
+        # Versions 1 (per-head attention names), 2 (a dense_moe config key)
+        # and 3 (one set of tensors per expert) predate the current format.
         path, raw, blob_len = self.saved(tmp_path)
-        for version in (1, 2):
+        for version in (1, 2, 3):
             self.rewrite(path, raw, blob_len, lambda h: h.update(format_version=version))
             with pytest.raises(CompatibilityError, match=f"format version {version} in"):
                 load_checkpoint(path)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import check_many_params
+from helpers import check_many_params, expert
 from switchtext import AdamW, Tape, Tensor
 from switchtext import tensor as T
 from switchtext.attention import FfnParams
@@ -55,20 +55,18 @@ class TestSwitchForward:
         p = make_params(n_experts=1)
         x = Tensor(rng.standard_normal((5, 4)))
         out, record, aux = switch_forward(x, p)
-        np.testing.assert_allclose(out.data, ffn_numpy(x.data, p.experts[0]), atol=1e-12)
+        np.testing.assert_allclose(out.data, ffn_numpy(x.data, expert(p, 0)), atol=1e-12)
         np.testing.assert_array_equal(record.chosen_prob, np.ones(5))
         assert aux.item() == 1.0
 
     def test_identical_experts_routing_independent(self):
         p = make_params(n_experts=3, capacity_factor=10.0)
-        for e in p.experts[1:]:
-            e.lin1.weight.data = p.experts[0].lin1.weight.data.copy()
-            e.lin1.bias.data = p.experts[0].lin1.bias.data.copy()
-            e.lin2.weight.data = p.experts[0].lin2.weight.data.copy()
-            e.lin2.bias.data = p.experts[0].lin2.bias.data.copy()
+        for lin in (p.experts.lin1, p.experts.lin2):
+            lin.weight.data[1:] = lin.weight.data[0]
+            lin.bias.data[1:] = lin.bias.data[0]
         x = rng.standard_normal((6, 4))
         out, record, _ = switch_forward(Tensor(x), p)
-        expected = record.chosen_prob[:, None] * ffn_numpy(x, p.experts[0])
+        expected = record.chosen_prob[:, None] * ffn_numpy(x, expert(p, 0))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_hand_evaluated_two_token_dispatch(self):
@@ -83,8 +81,8 @@ class TestSwitchForward:
         assert record.capacity == 1  # floor(1.25 * 2 / 2)
         np.testing.assert_array_equal(record.chosen, [0, 1])
         np.testing.assert_allclose(record.chosen_prob, [0.9, 0.8], atol=1e-12)
-        np.testing.assert_allclose(out.data[0], 0.9 * ffn_numpy(x[:1], p.experts[0])[0], atol=1e-12)
-        np.testing.assert_allclose(out.data[1], 0.8 * ffn_numpy(x[1:], p.experts[1])[0], atol=1e-12)
+        np.testing.assert_allclose(out.data[0], 0.9 * ffn_numpy(x[:1], expert(p, 0))[0], atol=1e-12)
+        np.testing.assert_allclose(out.data[1], 0.8 * ffn_numpy(x[1:], expert(p, 1))[0], atol=1e-12)
         # f = (1/2, 1/2); P = ((0.9+0.2)/2, (0.1+0.8)/2); aux = 2 * sum(f*P) = 1.0
         np.testing.assert_allclose(aux.item(), 1.0, atol=1e-12)
 
@@ -115,15 +113,29 @@ class TestSwitchForward:
         # The gate rigged as in the overflow case: every token to expert 0.
         p.gate.weight.data = np.zeros_like(p.gate.weight.data)
         p.gate.bias.data = np.array([5.0, -5.0])
-        p.experts[0].lin2.bias.data = np.ones(4)  # a served row is never zero
+        p.experts.lin2.bias.data[0] = 1.0  # a served row is never zero
         x = rng.standard_normal((6, 4))
         out, record, _ = switch_forward(Tensor(x), p, training=False)
         assert record.capacity == 6
         assert record.overflow == 0
         np.testing.assert_array_equal(record.counts, [6, 0])
         assert (np.abs(out.data).sum(axis=1) > 0).all()
-        expected = record.chosen_prob[:, None] * ffn_numpy(x, p.experts[0])
+        expected = record.chosen_prob[:, None] * ffn_numpy(x, expert(p, 0))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    def test_capacity_zero_serves_no_token(self):
+        # floor(1.25 * 2 / 4) = 0: no expert serves anything in training.
+        p = make_params(n_experts=4, capacity_factor=1.25)
+        x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        with Tape() as tape:
+            out, record, aux = switch_forward(x, p, training=True)
+            loss = T.add(T.sum_(out), aux)
+        tape.backward(loss)
+        assert record.capacity == 0
+        assert record.overflow == record.num_tokens == 2
+        np.testing.assert_array_equal(record.counts, np.zeros(4))
+        np.testing.assert_array_equal(out.data, np.zeros((2, 4)))
+        assert p.experts.lin1.weight.grad is None and x.grad is not None
 
     def test_input_rank_enforced(self):
         with pytest.raises(ContractError):
@@ -174,9 +186,77 @@ class TestGradients:
 
         check_many_params(make_loss, [
             (p.gate, "weight"), (p.gate, "bias"),
-            (p.experts[0].lin1, "weight"), (p.experts[0].lin2, "bias"),
-            (p.experts[1].lin1, "bias"), (p.experts[1].lin2, "weight"),
+            (p.experts.lin1, "weight"), (p.experts.lin1, "bias"),
+            (p.experts.lin2, "weight"), (p.experts.lin2, "bias"),
         ])
+
+
+def switch_reference(x, p: SwitchParams, coeffs, aux_weight):
+    """Training-mode switch output and the gradients of
+    sum(out * coeffs) + aux_weight * aux, by a per-expert numpy loop with
+    hand-written backward rules."""
+    w1, b1 = p.experts.lin1.weight.data, p.experts.lin1.bias.data
+    w2, b2 = p.experts.lin2.weight.data, p.experts.lin2.bias.data
+    num_tokens, E = len(x), len(w1)
+    z = x @ p.gate.weight.data + p.gate.bias.data
+    probs = np.exp(z - z.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    chosen = probs.argmax(axis=1)
+    capacity = int(np.floor(p.capacity_factor * num_tokens / E))
+    out = np.zeros_like(x)
+    grads = {"x": np.zeros_like(x), "w1": np.zeros_like(w1), "b1": np.zeros_like(b1),
+             "w2": np.zeros_like(w2), "b2": np.zeros_like(b2)}
+    d_probs = np.zeros_like(probs)
+    for j in range(E):
+        kept = np.flatnonzero(chosen == j)[:capacity]
+        h = x[kept] @ w1[j] + b1[j]
+        a = np.maximum(h, 0.0)
+        y = a @ w2[j] + b2[j]
+        out[kept] = probs[kept, j][:, None] * y
+        d_probs[kept, j] = (coeffs[kept] * y).sum(axis=1)
+        dy = coeffs[kept] * probs[kept, j][:, None]
+        grads["w2"][j], grads["b2"][j] = a.T @ dy, dy.sum(axis=0)
+        dh = (dy @ w2[j].T) * (h > 0)
+        grads["w1"][j], grads["b1"][j] = x[kept].T @ dh, dh.sum(axis=0)
+        grads["x"][kept] += dh @ w1[j].T
+    # aux = E * sum_j f_j * mean_t probs[t, j]
+    frac = np.bincount(chosen, minlength=E) / num_tokens
+    d_probs += aux_weight * E * frac / num_tokens
+    dz = (d_probs - (d_probs * probs).sum(axis=1, keepdims=True)) * probs
+    grads["gate_w"], grads["gate_b"] = x.T @ dz, dz.sum(axis=0)
+    grads["x"] += dz @ p.gate.weight.data.T
+    return out, grads
+
+
+class TestStackedDispatch:
+    def test_training_matches_per_expert_loop(self):
+        p = make_params(d=6, d_ff=10, n_experts=3, seed=4, capacity_factor=1.0)
+        p.gate.bias.data = np.array([1.5, 0.0, -0.5])  # expert 0 overflows
+        x = Tensor(rng.standard_normal((12, 6)), requires_grad=True)
+        coeffs = rng.standard_normal((12, 6))
+        with Tape() as tape:
+            out, record, aux = switch_forward(x, p, training=True)
+            loss = T.add(T.sum_(T.mul(out, Tensor(coeffs))), T.mul(aux, 0.01))
+        tape.backward(loss)
+        assert record.overflow > 0 and record.counts.min() > 0
+        expected, grads = switch_reference(x.data, p, coeffs, 0.01)
+        np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+        got = {"x": x.grad, "w1": p.experts.lin1.weight.grad, "b1": p.experts.lin1.bias.grad,
+               "w2": p.experts.lin2.weight.grad, "b2": p.experts.lin2.bias.grad,
+               "gate_w": p.gate.weight.grad, "gate_b": p.gate.bias.grad}
+        for name, g in grads.items():
+            np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_fresh_draw_is_expert_by_expert(self):
+        # Expert j's weights are the draws E separate FFNs would get, in turn.
+        gen = np.random.default_rng(2)
+        p = SwitchParams.create(4, 6, 3, np.random.default_rng(2))
+        gen.normal(size=(4, 3))  # the gate
+        for j in range(3):
+            np.testing.assert_array_equal(p.experts.lin1.weight.data[j],
+                                          gen.normal(0.0, np.sqrt(2 / 10), size=(4, 6)))
+            np.testing.assert_array_equal(p.experts.lin2.weight.data[j],
+                                          gen.normal(0.0, np.sqrt(2 / 10), size=(6, 4)))
 
 
 class TestForcedGate:
@@ -188,7 +268,7 @@ class TestForcedGate:
         p.gate.bias.data = np.array([0.0, -1e30])
         x = rng.standard_normal((5, 3))
         out, _, _ = switch_forward(Tensor(x), p, training=False)
-        np.testing.assert_array_equal(out.data, ffn_numpy(x, p.experts[0]))
+        np.testing.assert_array_equal(out.data, ffn_numpy(x, expert(p, 0)))
 
 
 class TestExpertUtilization:

@@ -233,6 +233,89 @@ class TestGatherScatter:
         assert finite_difference_check(build, Tensor(rng.standard_normal(8)), h=1e-6) < 1e-4
 
 
+class TestGroupedLinear:
+    sizes = np.array([2, 0, 3])  # the middle group is empty
+
+    def operands(self):
+        return (rng.standard_normal((5, 4)), rng.standard_normal((3, 4, 2)),
+                rng.standard_normal((3, 2)))
+
+    def test_each_group_maps_through_its_slice(self):
+        x, w, b = self.operands()
+        out = T.grouped_linear(Tensor(x), Tensor(w), Tensor(b), self.sizes).data
+        np.testing.assert_array_equal(out[:2], x[:2] @ w[0] + b[0])
+        np.testing.assert_array_equal(out[2:], x[2:] @ w[2] + b[2])
+
+    def test_finite_difference_and_empty_group(self):
+        x, w, b = self.operands()
+        coeffs = Tensor(rng.standard_normal((5, 2)))
+        operands = {"x": x, "w": w, "b": b}
+        for name in operands:
+            def f(t, name=name):
+                args = {k: Tensor(v) for k, v in operands.items()}
+                args[name] = t
+                out = T.grouped_linear(args["x"], args["w"], args["b"], self.sizes)
+                return T.sum_(T.mul(out, coeffs))
+            assert finite_difference_check(f, Tensor(operands[name]), h=1e-6) < 1e-4, name
+        wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+        with Tape() as tape:
+            y = T.sum_(T.mul(T.grouped_linear(Tensor(x), wt, bt, self.sizes), coeffs))
+        tape.backward(y)
+        assert len(tape._nodes) == 3  # grouped_linear, mul, sum
+        assert not wt.grad[1].any() and not bt.grad[1].any()
+
+    def test_shapes_checked(self):
+        x, w, b = self.operands()
+        with pytest.raises(DimensionError):
+            T.grouped_linear(Tensor(x), Tensor(w), Tensor(b), np.array([2, 2, 2]))
+        with pytest.raises(DimensionError):
+            T.grouped_linear(Tensor(x), Tensor(w[0]), Tensor(b[0]), np.array([5]))
+
+
+class TestAttention:
+    """One node for softmax(q kᵀ / sqrt(d_k) + bias) v on [batch, heads,
+    len, d_k] operands, with more keys than queries and masked keys."""
+
+    mask = np.array([[True, True, True, False, False], [True, True, True, True, True]])
+    bias = np.where(mask, 0.0, -1e30)[:, None, None, :]
+
+    def operands(self):
+        return (rng.standard_normal((2, 2, 3, 4)), rng.standard_normal((2, 2, 5, 4)),
+                rng.standard_normal((2, 2, 5, 3)))
+
+    def test_matches_the_composite(self):
+        q, k, v = self.operands()
+        scores = T.add(T.mul(T.matmul(Tensor(q), Tensor(np.swapaxes(k, -1, -2))), 0.5),
+                       Tensor(self.bias))
+        composite = T.matmul(T.softmax(scores), Tensor(v)).data
+        fused = T.attention(Tensor(q), Tensor(k), Tensor(v), self.bias).data
+        np.testing.assert_array_equal(fused, composite)
+        # Masked keys carry no weight: garbage in their values changes nothing.
+        v[0, :, 3:] = 1e12
+        np.testing.assert_array_equal(T.attention(Tensor(q), Tensor(k), Tensor(v), self.bias).data,
+                                      fused)
+
+    def test_finite_difference(self):
+        q, k, v = self.operands()
+        coeffs = Tensor(rng.standard_normal((2, 2, 3, 3)))
+        operands = {"q": q, "k": k, "v": v}
+        for name in operands:
+            def f(t, name=name):
+                args = {key: Tensor(val) for key, val in operands.items()}
+                args[name] = t
+                return T.sum_(T.mul(T.attention(args["q"], args["k"], args["v"], self.bias), coeffs))
+            assert finite_difference_check(f, Tensor(operands[name]), h=1e-6) < 1e-4, name
+
+    def test_one_node_and_non_finite_scores(self):
+        q, k, v = (Tensor(a, requires_grad=True) for a in self.operands())
+        with Tape() as tape:
+            out = T.attention(q, k, v, self.bias)
+        assert len(tape._nodes) == 1 and out.shape == (2, 2, 3, 3)
+        q.data[0, 0, 0, 0] = np.nan
+        with pytest.raises(NumericError):
+            T.attention(q, k, v, self.bias)
+
+
 class TestDropout:
     def test_rate_zero_is_identity_object(self):
         x = Tensor([1.0, 2.0])
