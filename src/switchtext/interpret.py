@@ -54,7 +54,9 @@ def path_integrated_gradients(fn, x: np.ndarray, baseline: np.ndarray, num_steps
     ``fn`` maps a Tensor shaped like ``x`` to a scalar Tensor.  The path
     integral is the right-Riemann sum over ``num_steps`` points.  Returns
     ``(attributions, delta, residual)`` where delta = fn(x) - fn(baseline)
-    and residual = attributions.sum() - delta.
+    and residual = attributions.sum() - delta.  Each path point is
+    differentiated with respect to its probe only, so the gradients of any
+    parameters ``fn`` uses are neither computed nor touched.
     """
     if num_steps < 8:
         raise ConfigError(f"num_steps must be >= 8, got {num_steps}")
@@ -65,7 +67,7 @@ def path_integrated_gradients(fn, x: np.ndarray, baseline: np.ndarray, num_steps
     total = np.zeros_like(x)
     for k in range(1, num_steps + 1):
         probe = Tensor(baseline + (k / num_steps) * diff, requires_grad=True)
-        with Tape() as tape:
+        with Tape(wrt=[probe]) as tape:
             y = fn(probe)
         tape.backward(y)
         if probe.grad is None:

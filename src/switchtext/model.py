@@ -271,7 +271,8 @@ def export_hidden_embeddings(model: EncoderModel, encoded, layer: int, path,
 
 def save_checkpoint(path, model: EncoderModel, vocab=None, extra: dict | None = None) -> str:
     """Serialize config, vocabulary, and all parameters; returns the file's
-    sha256 digest.  The byte stream is fully deterministic."""
+    sha256 digest, hashed from the bytes as they are written.  The byte
+    stream is fully deterministic."""
     params = model.parameters()
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -281,13 +282,13 @@ def save_checkpoint(path, model: EncoderModel, vocab=None, extra: dict | None = 
         "params": [{"name": n, "shape": list(p.shape)} for n, p in params],
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    h = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _, p in params:
-            fh.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-    return file_digest(path)
+        for chunk in [CHECKPOINT_MAGIC, struct.pack("<Q", len(blob)), blob] + [
+                np.ascontiguousarray(p.data, dtype="<f8") for _, p in params]:
+            h.update(chunk)
+            fh.write(chunk)
+    return h.hexdigest()
 
 
 def load_checkpoint(path):

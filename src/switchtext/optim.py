@@ -38,12 +38,14 @@ class AdamW:
         self.t = 0
         self.m = [np.zeros(p.shape) for _, p in self.params]
         self.v = [np.zeros(p.shape) for _, p in self.params]
+        self._scratch = np.empty((2, max((p.size for _, p in self.params), default=0)))
 
     def step(self, lr: float) -> None:
         """One update from the gradients accumulated in each param's .grad.
         Parameters with no gradient this step keep their moments decaying.
         A non-finite gradient anywhere aborts the step before any state
-        changes."""
+        changes.  Moments and ``p.data`` are updated in place, through two
+        scratch buffers, in the operation order of the formula above."""
         for name, p in self.params:
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise NumericError(f"non-finite gradient for {name}; step {self.t + 1} aborted")
@@ -52,14 +54,18 @@ class AdamW:
         bc2 = 1.0 - self.beta2 ** self.t
         for (_, p), m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros(p.shape)
+            update, tmp = (buf[:p.size].reshape(p.shape) for buf in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=tmp)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(1.0 - self.beta2, g, out=tmp)
+            v += np.multiply(tmp, g, out=tmp)
+            np.multiply(lr, np.divide(m, bc1, out=update), out=update)
+            np.sqrt(np.divide(v, bc2, out=tmp), out=tmp)
+            update /= np.add(tmp, self.eps, out=tmp)
             if self.weight_decay:
-                update = update + lr * self.weight_decay * p.data
-            p.data = p.data - update
+                update += np.multiply(lr * self.weight_decay, p.data, out=tmp)
+            p.data -= update
 
     def zero_grad(self) -> None:
         for _, p in self.params:
@@ -79,7 +85,7 @@ def clip_grad_norm(params, max_norm: float) -> float:
     if norm > max_norm and norm > 0:
         scale = max_norm / norm
         for p in grads:
-            p.grad = p.grad * scale
+            p.grad *= scale
     return norm
 
 

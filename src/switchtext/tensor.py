@@ -5,7 +5,9 @@ active, every differentiable operation appends one node holding the ids of
 its tracked inputs and a local backward rule.  Nodes are appended in
 execution order, so the list is already topologically sorted and
 ``Tape.backward`` is a single reverse sweep that visits each node exactly
-once, accumulating gradients additively across fan-out.
+once, accumulating gradients additively across fan-out.  The sweep consumes
+the tape: it drops each node's backward rules, and the arrays they saved,
+as soon as they have run, and adds leaf gradients into ``.grad`` in place.
 
 With no tape active, operations compute plain numpy results and record
 nothing, which is the inference path.  Tapes are single-threaded; a tensor
@@ -100,16 +102,22 @@ class Tape:
             loss = build_loss(...)
         tape.backward(loss)
 
-    ``backward`` accumulates into ``tensor.grad`` on every requires-grad
-    leaf; a leaf the root does not depend on keeps its old ``grad``.
+    ``backward`` adds into ``tensor.grad`` on every requires-grad leaf, in
+    place once the leaf owns its buffer; a leaf the root does not depend on
+    keeps its old ``grad``.  With ``wrt`` given, only those tensors are
+    leaves: operations on other requires-grad tensors alone record nothing,
+    and their gradients are neither computed nor stored.
     """
 
-    def __init__(self):
+    def __init__(self, wrt: Sequence[Tensor] | None = None):
         self.id = next(_tape_counter)
         self._next_node = itertools.count()
-        # Each entry: (output id, tuple of (input id or None, vjp or None)).
-        self._nodes: list[tuple[int, tuple]] = []
+        # Each entry: (output id, tuple of (input id or None, vjp or None)),
+        # replaced by None once ``backward`` has swept it.
+        self._nodes: list[tuple[int, tuple] | None] = []
         self._leaves: dict[int, Tensor] = {}
+        self._wrt = None if wrt is None else {id(t): t for t in wrt}
+        self._swept = False
 
     def __enter__(self) -> "Tape":
         _ACTIVE_TAPES.append(self)
@@ -127,15 +135,15 @@ class Tape:
         return t.node_id  # type: ignore[return-value]
 
     def tracks(self, t: Tensor) -> bool:
-        return t.requires_grad or t._tape_id == self.id
+        return t._tape_id == self.id or (t.requires_grad
+                                         and (self._wrt is None or id(t) in self._wrt))
 
     def record(self, out: Tensor, edges: Sequence[tuple[Tensor, Callable | None]]) -> None:
         """Append one node: ``edges`` pairs each input with its vjp (or None)."""
         pairs = []
         for t, vjp in edges:
             if vjp is not None and self.tracks(t):
-                was_leaf = t._tape_id != self.id
-                pairs.append((self._register(t, leaf=was_leaf and t.requires_grad), vjp))
+                pairs.append((self._register(t, leaf=t._tape_id != self.id), vjp))
             else:
                 pairs.append((None, None))
         out.requires_grad = True
@@ -143,13 +151,26 @@ class Tape:
         self._nodes.append((out.node_id, tuple(pairs)))
 
     def backward(self, root: Tensor) -> None:
-        """Reverse sweep from a scalar ``root``; seed gradient is 1.0."""
+        """Reverse sweep from a scalar ``root``; seed gradient is 1.0.
+
+        The sweep consumes the tape, so a second call raises.  Each node is
+        released once its vjps have run, and each leaf contribution goes
+        straight into the leaf's ``grad``: the first is kept (copied when it
+        may share memory with another gradient), later ones are added in
+        place, in sweep order.
+        """
         if root.data.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
         if root._tape_id != self.id or root.node_id is None:
             raise ContractError("backward root is not recorded on this tape")
+        if self._swept:
+            raise ContractError("this tape was already swept by backward; record a new pass")
+        self._swept = True
+        nodes, leaves = self._nodes, self._leaves
         grads: dict[int, np.ndarray] = {root.node_id: np.ones_like(root.data)}
-        for out_id, pairs in reversed(self._nodes):
+        for i in range(len(nodes) - 1, -1, -1):
+            out_id, pairs = nodes[i]
+            nodes[i] = None
             g = grads.pop(out_id, None)
             if g is None:
                 continue
@@ -157,14 +178,21 @@ class Tape:
                 if vjp is None:
                     continue
                 contrib = vjp(g)
-                if inp_id in grads:
+                leaf = leaves.get(inp_id)
+                if leaf is not None:
+                    if not leaf.requires_grad:
+                        continue
+                    if leaf.grad is not None:
+                        leaf.grad += contrib
+                    elif contrib is g or contrib.base is not None:
+                        leaf.grad = contrib.copy()
+                    else:
+                        leaf.grad = contrib
+                elif inp_id in grads:
                     grads[inp_id] = grads[inp_id] + contrib
                 else:
                     grads[inp_id] = contrib
-        for nid, g in grads.items():
-            leaf = self._leaves.get(nid)
-            if leaf is not None and leaf.requires_grad:
-                leaf.grad = g if leaf.grad is None else leaf.grad + g
+        self._leaves = {}
 
 
 def _as_tensor(x) -> Tensor:
@@ -422,12 +450,30 @@ def transpose(x, axes: tuple[int, ...] | None = None) -> Tensor:
 # gather / scatter
 
 
+def _scatter_into_zeros(shape, index, g, slots: np.ndarray, num_slots: int) -> np.ndarray:
+    """``zeros(shape)`` with ``g`` added at ``index``, the adjoint of a gather.
+
+    ``slots`` are the flat positions ``index`` addresses, out of
+    ``num_slots``.  When they are unique a plain assignment does it;
+    repeated positions accumulate through ``np.add.at``, which is an order
+    of magnitude slower.
+    """
+    z = np.zeros(shape)
+    seen = np.zeros(num_slots, dtype=bool)
+    seen[slots] = True
+    if np.count_nonzero(seen) == slots.size:
+        z[index] = g
+    else:
+        np.add.at(z, index, g)
+    return z
+
+
 def take_rows(x, indices) -> Tensor:
     """Gather rows of ``x`` along axis 0; ``indices`` may have any shape.
 
     The backward rule scatter-adds, so repeated indices accumulate, which
     makes this the single primitive behind both embedding lookup and
-    token dispatch.
+    token dispatch; unique indices (packing, dispatch) take the fast path.
     """
     x = _as_tensor(x)
     idx = np.asarray(indices)
@@ -437,13 +483,9 @@ def take_rows(x, indices) -> Tensor:
             f"min={idx.min()}, max={idx.max()}"
         )
     in_shape = x.data.shape
-
-    def vjp(g):
-        z = np.zeros(in_shape)
-        np.add.at(z, idx, g)
-        return z
-
-    return _maybe_record(x.data[idx], [(x, vjp)])
+    return _maybe_record(x.data[idx], [
+        (x, lambda g: _scatter_into_zeros(in_shape, idx, g, idx, in_shape[0])),
+    ])
 
 
 def scatter_rows(x, indices, num_rows: int) -> Tensor:
@@ -465,13 +507,11 @@ def pick(x, rows, cols) -> Tensor:
     r = np.asarray(rows)
     c = np.asarray(cols)
     in_shape = x.data.shape
-
-    def vjp(g):
-        z = np.zeros(in_shape)
-        np.add.at(z, (r, c), g)
-        return z
-
-    return _maybe_record(x.data[r, c], [(x, vjp)])
+    return _maybe_record(x.data[r, c], [
+        (x, lambda g: _scatter_into_zeros(in_shape, (r, c), g,
+                                          np.ravel_multi_index((r, c), in_shape, mode="wrap"),
+                                          x.size)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +558,7 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float =
     if h <= 0:
         raise ConfigError(f"step size must be positive, got {h}")
     probe = Tensor(x.data.copy(), requires_grad=True)
-    with Tape() as tape:
+    with Tape(wrt=[probe]) as tape:
         y = f(probe)
     tape.backward(y)
     analytic = probe.grad if probe.grad is not None else np.zeros_like(probe.data)

@@ -30,7 +30,7 @@ from .data import (LabeledDataset, Vocabulary, build_vocab, class_weights,
                    encode, pad_batch, split_dataset, FRENCH_STOPWORDS)
 from .errors import ConfigError, DataError
 from .metrics import EvalReport, classification_metrics, confusion, roc_auc
-from .model import (EncoderModel, ForwardResult, ModelConfig, file_digest, load_checkpoint,
+from .model import (EncoderModel, ForwardResult, ModelConfig, load_checkpoint,
                     save_checkpoint)
 from .moe import RoutingRecord
 from .optim import AdamW, EarlyStopping, ScheduleConfig, clip_grad_norm, cosine_warmup_lr
@@ -395,10 +395,13 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
 
     with (contextlib.nullcontext(out_dir) if out_dir else tempfile.TemporaryDirectory()) as ckpt_dir:
         ckpt_path = f"{ckpt_dir}/best.ckpt"
+        digest = ""  # of the checkpoint file's last save
 
         def save(epoch: int) -> None:
-            save_checkpoint(ckpt_path, model, vocab,
-                            extra={"run_config": portable_config(asdict(config)), "epoch": epoch})
+            nonlocal digest
+            digest = save_checkpoint(ckpt_path, model, vocab, extra={
+                "run_config": portable_config(asdict(config)), "epoch": epoch,
+            })
 
         for epoch in range(1, config.epochs + 1):
             epoch_start = time.perf_counter()
@@ -419,7 +422,7 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
                 if len(chunks) > 1:
                     for _, p in params:
                         if p.grad is not None:
-                            p.grad = p.grad * (1.0 / len(chunks))
+                            p.grad *= 1.0 / len(chunks)
                 if config.grad_clip > 0:
                     clip_grad_norm(params, config.grad_clip)
                 opt.step(cosine_warmup_lr(step, schedule))
@@ -463,7 +466,6 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
             best_epoch = extra["epoch"]
         elif out_dir:
             save(best_epoch)
-        digest = file_digest(ckpt_path) if out_dir else ""
 
     final_val = (history[best_epoch - 1]["val"] if history
                  else evaluate(model, encoded["val"], config.eval_batch_size, weights).report)
@@ -480,7 +482,7 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
     return TrainResult(
         model=model, vocab=vocab, splits=splits, history=history,
         best_epoch=best_epoch, stopped_early=stopped_early,
-        checkpoint_path=ckpt_path if out_dir else "", checkpoint_digest=digest,
+        checkpoint_path=ckpt_path if out_dir else "", checkpoint_digest=digest if out_dir else "",
         final_val=final_val, encoded=encoded, out_dir=out_dir,
     )
 

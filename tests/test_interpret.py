@@ -127,6 +127,14 @@ class TestModelAttribution:
             integrated_gradients(tiny_model(), ids, np.ones(len(ids), bool), target_class=1,
                                  num_steps=16)
 
+    def test_report_leaves_the_model_gradients_untouched(self):
+        cfg = ModelConfig(variant="switch", num_layers=2, num_heads=2, num_experts=4, d_model=32,
+                          d_ff=64, vocab_size=14, max_len=10, dropout=0.0, seed=3)
+        model = EncoderModel.build(cfg)
+        ids = np.array([3, 7, 5, 11, 2], dtype=np.int64)
+        integrated_gradients(model, ids, np.ones(5, bool), target_class=1, num_steps=8)
+        assert [name for name, p in model.parameters() if p.grad is not None] == []
+
     def test_report_text_format(self):
         model = tiny_model()
         ids = np.array([3, 4], dtype=np.int64)

@@ -94,14 +94,41 @@ class TestAdamW:
                 np.testing.assert_array_equal(a, b)
 
 
+    def test_step_updates_in_place_like_the_out_of_place_formula(self):
+        gen = np.random.default_rng(9)
+        params = [("a", make_param(gen.standard_normal((3, 4)))),
+                  ("b", make_param(gen.standard_normal(5)))]
+        w = [p.data.copy() for _, p in params]
+        m = [np.zeros(p.shape) for _, p in params]
+        v = [np.zeros(p.shape) for _, p in params]
+        opt = AdamW(params, weight_decay=0.02)
+        buffers = [p.data for _, p in params] + opt.m + opt.v
+        for t in range(1, 4):
+            grads = [gen.standard_normal(p.shape) for _, p in params]
+            for (_, p), g in zip(params, grads):
+                p.grad = g
+            opt.step(lr=0.01)
+            bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for i, g in enumerate(grads):
+                m[i] = m[i] * 0.9 + (1.0 - 0.9) * g
+                v[i] = v[i] * 0.999 + (1.0 - 0.999) * g * g
+                update = 0.01 * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + 5e-6)
+                w[i] = w[i] - (update + 0.01 * 0.02 * w[i])
+        for i, (_, p) in enumerate(params):
+            assert p.data.tobytes() == w[i].tobytes()
+            assert opt.m[i].tobytes() == m[i].tobytes() and opt.v[i].tobytes() == v[i].tobytes()
+        assert all(a is b for a, b in zip(buffers, [p.data for _, p in params] + opt.m + opt.v))
+
+
 class TestClip:
     def test_global_norm_scaling(self):
         a = make_param([3.0])
         b = make_param([4.0])
         a.grad = np.array([3.0])
         b.grad = np.array([4.0])
+        buffer = a.grad
         norm = clip_grad_norm([("a", a), ("b", b)], max_norm=1.0)
-        assert norm == 5.0
+        assert norm == 5.0 and a.grad is buffer
         total = math.sqrt(float((a.grad ** 2).sum() + (b.grad ** 2).sum()))
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 

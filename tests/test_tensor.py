@@ -2,6 +2,8 @@
 tape backward correctness, and finite-difference verification."""
 
 import math
+import types
+import weakref
 
 import numpy as np
 import pytest
@@ -149,6 +151,80 @@ class TestBackward:
         with pytest.raises(ContractError):
             tape.backward(y)
 
+    def test_second_backward_on_a_swept_tape_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape() as tape:
+            y = T.sum_(T.mul(x, x))
+        tape.backward(y)
+        with pytest.raises(ContractError, match="already swept"):
+            tape.backward(y)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_array_saved_by_a_vjp_is_freed_by_the_sweep(self):
+        x = Tensor(rng.standard_normal(3), requires_grad=True)
+
+        def build():
+            c = rng.standard_normal(3)  # held only by mul's vjps once build returns
+            return T.sum_(T.mul(x, Tensor(c))), weakref.ref(c)
+
+        with Tape() as tape:
+            y, saved = build()
+        assert saved() is not None
+        tape.backward(y)
+        assert saved() is None and len(tape._nodes) == 2
+
+    def test_two_backwards_add_like_the_out_of_place_sum(self):
+        batches = [rng.standard_normal((5, 4)) for _ in range(2)]
+        w0 = rng.standard_normal((4, 3))
+
+        def grad_of(w, x):
+            with Tape() as tape:
+                y = T.sum_(T.mul(T.layer_norm(T.matmul(Tensor(x), w), Tensor(np.ones(3)),
+                                              Tensor(np.zeros(3)), 1e-5), 0.7))
+            tape.backward(y)
+            return w.grad
+
+        alone = [grad_of(Tensor(w0, requires_grad=True), x) for x in batches]
+        w = Tensor(w0, requires_grad=True)
+        first = grad_of(w, batches[0])
+        both = grad_of(w, batches[1])
+        assert both is first  # the second sweep added in place
+        assert both.tobytes() == (alone[0] + alone[1]).tobytes()
+
+    def test_leaf_grads_own_their_buffers(self):
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        v = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        with Tape() as tape:
+            # add(x, x) hands x the upstream gradient itself twice, add(.., w)
+            # hands w that same gradient, and reshape hands v a view of one.
+            s = T.add(T.add(x, x), w)
+            y = T.sum_(T.add(s, T.reshape(T.reshape(v, (6,)), (2, 3))))
+        tape.backward(y)
+        grads = [x.grad, w.grad, v.grad]
+        for g in grads:
+            assert g.base is None and g.flags.writeable
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(grads) for b in grads[i + 1:])
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
+        np.testing.assert_array_equal(w.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(v.grad, np.ones((2, 3)))
+
+    def test_wrt_differentiates_only_the_named_leaves(self):
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        with Tape() as full:
+            y_full = T.sum_(T.mul(T.matmul(x, T.mul(w, 2.0)), b))
+        full.backward(y_full)
+        expected = x.grad
+        x.grad = w.grad = b.grad = None
+        with Tape(wrt=[x]) as tape:
+            y = T.sum_(T.mul(T.matmul(x, T.mul(w, 2.0)), b))
+        assert len(tape._nodes) == 3  # mul(w, 2.0) involves no named leaf
+        tape.backward(y)
+        assert w.grad is None and b.grad is None
+        assert x.grad.tobytes() == expected.tobytes()
+
     def test_no_grad_buffer_without_requires_grad(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         c = Tensor([3.0, 4.0])
@@ -198,6 +274,21 @@ class TestGatherScatter:
         np.add.at(expected, idx, 1.0)
         np.testing.assert_array_equal(x.grad, expected)
 
+    @pytest.mark.parametrize("idx", [np.array([3, 0, 4, 1]), np.array([[2, 0], [1, 4]])])
+    def test_take_rows_unique_indices_assign_without_add_at(self, idx, monkeypatch):
+        x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
+        coeffs = rng.standard_normal(idx.shape + (3,))
+        with Tape() as tape:
+            y = T.sum_(T.mul(T.take_rows(x, idx), coeffs))
+        numpy_without_add_at = types.SimpleNamespace(**{
+            name: getattr(np, name) for name in dir(np) if not name.startswith("__")})
+        numpy_without_add_at.add = types.SimpleNamespace(at=lambda *a: pytest.fail("np.add.at"))
+        monkeypatch.setattr(T, "np", numpy_without_add_at)
+        tape.backward(y)
+        expected = np.zeros((6, 3))
+        np.add.at(expected, idx, coeffs)
+        np.testing.assert_array_equal(x.grad, expected)
+
     def test_take_rows_out_of_range(self):
         with pytest.raises(ContractError):
             T.take_rows(Tensor(np.ones((3, 2))), np.array([3]))
@@ -219,6 +310,15 @@ class TestGatherScatter:
         assert y.item() == 3.0 + 4.0 + 10.0
         expected = np.zeros((3, 4))
         expected[[0, 1, 2], [3, 0, 2]] = 1.0
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_pick_repeated_entries_accumulate(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        with Tape() as tape:
+            y = T.sum_(T.pick(x, np.array([0, 2, 0, 1]), np.array([3, 0, 3, 3])))
+        tape.backward(y)
+        expected = np.zeros((3, 4))
+        expected[0, 3], expected[2, 0], expected[1, 3] = 2.0, 1.0, 1.0
         np.testing.assert_array_equal(x.grad, expected)
 
     def test_fdc_through_gather_scatter_pick(self):

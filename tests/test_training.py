@@ -138,6 +138,18 @@ class TestTrainRuns:
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
         assert file_digest(outs[0] / "best.ckpt") == file_digest(outs[1] / "best.ckpt")
 
+    @pytest.mark.parametrize("early_stopping", [False, True])
+    def test_checkpoint_is_hashed_while_written(self, tmp_path, monkeypatch, early_stopping):
+        corpus = generate_synthetic_corpus(80, seed=3, min_tokens=6, max_tokens=12)
+
+        def reread(path):
+            raise AssertionError(f"{path} was read back to hash it")
+
+        monkeypatch.setattr("switchtext.model.file_digest", reread)
+        result = train(quick_config(epochs=2, early_stopping=early_stopping), corpus,
+                       out_dir=str(tmp_path), quiet=True)
+        assert result.checkpoint_digest == file_digest(result.checkpoint_path)
+
     def test_seed_changes_outcome(self, tmp_path):
         corpus = generate_synthetic_corpus(120, seed=3, min_tokens=8, max_tokens=20)
         r1 = train(quick_config(epochs=1, seed=1), corpus, out_dir=None, quiet=True)
