@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import asdict, fields
 
-from .data import generate_synthetic_corpus, read_jsonl, write_jsonl
+from .data import generate_synthetic_corpus, read_jsonl, write_artifact, write_jsonl
 from .errors import ConfigError, SwitchTextError
 from .interpret import attribution_for_ids, rank_misclassified
 from .model import export_hidden_embeddings, load_checkpoint
@@ -97,13 +97,8 @@ def cmd_gen_data(args) -> int:
         "noise": args.noise, "seed": args.seed,
         "dataset_digest": dataset_digest(dataset),
     }
-    try:
-        write_jsonl(args.out, dataset)
-        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as e:
-        raise ConfigError(f"cannot write {e.filename}: {e.strerror}") from e
+    write_jsonl(args.out, dataset)
+    write_artifact(args.out + ".manifest.json", [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
     print(f"wrote {len(dataset)} examples to {args.out}")
     return 0
 
@@ -143,9 +138,8 @@ def cmd_eval(args) -> int:
     outcome = evaluate(model, encoded, batch_size=args.batch_size)
     name = f"report_{args.split}"
     _write_report(args.output_dir, name, outcome.report)
-    with open(f"{args.output_dir}/timings_eval.tsv", "w", encoding="utf-8") as fh:
-        fh.write("phase\twall_clock_s\n")
-        fh.write(f"eval_total\t{time.perf_counter() - started:.3f}\n")
+    write_artifact(f"{args.output_dir}/timings_eval.tsv",
+                   ["phase\twall_clock_s\n", f"eval_total\t{time.perf_counter() - started:.3f}\n"])
     write_manifest(args.output_dir, "eval", asdict(run_cfg), run_cfg.seed,
                    dataset_digest(dataset), [f"{name}.tsv", f"{name}.json"])
     print("\n".join(outcome.report.table_lines()))
@@ -169,21 +163,19 @@ def cmd_attribute(args) -> int:
         reports = rank_misclassified(model, encoded, vocab=vocab, target=args.target,
                                      num_steps=args.num_steps, baseline=args.baseline,
                                      limit=args.limit)
-    with open(f"{args.output_dir}/attributions.txt", "w", encoding="utf-8") as text_fh, \
-            open(f"{args.output_dir}/attributions.jsonl", "w", encoding="utf-8") as json_fh:
-        for example, report in reports:
-            text_fh.write(f"# example {example.example_id} (label {example.label})\n")
-            text_fh.write("\n".join(report.text_lines()) + "\n\n")
-            json_fh.write(json.dumps({
-                "example_id": example.example_id,
-                "label": example.label,
-                "predicted_class": report.predicted_class,
-                "target_class": report.target_class,
-                "completeness_residual": report.completeness_residual,
-                "output_delta": report.output_delta,
-                "tokens": report.tokens,
-                "scores": [round(float(s), 10) for s in report.scores],
-            }, ensure_ascii=False, sort_keys=True) + "\n")
+    write_artifact(f"{args.output_dir}/attributions.txt", (
+        f"# example {example.example_id} (label {example.label})\n"
+        + "\n".join(report.text_lines()) + "\n\n" for example, report in reports))
+    write_artifact(f"{args.output_dir}/attributions.jsonl", (json.dumps({
+        "example_id": example.example_id,
+        "label": example.label,
+        "predicted_class": report.predicted_class,
+        "target_class": report.target_class,
+        "completeness_residual": report.completeness_residual,
+        "output_delta": report.output_delta,
+        "tokens": report.tokens,
+        "scores": [round(float(s), 10) for s in report.scores],
+    }, ensure_ascii=False, sort_keys=True) + "\n" for example, report in reports))
     write_manifest(args.output_dir, "attribute", asdict(run_cfg), run_cfg.seed,
                    dataset_digest(dataset), ["attributions.txt", "attributions.jsonl"])
     print(f"wrote {len(reports)} attribution reports to {args.output_dir}")
@@ -194,10 +186,9 @@ def cmd_export_embeddings(args) -> int:
     model, vocab, dataset, encoded, run_cfg = _prepare_eval_inputs(
         args.checkpoint, args.data, args.split
     )
-    rows = [(e.example_id, e.ids, e.label) for e in encoded]
     _make_output_dir(args.output_dir)
     out_path = f"{args.output_dir}/embeddings_layer{args.layer}_{args.split}.tsv"
-    count = export_hidden_embeddings(model, rows, args.layer, out_path)
+    count = export_hidden_embeddings(model, encoded, args.layer, out_path)
     write_manifest(args.output_dir, "export-embeddings", asdict(run_cfg), run_cfg.seed,
                    dataset_digest(dataset), [os.path.basename(out_path)])
     print(f"wrote {count} records to {out_path}")

@@ -1,6 +1,7 @@
 """Corpus handling: whitespace-unigram vocabulary, encoding, batch padding
 with masks, stratified splitting, inverse-frequency class weights, JSON-lines
-dataset files, and a synthetic note generator with planted keywords.
+dataset files, a synthetic note generator with planted keywords, and
+``write_artifact``, the one function through which every file is written.
 
 Tokenization lowercases and strips punctuation while preserving accents
 (the corpora are French-like).  The shipped stop-word and negation lists
@@ -9,7 +10,9 @@ are illustrative, not canonical.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -201,11 +204,38 @@ def read_jsonl(path) -> LabeledDataset:
     return LabeledDataset(examples=examples)
 
 
+def write_artifact(path, parts) -> str:
+    """Replace the file at ``path`` whole with the concatenated ``parts``
+    (``str`` parts UTF-8 encoded, bytes-like parts as they are) and return
+    the sha256 of the bytes written.
+
+    The parts stream into a sibling temporary file, which ``os.replace``
+    then puts at ``path``: an interrupted or failing write leaves the
+    previous file as it was and no temporary file behind.  An OSError
+    becomes a ConfigError naming ``path``.
+    """
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    h = hashlib.sha256()
+    try:
+        with open(tmp, "wb") as fh:
+            for part in parts:
+                if isinstance(part, str):
+                    part = part.encode("utf-8")
+                h.update(part)
+                fh.write(part)
+        os.replace(tmp, path)
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from e
+    finally:
+        if os.path.lexists(tmp):
+            os.remove(tmp)
+    return h.hexdigest()
+
+
 def write_jsonl(path, dataset: LabeledDataset) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in dataset.examples:
-            fh.write(json.dumps({"id": e.example_id, "text": e.text, "label": e.label},
-                                ensure_ascii=False) + "\n")
+    write_artifact(path, (json.dumps({"id": e.example_id, "text": e.text, "label": e.label},
+                                     ensure_ascii=False) + "\n" for e in dataset.examples))
 
 
 # ---------------------------------------------------------------------------

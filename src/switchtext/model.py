@@ -12,7 +12,6 @@ deterministic checkpoint container.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import struct
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import FfnParams, MultiHeadParams, multi_head_attention, position_wise_ffn
-from .data import Vocabulary, pad_batch
+from .data import Vocabulary, pad_batch, write_artifact
 from .errors import CompatibilityError, ConfigError, ContractError
 from .layers import (EmbeddingTable, LayerNormParams, LinearParams, dropout, embed, layer_norm,
                      linear, named_tensors, pack, unpack)
@@ -215,10 +214,6 @@ class EncoderModel:
                 + named_tensors(self.blocks, "blocks")
                 + named_tensors(self.head, "head"))
 
-    def zero_grad(self) -> None:
-        for _, p in self.parameters():
-            p.grad = None
-
 
 @dataclass
 class ParamCountReport:
@@ -244,25 +239,26 @@ def count_parameters(model: EncoderModel) -> ParamCountReport:
 def export_hidden_embeddings(model: EncoderModel, encoded, layer: int, path,
                              batch_size: int = 32) -> int:
     """Write one record per example: id, label, pooled hidden vector at
-    ``layer``.  ``encoded`` is a sequence of (example_id, ids, label).
-    Returns the record count.  Deterministic formatting, so re-export with
-    the same checkpoint is byte-identical."""
+    ``layer``.  ``encoded`` is the ``EncodedExample`` list ``evaluate``
+    takes.  Returns the record count.  Deterministic formatting, so
+    re-export with the same checkpoint is byte-identical."""
     if not 0 <= layer < model.config.num_layers:
         raise ConfigError(
             f"layer {layer} out of range: model has num_layers={model.config.num_layers}"
         )
-    written = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("example_id\tlabel\t" + "\t".join(f"h{i}" for i in range(model.config.d_model)) + "\n")
+
+    def lines():
+        yield "example_id\tlabel\t" + "\t".join(f"h{i}" for i in range(model.config.d_model)) + "\n"
         for start in range(0, len(encoded), batch_size):
             chunk = encoded[start:start + batch_size]
-            ids, mask = pad_batch([seq for _, seq, _ in chunk])
+            ids, mask = pad_batch([e.ids for e in chunk])
             pooled = model._pool(model.forward(ids, mask).hidden[layer], mask).data
-            for row, (example_id, _, label) in zip(pooled, chunk):
+            for row, e in zip(pooled, chunk):
                 vec = "\t".join(f"{v:.17g}" for v in row)
-                fh.write(f"{example_id}\t{label}\t{vec}\n")
-                written += 1
-    return written
+                yield f"{e.example_id}\t{e.label}\t{vec}\n"
+
+    write_artifact(path, lines())
+    return len(encoded)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +278,8 @@ def save_checkpoint(path, model: EncoderModel, vocab=None, extra: dict | None = 
         "params": [{"name": n, "shape": list(p.shape)} for n, p in params],
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    h = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for chunk in [CHECKPOINT_MAGIC, struct.pack("<Q", len(blob)), blob] + [
-                np.ascontiguousarray(p.data, dtype="<f8") for _, p in params]:
-            h.update(chunk)
-            fh.write(chunk)
-    return h.hexdigest()
+    return write_artifact(path, [CHECKPOINT_MAGIC, struct.pack("<Q", len(blob)), blob] + [
+        np.ascontiguousarray(p.data, dtype="<f8") for _, p in params])
 
 
 def load_checkpoint(path):
@@ -353,11 +344,3 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
             f"truncated checkpoint {path}: {what} has {len(data)} of {count} bytes"
         )
     return data
-
-
-def file_digest(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()

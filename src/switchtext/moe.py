@@ -79,10 +79,6 @@ class RoutingRecord:
         """Tokens per expert by routing decision, overflow included."""
         return np.bincount(self.chosen, minlength=len(self.counts))
 
-    def overflow_fractions(self) -> np.ndarray:
-        """Per-expert fraction of this batch's tokens that overflowed."""
-        return (self.dispatched_counts() - self.counts) / max(1, self.num_tokens)
-
 
 def gate_probs(x: Tensor, gate: LinearParams) -> Tensor:
     """Softmax gate over experts for the tokens ``x`` of shape [T, d]."""

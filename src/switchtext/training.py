@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .data import (LabeledDataset, Vocabulary, build_vocab, class_weights,
-                   encode, pad_batch, split_dataset, FRENCH_STOPWORDS)
+                   encode, pad_batch, split_dataset, write_artifact, FRENCH_STOPWORDS)
 from .errors import ConfigError, DataError
 from .metrics import EvalReport, classification_metrics, confusion, roc_auc
 from .model import (EncoderModel, ForwardResult, ModelConfig, load_checkpoint,
@@ -322,9 +322,8 @@ def write_manifest(out_dir, command: str, config_dict: dict, seed: int,
         },
         "artifacts": sorted(artifacts),
     }
-    with open(f"{out_dir}/manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    write_artifact(f"{out_dir}/manifest.json",
+                   [json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False), "\n"])
 
 
 def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None,
@@ -340,7 +339,10 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
     gap.tsv (per-epoch val-train loss gap), routing.tsv (per-layer expert
     dispatch), best.ckpt (the restored epoch), report_val.{tsv,json} (its
     validation report), manifest.json, and timings.tsv (wall clock,
-    excluded from determinism guarantees).
+    excluded from determinism guarantees).  Each file is replaced whole
+    through ``write_artifact``: an interrupt while best.ckpt is re-saved
+    leaves the previous best epoch's checkpoint in place, and a failed
+    write raises ConfigError.
     """
     config.validate()
     say = (lambda *a: None) if quiet else print
@@ -472,8 +474,7 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
 
     if out_dir:
         for name, lines in tables.items():
-            with open(f"{out_dir}/{name}", "w", encoding="utf-8") as fh:
-                fh.write("".join(f"{line}\n" for line in lines))
+            write_artifact(f"{out_dir}/{name}", (f"{line}\n" for line in lines))
         _write_report(out_dir, "report_val", final_val)
         write_manifest(out_dir, command, asdict(config), config.seed, dataset_digest(dataset),
                        ["train_log.tsv", "gap.tsv", "routing.tsv", "best.ckpt",
@@ -488,8 +489,6 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
 
 
 def _write_report(out_dir, name: str, report: EvalReport) -> None:
-    with open(f"{out_dir}/{name}.tsv", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(report.table_lines()) + "\n")
-    with open(f"{out_dir}/{name}.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_artifact(f"{out_dir}/{name}.tsv", ["\n".join(report.table_lines()), "\n"])
+    write_artifact(f"{out_dir}/{name}.json",
+                   [json.dumps(report.to_dict(), indent=2, sort_keys=True), "\n"])

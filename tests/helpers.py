@@ -1,5 +1,7 @@
 """Shared test utilities."""
 
+import hashlib
+
 import numpy as np
 
 from switchtext import Tensor, finite_difference_check
@@ -34,6 +36,12 @@ def check_many_params(make_loss, targets, h=1e-6, tol=1e-4):
         assert err < tol, f"gradient check failed for {type(holder).__name__}.{attr}: {err}"
         worst = max(worst, err)
     return worst
+
+
+def file_digest(path) -> str:
+    """sha256 of the file at ``path``, read back from disk."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def expert(p, j):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import check_many_params, expert
+from helpers import check_many_params, expert, file_digest
 from switchtext import (EncoderModel, ModelConfig, RunConfig, Tensor,
                         count_parameters, finite_difference_check,
                         generate_synthetic_corpus)
@@ -21,7 +21,6 @@ from switchtext.cli import main as cli_main
 from switchtext.interpret import integrated_gradients, path_integrated_gradients
 from switchtext.layers import LayerNormParams, LinearParams, layer_norm, linear
 from switchtext.metrics import ConfusionMatrix, classification_metrics, confusion
-from switchtext.model import file_digest
 from switchtext.moe import SwitchParams, gate_probs, load_balance_loss, switch_forward
 from switchtext.training import train, weighted_cross_entropy
 

@@ -282,6 +282,12 @@ BAD_INPUT = [
     ("output-dir-file-attribute", "attribute", ["--output-dir", "{tmp}/afile"], "config"),
     ("output-dir-file-export", "export-embeddings", ["--output-dir", "{tmp}/afile"], "config"),
     ("gen-data-out-missing-dir", "gen-data", ["--out", "{tmp}/missing/g.jsonl"], "config"),
+    # {tmp}/blocked holds a directory where each command's artifact goes.
+    ("artifact-blocked-train", "train", ["--output-dir", "{tmp}/blocked"], "config"),
+    ("artifact-blocked-eval", "eval", ["--output-dir", "{tmp}/blocked"], "config"),
+    ("artifact-blocked-attribute", "attribute", ["--output-dir", "{tmp}/blocked"], "config"),
+    ("artifact-blocked-export", "export-embeddings", ["--output-dir", "{tmp}/blocked"], "config"),
+    ("artifact-blocked-gen-data", "gen-data", ["--out", "{tmp}/blocked"], "config"),
 ]
 EVAL_ARGV = ["--checkpoint", "{ckpt}", "--data", "{data}", "--split", "val",
              "--output-dir", "{tmp}/out"]
@@ -302,6 +308,8 @@ def test_bad_input_exits_with_its_category(workdir, tmp_path, capsys, command, f
     (tmp_path / "int.jsonl").write_text("5\n")
     (tmp_path / "null.jsonl").write_text("null\n")
     (tmp_path / "afile").write_text("")
+    for name in ("report_val.tsv", "attributions.txt", "embeddings_layer0_val.tsv"):
+        (tmp_path / "blocked" / name).mkdir(parents=True)
     raw = workdir["ckpt"].read_bytes()  # the same checkpoint, labelled format 3
     (blob_len,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16:16 + blob_len])

@@ -8,14 +8,14 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import check_many_params
+from helpers import check_many_params, file_digest
 from switchtext import ModelConfig, EncoderModel, Tensor, count_parameters
 from switchtext import tensor as T
 from switchtext.errors import CompatibilityError, ConfigError, ContractError
-from switchtext.model import (CHECKPOINT_MAGIC, export_hidden_embeddings, file_digest,
-                              load_checkpoint, save_checkpoint)
+from switchtext.model import (CHECKPOINT_MAGIC, export_hidden_embeddings, load_checkpoint,
+                              save_checkpoint)
 from switchtext.moe import SwitchParams
-from switchtext.training import weighted_cross_entropy
+from switchtext.training import EncodedExample, weighted_cross_entropy
 
 rng = np.random.default_rng(1234)
 
@@ -134,7 +134,8 @@ class TestForward:
             # Training-mode parameter gradients do not see the extra PADs.
             grads = []
             for batch in (ids, padded):
-                model.zero_grad()
+                for _, p in model.parameters():
+                    p.grad = None
                 with T.Tape() as tape:
                     result = model.forward(batch, batch != 0, training=True)
                     loss = T.add(weighted_cross_entropy(result.logits, labels),
@@ -251,7 +252,8 @@ class TestHiddenExport:
         for i in range(n):
             length = int(gen.integers(2, 6))
             ids = gen.integers(2, model.config.vocab_size, size=length)
-            rows.append((i, ids, int(gen.integers(0, 2))))
+            rows.append(EncodedExample(example_id=i, ids=ids, label=int(gen.integers(0, 2)),
+                                       text=""))
         return rows
 
     def test_layer_out_of_range_names_limit(self, tmp_path):

@@ -289,7 +289,7 @@ class TestExpertUtilization:
         # Overflowed tokens still count at their chosen expert.
         record = self.make_record([0, 0, 0, 1], [2, 1], 1)
         np.testing.assert_array_equal(expert_utilization(record), [0.75, 0.25])
-        np.testing.assert_array_equal(record.overflow_fractions(), [0.25, 0.0])
+        np.testing.assert_array_equal(record.dispatched_counts() - record.counts, [1, 0])
 
 
 class TestConfigValidation:

@@ -472,8 +472,3 @@ class TestTensorBasics:
     def test_item_requires_scalar(self):
         with pytest.raises(ContractError):
             Tensor([1.0, 2.0]).item()
-
-    def test_detach_drops_graph(self):
-        x = Tensor([1.0], requires_grad=True)
-        d = x.detach()
-        assert not d.requires_grad and d.data is not x.data

@@ -8,12 +8,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from helpers import file_digest
 from switchtext import RunConfig, Tensor, generate_synthetic_corpus
 from switchtext import tensor as T
 from switchtext import training
 from switchtext.data import class_weights
 from switchtext.errors import ConfigError, DataError
-from switchtext.model import ModelConfig, file_digest, load_checkpoint
+from switchtext.model import ModelConfig, load_checkpoint
 from switchtext.tensor import Tape
 from switchtext.training import (EncodedExample, dataset_digest, encode_examples,
                                  evaluate, make_batch, total_loss, train,
@@ -141,13 +142,16 @@ class TestTrainRuns:
     @pytest.mark.parametrize("early_stopping", [False, True])
     def test_checkpoint_is_hashed_while_written(self, tmp_path, monkeypatch, early_stopping):
         corpus = generate_synthetic_corpus(80, seed=3, min_tokens=6, max_tokens=12)
+        real, returned = training.save_checkpoint, []
 
-        def reread(path):
-            raise AssertionError(f"{path} was read back to hash it")
+        def spy(*args, **kwargs):
+            returned.append(real(*args, **kwargs))
+            return returned[-1]
 
-        monkeypatch.setattr("switchtext.model.file_digest", reread)
+        monkeypatch.setattr(training, "save_checkpoint", spy)
         result = train(quick_config(epochs=2, early_stopping=early_stopping), corpus,
                        out_dir=str(tmp_path), quiet=True)
+        assert returned and result.checkpoint_digest == returned[-1]
         assert result.checkpoint_digest == file_digest(result.checkpoint_path)
 
     def test_seed_changes_outcome(self, tmp_path):
