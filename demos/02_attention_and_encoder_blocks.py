@@ -7,23 +7,31 @@ Run:  python demos/02_attention_and_encoder_blocks.py
 import numpy as np
 
 from switchtext import EncoderModel, ModelConfig, Tensor
-from switchtext.attention import MultiHeadParams, multi_head_attention, scaled_dot_product_attention
+from switchtext import tensor as T
+from switchtext.attention import MultiHeadParams, multi_head_attention
 
 rng = np.random.default_rng(1)
 
 # --- scaled dot-product attention on a 3-token sequence ------------------
-q = Tensor(rng.standard_normal((3, 4)))
-k = Tensor(rng.standard_normal((3, 4)))
+# T.attention takes packed [N, d] rows, the real tokens of a [batch, len]
+# padding mask in row-major order, and returns packed rows.
+q = Tensor(rng.standard_normal((3, 3)))
+k = Tensor(rng.standard_normal((3, 3)))
 v = Tensor(np.eye(3))
 
-# With v = I the output rows ARE the attention weights.
-weights = scaled_dot_product_attention(q, k, v, np.array([True, True, True]))
+# With v = I and one head the output rows ARE the attention weights.
+weights = T.attention(q, k, v, np.array([[True, True, True]]), num_heads=1)
 print("attention weights (rows sum to 1):\n", np.round(weights.data, 4))
 print("row sums:", weights.data.sum(axis=1))
 
-# Mask the last key: its column collapses to exactly zero.
-masked = scaled_dot_product_attention(q, k, v, np.array([True, True, False]))
-print("\nwith key 3 masked:\n", np.round(masked.data, 4))
+# A padded second sequence of 2 real tokens: 5 packed rows in all.  Each
+# query weighs only its own sequence's keys; padding and the other
+# sequence get exactly zero.
+mask = np.array([[True, True, True], [True, True, False]])
+q2 = Tensor(rng.standard_normal((5, 5)))
+k2 = Tensor(rng.standard_normal((5, 5)))
+masked = T.attention(q2, k2, Tensor(np.eye(5)), mask, num_heads=1)
+print("\nweights over the 5 packed keys, second sequence padded:\n", np.round(masked.data, 4))
 
 # --- multi-head attention over a packed batch ----------------------------
 # The encoder carries only real tokens, as [N, d] rows in the mask's

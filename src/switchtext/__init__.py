@@ -16,7 +16,7 @@ from .layers import (  # noqa: F401
 )
 from .attention import (  # noqa: F401
     FfnParams, MultiHeadParams,
-    multi_head_attention, position_wise_ffn, scaled_dot_product_attention,
+    multi_head_attention, position_wise_ffn,
 )
 from .moe import (  # noqa: F401
     RoutingRecord, SwitchParams, expert_utilization, gate_probs,

@@ -1,12 +1,10 @@
-"""Scaled dot-product attention, multi-head self-attention, and the
-position-wise feed-forward block.
+"""Multi-head self-attention and the position-wise feed-forward block.
 
 Tokens arrive packed as ``[N, d]`` rows, the real tokens of a batch in its
-``[batch, len]`` padding mask's row-major order.  Only self-attention lays
-them out on the padded grid, for the scores.  Padding is handled with a
-large negative additive bias on masked key positions, which drives their
-softmax weight to exactly zero in float64 while keeping every softmax input
-finite.
+``[batch, len]`` padding mask's row-major order.  In the encoder blocks
+the ``T.attention`` node is the only place tokens sit on the padded grid:
+it lays the three projections out there for the scores, masks padded keys
+with an additive bias, and returns packed rows again.
 """
 
 from __future__ import annotations
@@ -16,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DimensionError
-from .layers import LinearParams, init_weight, linear, pack, unpack
+from .errors import ConfigError
+from .layers import LinearParams, init_weight, linear
 from .tensor import Tensor
-
-MASK_BIAS = -1e30
 
 
 @dataclass
@@ -65,52 +61,12 @@ class FfnParams:
         )
 
 
-def _key_bias(pad_mask: np.ndarray, scores_ndim: int) -> np.ndarray:
-    """Additive bias over key positions: 0 where real, MASK_BIAS where padded.
-    Expanded to ``scores_ndim`` so leading batch axes stay aligned."""
-    mask = np.asarray(pad_mask, dtype=bool)
-    if not mask.any(axis=-1).all():
-        raise ContractError("attention requires at least one unmasked key per sequence")
-    bias = np.where(mask, 0.0, MASK_BIAS)
-    while bias.ndim < scores_ndim:
-        bias = np.expand_dims(bias, -2)
-    return bias
-
-
-def scaled_dot_product_attention(q: Tensor, k: Tensor, v: Tensor, pad_mask=None) -> Tensor:
-    """softmax(q kᵀ / sqrt(d_k) + key bias) v, one ``T.attention`` node.
-
-    ``pad_mask`` is a boolean array marking real key positions; its shape is
-    the key extent with any leading batch axes of q/k/v.  Masked keys get
-    attention weight exactly 0; rows over unmasked keys sum to 1.
-    """
-    return T.attention(q, k, v, None if pad_mask is None else _key_bias(pad_mask, q.ndim))
-
-
 def multi_head_attention(h: Tensor, p: MultiHeadParams, pad_mask: np.ndarray) -> Tensor:
     """Self-attention over packed rows ``h`` [N, d_model], the real tokens of
-    the [batch, len] ``pad_mask`` in its row-major order; returns [N, d_model].
-
-    The projections are laid out as [batch, heads, len, d_k], zero at padded
-    positions, for one stacked attention call, and the real rows of its
-    result are gathered before the output map.
-    """
-    if pad_mask.ndim != 2 or h.ndim != 2 or h.shape[0] != pad_mask.sum():
-        raise DimensionError(f"attention expects a [batch, len] mask and one row per real "
-                             f"token, got mask {pad_mask.shape} and rows {h.shape}")
-    batch, seq_len = pad_mask.shape
-    num_heads = p.num_heads
-    d_k = p.wq.shape[1] // num_heads
-    grid = (batch, seq_len, num_heads, d_k)
-    perm = (0, 2, 1, 3)  # self-inverse
-
-    def heads(t: Tensor) -> Tensor:
-        return T.transpose(T.reshape(unpack(t, pad_mask), grid), perm)
-
-    out = scaled_dot_product_attention(
-        heads(T.matmul(h, p.wq)), heads(T.matmul(h, p.wk)), heads(T.matmul(h, p.wv)), pad_mask)
-    rows = T.reshape(T.transpose(out, perm), (batch * seq_len, num_heads * d_k))
-    return linear(pack(rows, pad_mask), p.wo)
+    the [batch, len] ``pad_mask`` in its row-major order; returns [N, d_model]:
+    the q, k and v projections, one ``T.attention`` node and the output map."""
+    return linear(T.attention(T.matmul(h, p.wq), T.matmul(h, p.wk), T.matmul(h, p.wv),
+                              pad_mask, p.num_heads), p.wo)
 
 
 def position_wise_ffn(x: Tensor, p: FfnParams, sizes=None) -> Tensor:

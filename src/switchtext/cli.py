@@ -21,7 +21,7 @@ from .data import generate_synthetic_corpus, read_jsonl, write_artifact, write_j
 from .errors import ConfigError, SwitchTextError
 from .interpret import attribution_for_ids, rank_misclassified
 from .model import export_hidden_embeddings, load_checkpoint
-from .training import (RunConfig, dataset_digest, encode_examples, evaluate,
+from .training import (RunConfig, clear_manifest, dataset_digest, encode_examples, evaluate,
                        split_dataset, train, write_manifest, _write_report)
 
 EXIT_CODES = {
@@ -84,6 +84,7 @@ def _make_output_dir(path: str) -> None:
         os.makedirs(path, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create output directory {path}: {e.strerror}") from e
+    clear_manifest(path)
 
 
 def cmd_gen_data(args) -> int:

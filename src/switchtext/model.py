@@ -3,7 +3,8 @@ or routed expert mixture), masked pooling, and a two-logit classifier head.
 
 The encoder computes on real tokens only: after the embedding a batch is
 packed into ``[N, d_model]`` rows, the real tokens in the ``[batch, len]``
-padding mask's row-major order.  Only self-attention lays them out padded.
+padding mask's row-major order.  In the blocks only the ``T.attention`` node
+lays them out on the padded grid; mean pooling does once, to sum them.
 
 Also home to parameter counting, pooled hidden-state export, and the
 deterministic checkpoint container.

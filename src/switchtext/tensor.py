@@ -9,6 +9,10 @@ once, accumulating gradients additively across fan-out.  The sweep consumes
 the tape: it drops each node's backward rules, and the arrays they saved,
 as soon as they have run, and adds leaf gradients into ``.grad`` in place.
 
+``attention`` takes and returns packed [N, d] token rows; its node is the
+only place where the encoder blocks lay tokens out on the padded
+[batch, heads, len, d_k] grid.
+
 With no tape active, operations compute plain numpy results and record
 nothing, which is the inference path.  Tapes are single-threaded; a tensor
 that is not being recorded is immutable from the library's point of view
@@ -27,8 +31,10 @@ from .errors import ConfigError, ContractError, DimensionError, NumericError
 _tape_counter = itertools.count(1)
 _ACTIVE_TAPES: list["Tape"] = []
 
+MASK_BIAS = -1e30  # at padded keys: softmax weight exactly 0, every input finite
 
-def active_tape() -> "Tape | None":
+
+def _active_tape() -> "Tape | None":
     return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
 
 
@@ -209,7 +215,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _maybe_record(out_data: np.ndarray, edges) -> Tensor:
-    tape = active_tape()
+    tape = _active_tape()
     out = Tensor(out_data)
     if tape is not None and any(tape.tracks(t) for t, _ in edges):
         tape.record(out, edges)
@@ -394,34 +400,61 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     ])
 
 
-def attention(q, k, v, key_bias: np.ndarray | None = None) -> Tensor:
-    """``softmax(q kᵀ / sqrt(d_k) + key_bias) v`` over the last two axes as one
-    node, ``key_bias`` untracked.  Closed-form backward: with weights P and
-    ``dP = g vᵀ``, ``dS = (dP - sum(dP * P)) * P / sqrt(d_k)`` gives
-    ``dq = dS k``, ``dk = (qᵀ dS)ᵀ`` and ``dv = Pᵀ g``."""
+def attention(q, k, v, pad_mask: np.ndarray, num_heads: int) -> Tensor:
+    """Multi-head self-attention from packed [N, d] rows to packed rows, one node.
+
+    The rows are the real tokens of the [batch, len] ``pad_mask`` in its
+    row-major order, head h in columns h*d_k:(h+1)*d_k.  Inside, they sit on
+    the padded [batch, heads, len, d_k] grid for ``P v`` with
+    ``P = softmax(q kᵀ / sqrt(d_k) + bias)``, the bias MASK_BIAS at padded
+    keys.  Closed-form backward: with ``dP = g vᵀ``,
+    ``dS = (dP - sum(dP * P)) * P / sqrt(d_k)`` gives ``dq = dS k``,
+    ``dk = (qᵀ dS)ᵀ`` and ``dv = Pᵀ g``.
+    """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise DimensionError(f"attention needs q and k of one width and k and v of one "
-                             f"length, got q {q.shape}, k {k.shape}, v {v.shape}")
-    qd, kd, vd = q.data, k.data, v.data
-    scale = 1.0 / np.sqrt(q.shape[-1])
+    mask = np.asarray(pad_mask, dtype=bool)
+    if (mask.ndim != 2 or q.ndim != 2 or k.shape != q.shape or v.shape != q.shape
+            or q.shape[0] != mask.sum() or num_heads < 1 or q.shape[1] % num_heads):
+        raise DimensionError(f"attention needs a [batch, len] mask and [N, d] q, k and v with "
+                             f"one row per real token and d divisible by {num_heads} heads, got "
+                             f"mask {mask.shape}, q {q.shape}, k {k.shape}, v {v.shape}")
+    if not mask.any(axis=1).all():
+        raise ContractError("attention requires at least one real token per sequence")
+    rows, width = q.shape
+    grid = mask.shape + (num_heads, width // num_heads)
+
+    def to_grid(x):  # [N, d] -> [batch, heads, len, d_k], zero at padding
+        out = np.zeros(grid)
+        out[mask] = x.reshape(rows, *grid[2:])
+        return out.transpose(0, 2, 1, 3)
+
+    def to_rows(x):  # [batch, heads, len, d_k] -> its real rows, [N, d]
+        x = x.transpose(0, 2, 1, 3)
+        # Unpadded rows are reshaped as they are, without a copy: a copy would
+        # change the layout, and so the rounding, of the products that follow.
+        return (x if rows == mask.size else x[mask]).reshape(rows, width)
+
+    qd, kd, vd = to_grid(q.data), to_grid(k.data), to_grid(v.data)
+    scale = 1.0 / np.sqrt(grid[3])
     probs = np.matmul(qd, np.swapaxes(kd, -1, -2))
     probs *= scale
-    if key_bias is not None:
-        probs += key_bias
+    probs += np.where(mask, 0.0, MASK_BIAS)[:, None, None, :]
     _softmax_in_place(probs, -1)
-    last = [None, None]  # (incoming gradient, its score gradient), shared by dq and dk
+    last = [None, None, None]  # (incoming gradient, it on the grid, its score gradient)
 
-    def d_scores(g):
+    def grads(g):  # shared by the three vjps
         if last[0] is not g:
-            d_probs = np.matmul(g, np.swapaxes(vd, -1, -2))
-            last[:] = g, (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True)) * probs * scale
-        return last[1]
+            g_grid = to_grid(g)
+            d_probs = np.matmul(g_grid, np.swapaxes(vd, -1, -2))
+            d_scores = (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True)) * probs * scale
+            last[:] = g, g_grid, d_scores
+        return last[1:]
 
-    return _maybe_record(np.matmul(probs, vd), [
-        (q, lambda g: np.matmul(d_scores(g), kd)),
-        (k, lambda g: np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), d_scores(g)), -1, -2)),
-        (v, lambda g: np.matmul(np.swapaxes(probs, -1, -2), g)),
+    return _maybe_record(to_rows(np.matmul(probs, vd)), [
+        (q, lambda g: to_rows(np.matmul(grads(g)[1], kd))),
+        (k, lambda g: to_rows(np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), grads(g)[1]),
+                                          -1, -2))),
+        (v, lambda g: to_rows(np.matmul(np.swapaxes(probs, -1, -2), grads(g)[0]))),
     ])
 
 
@@ -433,14 +466,6 @@ def reshape(x, shape: tuple[int, ...]) -> Tensor:
     x = _as_tensor(x)
     in_shape = x.data.shape
     return _maybe_record(x.data.reshape(shape), [(x, lambda g: g.reshape(in_shape))])
-
-
-def transpose(x, axes: tuple[int, ...] | None = None) -> Tensor:
-    x = _as_tensor(x)
-    if axes is None:
-        axes = tuple(range(x.ndim - 1, -1, -1))
-    inverse = tuple(np.argsort(axes))
-    return _maybe_record(x.data.transpose(axes), [(x, lambda g: g.transpose(inverse))])
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,17 @@ def write_manifest(out_dir, command: str, config_dict: dict, seed: int,
                    [json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False), "\n"])
 
 
+def clear_manifest(out_dir) -> None:
+    """Remove ``out_dir``'s manifest.json before a run's first artifact: it is
+    written last, so one present vouches for a complete set from one run."""
+    try:
+        os.remove(f"{out_dir}/manifest.json")
+    except FileNotFoundError:
+        pass
+    except OSError as e:
+        raise ConfigError(f"cannot remove {out_dir}/manifest.json: {e.strerror}") from e
+
+
 def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None,
           command: str = "train", quiet: bool = False) -> TrainResult:
     """Full training run per ``config`` on ``dataset``.
@@ -342,7 +353,8 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
     excluded from determinism guarantees).  Each file is replaced whole
     through ``write_artifact``: an interrupt while best.ckpt is re-saved
     leaves the previous best epoch's checkpoint in place, and a failed
-    write raises ConfigError.
+    write raises ConfigError.  An old manifest.json is removed before the
+    first write and the new one written last (``clear_manifest``).
     """
     config.validate()
     say = (lambda *a: None) if quiet else print
@@ -394,6 +406,8 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
 
     if config.epochs == 0:
         say("warning: epochs=0, writing the initialized checkpoint and exiting")
+    if out_dir:
+        clear_manifest(out_dir)
 
     with (contextlib.nullcontext(out_dir) if out_dir else tempfile.TemporaryDirectory()) as ckpt_dir:
         ckpt_path = f"{ckpt_dir}/best.ckpt"

@@ -55,24 +55,20 @@ class TestCriterion1GradientCorrectness:
             lambda t: T.sum_(T.mul(layer_norm(t, ln), ln_coeffs)),
             Tensor(gen.standard_normal((3, 6)))))
 
-        # standalone attention head: gradients through q, k, v
-        from switchtext.attention import scaled_dot_product_attention
-
+        # standalone attention head: gradients through q, k, v, the 4 real
+        # rows of a padded [2, 3] batch
         kv = Tensor(gen.standard_normal((4, 4)))
         vv = Tensor(gen.standard_normal((4, 4)))
-        head_mask = np.array([True, True, True, False])
+        head_mask = np.array([[True, True, True], [True, False, False]])
         head_coeffs = Tensor(gen.standard_normal((4, 4)))
         worst = max(worst, finite_difference_check(
-            lambda t: T.sum_(T.mul(scaled_dot_product_attention(t, kv, vv, head_mask),
-                                   head_coeffs)),
+            lambda t: T.sum_(T.mul(T.attention(t, kv, vv, head_mask, 1), head_coeffs)),
             Tensor(gen.standard_normal((4, 4)))))
         worst = max(worst, finite_difference_check(
-            lambda t: T.sum_(T.mul(scaled_dot_product_attention(kv, t, vv, head_mask),
-                                   head_coeffs)),
+            lambda t: T.sum_(T.mul(T.attention(kv, t, vv, head_mask, 1), head_coeffs)),
             Tensor(gen.standard_normal((4, 4)))))
         worst = max(worst, finite_difference_check(
-            lambda t: T.sum_(T.mul(scaled_dot_product_attention(kv, vv, t, head_mask),
-                                   head_coeffs)),
+            lambda t: T.sum_(T.mul(T.attention(kv, vv, t, head_mask, 1), head_coeffs)),
             Tensor(gen.standard_normal((4, 4)))))
 
         # multi-head + FFN (d_model <= 8, len <= 4); attention takes the 4

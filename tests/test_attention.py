@@ -6,11 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from switchtext import Tensor, finite_difference_check
+from switchtext import Tape, Tensor, finite_difference_check
 from switchtext import tensor as T
 from switchtext.attention import (FfnParams, MultiHeadParams,
-                                  multi_head_attention, position_wise_ffn,
-                                  scaled_dot_product_attention)
+                                  multi_head_attention, position_wise_ffn)
 from switchtext.errors import ConfigError, ContractError, DimensionError
 from switchtext.layers import LinearParams
 
@@ -26,62 +25,62 @@ def attention_weights_oracle(q, k, mask=None):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def one_head(q, k, v, mask):
+    """``T.attention`` with one head on the packed rows of a [batch, len] mask."""
+    return T.attention(Tensor(q), Tensor(k), Tensor(v), np.atleast_2d(mask), 1)
+
+
 class TestScaledDotProductAttention:
     def test_single_key_returns_value(self):
-        q = Tensor(rng.standard_normal((1, 4)))
-        k = Tensor(rng.standard_normal((1, 4)))
-        v = Tensor(rng.standard_normal((1, 3)))
-        out = scaled_dot_product_attention(q, k, v, np.array([True]))
-        np.testing.assert_array_equal(out.data, v.data)
+        q, k = rng.standard_normal((2, 1, 4))
+        v = rng.standard_normal((1, 4))
+        np.testing.assert_array_equal(one_head(q, k, v, [True]).data, v)
 
     def test_two_key_closed_form(self):
-        # scores are (1/sqrt(2), 0); weights e^{1/sqrt(2)} : e^0 normalized
-        q = Tensor([[1.0, 0.0]])
-        k = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        v = Tensor(np.eye(2))
+        # query 0's scores are (1/sqrt(2), 0); weights e^{1/sqrt(2)} : e^0 normalized
+        q = np.array([[1.0, 0.0], [0.0, 0.0]])
+        k = np.eye(2)
+        v = np.eye(2)
         w1 = math.exp(1 / math.sqrt(2)) / (math.exp(1 / math.sqrt(2)) + 1.0)
-        out = scaled_dot_product_attention(q, k, v, np.array([True, True]))
-        np.testing.assert_allclose(out.data, [[w1, 1 - w1]], atol=1e-12)
-        np.testing.assert_allclose(out.data, [[0.6698, 0.3302]], atol=1e-4)
+        out = one_head(q, k, v, [True, True]).data
+        np.testing.assert_allclose(out[0], [w1, 1 - w1], atol=1e-12)
+        np.testing.assert_allclose(out[0], [0.6698, 0.3302], atol=1e-4)
+        np.testing.assert_array_equal(out[1], [0.5, 0.5])
 
     def test_zero_query_gives_mean_of_unmasked_values(self):
-        q = Tensor(np.zeros((2, 4)))
-        k = Tensor(rng.standard_normal((5, 4)))
-        v = Tensor(rng.standard_normal((5, 3)))
         mask = np.array([True, True, False, True, False])
-        out = scaled_dot_product_attention(q, k, v, mask)
-        expected = v.data[mask].mean(axis=0)
-        np.testing.assert_allclose(out.data, np.stack([expected, expected]), atol=1e-12)
+        k = rng.standard_normal((3, 4))
+        v = rng.standard_normal((3, 4))
+        out = one_head(np.zeros((3, 4)), k, v, mask)
+        np.testing.assert_allclose(out.data, np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
 
     def test_all_masked_raises(self):
-        q = Tensor(np.zeros((2, 2)))
+        q = np.zeros((2, 2))
         with pytest.raises(ContractError):
-            scaled_dot_product_attention(q, q, q, np.array([False, False]))
+            one_head(q, q, q, np.array([[True, True], [False, False]]))
 
     def test_masked_keys_get_zero_weight(self):
-        q = rng.standard_normal((4, 6))
-        k = rng.standard_normal((4, 6))
-        mask = np.array([True, False, True, False])
-        weights = attention_weights_oracle(q, k, mask)
-        assert weights[:, ~mask].max() < 1e-12
+        # With v = I the output rows are each query's weights over the
+        # packed keys: the oracle's over its own sequence, exactly 0 on the
+        # other sequence's keys, padded ones included.
+        mask = np.array([[True, False, True, False], [True, True, True, True]])
+        q = rng.standard_normal((6, 6))
+        k = rng.standard_normal((6, 6))
+        weights = one_head(q, k, np.eye(6), mask).data
+        np.testing.assert_allclose(weights[:2, :2], attention_weights_oracle(q[:2], k[:2]),
+                                   atol=1e-12)
+        np.testing.assert_allclose(weights[2:, 2:], attention_weights_oracle(q[2:], k[2:]),
+                                   atol=1e-12)
+        assert not weights[:2, 2:].any() and not weights[2:, :2].any()
         np.testing.assert_allclose(weights.sum(axis=-1), 1.0, atol=1e-10)
-        # Masked values never leak: huge garbage in masked rows changes nothing.
-        v = rng.standard_normal((4, 3))
-        v_garbage = v.copy()
-        v_garbage[~mask] = 1e12
-        out_clean = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), mask)
-        out_dirty = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v_garbage), mask)
-        np.testing.assert_array_equal(out_clean.data, out_dirty.data)
 
     def test_matches_truncated_unmasked_attention(self):
-        q = rng.standard_normal((5, 4))
-        k = rng.standard_normal((5, 4))
-        v = rng.standard_normal((5, 4))
-        mask = np.array([True, True, True, False, False])
-        full = scaled_dot_product_attention(Tensor(q), Tensor(k), Tensor(v), mask)
-        short = scaled_dot_product_attention(Tensor(q[:3]), Tensor(k[:3]), Tensor(v[:3]),
-                                             np.array([True] * 3))
-        np.testing.assert_allclose(full.data[:3], short.data, atol=1e-12)
+        q = rng.standard_normal((3, 4))
+        k = rng.standard_normal((3, 4))
+        v = rng.standard_normal((3, 4))
+        full = one_head(q, k, v, [True, True, True, False, False])
+        short = one_head(q, k, v, [True] * 3)
+        np.testing.assert_allclose(full.data, short.data, atol=1e-12)
 
 
 class TestMultiHeadAttention:
@@ -94,8 +93,8 @@ class TestMultiHeadAttention:
         x = Tensor(rng.standard_normal((3, d)))
         mask = np.array([True, True, True])
         out = multi_head_attention(x, p, mask[None, :])
-        direct = scaled_dot_product_attention(x, x, x, mask)
-        np.testing.assert_allclose(out.data, direct.data, atol=1e-12)
+        direct = attention_weights_oracle(x.data, x.data) @ x.data
+        np.testing.assert_allclose(out.data, direct, atol=1e-12)
 
     def test_output_shape_contract(self):
         p = MultiHeadParams.create(8, 4, np.random.default_rng(0))
@@ -108,6 +107,15 @@ class TestMultiHeadAttention:
         for bad_mask in (mask, np.ones(5, bool)):
             with pytest.raises(DimensionError):
                 multi_head_attention(x, p, bad_mask)
+
+    def test_padded_batch_is_six_tape_nodes(self):
+        # Three projections, one attention node and the output map's two.
+        p = MultiHeadParams.create(8, 2, np.random.default_rng(0))
+        mask = np.array([[True, True, True], [True, False, False]])
+        x = Tensor(rng.standard_normal((4, 8)), requires_grad=True)
+        with Tape() as tape:
+            multi_head_attention(x, p, mask)
+        assert len(tape._nodes) == 6
 
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError):

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from switchtext.cli import EXIT_CODES, build_parser, main, resolve_train_config
+from switchtext.data import read_jsonl
+from switchtext.errors import ConfigError
+from switchtext.training import train
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +136,27 @@ class TestTrain:
                                   str(workdir["data"]), "--output-dir", str(tmp_path / "o")])
         config = resolve_train_config(args, "train-long")
         assert config.epochs == 7 and config.early_stopping is False
+
+    def test_failed_rerun_leaves_no_manifest(self, workdir, tmp_path, capsys):
+        # A manifest is written last, so one present vouches for a complete
+        # set; a failed rerun must not leave the old run's next to new files.
+        out = tmp_path / "rerun"
+        argv = ["train", "--data-path", str(workdir["data"]), "--output-dir", str(out),
+                "--epochs", "1", "--d-model", "8", "--num-heads", "2", "--d-ff", "16",
+                "--num-layers", "1", "--max-len", "16", "--min-frequency", "1"]
+        assert main(argv + ["--seed", "1"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 1
+        (out / "report_val.tsv").unlink()
+        (out / "report_val.tsv").mkdir()
+        assert main(argv + ["--seed", "2"]) == EXIT_CODES["config"]
+        assert "error: category=config" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        # train() clears it itself, also when called without the CLI.
+        (out / "manifest.json").write_text("{}")
+        config = resolve_train_config(build_parser().parse_args(argv), "train")
+        with pytest.raises(ConfigError):
+            train(config, read_jsonl(str(workdir["data"])), out_dir=str(out), quiet=True)
+        assert not (out / "manifest.json").exists()
 
     def test_epochs_zero_immediate_exit(self, workdir, tmp_path, capsys):
         out = tmp_path / "zero"

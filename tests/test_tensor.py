@@ -1,9 +1,11 @@
 """Tensor-core tests: op semantics against hand and brute-force oracles,
 tape backward correctness, and finite-difference verification."""
 
+import ast
 import math
 import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st_
 from hypothesis.extra.numpy import arrays
 
+import switchtext
 from switchtext import Tape, Tensor, finite_difference_check
 from switchtext import tensor as T
 from switchtext.errors import ConfigError, ContractError, DimensionError, NumericError
@@ -256,7 +259,6 @@ class TestFiniteDifferenceCheck:
                                Tensor([[3.0, -1.0, 2.0], [0.5, -2.0, 1.0]]))),
         lambda t: T.sum_(T.mul(T.softmax(t, axis=0), Tensor([3.0, -1.0, 2.0, 0.5, -2.0, 1.0]))),
         lambda t: T.sum_(T.log_softmax(T.reshape(t, (2, 3)), axis=1)),
-        lambda t: T.sum_(T.mul(T.transpose(T.reshape(t, (2, 3))), 1.5)),
     ])
     def test_randomized_ops(self, build):
         x = Tensor(rng.standard_normal(6) + 0.2)
@@ -373,47 +375,80 @@ class TestGroupedLinear:
 
 
 class TestAttention:
-    """One node for softmax(q kᵀ / sqrt(d_k) + bias) v on [batch, heads,
-    len, d_k] operands, with more keys than queries and masked keys."""
+    """One node for multi-head softmax(q kᵀ / sqrt(d_k) + bias) v from packed
+    [N, d] rows to packed rows, on a padded and an unpadded batch."""
 
-    mask = np.array([[True, True, True, False, False], [True, True, True, True, True]])
-    bias = np.where(mask, 0.0, -1e30)[:, None, None, :]
+    masks = {
+        "padded": np.array([[True, True, True, False, False], [True, True, True, True, True]]),
+        "unpadded": np.ones((2, 4), bool),
+    }
+    num_heads = 2
 
-    def operands(self):
-        return (rng.standard_normal((2, 2, 3, 4)), rng.standard_normal((2, 2, 5, 4)),
-                rng.standard_normal((2, 2, 5, 3)))
+    def operands(self, mask):
+        n = int(mask.sum())
+        return tuple(rng.standard_normal((n, 6)) for _ in range(3))
+
+    @staticmethod
+    def grid_composite(q, k, v, mask, num_heads):
+        """The same attention laid out by hand on the [batch, heads, len, d_k]
+        grid with numpy, zero rows at padding, and packed back."""
+        def to_grid(x):
+            grid = np.zeros(mask.shape + (num_heads, x.shape[1] // num_heads))
+            grid[mask] = x.reshape(len(x), num_heads, -1)
+            return grid.transpose(0, 2, 1, 3)
+
+        qg, kg, vg = to_grid(q), to_grid(k), to_grid(v)
+        scores = np.matmul(qg, np.swapaxes(kg, -1, -2))
+        scores *= 1.0 / np.sqrt(qg.shape[-1])
+        scores += np.where(mask, 0.0, T.MASK_BIAS)[:, None, None, :]
+        weights = T.softmax(Tensor(scores)).data
+        return np.matmul(weights, vg).transpose(0, 2, 1, 3)[mask].reshape(q.shape)
 
     def test_matches_the_composite(self):
-        q, k, v = self.operands()
-        scores = T.add(T.mul(T.matmul(Tensor(q), Tensor(np.swapaxes(k, -1, -2))), 0.5),
-                       Tensor(self.bias))
-        composite = T.matmul(T.softmax(scores), Tensor(v)).data
-        fused = T.attention(Tensor(q), Tensor(k), Tensor(v), self.bias).data
-        np.testing.assert_array_equal(fused, composite)
-        # Masked keys carry no weight: garbage in their values changes nothing.
-        v[0, :, 3:] = 1e12
-        np.testing.assert_array_equal(T.attention(Tensor(q), Tensor(k), Tensor(v), self.bias).data,
-                                      fused)
+        for layout, mask in self.masks.items():
+            q, k, v = self.operands(mask)
+            fused = T.attention(Tensor(q), Tensor(k), Tensor(v), mask, self.num_heads).data
+            np.testing.assert_array_equal(
+                fused, self.grid_composite(q, k, v, mask, self.num_heads), err_msg=layout)
 
     def test_finite_difference(self):
-        q, k, v = self.operands()
-        coeffs = Tensor(rng.standard_normal((2, 2, 3, 3)))
-        operands = {"q": q, "k": k, "v": v}
-        for name in operands:
-            def f(t, name=name):
-                args = {key: Tensor(val) for key, val in operands.items()}
-                args[name] = t
-                return T.sum_(T.mul(T.attention(args["q"], args["k"], args["v"], self.bias), coeffs))
-            assert finite_difference_check(f, Tensor(operands[name]), h=1e-6) < 1e-4, name
+        for layout, mask in self.masks.items():
+            operands = dict(zip("qkv", self.operands(mask)))
+            coeffs = Tensor(rng.standard_normal(operands["q"].shape))
+            for name in operands:
+                def f(t, name=name, mask=mask, operands=operands, coeffs=coeffs):
+                    args = {key: Tensor(val) for key, val in operands.items()}
+                    args[name] = t
+                    out = T.attention(args["q"], args["k"], args["v"], mask, self.num_heads)
+                    return T.sum_(T.mul(out, coeffs))
+                err = finite_difference_check(f, Tensor(operands[name]), h=1e-6)
+                assert err < 1e-4, (layout, name)
 
     def test_one_node_and_non_finite_scores(self):
-        q, k, v = (Tensor(a, requires_grad=True) for a in self.operands())
+        mask = self.masks["padded"]
+        q, k, v = (Tensor(a, requires_grad=True) for a in self.operands(mask))
         with Tape() as tape:
-            out = T.attention(q, k, v, self.bias)
-        assert len(tape._nodes) == 1 and out.shape == (2, 2, 3, 3)
-        q.data[0, 0, 0, 0] = np.nan
+            out = T.attention(q, k, v, mask, self.num_heads)
+        assert len(tape._nodes) == 1 and out.shape == q.shape
+        q.data[0, 0] = np.nan
         with pytest.raises(NumericError):
-            T.attention(q, k, v, self.bias)
+            T.attention(q, k, v, mask, self.num_heads)
+
+    def test_shape_and_mask_checks(self):
+        mask = self.masks["padded"]
+        q, k, v = (Tensor(a) for a in self.operands(mask))
+        short = Tensor(q.data[:-1])
+        narrow = Tensor(q.data[:, :4])
+        for args in ((short, short, short, mask, 2),  # rows != pad_mask.sum()
+                     (q, k, short, mask, 2),
+                     (q, narrow, v, mask, 2),  # widths differ
+                     (q, k, v, mask, 4),  # 6 not divisible by 4 heads
+                     (q, k, v, mask.reshape(-1), 2)):  # not a [batch, len] mask
+            with pytest.raises(DimensionError):
+                T.attention(*args)
+        empty = np.array([[True] * 4 + [False], [False] * 5, [True] * 4 + [False]])
+        with pytest.raises(ContractError, match="at least one real token"):
+            T.attention(q, k, v, empty, 2)
 
 
 class TestDropout:
@@ -472,3 +507,30 @@ class TestTensorBasics:
     def test_item_requires_scalar(self):
         with pytest.raises(ContractError):
             Tensor([1.0, 2.0]).item()
+
+
+def _tensor_names_used(tree):
+    """Names a module's syntax tree takes from ``switchtext.tensor``: those
+    it imports from it and the attributes it reads off an alias of it."""
+    aliases, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "tensor":
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            aliases.update(a.asname or a.name for a in node.names if a.name == "tensor")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+            used.add(node.attr)
+    return used
+
+
+def test_every_public_tape_op_has_a_caller_in_the_package():
+    package = Path(switchtext.__file__).parent
+    tree = ast.parse((package / "tensor.py").read_text(encoding="utf-8"))
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "tensor.py":
+            used |= _tensor_names_used(ast.parse(path.read_text(encoding="utf-8")))
+    assert public and sorted(public - used) == []
