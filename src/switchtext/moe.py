@@ -101,10 +101,11 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
     expert serves at most floor(capacity_factor*T/E) tokens, its first in
     token order; the rest contribute zero (the caller's residual connection
     carries them) and are recorded as overflow, never an error.  Outside
-    training every token is served, so an output depends only on its own
-    input.  The served tokens are gathered once in stable expert order, run
-    through the stacked experts as row groups and scattered back (Gale et
-    al. 2022).
+    training every token is served, so batch mates act on an output only
+    through rounding: BLAS picks its kernel by row count (one row goes to
+    GEMV), so an output can differ from a batch-1 forward in its last bits.
+    The served tokens are gathered once in stable expert order, run through
+    the stacked experts as row groups and scattered back (Gale et al. 2022).
     """
     if x.ndim != 2:
         raise ContractError(f"switch_forward expects [T, d] input, got shape {x.shape}")

@@ -228,10 +228,10 @@ def _maybe_record(out_data: np.ndarray, edges) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = a.data + b.data
-    return _maybe_record(out, [
-        (a, lambda g: _unbroadcast(g, a.data.shape)),
-        (b, lambda g: _unbroadcast(g, b.data.shape)),
+    a_shape, b_shape = a.shape, b.shape  # all the vjps read, so the operands can go
+    return _maybe_record(a.data + b.data, [
+        (a, lambda g: _unbroadcast(g, a_shape)),
+        (b, lambda g: _unbroadcast(g, b_shape)),
     ])
 
 
@@ -542,7 +542,7 @@ def pick(x, rows, cols) -> Tensor:
 
 def dropout(x, rate: float, training: bool, rng: np.random.Generator,
             layout: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout recorded with its mask so backward is exact.
+    """Inverted dropout recorded with its boolean keep-mask so backward is exact.
 
     Identity (the same object) at rate 0 or outside training.  Masks come
     from the caller's generator so a seeded run is reproducible.  Without
@@ -563,8 +563,8 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator,
         uniforms = rng.random(x.shape)
     else:
         uniforms = rng.random(layout.shape + x.shape[1:])[layout]
-    mask = (uniforms >= rate) * scale
-    return _maybe_record(x.data * mask, [(x, lambda g: g * mask)])
+    keep = uniforms >= rate  # one byte per element; ``keep * scale`` is the float mask
+    return _maybe_record(x.data * (keep * scale), [(x, lambda g: g * (keep * scale))])
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,19 @@ end-to-end gradient checks, hidden-state export, and checkpointing."""
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import check_many_params, file_digest
-from switchtext import ModelConfig, EncoderModel, Tensor, count_parameters
+from switchtext import ModelConfig, EncoderModel, Tape, Tensor, count_parameters
 from switchtext import tensor as T
 from switchtext.errors import CompatibilityError, ConfigError, ContractError
 from switchtext.model import (CHECKPOINT_MAGIC, export_hidden_embeddings, load_checkpoint,
                               save_checkpoint)
 from switchtext.moe import SwitchParams
-from switchtext.training import EncodedExample, weighted_cross_entropy
+from switchtext.training import EncodedExample, total_loss, weighted_cross_entropy
 
 rng = np.random.default_rng(1234)
 
@@ -243,6 +244,41 @@ class TestEndToEndGradients:
                 (model.blocks[1].mixer.lin2, "bias"),
             ]
         check_many_params(make_loss, targets)
+
+
+class TestTapeMemory:
+    """Bytes a training tape holds between forward+loss and backward."""
+
+    # Measured on the model and batch below (7.07e6 and 7.77e6 bytes), plus
+    # about 5% headroom.  A tape node that keeps arrays its backward rule
+    # does not read (an operand held only for its shape, a float64 dropout
+    # mask) exceeds them: such nodes held 10.9e6 and 9.9e6 bytes.
+    BOUND = {"dense": 7_420_000, "switch": 8_150_000}
+
+    @staticmethod
+    def held_bytes(variant: str) -> int:
+        model = EncoderModel.build(tiny_config(variant, num_heads=4, num_experts=4, d_model=64,
+                                               d_ff=256, vocab_size=200, max_len=48,
+                                               dropout=0.35, seed=1))
+        gen = np.random.default_rng(0)
+        lengths = gen.integers(4, 41, size=16)
+        ids = np.zeros((16, lengths.max()), dtype=np.int64)
+        for i, n in enumerate(lengths):
+            ids[i, :n] = gen.integers(2, 200, size=n)
+        labels = gen.integers(0, 2, size=16)
+        for _ in range(2):  # the first pass warms lazy caches, the second is measured
+            tracemalloc.start()
+            with Tape() as tape:
+                result = model.forward(ids, ids != 0, training=True)
+                loss, _ = total_loss(result.logits, labels, result.aux_loss, 0.01)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            tape.backward(loss)
+        return held
+
+    @pytest.mark.parametrize("variant", ["dense", "switch"])
+    def test_training_tape_holds_only_what_backward_reads(self, variant):
+        assert self.held_bytes(variant) < self.BOUND[variant]
 
 
 class TestHiddenExport:

@@ -1,0 +1,78 @@
+"""Pinned sha256 digests of logits, parameter gradients and IG scores.
+
+The other tests compare reruns of one build and check gradients to 1e-4, so
+a refactor that moves a result by one unit in the last place passes them.
+These digests pin the exact bits of fresh d32 dense and switch models for
+fixed seeds: logits at inference, and logits plus every parameter gradient
+of a training forward (dropout on) and its loss, on a padded batch and on a
+batch-1 sequence; and the IG scores of one switch example.
+
+They hold for numpy 2.4.6 linked against OpenBLAS 0.3.31 (the scipy-openblas
+wheel build, DYNAMIC_ARCH, running its SkylakeX kernels on an AVX-512 x86-64
+CPU) with one BLAS thread, as ``conftest.py`` pins it.  Another numpy or
+BLAS build, or another CPU kernel, may round differently and needs its own
+digests.  A change that moves any of them must say in CHANGES.md why its
+results differ.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from switchtext import EncoderModel, ModelConfig, Tape
+from switchtext.interpret import integrated_gradients
+from switchtext.training import total_loss
+
+BATCHES = {
+    "padded": (np.array([[5, 9, 13, 2, 40, 7, 0, 0],
+                         [3, 0, 0, 0, 0, 0, 0, 0],
+                         [11, 12, 14, 18, 21, 33, 44, 6],
+                         [8, 17, 25, 0, 0, 0, 0, 0]]), np.array([1, 0, 1, 0])),
+    "batch1": (np.array([[4, 22, 31, 9, 15, 27, 38, 10, 19]]), np.array([1])),
+}
+
+EXPECTED = {
+    ("dense", "padded"):
+        "e8c44cfe9e60de1e72aa1536fbbea709e55a71c83f19477754f626449d7da92a",
+    ("dense", "batch1"):
+        "79a5efc588bae91aa9e4a09a8e5ea80cc93227e0bd15c2321b9c638f23d0ea96",
+    ("switch", "padded"):
+        "db49a754911145c8ffed327979a829b129a19f3d4a30fb4bbca7786090fdee10",
+    ("switch", "batch1"):
+        "1db960f11af97594bb11085ad0628d336c61053eeeedfb443162daabe6a5d5d2",
+}
+EXPECTED_IG = "fc7264948c34429dd98c9c9472488f335fff52120b68b934f98b0f2ccda17310"
+
+
+def d32_model(variant: str) -> EncoderModel:
+    return EncoderModel.build(ModelConfig(
+        variant=variant, num_layers=2, num_heads=2, num_experts=2, d_model=32, d_ff=64,
+        vocab_size=50, max_len=16, dropout=0.2, seed=13))
+
+
+def pass_digest(variant: str, batch: str) -> str:
+    model = d32_model(variant)
+    ids, labels = BATCHES[batch]
+    mask = ids != 0
+    digest = hashlib.sha256(model.forward(ids, mask).logits.data.tobytes())
+    with Tape() as tape:
+        result = model.forward(ids, mask, training=True)
+        loss, _ = total_loss(result.logits, labels, result.aux_loss, 0.01)
+    tape.backward(loss)
+    digest.update(result.logits.data.tobytes())
+    for name, p in model.parameters():
+        digest.update(name.encode() + (b"-" if p.grad is None else p.grad.tobytes()))
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("variant,batch", sorted(EXPECTED))
+def test_logits_and_gradients_keep_their_bits(variant, batch):
+    assert pass_digest(variant, batch) == EXPECTED[(variant, batch)]
+
+
+def test_integrated_gradients_keep_their_bits():
+    ids = BATCHES["batch1"][0][0]
+    report = integrated_gradients(d32_model("switch"), ids, ids != 0, target_class=1,
+                                  num_steps=16)
+    assert hashlib.sha256(report.scores.tobytes()).hexdigest() == EXPECTED_IG

@@ -9,7 +9,7 @@ import pytest
 from switchtext import AdamW, EarlyStopping, ScheduleConfig, Tensor, cosine_warmup_lr
 from switchtext import tensor as T
 from switchtext.errors import ConfigError, NumericError
-from switchtext.optim import clip_grad_norm
+from switchtext.optim import CHUNK, clip_grad_norm
 from switchtext.tensor import Tape
 
 
@@ -96,8 +96,13 @@ class TestAdamW:
 
     def test_step_updates_in_place_like_the_out_of_place_formula(self):
         gen = np.random.default_rng(9)
+        # "c" spans more than one chunk and ends in a partial one; "d" is a
+        # transposed view, which reshape(-1) would copy.
         params = [("a", make_param(gen.standard_normal((3, 4)))),
-                  ("b", make_param(gen.standard_normal(5)))]
+                  ("b", make_param(gen.standard_normal(5))),
+                  ("c", make_param(gen.standard_normal(2 * CHUNK + 7))),
+                  ("d", make_param(gen.standard_normal((6, 5)).T))]
+        assert not params[3][1].data.flags.c_contiguous
         w = [p.data.copy() for _, p in params]
         m = [np.zeros(p.shape) for _, p in params]
         v = [np.zeros(p.shape) for _, p in params]

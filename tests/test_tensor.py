@@ -3,6 +3,7 @@ tape backward correctness, and finite-difference verification."""
 
 import ast
 import math
+import tracemalloc
 import types
 import weakref
 from pathlib import Path
@@ -175,6 +176,18 @@ class TestBackward:
         assert saved() is not None
         tape.backward(y)
         assert saved() is None and len(tape._nodes) == 2
+
+    def test_add_keeps_no_reference_to_its_operands(self):
+        w = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal(3), requires_grad=True)
+        with Tape() as tape:
+            x = T.matmul(Tensor(rng.standard_normal((2, 4))), w)
+            y = T.sum_(T.add(x, b))
+            held = weakref.ref(x.data)
+            del x  # add's vjps need only the operand shapes
+            assert held() is None
+        tape.backward(y)
+        np.testing.assert_array_equal(b.grad, [2.0, 2.0, 2.0])
 
     def test_two_backwards_add_like_the_out_of_place_sum(self):
         batches = [rng.standard_normal((5, 4)) for _ in range(2)]
@@ -478,6 +491,22 @@ class TestDropout:
         tape.backward(y)
         mask = (out.data != 0).astype(float) / 0.6
         np.testing.assert_allclose(x.grad, 3.0 * mask, atol=1e-12)
+
+    def test_tape_keeps_one_byte_per_element_and_the_float_mask_values(self):
+        n, rate = 100_000, 0.3
+        x = Tensor(rng.standard_normal(n), requires_grad=True)
+        upstream = rng.standard_normal(n)
+        with Tape() as tape:
+            tracemalloc.start()
+            out = T.dropout(x, rate, True, np.random.default_rng(4))
+            held = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+            tracemalloc.stop()
+            y = T.sum_(T.mul(out, Tensor(upstream)))
+        tape.backward(y)
+        assert held <= 1.05 * n  # the boolean keep-mask, not a float64 one
+        mask = (np.random.default_rng(4).random(n) >= rate) * (1.0 / (1.0 - rate))
+        assert out.data.tobytes() == (x.data * mask).tobytes()
+        assert x.grad.tobytes() == (upstream * mask).tobytes()
 
     def test_layout_draws_over_the_padded_grid(self):
         # Packed rows get the mask of their padded position, and the
