@@ -4,7 +4,8 @@ Tokens arrive packed as ``[N, d]`` rows, the real tokens of a batch in its
 ``[batch, len]`` padding mask's row-major order.  In the encoder blocks
 the ``T.attention`` node is the only place tokens sit on the padded grid:
 it lays the three projections out there for the scores, masks padded keys
-with an additive bias, and returns packed rows again.
+with an additive bias, and returns packed rows again.  The output map is
+one ``T.linear`` node and the feed-forward block one ``T.ffn`` node.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ def multi_head_attention(h: Tensor, p: MultiHeadParams, pad_mask: np.ndarray) ->
 
 
 def position_wise_ffn(x: Tensor, p: FfnParams, sizes=None) -> Tensor:
-    """ReLU(x W1 + b1) W2 + b2, independently at every position.  With
-    ``sizes`` the maps are stacked, one per group of rows (see ``linear``)."""
-    return linear(T.relu(linear(x, p.lin1, sizes)), p.lin2, sizes)
+    """ReLU(x W1 + b1) W2 + b2, independently at every position, one
+    ``T.ffn`` node.  With ``sizes`` the maps are stacked, one per group of
+    consecutive rows."""
+    return T.ffn(x, p.lin1.weight, p.lin1.bias, p.lin2.weight, p.lin2.bias, sizes)

@@ -4,8 +4,9 @@ moves between a padded [batch, len] grid and packed real-token rows.
 
 Parameter containers are plain dataclasses of tensors, which
 ``named_tensors`` walks to name every parameter.  The functional ops below
-apply tape primitives to a container's tensors; layer normalization is a
-single primitive whose backward rule is the closed form, not a composite.
+apply tape primitives to a container's tensors; an affine map and layer
+normalization are single primitives whose backward rules are closed forms,
+not composites.
 """
 
 from __future__ import annotations
@@ -131,12 +132,9 @@ def named_tensors(node, prefix: str) -> list[tuple[str, Tensor]]:
     return named
 
 
-def linear(x: Tensor, p: LinearParams, sizes=None) -> Tensor:
-    """``x @ weight + bias``; with ``sizes``, stacked [G, in, out] / [G, out]
-    maps, one per consecutive row group (``T.grouped_linear``)."""
-    if sizes is None:
-        return T.add(T.matmul(x, p.weight), p.bias)
-    return T.grouped_linear(x, p.weight, p.bias, sizes)
+def linear(x: Tensor, p: LinearParams) -> Tensor:
+    """``x @ weight + bias`` on [N, in] rows, one ``T.linear`` node."""
+    return T.linear(x, p.weight, p.bias)
 
 
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:

@@ -3,7 +3,9 @@ dispatch, per-expert capacity, and a load-balancing auxiliary loss.
 
 Routing decisions (argmax, capacity cuts) are taken on raw values and held
 fixed; gradients flow through the chosen gate probability and through the
-expert computation.  Capacity cuts apply in training only.
+expert computation.  Capacity cuts apply in training only.  The gate is one
+``T.linear`` node and the stacked experts one ``T.ffn`` node, with one row
+group per expert.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ as soon as they have run, and adds leaf gradients into ``.grad`` in place.
 
 ``attention`` takes and returns packed [N, d] token rows; its node is the
 only place where the encoder blocks lay tokens out on the padded
-[batch, heads, len, d_k] grid.
+[batch, heads, len, d_k] grid.  ``linear`` records an affine map and ``ffn``
+a position-wise feed-forward block (dense, or experts stacked as row groups)
+as one node each, with bias and ReLU applied in place.
 
 With no tape active, operations compute plain numpy results and record
 nothing, which is the inference path.  Tapes are single-threaded; a tensor
@@ -49,7 +51,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node_id", "_tape_id")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
+        is_float64 = type(data) is np.ndarray and data.dtype == np.float64
+        arr = data if is_float64 else np.asarray(data, dtype=np.float64)
         if arr.size == 0:
             raise ContractError("tensors must be non-empty (every extent >= 1)")
         self.data = arr
@@ -244,12 +247,6 @@ def mul(a, b) -> Tensor:
     ])
 
 
-def relu(x) -> Tensor:
-    x = _as_tensor(x)
-    y = np.maximum(x.data, 0.0)
-    return _maybe_record(y, [(x, lambda g: g * (y > 0))])
-
-
 # ---------------------------------------------------------------------------
 # matrix product
 
@@ -271,33 +268,71 @@ def matmul(a, b) -> Tensor:
     ])
 
 
-def grouped_linear(x, w, b, sizes) -> Tensor:
-    """``x[rows] @ w[j] + b[j]`` for the consecutive row groups of ``x`` [N, d_in],
-    ``sizes[j]`` rows in group j, with ``w`` [G, d_in, d_out] and ``b`` [G, d_out];
-    one node.  Empty groups cost nothing and get zero gradients."""
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` for [N, d_in] rows, a [d_in, d_out] map and a [d_out]
+    bias, one node; the bias is added in place into the product."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if (x.ndim != 2 or w.ndim != 3 or w.shape[:2] != (len(sizes), x.shape[1])
-            or b.shape != (len(sizes), w.shape[2]) or sum(sizes) != x.shape[0]):
-        raise DimensionError(f"grouped_linear: rows {x.shape}, weights {w.shape}, biases "
-                             f"{b.shape} and group sizes {np.asarray(sizes).tolist()} do not fit")
-    ends = np.cumsum(sizes)
-    groups = [(j, slice(end - n, end)) for j, (n, end) in enumerate(zip(sizes, ends)) if n]
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise DimensionError(f"linear: rows {x.shape}, weight {w.shape}, bias {b.shape} do not fit")
     xd, wd = x.data, w.data
-    out = np.empty((x.shape[0], w.shape[2]))
-    for j, rows in groups:
-        np.matmul(xd[rows], wd[j], out=out[rows])
-        out[rows] += b.data[j]
+    out = np.matmul(xd, wd)
+    out += b.data
+    return _maybe_record(out, [
+        (x, lambda g: np.matmul(g, wd.T)),
+        (w, lambda g: np.matmul(xd.T, g)),
+        (b, lambda g: g.sum(axis=0)),
+    ])
 
-    def per_group(shape, fill):  # fill(grad, j, rows) writes group j's share
-        grad = np.empty(shape) if len(groups) == len(sizes) else np.zeros(shape)
-        for j, rows in groups:
-            fill(grad, j, rows)
+
+def ffn(x, w1, b1, w2, b2, sizes=None) -> Tensor:
+    """``relu(x @ w1 + b1) @ w2 + b2`` for [N, d] rows, one node; bias and
+    ReLU are applied in place.  With ``sizes`` the maps are stacked ([G, d, f],
+    [G, f], [G, f, d], [G, d]) and the next ``sizes[j]`` rows go through
+    slice j; an empty group costs nothing and gets zero gradients.  The
+    hidden gradient ``(g @ w2ᵀ) * (h > 0)`` is formed once, when a vjp first
+    reads it, so differentiating ``x`` alone forms no weight gradient."""
+    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    grouped = sizes is not None
+    sizes = np.asarray(sizes).tolist() if grouped else list(x.shape[:1])
+    w1d, b1d, w2d, b2d = stacks = [p.data if grouped else p.data[None] for p in (w1, b1, w2, b2)]
+    (n, d), G, f = x.shape if x.ndim == 2 else (0, 0), len(sizes), w1.shape[-1]
+    if (x.ndim != 2 or sum(sizes) != n or min(sizes) < 0
+            or [s.shape for s in stacks] != [(G, d, f), (G, f), (G, f, d), (G, d)]):
+        raise DimensionError(f"ffn: rows {x.shape}, maps {w1.shape} {b1.shape} {w2.shape} "
+                             f"{b2.shape} and group sizes {sizes} do not fit")
+    ends = itertools.accumulate(sizes)
+    groups = [(j, slice(end - size, end)) for j, (size, end) in enumerate(zip(sizes, ends)) if size]
+    xd, h, out = x.data, np.empty((n, f)), np.empty((n, d))
+    for j, r in groups:
+        np.matmul(xd[r], w1d[j], out=h[r])
+        h[r] += b1d[j]
+    np.maximum(h, 0.0, out=h)
+    for j, r in groups:
+        np.matmul(h[r], w2d[j], out=out[r])
+        out[r] += b2d[j]
+
+    def per_group(shape, fill, by_row=False):  # fill(o, j, r) writes group j's share into o
+        grad = np.empty(shape) if len(groups) == G else np.zeros(shape)
+        slots = grad if grouped else grad[None]
+        for j, r in groups:
+            fill(grad[r] if by_row else slots[j], j, r)
         return grad
 
+    last = [None, None]  # (incoming gradient, hidden gradient)
+
+    def dh(g):  # shared by the vjps of x, w1 and b1
+        if last[0] is not g:
+            last[:] = g, per_group(h.shape, lambda o, j, r: np.matmul(g[r], w2d[j].T, out=o), True)
+            last[1] *= h > 0
+        return last[1]
+
     return _maybe_record(out, [
-        (x, lambda g: per_group(xd.shape, lambda d, j, r: np.matmul(g[r], wd[j].T, out=d[r]))),
-        (w, lambda g: per_group(wd.shape, lambda d, j, r: np.matmul(xd[r].T, g[r], out=d[j]))),
-        (b, lambda g: per_group(b.shape, lambda d, j, r: np.sum(g[r], axis=0, out=d[j]))),
+        (x, lambda g: per_group(xd.shape, lambda o, j, r: np.matmul(dh(g)[r], w1d[j].T, out=o),
+                                True)),
+        (w1, lambda g: per_group(w1.shape, lambda o, j, r: np.matmul(xd[r].T, dh(g)[r], out=o))),
+        (b1, lambda g: per_group(b1.shape, lambda o, j, r: np.sum(dh(g)[r], axis=0, out=o))),
+        (w2, lambda g: per_group(w2.shape, lambda o, j, r: np.matmul(h[r].T, g[r], out=o))),
+        (b2, lambda g: per_group(b2.shape, lambda o, j, r: np.sum(g[r], axis=0, out=o))),
     ])
 
 
@@ -328,10 +363,7 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _as_tensor(x)
     out = x.data.mean(axis=axis, keepdims=keepdims)
     in_shape = x.data.shape
-    count = x.data.size if axis is None else np.prod(
-        [in_shape[ax % len(in_shape)] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    inv = 1.0 / float(count)
+    inv = 1.0 / float(x.data.size // np.size(out))
     return _maybe_record(np.asarray(out), [
         (x, lambda g: _restore_reduced(g, in_shape, axis, keepdims) * inv),
     ])
@@ -351,16 +383,19 @@ def layer_norm(x, gamma, beta, epsilon: float) -> Tensor:
     beta gradients sum ``g * xhat`` and ``g`` over the leading axes.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = ((centered * centered).mean(axis=-1, keepdims=True) + epsilon) ** -0.5
-    xhat = centered * inv
+    d = x.shape[-1]  # means are sums over d, bit for bit what np.mean gives
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    inv = ((xhat * xhat).sum(axis=-1, keepdims=True) / d + epsilon) ** -0.5
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def dx(g):
         gh = g * gamma.data
-        return inv * (gh - gh.mean(axis=-1, keepdims=True)
-                      - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        return inv * (gh - gh.sum(axis=-1, keepdims=True) / d
+                      - xhat * ((gh * xhat).sum(axis=-1, keepdims=True) / d))
 
-    return _maybe_record(xhat * gamma.data + beta.data, [
+    return _maybe_record(out, [
         (x, dx),
         (gamma, lambda g: _unbroadcast(g * xhat, gamma.data.shape)),
         (beta, lambda g: _unbroadcast(g, beta.data.shape)),
@@ -424,9 +459,10 @@ def attention(q, k, v, pad_mask: np.ndarray, num_heads: int) -> Tensor:
     grid = mask.shape + (num_heads, width // num_heads)
 
     def to_grid(x):  # [N, d] -> [batch, heads, len, d_k], zero at padding
-        out = np.zeros(grid)
-        out[mask] = x.reshape(rows, *grid[2:])
-        return out.transpose(0, 2, 1, 3)
+        if rows < mask.size:
+            x, real = np.zeros(grid), x
+            x[mask] = real.reshape(rows, *grid[2:])
+        return x.reshape(grid).transpose(0, 2, 1, 3)
 
     def to_rows(x):  # [batch, heads, len, d_k] -> its real rows, [N, d]
         x = x.transpose(0, 2, 1, 3)
@@ -438,7 +474,8 @@ def attention(q, k, v, pad_mask: np.ndarray, num_heads: int) -> Tensor:
     scale = 1.0 / np.sqrt(grid[3])
     probs = np.matmul(qd, np.swapaxes(kd, -1, -2))
     probs *= scale
-    probs += np.where(mask, 0.0, MASK_BIAS)[:, None, None, :]
+    if rows < mask.size:
+        probs += np.where(mask, 0.0, MASK_BIAS)[:, None, None, :]
     _softmax_in_place(probs, -1)
     last = [None, None, None]  # (incoming gradient, it on the grid, its score gradient)
 

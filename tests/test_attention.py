@@ -108,14 +108,14 @@ class TestMultiHeadAttention:
             with pytest.raises(DimensionError):
                 multi_head_attention(x, p, bad_mask)
 
-    def test_padded_batch_is_six_tape_nodes(self):
-        # Three projections, one attention node and the output map's two.
+    def test_padded_batch_is_five_tape_nodes(self):
+        # Three projections, one attention node and one for the output map.
         p = MultiHeadParams.create(8, 2, np.random.default_rng(0))
         mask = np.array([[True, True, True], [True, False, False]])
         x = Tensor(rng.standard_normal((4, 8)), requires_grad=True)
         with Tape() as tape:
             multi_head_attention(x, p, mask)
-        assert len(tape._nodes) == 6
+        assert len(tape._nodes) == 5
 
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError):

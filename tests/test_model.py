@@ -281,6 +281,28 @@ class TestTapeMemory:
         assert self.held_bytes(variant) < self.BOUND[variant]
 
 
+class TestTapeNodes:
+    """Nodes a d32 training forward plus its loss records: one per affine map
+    and one per FFN, dense or expert-stacked."""
+
+    @pytest.mark.parametrize("variant,nodes", [("dense", (41, 39)), ("switch", (64, 62))])
+    def test_training_pass_node_count(self, variant, nodes):
+        model = EncoderModel.build(tiny_config(variant, num_experts=4, d_model=32, d_ff=64,
+                                               vocab_size=50, max_len=16, dropout=0.2, seed=5))
+        gen = np.random.default_rng(0)
+        lengths = gen.integers(3, 17, size=16)
+        ids = np.zeros((16, 16), dtype=np.int64)
+        for i, n in enumerate(lengths):
+            ids[i, :n] = gen.integers(2, 50, size=n)
+        counts = []
+        for batch in (ids, ids[:1, :lengths[0]]):  # 16 padded notes, then one note
+            with Tape() as tape:
+                result = model.forward(batch, batch != 0, training=True)
+                total_loss(result.logits, np.zeros(len(batch), int), result.aux_loss, 0.01)
+            counts.append(len(tape._nodes))
+        assert tuple(counts) == nodes
+
+
 class TestHiddenExport:
     def make_rows(self, model, n=5):
         gen = np.random.default_rng(0)

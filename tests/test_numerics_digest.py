@@ -5,7 +5,8 @@ a refactor that moves a result by one unit in the last place passes them.
 These digests pin the exact bits of fresh d32 dense and switch models for
 fixed seeds: logits at inference, and logits plus every parameter gradient
 of a training forward (dropout on) and its loss, on a padded batch and on a
-batch-1 sequence; and the IG scores of one switch example.
+batch-1 sequence; the IG scores of one switch example; and the inference
+logits of a switch batch that leaves one expert without a token.
 
 They hold for numpy 2.4.6 linked against OpenBLAS 0.3.31 (the scipy-openblas
 wheel build, DYNAMIC_ARCH, running its SkylakeX kernels on an AVX-512 x86-64
@@ -44,6 +45,11 @@ EXPECTED = {
 }
 EXPECTED_IG = "fc7264948c34429dd98c9c9472488f335fff52120b68b934f98b0f2ccda17310"
 
+# An inference batch whose second layer routes every token to expert 0, so
+# expert 1 serves an empty row group.
+EMPTY_EXPERT_IDS = np.array([[41, 34, 2, 0, 0, 0], [3, 38, 37, 0, 0, 0], [43, 0, 0, 0, 0, 0]])
+EXPECTED_EMPTY_EXPERT = "95d4cd7da1bccfc2bb67c4b09c63b15db68a4fc2226374ff70ffc6ae730377fc"
+
 
 def d32_model(variant: str) -> EncoderModel:
     return EncoderModel.build(ModelConfig(
@@ -76,3 +82,10 @@ def test_integrated_gradients_keep_their_bits():
     report = integrated_gradients(d32_model("switch"), ids, ids != 0, target_class=1,
                                   num_steps=16)
     assert hashlib.sha256(report.scores.tobytes()).hexdigest() == EXPECTED_IG
+
+
+def test_inference_with_an_empty_expert_keeps_its_bits():
+    ids = EMPTY_EXPERT_IDS
+    result = d32_model("switch").forward(ids, ids != 0)
+    assert [record.counts.tolist() for record in result.routing] == [[6, 1], [7, 0]]
+    assert hashlib.sha256(result.logits.data.tobytes()).hexdigest() == EXPECTED_EMPTY_EXPERT

@@ -266,7 +266,9 @@ class TestFiniteDifferenceCheck:
             finite_difference_check(lambda t: T.sum_(t), Tensor([1.0]), h=0.0)
 
     @pytest.mark.parametrize("build", [
-        lambda t: T.sum_(T.relu(t)),
+        lambda t: T.sum_(T.ffn(T.reshape(t, (2, 3)), Tensor(np.eye(3, 4) - 0.1),
+                               Tensor([0.3, -0.2, 0.1, 0.5]), Tensor(np.ones((4, 3))),
+                               Tensor([0.0, 1.0, -1.0]))),
         lambda t: T.sum_(T.mul(T.layer_norm(T.reshape(t, (2, 3)), Tensor([1.5, -0.5, 2.0]),
                                             Tensor([0.1, 0.2, -0.3]), 1e-5),
                                Tensor([[3.0, -1.0, 2.0], [0.5, -2.0, 1.0]]))),
@@ -348,43 +350,110 @@ class TestGatherScatter:
         assert finite_difference_check(build, Tensor(rng.standard_normal(8)), h=1e-6) < 1e-4
 
 
-class TestGroupedLinear:
-    sizes = np.array([2, 0, 3])  # the middle group is empty
-
+class TestLinear:
     def operands(self):
-        return (rng.standard_normal((5, 4)), rng.standard_normal((3, 4, 2)),
-                rng.standard_normal((3, 2)))
+        return rng.standard_normal((5, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)
 
-    def test_each_group_maps_through_its_slice(self):
+    def test_product_plus_bias_in_one_node(self):
         x, w, b = self.operands()
-        out = T.grouped_linear(Tensor(x), Tensor(w), Tensor(b), self.sizes).data
-        np.testing.assert_array_equal(out[:2], x[:2] @ w[0] + b[0])
-        np.testing.assert_array_equal(out[2:], x[2:] @ w[2] + b[2])
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = T.linear(xt, Tensor(w), Tensor(b))
+        np.testing.assert_array_equal(out.data, x @ w + b)
+        assert len(tape._nodes) == 1
 
-    def test_finite_difference_and_empty_group(self):
-        x, w, b = self.operands()
-        coeffs = Tensor(rng.standard_normal((5, 2)))
-        operands = {"x": x, "w": w, "b": b}
+    def test_finite_difference(self):
+        operands = dict(zip("xwb", self.operands()))
+        coeffs = Tensor(rng.standard_normal((5, 3)))
         for name in operands:
             def f(t, name=name):
                 args = {k: Tensor(v) for k, v in operands.items()}
                 args[name] = t
-                out = T.grouped_linear(args["x"], args["w"], args["b"], self.sizes)
-                return T.sum_(T.mul(out, coeffs))
+                return T.sum_(T.mul(T.linear(args["x"], args["w"], args["b"]), coeffs))
             assert finite_difference_check(f, Tensor(operands[name]), h=1e-6) < 1e-4, name
-        wt, bt = Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
-        with Tape() as tape:
-            y = T.sum_(T.mul(T.grouped_linear(Tensor(x), wt, bt, self.sizes), coeffs))
-        tape.backward(y)
-        assert len(tape._nodes) == 3  # grouped_linear, mul, sum
-        assert not wt.grad[1].any() and not bt.grad[1].any()
 
     def test_shapes_checked(self):
         x, w, b = self.operands()
-        with pytest.raises(DimensionError):
-            T.grouped_linear(Tensor(x), Tensor(w), Tensor(b), np.array([2, 2, 2]))
-        with pytest.raises(DimensionError):
-            T.grouped_linear(Tensor(x), Tensor(w[0]), Tensor(b[0]), np.array([5]))
+        for args in ((x, w.T, b), (x, w, b[:2]), (x[None], w, b), (x, w[None], b)):
+            with pytest.raises(DimensionError):
+                T.linear(*(Tensor(a) for a in args))
+
+
+class TestFfn:
+    """``T.ffn``: dense, and stacked with one map per group of rows."""
+
+    layouts = {"dense": None, "empty_group": np.array([2, 0, 3]),  # the middle group is empty
+               "one_group": np.array([0, 5, 0])}  # every row on one expert
+
+    def operands(self, sizes, seed=5):
+        # A fixed draw whose hidden pre-activations all lie well away from the
+        # ReLU kink, so central differences see a smooth function.
+        gen = np.random.default_rng(seed)
+        lead = () if sizes is None else (len(sizes),)
+        return {"x": gen.standard_normal((5, 4)), "w1": gen.standard_normal(lead + (4, 6)),
+                "b1": gen.standard_normal(lead + (6,)), "w2": gen.standard_normal(lead + (6, 4)),
+                "b2": gen.standard_normal(lead + (4,))}
+
+    @staticmethod
+    def apply(args, sizes):
+        return T.ffn(args["x"], args["w1"], args["b1"], args["w2"], args["b2"], sizes)
+
+    @pytest.mark.parametrize("layout", sorted(layouts))
+    def test_each_group_maps_through_its_slice(self, layout):
+        sizes = self.layouts[layout]
+        ops = self.operands(sizes)
+        out = self.apply({k: Tensor(v) for k, v in ops.items()}, sizes).data
+        start = 0
+        for j, n in enumerate([5] if sizes is None else sizes):
+            w1, b1, w2, b2 = (ops[k] if sizes is None else ops[k][j]
+                              for k in ("w1", "b1", "w2", "b2"))
+            hidden = np.maximum(ops["x"][start:start + n] @ w1 + b1, 0.0)
+            np.testing.assert_array_equal(out[start:start + n], hidden @ w2 + b2)
+            start += n
+
+    @pytest.mark.parametrize("layout", sorted(layouts))
+    def test_finite_difference(self, layout):
+        sizes = self.layouts[layout]
+        ops = self.operands(sizes)
+        coeffs = Tensor(rng.standard_normal((5, 4)))
+        for name in ops:
+            def f(t, name=name):
+                args = {k: Tensor(v) for k, v in ops.items()}
+                args[name] = t
+                return T.sum_(T.mul(self.apply(args, sizes), coeffs))
+            assert finite_difference_check(f, Tensor(ops[name]), h=1e-6) < 1e-4, (layout, name)
+
+    def test_one_node_and_zero_gradients_for_an_empty_group(self):
+        sizes = self.layouts["empty_group"]
+        args = {k: Tensor(v, requires_grad=True) for k, v in self.operands(sizes).items()}
+        with Tape() as tape:
+            y = T.sum_(self.apply(args, sizes))
+        assert len(tape._nodes) == 2  # ffn, sum
+        tape.backward(y)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert not args[name].grad[1].any() and args[name].grad[0].any(), name
+
+    def test_input_only_pass_leaves_weight_gradients_unset(self):
+        for sizes in self.layouts.values():
+            args = {k: Tensor(v, requires_grad=True) for k, v in self.operands(sizes).items()}
+            with Tape(wrt=[args["x"]]) as tape:
+                y = T.sum_(self.apply(args, sizes))
+            tape.backward(y)
+            assert args["x"].grad is not None
+            assert all(args[k].grad is None for k in ("w1", "b1", "w2", "b2"))
+
+    def test_shapes_checked(self):
+        ops = self.operands(np.array([2, 0, 3]))
+        bad = {"sizes that miss a row": (ops, np.array([2, 2, 2])),
+               "a negative group size": (ops, np.array([3, -1, 3])),
+               "unstacked maps for groups": (self.operands(None), np.array([5])),
+               "stacked maps without groups": (ops, None),
+               "a bias of another width": ({**ops, "b2": ops["b2"][:, :3]}, np.array([2, 0, 3])),
+               "rows of rank 3": ({**ops, "x": ops["x"][None]}, np.array([2, 0, 3]))}
+        for why, (args, sizes) in bad.items():
+            with pytest.raises(DimensionError):
+                self.apply({k: Tensor(v) for k, v in args.items()}, sizes)
+                pytest.fail(why)
 
 
 class TestAttention:
