@@ -4,7 +4,9 @@ completeness residual reported alongside every score.
 The path integral of the target logit's gradient is taken along the
 straight line from a baseline to the input; by the completeness property
 the attributions sum to F(input) - F(baseline) up to discretization error,
-which shrinks as the step count grows.
+which shrinks as the step count grows.  The input, the baseline and every
+point between are packed [N, d_model] embedding rows of the real tokens,
+as ``embed`` gives them, so each score belongs to one real token.
 """
 
 from __future__ import annotations
@@ -82,11 +84,12 @@ def path_integrated_gradients(fn, x: np.ndarray, baseline: np.ndarray, num_steps
     return attributions, delta, residual
 
 
-def _baseline_embedding(model: EncoderModel, seq_len: int, kind: str) -> np.ndarray:
+def _baseline_embedding(model: EncoderModel, mask: np.ndarray, kind: str) -> np.ndarray:
+    """Packed baseline rows for the real tokens of ``mask``."""
     if kind == "pad":
-        return embed(np.full(seq_len, PAD_ID, dtype=np.int64), model.embeddings).data
+        return embed(np.full(mask.shape, PAD_ID, dtype=np.int64), mask, model.embeddings).data
     if kind == "zero":
-        return np.zeros((seq_len, model.config.d_model))
+        return np.zeros((int(mask.sum()), model.config.d_model))
     raise ConfigError(f"baseline must be 'pad' or 'zero', got {kind!r}")
 
 
@@ -105,22 +108,19 @@ def integrated_gradients(model: EncoderModel, ids: np.ndarray, mask: np.ndarray,
     target = int(target_class)
 
     def logit_fn(emb: Tensor) -> Tensor:
-        result = model.forward_from_embeddings(
-            T.reshape(emb, (1,) + emb.shape), batch_mask, training=False
-        )
-        return T.sum_(T.pick(result.logits, np.array([0]), np.array([target])))
+        result = model.forward_from_embeddings(emb, batch_mask, training=False)
+        return T.sum_(T.take_rows(result.logits, (np.array([0]), np.array([target]))))
 
-    x = embed(ids, model.embeddings).data
-    base = _baseline_embedding(model, len(ids), baseline)
+    x = embed(ids[None, :], batch_mask, model.embeddings).data
+    base = _baseline_embedding(model, batch_mask, baseline)
     attributions, delta, residual = path_integrated_gradients(logit_fn, x, base, num_steps)
 
     logits = model.forward(ids[None, :], batch_mask, training=False).logits.data[0]
-    per_token = attributions.sum(axis=1)
-    real = np.nonzero(mask)[0]
-    tokens = decode(ids[real], vocab) if vocab is not None else [str(i) for i in ids[real]]
+    real = ids[mask]
+    tokens = decode(real, vocab) if vocab is not None else [str(i) for i in real]
     return AttributionReport(
         tokens=tokens,
-        scores=per_token[real],
+        scores=attributions.sum(axis=1),
         predicted_class=int(logits.argmax()),
         target_class=target,
         completeness_residual=residual,

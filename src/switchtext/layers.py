@@ -1,6 +1,6 @@
 """Parameterized primitive layers: affine maps, layer normalization,
-token + learned-position embeddings, Glorot-normal initialization, and the
-moves between a padded [batch, len] grid and packed real-token rows.
+token + learned-position embeddings looked up straight into packed
+real-token rows, and Glorot-normal initialization.
 
 Parameter containers are plain dataclasses of tensors, which
 ``named_tensors`` walks to name every parameter.  The functional ops below
@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, VocabularyError
 from .tensor import Tensor
 
 PAD_ID = 0
@@ -148,37 +148,28 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     return T.layer_norm(x, p.gamma, p.beta, p.epsilon)
 
 
-def pack(grid: Tensor, pad_mask: np.ndarray) -> Tensor:
-    """The real rows of [batch*len, d] grid rows: one row per True entry of
-    the [batch, len] ``pad_mask``, in its row-major order.  Without padding
-    the grid rows already are the packed rows."""
-    return grid if pad_mask.all() else T.take_rows(grid, np.flatnonzero(pad_mask))
+def embed(tokens: np.ndarray, pad_mask: np.ndarray, table: EmbeddingTable) -> Tensor:
+    """Token + positional embeddings of the real tokens as packed [N, d] rows.
 
-
-def unpack(h: Tensor, pad_mask: np.ndarray) -> Tensor:
-    """Packed rows placed back on the [batch*len, d] grid, zero at padding."""
-    return h if pad_mask.all() else T.scatter_rows(h, np.flatnonzero(pad_mask), pad_mask.size)
-
-
-def embed(tokens: np.ndarray, table: EmbeddingTable) -> Tensor:
-    """Token + positional embedding for id array of shape [len] or [batch, len].
-
-    The gradient of a downstream loss touches only the looked-up rows.
+    ``tokens`` and ``pad_mask`` share one shape, [len] or [batch, len], the
+    last axis the position; the rows are the True entries of the mask in its
+    row-major order.  Padding is never looked up, and the gradient of a
+    downstream loss touches only the looked-up rows.
     """
     ids = np.asarray(tokens)
-    seq_len = ids.shape[-1]
-    if seq_len > table.max_len:
-        raise DimensionError(f"sequence length {seq_len} exceeds max_len {table.max_len}")
-    if ids.min() < 0 or ids.max() >= table.vocab_size:
-        from .errors import VocabularyError
-
+    mask = np.asarray(pad_mask, dtype=bool)
+    if mask.shape != ids.shape:
+        raise ContractError(f"pad mask shape {mask.shape} does not match the ids {ids.shape}")
+    if ids.shape[-1] > table.max_len:
+        raise DimensionError(f"sequence length {ids.shape[-1]} exceeds max_len {table.max_len}")
+    real = ids[mask]
+    if real.size and (real.min() < 0 or real.max() >= table.vocab_size):
         raise VocabularyError(
             f"token id out of range [0, {table.vocab_size}): "
-            f"min={ids.min()}, max={ids.max()}"
+            f"min={real.min()}, max={real.max()}"
         )
-    tok = T.take_rows(table.table, ids)
-    pos = T.take_rows(table.positional, np.arange(seq_len))
-    return T.add(tok, pos)
+    return T.add(T.take_rows(table.table, real),
+                 T.take_rows(table.positional, np.nonzero(mask)[-1]))
 
 
 # Dropout is a tape primitive; exposed here alongside the other layer ops.

@@ -1,10 +1,11 @@
 """Encoder model assembly: embeddings, a stack of encoder blocks (dense FFN
 or routed expert mixture), masked pooling, and a two-logit classifier head.
 
-The encoder computes on real tokens only: after the embedding a batch is
-packed into ``[N, d_model]`` rows, the real tokens in the ``[batch, len]``
-padding mask's row-major order.  In the blocks only the ``T.attention`` node
-lays them out on the padded grid; mean pooling does once, to sum them.
+The encoder computes on real tokens only: the embedding lookup yields
+packed ``[N, d_model]`` rows, the real tokens in the ``[batch, len]``
+padding mask's row-major order, and they stay packed up to the pooling.  In
+the blocks only the ``T.attention`` node lays them out on the padded grid;
+mean pooling scatters them onto it once, to sum them.
 
 Also home to parameter counting, pooled hidden-state export, and the
 deterministic checkpoint container.
@@ -25,7 +26,7 @@ from .attention import FfnParams, MultiHeadParams, multi_head_attention, positio
 from .data import Vocabulary, pad_batch, write_artifact
 from .errors import CompatibilityError, ConfigError, ContractError
 from .layers import (EmbeddingTable, LayerNormParams, LinearParams, dropout, embed, layer_norm,
-                     linear, named_tensors, pack, unpack)
+                     linear, named_tensors)
 from .moe import RoutingRecord, SwitchParams, switch_forward
 from .tensor import Tensor
 
@@ -155,23 +156,24 @@ class EncoderModel:
         auxiliary loss over routed layers (0 for the dense variant).
         """
         ids = np.asarray(token_ids)
-        if ids.ndim != 2 or ids.shape[0] == 0:
+        if ids.ndim != 2 or 0 in ids.shape:
             raise ContractError(f"forward expects a non-empty [batch, len] id array, got {ids.shape}")
-        x = embed(ids, self.embeddings)
-        return self._encode(x, np.asarray(pad_mask, dtype=bool), training)
+        mask = np.asarray(pad_mask, dtype=bool)
+        return self._encode(embed(ids, mask, self.embeddings), mask, training)
 
     def forward_from_embeddings(self, emb: Tensor, pad_mask: np.ndarray, training: bool = False) -> ForwardResult:
-        """Forward pass starting from an explicit embedding tensor
-        [batch, len, d_model]; the entry point for gradient-based attribution."""
-        if emb.ndim != 3:
-            raise ContractError(f"expected [batch, len, d_model] embeddings, got {emb.shape}")
+        """Forward pass starting from explicit embeddings: packed [N, d_model]
+        rows, one per real token of the [batch, len] ``pad_mask`` in its
+        row-major order, as ``embed`` gives them; the entry point for
+        gradient-based attribution."""
         return self._encode(emb, np.asarray(pad_mask, dtype=bool), training)
 
-    def _encode(self, x: Tensor, mask: np.ndarray, training: bool) -> ForwardResult:
+    def _encode(self, h: Tensor, mask: np.ndarray, training: bool) -> ForwardResult:
         cfg = self.config
-        batch, seq_len, d = x.shape
-        if mask.shape != (batch, seq_len):
-            raise ContractError(f"pad mask shape {mask.shape} does not match the batch {(batch, seq_len)}")
+        if h.ndim != 2 or mask.ndim != 2 or h.shape[0] != mask.sum():
+            raise ContractError(f"expected [N, d_model] rows, one per real token of a [batch, len] "
+                                f"pad mask, got rows {h.shape} for a mask of shape {mask.shape} "
+                                f"with {mask.sum()} real tokens")
         rng = self._dropout_rng
         hidden: list[Tensor] = []
         routing: list[RoutingRecord] = []
@@ -179,7 +181,6 @@ class EncoderModel:
 
         # Block dropout draws its masks over the padded grid (layout=mask),
         # so every real token gets the mask the padded layout would give it.
-        h = pack(T.reshape(x, (batch * seq_len, d)), mask)
         for block in self.blocks:
             attended = multi_head_attention(h, block.mha, mask)
             h = layer_norm(T.add(h, dropout(attended, cfg.dropout, training, rng, mask)), block.norm1)
@@ -203,7 +204,7 @@ class EncoderModel:
         counts = mask.sum(axis=1)
         if self.config.pooling == "first":
             return T.take_rows(h, np.cumsum(counts) - counts)
-        summed = T.sum_(T.reshape(unpack(h, mask), mask.shape + (h.shape[1],)), axis=1)
+        summed = T.sum_(T.scatter_rows(h, mask, mask.shape), axis=1)
         return T.mul(summed, Tensor(1.0 / counts[:, None]))
 
     # ------------------------------------------------------------------

@@ -125,11 +125,11 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
     counts = np.minimum(dispatched, capacity)
     if len(kept):
         served = position_wise_ffn(T.take_rows(x, kept), p.experts, counts)
-        combined = T.scatter_rows(served, kept, num_tokens)
+        combined = T.scatter_rows(served, kept, (num_tokens,))
     else:  # a capacity of 0 serves no token
         combined = Tensor(np.zeros(x.shape))
     rows = np.arange(num_tokens)
-    out = T.mul(combined, T.pick(probs, rows[:, None], chosen[:, None]))
+    out = T.mul(combined, T.take_rows(probs, (rows[:, None], chosen[:, None])))
 
     record = RoutingRecord(
         chosen=chosen,

@@ -13,7 +13,9 @@ as soon as they have run, and adds leaf gradients into ``.grad`` in place.
 only place where the encoder blocks lay tokens out on the padded
 [batch, heads, len, d_k] grid.  ``linear`` records an affine map and ``ffn``
 a position-wise feed-forward block (dense, or experts stacked as row groups)
-as one node each, with bias and ReLU applied in place.
+as one node each, with bias and ReLU applied in place.  ``take_rows`` and
+``scatter_rows`` are the one gather/scatter pair: embedding lookup, expert
+dispatch and combine, picking entries, and placing packed rows on a grid.
 
 With no tape active, operations compute plain numpy results and record
 nothing, which is the inference path.  Tapes are single-threaded; a tensor
@@ -496,81 +498,60 @@ def attention(q, k, v, pad_mask: np.ndarray, num_heads: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# shape movement
-
-
-def reshape(x, shape: tuple[int, ...]) -> Tensor:
-    x = _as_tensor(x)
-    in_shape = x.data.shape
-    return _maybe_record(x.data.reshape(shape), [(x, lambda g: g.reshape(in_shape))])
-
-
-# ---------------------------------------------------------------------------
 # gather / scatter
 
 
-def _scatter_into_zeros(shape, index, g, slots: np.ndarray, num_slots: int) -> np.ndarray:
-    """``zeros(shape)`` with ``g`` added at ``index``, the adjoint of a gather.
+def take_rows(x, index) -> Tensor:
+    """``x[index]`` for an int array ``index`` of any shape (rows of axis 0),
+    or a tuple of int arrays, one per leading axis (e.g. the entries
+    ``x[rows, cols]`` of a matrix).  Each index array is checked against its
+    axis.
 
-    ``slots`` are the flat positions ``index`` addresses, out of
-    ``num_slots``.  When they are unique a plain assignment does it;
-    repeated positions accumulate through ``np.add.at``, which is an order
-    of magnitude slower.
-    """
-    z = np.zeros(shape)
-    seen = np.zeros(num_slots, dtype=bool)
-    seen[slots] = True
-    if np.count_nonzero(seen) == slots.size:
-        z[index] = g
-    else:
-        np.add.at(z, index, g)
-    return z
-
-
-def take_rows(x, indices) -> Tensor:
-    """Gather rows of ``x`` along axis 0; ``indices`` may have any shape.
-
-    The backward rule scatter-adds, so repeated indices accumulate, which
-    makes this the single primitive behind both embedding lookup and
-    token dispatch; unique indices (packing, dispatch) take the fast path.
+    The backward rule scatters into zeros: by assignment when the indexed
+    positions are distinct, else through ``np.add.at``, an order of
+    magnitude slower, so repeated positions accumulate.  This is the one
+    gather: embedding lookup, token dispatch and picking entries.
     """
     x = _as_tensor(x)
-    idx = np.asarray(indices)
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise ContractError(
-            f"take_rows index out of range [0, {x.shape[0]}): "
-            f"min={idx.min()}, max={idx.max()}"
-        )
+    many = isinstance(index, tuple)
+    idx = tuple(np.asarray(i) for i in index) if many else (np.asarray(index),)
+    axes = x.shape[:len(idx)]
+    try:  # the flat positions; raises on an index outside its axis
+        slots = np.ravel_multi_index(idx, axes)
+    except ValueError as e:
+        ranges = ", ".join(f"[{i.min()}, {i.max()}] on axis {k}" for k, i in enumerate(idx) if i.size)
+        raise ContractError(f"take_rows index out of range: {len(idx)} index arrays spanning "
+                            f"{ranges} for the leading axes of shape {x.shape}") from e
+    key = idx if many else idx[0]
     in_shape = x.data.shape
-    return _maybe_record(x.data[idx], [
-        (x, lambda g: _scatter_into_zeros(in_shape, idx, g, idx, in_shape[0])),
-    ])
+
+    def scatter(g):
+        z = np.zeros(in_shape)
+        seen = np.zeros(int(np.prod(axes)), dtype=bool)
+        seen[slots] = True
+        if np.count_nonzero(seen) == slots.size:
+            z[key] = g
+        else:
+            np.add.at(z, key, g)
+        return z
+
+    return _maybe_record(x.data[key], [(x, scatter)])
 
 
-def scatter_rows(x, indices, num_rows: int) -> Tensor:
-    """Place the rows of ``x`` at ``indices`` inside a zero block of
-    ``num_rows`` rows.  Indices must be unique."""
+def scatter_rows(x, index, shape: tuple[int, ...]) -> Tensor:
+    """The rows of ``x`` placed at distinct positions of a zero block whose
+    leading shape is ``shape``.  ``index`` is a boolean mask of that shape,
+    True at the rows' positions in its row-major order, or an int array of
+    the positions along a single leading axis."""
     x = _as_tensor(x)
-    idx = np.asarray(indices)
-    out = np.zeros((num_rows,) + x.data.shape[1:])
-    out[idx] = x.data
+    idx = np.asarray(index)
+    out = np.zeros(tuple(shape) + x.shape[1:])
+    try:
+        out[idx] = x.data
+    except (IndexError, ValueError) as e:
+        raise ContractError(f"scatter_rows: rows {x.shape} do not fit index {idx.shape} "
+                            f"into leading shape {tuple(shape)}") from e
     return _maybe_record(out, [(x, lambda g: g[idx])])
-
-
-def pick(x, rows, cols) -> Tensor:
-    """Select entries ``x[rows[i], cols[i]]`` of a 2-D tensor; the result has
-    the shape of the index arrays."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise DimensionError(f"pick needs a 2-D tensor, got shape {x.shape}")
-    r = np.asarray(rows)
-    c = np.asarray(cols)
-    in_shape = x.data.shape
-    return _maybe_record(x.data[r, c], [
-        (x, lambda g: _scatter_into_zeros(in_shape, (r, c), g,
-                                          np.ravel_multi_index((r, c), in_shape, mode="wrap"),
-                                          x.size)),
-    ])
 
 
 # ---------------------------------------------------------------------------

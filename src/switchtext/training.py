@@ -177,7 +177,7 @@ def weighted_cross_entropy(logits: Tensor, labels: np.ndarray, weights=None) -> 
     """Softmax cross-entropy with per-class weights, normalized by the total
     weight so uniform weights give the plain mean."""
     logp = T.log_softmax(logits, axis=1)
-    picked = T.pick(logp, np.arange(len(labels)), labels)
+    picked = T.take_rows(logp, (np.arange(len(labels)), labels))
     w = _example_weights(labels, weights)
     return T.mul(T.sum_(T.mul(picked, Tensor(-w))), 1.0 / float(w.sum()))
 

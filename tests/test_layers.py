@@ -9,8 +9,7 @@ from switchtext import Tape, Tensor, finite_difference_check
 from switchtext import tensor as T
 from switchtext.errors import ConfigError, DimensionError, VocabularyError
 from switchtext.layers import (EmbeddingTable, LayerNormParams, LinearParams,
-                               dropout, embed, glorot_normal, glorot_std, layer_norm, pack,
-                               unpack)
+                               dropout, embed, glorot_normal, glorot_std, layer_norm)
 
 rng = np.random.default_rng(77)
 
@@ -120,21 +119,21 @@ class TestEmbedding:
     def test_all_pad_rows(self):
         table = self.make_table()
         ids = np.zeros(4, dtype=int)
-        out = embed(ids, table).data
+        out = embed(ids, np.ones(4, bool), table).data
         expected = table.table.data[0] + table.positional.data[:4]
         np.testing.assert_array_equal(out, expected)
 
     def test_zero_positional_is_token_row(self):
         table = self.make_table()
         table.positional.data = np.zeros_like(table.positional.data)
-        out = embed(np.array([3]), table).data
+        out = embed(np.array([3]), np.array([True]), table).data
         np.testing.assert_array_equal(out, table.table.data[[3]])
 
     def test_gradient_touches_only_looked_up_rows(self):
         table = self.make_table()
-        ids = np.array([2, 5, 2])
+        ids, mask = np.array([2, 5, 2]), np.ones(3, bool)
         with Tape() as tape:
-            y = T.sum_(T.mul(embed(ids, table), Tensor(embed(ids, table).data.copy())))
+            y = T.sum_(T.mul(embed(ids, mask, table), Tensor(embed(ids, mask, table).data.copy())))
         tape.backward(y)
         touched = np.nonzero(np.abs(table.table.grad).sum(axis=1))[0]
         assert set(touched) == {2, 5}
@@ -144,7 +143,7 @@ class TestEmbedding:
         def loss_at(row_value):
             table.table.data = base.copy()
             table.table.data[6] = row_value
-            out = embed(ids, table).data
+            out = embed(ids, mask, table).data
             table.table.data = base
             return (out * out).sum()
 
@@ -159,17 +158,27 @@ class TestEmbedding:
     def test_out_of_range_id(self):
         table = self.make_table(vocab=4)
         with pytest.raises(VocabularyError):
-            embed(np.array([4]), table)
+            embed(np.array([4]), np.array([True]), table)
 
     def test_too_long_sequence(self):
         table = self.make_table(max_len=3)
         with pytest.raises(DimensionError):
-            embed(np.zeros(5, dtype=int), table)
+            embed(np.zeros(5, dtype=int), np.ones(5, bool), table)
 
     def test_batched_lookup_shape(self):
         table = self.make_table()
-        out = embed(np.zeros((2, 5), dtype=int), table)
-        assert out.shape == (2, 5, 4)
+        mask = np.array([[True, True, True, False, False], [True] * 5])
+        out = embed(np.zeros((2, 5), dtype=int), mask, table)
+        assert out.shape == (8, 4)  # one row per real token
+
+    def test_padding_is_never_looked_up(self):
+        table = self.make_table(vocab=4)
+        ids = np.array([[2, 3, 9], [1, 7, -5]])  # out of range only under padding
+        mask = np.array([[True, True, False], [True, False, False]])
+        expected = table.table.data[[2, 3, 1]] + table.positional.data[[0, 1, 0]]
+        np.testing.assert_array_equal(embed(ids, mask, table).data, expected)
+        with pytest.raises(VocabularyError):
+            embed(ids, np.ones((2, 3), bool), table)
 
 
 class TestDropoutLayer:
@@ -183,18 +192,29 @@ class TestDropoutLayer:
 
 
 class TestPacking:
+    """``embed`` packs the real tokens of a padded batch into rows and
+    ``T.scatter_rows`` by the mask lays them back out on the grid."""
+
+    table = EmbeddingTable.create(9, 2, 3, np.random.default_rng(4))
+
+    def grid(self, ids):  # the padded [batch, len, d] embedding grid
+        return self.table.table.data[ids] + self.table.positional.data[:ids.shape[1]]
+
     def test_pack_and_unpack_between_grid_and_real_rows(self):
-        grid = Tensor(rng.standard_normal((6, 2)))
-        mask = np.array([[True, True, False], [True, False, False]])
-        packed = pack(grid, mask)
-        np.testing.assert_array_equal(packed.data, grid.data[[0, 1, 3]])
-        expected = np.where(mask.reshape(-1, 1), grid.data, 0.0)
-        np.testing.assert_array_equal(unpack(packed, mask).data, expected)
+        ids = np.array([[5, 8, 0], [3, 0, 0]])
+        mask = ids != 0
+        packed = embed(ids, mask, self.table)
+        grid = self.grid(ids)
+        np.testing.assert_array_equal(packed.data, grid[[0, 0, 1], [0, 1, 0]])
+        expected = np.where(mask[:, :, None], grid, 0.0)
+        np.testing.assert_array_equal(T.scatter_rows(packed, mask, mask.shape).data, expected)
 
     def test_without_padding_the_grid_is_the_packed_rows(self):
-        rows = Tensor(rng.standard_normal((4, 2)))
+        ids = np.array([[5, 8], [3, 1]])
         mask = np.ones((2, 2), bool)
-        assert pack(rows, mask) is rows and unpack(rows, mask) is rows
+        packed = embed(ids, mask, self.table)
+        assert packed.data.tobytes() == self.grid(ids).tobytes()
+        assert T.scatter_rows(packed, mask, mask.shape).data.tobytes() == packed.data.tobytes()
 
 
 class TestLinearParams:

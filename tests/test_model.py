@@ -13,6 +13,7 @@ from helpers import check_many_params, file_digest
 from switchtext import ModelConfig, EncoderModel, Tape, Tensor, count_parameters
 from switchtext import tensor as T
 from switchtext.errors import CompatibilityError, ConfigError, ContractError
+from switchtext.layers import embed
 from switchtext.model import (CHECKPOINT_MAGIC, export_hidden_embeddings, load_checkpoint,
                               save_checkpoint)
 from switchtext.moe import SwitchParams
@@ -109,6 +110,28 @@ class TestForward:
         model = EncoderModel.build(tiny_config())
         with pytest.raises(ContractError, match="pad mask shape"):
             model.forward(np.array([[2, 3, 4]]), np.ones((1, 4), bool))
+
+    def test_sequences_of_no_tokens_rejected(self):
+        model = EncoderModel.build(tiny_config())
+        with pytest.raises(ContractError, match="non-empty"):
+            model.forward(np.zeros((1, 0), dtype=int), np.ones((1, 0), bool))
+
+    @pytest.mark.parametrize("variant", ["dense", "switch"])
+    def test_forward_from_embedded_rows_matches_forward(self, variant):
+        model = EncoderModel.build(tiny_config(variant))
+        ids = np.array([[2, 3, 4, 0], [5, 6, 0, 0], [7, 0, 0, 0]])
+        mask = ids != 0
+        rows = embed(ids, mask, model.embeddings)
+        assert rows.shape == (mask.sum(), model.config.d_model)
+        logits = model.forward_from_embeddings(rows, mask).logits.data
+        assert logits.tobytes() == model.forward(ids, mask).logits.data.tobytes()
+
+    def test_forward_from_embeddings_needs_one_row_per_real_token(self):
+        model = EncoderModel.build(tiny_config())
+        mask = np.array([[True, True, False], [True, False, False]])
+        for shape in [(2, 8), (4, 8), (2, 3, 8)]:  # 3 real tokens, in rows of width 8
+            with pytest.raises(ContractError, match="one per real token"):
+                model.forward_from_embeddings(Tensor(np.ones(shape)), mask)
 
     def test_switch_single_expert_matches_dense(self):
         dense = EncoderModel.build(tiny_config("dense"))
@@ -285,7 +308,7 @@ class TestTapeNodes:
     """Nodes a d32 training forward plus its loss records: one per affine map
     and one per FFN, dense or expert-stacked."""
 
-    @pytest.mark.parametrize("variant,nodes", [("dense", (41, 39)), ("switch", (64, 62))])
+    @pytest.mark.parametrize("variant,nodes", [("dense", (38, 38)), ("switch", (61, 61))])
     def test_training_pass_node_count(self, variant, nodes):
         model = EncoderModel.build(tiny_config(variant, num_experts=4, d_model=32, d_ff=64,
                                                vocab_size=50, max_len=16, dropout=0.2, seed=5))

@@ -183,7 +183,7 @@ class TestAccumulationEquivalence:
     def ce_loss(w: Tensor, x: np.ndarray, labels: np.ndarray) -> Tensor:
         logits = T.matmul(Tensor(x), w)
         logp = T.log_softmax(logits, axis=1)
-        picked = T.pick(logp, np.arange(len(labels)), labels)
+        picked = T.take_rows(logp, (np.arange(len(labels)), labels))
         return T.mul(T.sum_(T.mul(picked, -1.0)), 1.0 / len(labels))
 
     def run_steps(self, micro_batches, lr=0.05):

@@ -213,9 +213,10 @@ class TestBackward:
         v = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         with Tape() as tape:
             # add(x, x) hands x the upstream gradient itself twice, add(.., w)
-            # hands w that same gradient, and reshape hands v a view of one.
+            # hands w that same gradient, and sum_ hands v a read-only view
+            # of the seed, which the gradient of s also views.
             s = T.add(T.add(x, x), w)
-            y = T.sum_(T.add(s, T.reshape(T.reshape(v, (6,)), (2, 3))))
+            y = T.add(T.sum_(s), T.sum_(v))
         tape.backward(y)
         grads = [x.grad, w.grad, v.grad]
         for g in grads:
@@ -266,17 +267,16 @@ class TestFiniteDifferenceCheck:
             finite_difference_check(lambda t: T.sum_(t), Tensor([1.0]), h=0.0)
 
     @pytest.mark.parametrize("build", [
-        lambda t: T.sum_(T.ffn(T.reshape(t, (2, 3)), Tensor(np.eye(3, 4) - 0.1),
-                               Tensor([0.3, -0.2, 0.1, 0.5]), Tensor(np.ones((4, 3))),
-                               Tensor([0.0, 1.0, -1.0]))),
-        lambda t: T.sum_(T.mul(T.layer_norm(T.reshape(t, (2, 3)), Tensor([1.5, -0.5, 2.0]),
+        lambda t: T.sum_(T.ffn(t, Tensor(np.eye(3, 4) - 0.1), Tensor([0.3, -0.2, 0.1, 0.5]),
+                               Tensor(np.ones((4, 3))), Tensor([0.0, 1.0, -1.0]))),
+        lambda t: T.sum_(T.mul(T.layer_norm(t, Tensor([1.5, -0.5, 2.0]),
                                             Tensor([0.1, 0.2, -0.3]), 1e-5),
                                Tensor([[3.0, -1.0, 2.0], [0.5, -2.0, 1.0]]))),
-        lambda t: T.sum_(T.mul(T.softmax(t, axis=0), Tensor([3.0, -1.0, 2.0, 0.5, -2.0, 1.0]))),
-        lambda t: T.sum_(T.log_softmax(T.reshape(t, (2, 3)), axis=1)),
+        lambda t: T.sum_(T.mul(T.softmax(t, axis=0), Tensor([[3.0, -1.0, 2.0], [0.5, -2.0, 1.0]]))),
+        lambda t: T.sum_(T.log_softmax(t, axis=1)),
     ])
     def test_randomized_ops(self, build):
-        x = Tensor(rng.standard_normal(6) + 0.2)
+        x = Tensor(rng.standard_normal((2, 3)) + 0.2)
         assert finite_difference_check(build, x, h=1e-6) < 1e-4
 
 
@@ -314,7 +314,7 @@ class TestGatherScatter:
         x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         idx = np.array([4, 1, 0])
         with Tape() as tape:
-            s = T.scatter_rows(x, idx, 6)
+            s = T.scatter_rows(x, idx, (6,))
             y = T.sum_(T.mul(T.take_rows(s, idx), 2.0))
         tape.backward(y)
         np.testing.assert_array_equal(x.grad, np.full((3, 2), 2.0))
@@ -322,7 +322,7 @@ class TestGatherScatter:
     def test_pick_entries(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
         with Tape() as tape:
-            y = T.sum_(T.pick(x, np.array([0, 1, 2]), np.array([3, 0, 2])))
+            y = T.sum_(T.take_rows(x, (np.array([0, 1, 2]), np.array([3, 0, 2]))))
         tape.backward(y)
         assert y.item() == 3.0 + 4.0 + 10.0
         expected = np.zeros((3, 4))
@@ -332,7 +332,7 @@ class TestGatherScatter:
     def test_pick_repeated_entries_accumulate(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
         with Tape() as tape:
-            y = T.sum_(T.pick(x, np.array([0, 2, 0, 1]), np.array([3, 0, 3, 3])))
+            y = T.sum_(T.take_rows(x, (np.array([0, 2, 0, 1]), np.array([3, 0, 3, 3]))))
         tape.backward(y)
         expected = np.zeros((3, 4))
         expected[0, 3], expected[2, 0], expected[1, 3] = 2.0, 1.0, 1.0
@@ -340,14 +340,45 @@ class TestGatherScatter:
 
     def test_fdc_through_gather_scatter_pick(self):
         idx = np.array([1, 3])
+        mask = np.array([[False, True], [True, False]])
 
-        def build(t):
-            m = T.reshape(t, (4, 2))
-            g = T.take_rows(m, idx)
-            s = T.scatter_rows(g, np.array([0, 2]), 4)
-            return T.sum_(T.mul(s, s)) + T.sum_(T.pick(m, np.array([0, 0]), np.array([0, 1])))
+        def build(m):
+            s = T.scatter_rows(T.take_rows(m, idx), np.array([0, 2]), (4,))
+            grid = T.scatter_rows(T.take_rows(m, idx), mask, mask.shape)
+            return (T.sum_(T.mul(s, s)) + T.sum_(T.mul(grid, grid))
+                    + T.sum_(T.take_rows(m, (np.array([0, 0]), np.array([0, 1])))))
 
-        assert finite_difference_check(build, Tensor(rng.standard_normal(8)), h=1e-6) < 1e-4
+        assert finite_difference_check(build, Tensor(rng.standard_normal((4, 2))), h=1e-6) < 1e-4
+
+    def test_take_rows_checks_each_index_array_against_its_axis(self):
+        x = Tensor(np.ones((3, 2)))
+        for index in [(np.array([0, 3]), np.array([0, 1])),  # row 3 of 3
+                      (np.array([0, 1]), np.array([1, -1])),  # column -1
+                      (np.array([2]), np.array([2])),  # column 2 of 2
+                      (np.array([0]),) * 3]:  # three axes of two
+            with pytest.raises(ContractError, match="index out of range"):
+                T.take_rows(x, index)
+        assert T.take_rows(x, (np.array([2]), np.array([1]))).shape == (1,)
+
+    def test_scatter_rows_by_mask_fills_the_grid_in_row_major_order(self):
+        x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        mask = np.array([[True, True, False], [False, True, False]])
+        coeffs = rng.standard_normal((2, 3, 2))
+        with Tape() as tape:
+            grid = T.scatter_rows(x, mask, mask.shape)
+            y = T.sum_(T.mul(grid, coeffs))
+        tape.backward(y)
+        expected = np.zeros((2, 3, 2))
+        expected[[0, 0, 1], [0, 1, 1]] = x.data
+        np.testing.assert_array_equal(grid.data, expected)
+        np.testing.assert_array_equal(x.grad, coeffs[mask])
+
+    @pytest.mark.parametrize("index,shape", [(np.ones((2, 2), bool), (2, 2)),  # 4 places
+                                             (np.ones((1, 3), bool), (3, 1)),  # another shape
+                                             (np.array([0, 4, 1]), (4,))])  # out of range
+    def test_scatter_rows_that_do_not_fit_rejected(self, index, shape):
+        with pytest.raises(ContractError, match="do not fit"):
+            T.scatter_rows(Tensor(np.ones((3, 2))), index, shape)
 
 
 class TestLinear:

@@ -13,7 +13,7 @@ from switchtext import RunConfig, Tensor, generate_synthetic_corpus
 from switchtext import tensor as T
 from switchtext import training
 from switchtext.data import class_weights
-from switchtext.errors import ConfigError, DataError
+from switchtext.errors import ConfigError, ContractError, DataError
 from switchtext.model import ModelConfig, load_checkpoint
 from switchtext.tensor import Tape
 from switchtext.training import (EncodedExample, dataset_digest, encode_examples,
@@ -52,6 +52,14 @@ class TestLoss:
         loss = weighted_cross_entropy(logits, labels, weights)
         # All logits equal: per-example CE is log 2 regardless of weights.
         np.testing.assert_allclose(loss.item(), np.log(2.0), atol=1e-12)
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_outside_the_classes_rejected(self, label):
+        # A label is a column index of the logits: -1 must not score the
+        # last class, and 2 must not escape as a bare IndexError.
+        logits = Tensor([[0.5, -0.5], [1.0, 2.0], [0.0, 0.3]])
+        with pytest.raises(ContractError, match="out of range"):
+            weighted_cross_entropy(logits, np.array([0, label, 1]))
 
     def test_total_loss_aux_weight_zero_is_pure_ce(self):
         logits = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
