@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .tensor import Tape, Tensor, finite_difference_check  # noqa: F401
 from .layers import (  # noqa: F401
     EmbeddingTable, LayerNormParams, LinearParams,
-    embed, glorot_normal, layer_norm, linear, dropout,
+    embed, layer_norm, linear, dropout,
 )
 from .attention import (  # noqa: F401
     FfnParams, MultiHeadParams,

@@ -65,7 +65,8 @@ def _merged_config(args: argparse.Namespace) -> dict:
 
 
 def _prepare_eval_inputs(checkpoint_path: str, data_path: str, split: str):
-    """Load a checkpoint, reread the dataset, and rebuild the stored split."""
+    """Load a checkpoint, reread the dataset, and rebuild the stored split
+    ("all" takes every example)."""
     model, vocab, extra = load_checkpoint(checkpoint_path)
     if vocab is None:
         from .errors import CompatibilityError
@@ -74,8 +75,9 @@ def _prepare_eval_inputs(checkpoint_path: str, data_path: str, split: str):
     dataset = read_jsonl(data_path)
     stored = extra.get("run_config", {})
     run_cfg = RunConfig.from_dict(stored) if stored else RunConfig()
-    dataset.splits = split_dataset(dataset, seed=run_cfg.split_seed, stratify=run_cfg.stratify)
-    encoded = encode_examples(dataset.subset(split), vocab, model.config.max_len)
+    indices = (range(len(dataset)) if split == "all" else
+               split_dataset(dataset, seed=run_cfg.split_seed, stratify=run_cfg.stratify)[split])
+    encoded = encode_examples([dataset.examples[i] for i in indices], vocab, model.config.max_len)
     return model, vocab, dataset, encoded, run_cfg
 
 
@@ -88,6 +90,8 @@ def _make_output_dir(path: str) -> None:
 
 
 def cmd_gen_data(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     dataset = generate_synthetic_corpus(
         n=args.n, positive_fraction=args.positive_fraction,
         noise=args.noise, seed=args.seed,
@@ -141,8 +145,8 @@ def cmd_eval(args) -> int:
     _write_report(args.output_dir, name, outcome.report)
     write_artifact(f"{args.output_dir}/timings_eval.tsv",
                    ["phase\twall_clock_s\n", f"eval_total\t{time.perf_counter() - started:.3f}\n"])
-    write_manifest(args.output_dir, "eval", asdict(run_cfg), run_cfg.seed,
-                   dataset_digest(dataset), [f"{name}.tsv", f"{name}.json"])
+    write_manifest(args.output_dir, "eval", asdict(run_cfg), dataset_digest(dataset),
+                   [f"{name}.tsv", f"{name}.json"])
     print("\n".join(outcome.report.table_lines()))
     return 0
 
@@ -177,8 +181,8 @@ def cmd_attribute(args) -> int:
         "tokens": report.tokens,
         "scores": [round(float(s), 10) for s in report.scores],
     }, ensure_ascii=False, sort_keys=True) + "\n" for example, report in reports))
-    write_manifest(args.output_dir, "attribute", asdict(run_cfg), run_cfg.seed,
-                   dataset_digest(dataset), ["attributions.txt", "attributions.jsonl"])
+    write_manifest(args.output_dir, "attribute", asdict(run_cfg), dataset_digest(dataset),
+                   ["attributions.txt", "attributions.jsonl"])
     print(f"wrote {len(reports)} attribution reports to {args.output_dir}")
     return 0
 
@@ -190,8 +194,8 @@ def cmd_export_embeddings(args) -> int:
     _make_output_dir(args.output_dir)
     out_path = f"{args.output_dir}/embeddings_layer{args.layer}_{args.split}.tsv"
     count = export_hidden_embeddings(model, encoded, args.layer, out_path)
-    write_manifest(args.output_dir, "export-embeddings", asdict(run_cfg), run_cfg.seed,
-                   dataset_digest(dataset), [os.path.basename(out_path)])
+    write_manifest(args.output_dir, "export-embeddings", asdict(run_cfg), dataset_digest(dataset),
+                   [os.path.basename(out_path)])
     print(f"wrote {count} records to {out_path}")
     return 0
 

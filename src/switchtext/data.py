@@ -1,7 +1,8 @@
 """Corpus handling: whitespace-unigram vocabulary, encoding, batch padding
-with masks, stratified splitting, inverse-frequency class weights, JSON-lines
-dataset files, a synthetic note generator with planted keywords, and
-``write_artifact``, the one function through which every file is written.
+with masks, stratified 80/10/10 splitting, inverse-frequency class weights,
+JSON-lines dataset files whose records are checked field by field, a
+synthetic note generator with planted keywords, and ``write_artifact``, the
+one function through which every file is written.
 
 Tokenization lowercases and strips punctuation while preserving accents
 (the corpora are French-like).  The shipped stop-word and negation lists
@@ -58,13 +59,16 @@ def tokenize(text: str, stopwords=None, merge_negations: bool = False) -> list[s
 
 @dataclass
 class Vocabulary:
-    """Token ids with PAD=0 and UNK=1 reserved; bijective elsewhere."""
+    """Token ids with PAD=0 and UNK=1 reserved; bijective elsewhere.
+    ``token_to_id`` is derived from ``id_to_token``."""
 
     id_to_token: list[str]
-    token_to_id: dict[str, int]
-    min_frequency: int = 1
     merge_negations: bool = False
     stopwords: frozenset[str] | None = None
+    token_to_id: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -75,18 +79,14 @@ class Vocabulary:
     def to_dict(self) -> dict:
         return {
             "id_to_token": self.id_to_token,
-            "min_frequency": self.min_frequency,
             "merge_negations": self.merge_negations,
             "stopwords": sorted(self.stopwords) if self.stopwords else None,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "Vocabulary":
-        tokens = list(d["id_to_token"])
         return Vocabulary(
-            id_to_token=tokens,
-            token_to_id={t: i for i, t in enumerate(tokens)},
-            min_frequency=int(d.get("min_frequency", 1)),
+            id_to_token=list(d["id_to_token"]),
             merge_negations=bool(d.get("merge_negations", False)),
             stopwords=frozenset(d["stopwords"]) if d.get("stopwords") else None,
         )
@@ -108,11 +108,8 @@ def build_vocab(corpus, min_frequency: int = 1, stopwords=None,
         (t for t, c in counts.items() if c >= min_frequency),
         key=lambda t: (-counts[t], t),
     )
-    id_to_token = ["<pad>", "<unk>"] + kept
     return Vocabulary(
-        id_to_token=id_to_token,
-        token_to_id={t: i for i, t in enumerate(id_to_token)},
-        min_frequency=min_frequency,
+        id_to_token=["<pad>", "<unk>"] + kept,
         merge_negations=merge_negations,
         stopwords=frozenset(stopwords) if stopwords else None,
     )
@@ -158,7 +155,6 @@ class Example:
 @dataclass
 class LabeledDataset:
     examples: list[Example]
-    splits: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -166,15 +162,12 @@ class LabeledDataset:
     def labels(self) -> np.ndarray:
         return np.asarray([e.label for e in self.examples])
 
-    def subset(self, split: str) -> list[Example]:
-        if split == "all":
-            return list(self.examples)
-        if split not in self.splits:
-            raise ConfigError(f"unknown split {split!r}; have {sorted(self.splits)}")
-        return [self.examples[i] for i in self.splits[split]]
-
 
 def read_jsonl(path) -> LabeledDataset:
+    """One record per non-blank line: a JSON object with a string ``text``,
+    a ``label`` that is the integer 0 or 1, and optionally an ``id``, an
+    integer or a string, defaulting to the record's index.  Ids must be
+    unique; any other record raises DataError naming its line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -182,23 +175,29 @@ def read_jsonl(path) -> LabeledDataset:
         raise DataError(f"cannot read dataset {path}: {e.strerror}") from e
     except UnicodeDecodeError as e:
         raise DataError(f"dataset {path} is not UTF-8 text: {e}") from e
-    examples = []
+    examples, seen = [], set()
     for line_no, line in enumerate(lines):
         line = line.strip()
         if not line:
             continue
+        where = f"{path}:{line_no + 1}"
         try:
             record = json.loads(line)
         except json.JSONDecodeError as e:
-            raise DataError(f"{path}:{line_no + 1}: invalid JSON record") from e
+            raise DataError(f"{where}: invalid JSON record") from e
         if not isinstance(record, dict) or "text" not in record or "label" not in record:
-            raise DataError(f"{path}:{line_no + 1}: record needs to be a JSON object "
-                            f"with 'text' and 'label'")
-        label = record["label"]
-        if label not in (0, 1):
-            raise DataError(f"{path}:{line_no + 1}: label must be 0 or 1, got {label!r}")
-        examples.append(Example(example_id=record.get("id", len(examples)),
-                                text=str(record["text"]), label=int(label)))
+            raise DataError(f"{where}: record needs to be a JSON object with 'text' and 'label'")
+        example_id, text, label = record.get("id", len(examples)), record["text"], record["label"]
+        if type(example_id) not in (int, str):
+            raise DataError(f"{where}: id must be an integer or a string, got {example_id!r}")
+        if example_id in seen:
+            raise DataError(f"{where}: duplicate id {example_id!r}")
+        if not isinstance(text, str):
+            raise DataError(f"{where}: text must be a string, got {text!r}")
+        if type(label) is not int or label not in (0, 1):
+            raise DataError(f"{where}: label must be the integer 0 or 1, got {label!r}")
+        seen.add(example_id)
+        examples.append(Example(example_id=example_id, text=text, label=label))
     if not examples:
         raise DataError(f"{path}: no records found")
     return LabeledDataset(examples=examples)
@@ -242,36 +241,24 @@ def write_jsonl(path, dataset: LabeledDataset) -> None:
 # splitting and class balance
 
 
-def split_dataset(n_or_dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0,
-                  stratify: bool = False, labels=None) -> dict[str, np.ndarray]:
-    """Deterministic shuffled train/val/test assignment.
+def split_dataset(dataset: LabeledDataset, seed: int = 0,
+                  stratify: bool = False) -> dict[str, np.ndarray]:
+    """Deterministic shuffled train/val/test assignment of example indices.
 
-    Validation and test sizes are round(fraction * n); train takes the
+    Validation and test sizes are round(0.1 * n) each; train takes the
     remainder.  With ``stratify`` the assignment is made per label so each
     split keeps the global positive fraction within rounding."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"split fractions must sum to 1, got {fractions}")
-    if isinstance(n_or_dataset, LabeledDataset):
-        n = len(n_or_dataset)
-        if labels is None:
-            labels = n_or_dataset.labels()
-    else:
-        n = int(n_or_dataset)
-    if stratify and labels is None:
-        raise ConfigError("stratified splitting needs labels")
-
     rng = np.random.default_rng(seed)
 
     def assign(indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         shuffled = rng.permutation(indices)
-        n_val = round(fractions[1] * len(indices))
-        n_test = round(fractions[2] * len(indices))
+        n_val = n_test = round(0.1 * len(indices))
         return shuffled[: len(indices) - n_val - n_test], \
             shuffled[len(indices) - n_val - n_test: len(indices) - n_test], \
             shuffled[len(indices) - n_test:]
 
     if stratify:
-        labels = np.asarray(labels)
+        labels = dataset.labels()
         parts = {"train": [], "val": [], "test": []}
         for value in np.unique(labels):
             tr, va, te = assign(np.nonzero(labels == value)[0])
@@ -280,7 +267,7 @@ def split_dataset(n_or_dataset, fractions=(0.8, 0.1, 0.1), seed: int = 0,
             parts["test"].append(te)
         splits = {k: rng.permutation(np.concatenate(v)) for k, v in parts.items()}
     else:
-        tr, va, te = assign(np.arange(n))
+        tr, va, te = assign(np.arange(len(dataset)))
         splits = {"train": tr, "val": va, "test": te}
     return splits
 

@@ -1,6 +1,7 @@
 """Parameterized primitive layers: affine maps, layer normalization,
 token + learned-position embeddings looked up straight into packed
-real-token rows, and Glorot-normal initialization.
+real-token rows, and Glorot-normal initialization from a caller's generator
+(``init_weight``).
 
 Parameter containers are plain dataclasses of tensors, which
 ``named_tensors`` walks to name every parameter.  The functional ops below
@@ -23,30 +24,16 @@ PAD_ID = 0
 UNK_ID = 1
 
 
-def glorot_std(fan_in: int, fan_out: int) -> float:
-    """Standard deviation of the Glorot-normal law: sqrt(2/(fan_in+fan_out))."""
-    return float(np.sqrt(2.0 / (fan_in + fan_out)))
-
-
-def glorot_normal(fan_in: int, fan_out: int, seed) -> Tensor:
-    """Draw a ``fan_in x fan_out`` weight matrix from N(0, 2/(fan_in+fan_out)).
-
-    ``seed`` may be an integer (bit-identical draws per seed) or an already
-    constructed ``numpy.random.Generator`` that advances across calls.
-    """
+def init_weight(fan_in: int, fan_out: int, rng: np.random.Generator | None) -> Tensor:
+    """A ``fan_in x fan_out`` weight drawn from the Glorot-normal law
+    N(0, 2/(fan_in+fan_out)) with ``rng``, or with ``rng`` None an unfilled
+    one that draws nothing, for a checkpoint load to overwrite."""
     if fan_in < 1 or fan_out < 1:
         raise ConfigError(f"fan extents must be >= 1, got {fan_in}, {fan_out}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    draws = rng.normal(0.0, glorot_std(fan_in, fan_out), size=(fan_in, fan_out))
-    return Tensor(draws, requires_grad=True)
-
-
-def init_weight(fan_in: int, fan_out: int, rng: np.random.Generator | None) -> Tensor:
-    """A Glorot-normal weight drawn from ``rng``, or with ``rng`` None an
-    unfilled one that draws nothing, for a checkpoint load to overwrite."""
     if rng is None:
         return Tensor(np.empty((fan_in, fan_out)), requires_grad=True)
-    return glorot_normal(fan_in, fan_out, rng)
+    std = float(np.sqrt(2.0 / (fan_in + fan_out)))
+    return Tensor(rng.normal(0.0, std, size=(fan_in, fan_out)), requires_grad=True)
 
 
 @dataclass
@@ -71,14 +58,9 @@ class LayerNormParams:
     epsilon: float = 1e-5
 
     @staticmethod
-    def create(dim: int, epsilon: float = 1e-5) -> "LayerNormParams":
-        if epsilon <= 0:
-            raise ConfigError(f"layer-norm epsilon must be positive, got {epsilon}")
-        return LayerNormParams(
-            gamma=Tensor(np.ones(dim), requires_grad=True),
-            beta=Tensor(np.zeros(dim), requires_grad=True),
-            epsilon=epsilon,
-        )
+    def create(dim: int) -> "LayerNormParams":
+        return LayerNormParams(gamma=Tensor(np.ones(dim), requires_grad=True),
+                               beta=Tensor(np.zeros(dim), requires_grad=True))
 
 
 @dataclass

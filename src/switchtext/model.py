@@ -8,12 +8,14 @@ the blocks only the ``T.attention`` node lays them out on the padded grid;
 mean pooling scatters them onto it once, to sum them.
 
 Also home to parameter counting, pooled hidden-state export, and the
-deterministic checkpoint container.
+deterministic checkpoint container, which ends with the sha256 of every
+byte before it, so a load rejects a flipped byte.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 import struct
@@ -31,7 +33,8 @@ from .moe import RoutingRecord, SwitchParams, switch_forward
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"SWTCKPT1"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
+NUM_CLASSES = 2  # binary labels: the loss, class weights and metrics assume two
 
 
 @dataclass
@@ -48,10 +51,7 @@ class ModelConfig:
     max_len: int = 256
     dropout: float = 0.35
     capacity_factor: float = 1.25
-    aux_loss_weight: float = 0.01
     pooling: str = "mean"  # {"mean", "first"}
-    num_classes: int = 2
-    layer_norm_eps: float = 1e-5
     seed: int = 0
 
     def violations(self) -> list[str]:
@@ -76,10 +76,10 @@ class ModelConfig:
             problems.append(f"dropout must be in [0, 1), got {self.dropout}")
         if self.capacity_factor < 1.0:
             problems.append(f"capacity_factor must be >= 1, got {self.capacity_factor}")
-        if self.aux_loss_weight < 0.0:
-            problems.append(f"aux_loss_weight must be >= 0, got {self.aux_loss_weight}")
         if self.pooling not in ("mean", "first"):
             problems.append(f"pooling must be 'mean' or 'first', got {self.pooling!r}")
+        if self.seed < 0:
+            problems.append(f"seed must be >= 0, got {self.seed}")
         return problems
 
     def validate(self) -> "ModelConfig":
@@ -134,11 +134,11 @@ class EncoderModel:
                                               capacity_factor=config.capacity_factor))
             blocks.append(EncoderBlock(
                 mha=mha,
-                norm1=LayerNormParams.create(config.d_model, config.layer_norm_eps),
+                norm1=LayerNormParams.create(config.d_model),
                 mixer=mixer,
-                norm2=LayerNormParams.create(config.d_model, config.layer_norm_eps),
+                norm2=LayerNormParams.create(config.d_model),
             ))
-        head = LinearParams.create(config.d_model, config.num_classes, rng)
+        head = LinearParams.create(config.d_model, NUM_CLASSES, rng)
         return EncoderModel(config, embeddings, blocks, head)
 
     def reset_dropout_rng(self, seed: int) -> None:
@@ -151,7 +151,7 @@ class EncoderModel:
         """Run a batch of padded id sequences through the encoder.
 
         ``token_ids`` and ``pad_mask`` are [batch, len]; the mask marks real
-        tokens.  Returns logits [batch, num_classes], post-block hidden
+        tokens.  Returns logits [batch, NUM_CLASSES], post-block hidden
         states for every layer (packed [N_real, d_model] rows), and the mean
         auxiliary loss over routed layers (0 for the dense variant).
         """
@@ -264,13 +264,14 @@ def export_hidden_embeddings(model: EncoderModel, encoded, layer: int, path,
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container: magic, version, JSON header, raw little-endian f64
+# checkpoint container: magic, header length, JSON header, raw little-endian
+# f64 parameters, and a trailer holding the sha256 of all the bytes before it
 
 
 def save_checkpoint(path, model: EncoderModel, vocab=None, extra: dict | None = None) -> str:
-    """Serialize config, vocabulary, and all parameters; returns the file's
-    sha256 digest, hashed from the bytes as they are written.  The byte
-    stream is fully deterministic."""
+    """Serialize config, vocabulary, and all parameters, then the sha256
+    trailer; returns the whole file's sha256 digest, hashed from the bytes
+    as they are written.  The byte stream is fully deterministic."""
     params = model.parameters()
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -280,8 +281,18 @@ def save_checkpoint(path, model: EncoderModel, vocab=None, extra: dict | None = 
         "params": [{"name": n, "shape": list(p.shape)} for n, p in params],
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    return write_artifact(path, [CHECKPOINT_MAGIC, struct.pack("<Q", len(blob)), blob] + [
-        np.ascontiguousarray(p.data, dtype="<f8") for _, p in params])
+    return write_artifact(path, _with_trailer(
+        [CHECKPOINT_MAGIC, struct.pack("<Q", len(blob)), blob]
+        + [np.ascontiguousarray(p.data, dtype="<f8") for _, p in params]))
+
+
+def _with_trailer(parts):
+    """``parts``, then the sha256 digest of all of them."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+        yield part
+    yield h.digest()
 
 
 def load_checkpoint(path):
@@ -289,22 +300,33 @@ def load_checkpoint(path):
     tensors round-trip bit-exactly.
 
     All or nothing: a missing or unreadable path, a foreign or older-format
-    file, a truncated or malformed header or payload, trailing bytes, or a
-    parameter set that differs from the model's raises CompatibilityError.
-    Tensors are read one at a time.
+    file, a truncated or malformed header or payload, trailing bytes, a
+    parameter set that differs from the model's, or bytes that do not match
+    the sha256 trailer raises CompatibilityError.  Tensors are read one at a
+    time; the trailer is checked after the version and shape checks.
     """
     try:
         fh = open(path, "rb")
     except OSError as e:
         raise CompatibilityError(f"cannot read checkpoint {path}: {e.strerror}") from e
+    h = hashlib.sha256(CHECKPOINT_MAGIC)  # of the bytes read so far
+
+    def read(count: int, what: str) -> bytes:
+        data = fh.read(count)
+        if len(data) != count:
+            raise CompatibilityError(f"truncated checkpoint {path}: {what} has {len(data)} of "
+                                     f"{count} bytes")
+        h.update(data)
+        return data
+
     with fh:
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise CompatibilityError(f"not a checkpoint file: {path}")
-        (blob_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "header length"))
+        (blob_len,) = struct.unpack("<Q", read(8, "header length"))
         if blob_len > os.fstat(fh.fileno()).st_size:
             raise CompatibilityError(f"truncated checkpoint {path}: header length exceeds the file")
         try:
-            header = json.loads(_read_exact(fh, blob_len, path, "header").decode("utf-8"))
+            header = json.loads(read(blob_len, "header").decode("utf-8"))
         except ValueError as e:
             raise CompatibilityError(f"malformed checkpoint header in {path}: {e}") from e
         version = header.get("format_version") if isinstance(header, dict) else None
@@ -314,11 +336,10 @@ def load_checkpoint(path):
                 f"version {CHECKPOINT_VERSION}; retrain to write a compatible checkpoint"
             )
         try:
-            config = ModelConfig(**header["config"])
             specs = [(spec["name"], tuple(spec["shape"])) for spec in header["params"]]
-        except (KeyError, TypeError) as e:
+            model = EncoderModel.build(ModelConfig(**header["config"]), init=False)
+        except (KeyError, TypeError, ConfigError) as e:
             raise CompatibilityError(f"malformed checkpoint header in {path}: {e!r}") from e
-        model = EncoderModel.build(config, init=False)
         by_name = dict(model.parameters())
         missing = sorted(by_name.keys() - {name for name, _ in specs})
         if missing:
@@ -331,18 +352,14 @@ def load_checkpoint(path):
                 raise CompatibilityError(
                     f"checkpoint parameter {name!r} has shape {shape}, model expects {param.shape}"
                 )
-            raw = _read_exact(fh, param.size * 8, path, f"parameter {name!r}")
+            raw = read(param.size * 8, f"parameter {name!r}")
             param.data = np.frombuffer(raw, dtype="<f8").reshape(param.shape).copy()
+        digest = h.digest()
+        if read(h.digest_size, "sha256 trailer") != digest:
+            raise CompatibilityError(f"corrupted checkpoint {path}: its bytes do not match "
+                                     f"their sha256 trailer")
         if fh.read(1):
-            raise CompatibilityError(f"checkpoint {path} has bytes after its last parameter")
+            raise CompatibilityError(f"checkpoint {path} has bytes after its last parameter "
+                                     f"and sha256 trailer")
     vocab = Vocabulary.from_dict(header["vocab"]) if header.get("vocab") else None
     return model, vocab, header.get("extra", {})
-
-
-def _read_exact(fh, count: int, path, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise CompatibilityError(
-            f"truncated checkpoint {path}: {what} has {len(data)} of {count} bytes"
-        )
-    return data

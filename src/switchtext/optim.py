@@ -1,6 +1,6 @@
 """Adam/AdamW with decoupled weight decay, a cosine-annealed learning-rate
 schedule with linear warmup, global-norm gradient clipping, and early
-stopping with best-checkpoint bookkeeping.
+stopping on a falling loss with best-checkpoint bookkeeping.
 """
 
 from __future__ import annotations
@@ -138,35 +138,25 @@ def cosine_warmup_lr(step: int, cfg: ScheduleConfig) -> float:
 
 
 class EarlyStopping:
-    """Stop when the monitored metric fails to improve by ``min_delta`` for
-    ``patience`` consecutive epochs; remembers the best epoch so the caller
-    can restore its checkpoint."""
+    """Stop when the monitored metric, a loss, fails to fall by ``min_delta``
+    for ``patience`` consecutive epochs; remembers the best epoch so the
+    caller can restore its checkpoint."""
 
-    def __init__(self, patience: int = 10, min_delta: float = 1e-4, mode: str = "min"):
-        if mode not in ("min", "max"):
-            raise ConfigError(f"mode must be 'min' or 'max', got {mode!r}")
+    def __init__(self, patience: int = 10, min_delta: float = 1e-4):
         if patience < 1:
             raise ConfigError(f"patience must be >= 1, got {patience}")
         self.patience = patience
         self.min_delta = min_delta
-        self.mode = mode
         self.best_metric: float | None = None
         self.best_epoch: int | None = None
         self.epochs_since_best = 0
-
-    def _improved(self, metric: float) -> bool:
-        if self.best_metric is None:
-            return True
-        if self.mode == "min":
-            return metric < self.best_metric - self.min_delta
-        return metric > self.best_metric + self.min_delta
 
     def update(self, metric: float, epoch: int) -> bool:
         """Record an epoch's metric; returns True when training should stop.
         Improvement resets the counter and marks the epoch as best."""
         if not math.isfinite(metric):
             raise NumericError(f"early-stopping metric is not finite: {metric}")
-        if self._improved(metric):
+        if self.best_metric is None or metric < self.best_metric - self.min_delta:
             self.best_metric = metric
             self.best_epoch = epoch
             self.epochs_since_best = 0

@@ -508,9 +508,12 @@ def take_rows(x, index) -> Tensor:
     axis.
 
     The backward rule scatters into zeros: by assignment when the indexed
-    positions are distinct, else through ``np.add.at``, an order of
-    magnitude slower, so repeated positions accumulate.  This is the one
-    gather: embedding lookup, token dispatch and picking entries.
+    positions are distinct, else through ``np.add.at`` on the flat elements,
+    so repeated positions accumulate in index order.  Flat, ``np.add.at``
+    takes numpy's one-dimensional fast path, several times faster than row
+    by row, and its cost does not grow with how often a position repeats.
+    This is the one gather: embedding lookup, token dispatch and picking
+    entries.
     """
     x = _as_tensor(x)
     many = isinstance(index, tuple)
@@ -532,7 +535,9 @@ def take_rows(x, index) -> Tensor:
         if np.count_nonzero(seen) == slots.size:
             z[key] = g
         else:
-            np.add.at(z, key, g)
+            width = z.size // seen.size
+            elements = slots.reshape(-1, 1) * width + np.arange(width)
+            np.add.at(z.reshape(-1), elements.reshape(-1), g.reshape(-1))
         return z
 
     return _maybe_record(x.data[key], [(x, scatter)])

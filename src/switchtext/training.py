@@ -87,14 +87,18 @@ class RunConfig:
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         """The ModelConfig holding every field this config shares with it by
-        name, plus ``vocab_size``; the remaining ModelConfig fields keep
-        their defaults."""
+        name, which is every ModelConfig field but ``vocab_size``, plus
+        ``vocab_size``."""
         own = {f.name for f in fields(self)}
         shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name in own}
         return ModelConfig(vocab_size=vocab_size, **shared)
 
     def violations(self, check_paths: bool = False) -> list[str]:
         problems = self.model_config(vocab_size=2).violations()
+        if self.aux_loss_weight < 0.0:
+            problems.append(f"aux_loss_weight must be >= 0, got {self.aux_loss_weight}")
+        if self.split_seed < 0:
+            problems.append(f"split_seed must be >= 0, got {self.split_seed}")
         if self.epochs < 0:
             problems.append(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -304,15 +308,15 @@ def portable_config(config_dict: dict) -> dict:
     return {k: v for k, v in config_dict.items() if k not in ("data_path", "output_dir")}
 
 
-def write_manifest(out_dir, command: str, config_dict: dict, seed: int,
-                   data_digest: str, artifacts: list[str]) -> None:
+def write_manifest(out_dir, command: str, config_dict: dict, data_digest: str,
+                   artifacts: list[str]) -> None:
     config_dict = portable_config(config_dict)
     canonical = json.dumps(config_dict, sort_keys=True, ensure_ascii=False)
     manifest = {
         "command": command,
         "config": config_dict,
         "config_digest": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-        "seed": seed,
+        "seed": config_dict["seed"],
         "code_version": __version__,
         "dataset_digest": data_digest,
         "platform": {
@@ -393,7 +397,7 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
     )
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5F)))
-    stopper = EarlyStopping(patience=config.patience, min_delta=config.min_delta, mode="min")
+    stopper = EarlyStopping(patience=config.patience, min_delta=config.min_delta)
 
     history: list[dict] = []
     tables = {  # artifact name -> header and rows
@@ -490,7 +494,7 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
         for name, lines in tables.items():
             write_artifact(f"{out_dir}/{name}", (f"{line}\n" for line in lines))
         _write_report(out_dir, "report_val", final_val)
-        write_manifest(out_dir, command, asdict(config), config.seed, dataset_digest(dataset),
+        write_manifest(out_dir, command, asdict(config), dataset_digest(dataset),
                        ["train_log.tsv", "gap.tsv", "routing.tsv", "best.ckpt",
                         "report_val.tsv", "report_val.json"])
 

@@ -20,6 +20,7 @@ from switchtext.attention import FfnParams, MultiHeadParams, multi_head_attentio
 from switchtext.cli import main as cli_main
 from switchtext.interpret import integrated_gradients, path_integrated_gradients
 from switchtext.layers import LayerNormParams, LinearParams, layer_norm, linear
+from switchtext.model import NUM_CLASSES
 from switchtext.metrics import ConfusionMatrix, classification_metrics, confusion
 from switchtext.moe import SwitchParams, gate_probs, load_balance_loss, switch_forward
 from switchtext.training import train, weighted_cross_entropy
@@ -301,7 +302,7 @@ class TestCriterion8ParameterAccounting:
         gate = d * cfg.num_experts + cfg.num_experts
         block = mha + norms + (ffn if cfg.variant == "dense"
                                else gate + cfg.num_experts * ffn)
-        head = d * cfg.num_classes + cfg.num_classes
+        head = d * NUM_CLASSES + NUM_CLASSES
         total = embeddings + cfg.num_layers * block + head
         return {"total": total, "core": total - cfg.vocab_size * d,
                 "ffn": ffn, "gate": gate}

@@ -294,9 +294,15 @@ BAD_INPUT = [
     ("data-not-utf8", "eval", ["--data", "{tmp}/latin1.jsonl"], "data"),
     ("data-record-int", "eval", ["--data", "{tmp}/int.jsonl"], "data"),
     ("data-record-null", "eval", ["--data", "{tmp}/null.jsonl"], "data"),
+    ("data-id-list", "attribute", ["--data", "{tmp}/id_list.jsonl", "--ids", "1"], "data"),
+    ("data-id-duplicate", "attribute", ["--data", "{tmp}/id_dup.jsonl", "--ids", "5"], "data"),
+    ("data-text-null", "eval", ["--data", "{tmp}/text_null.jsonl"], "data"),
+    ("data-label-bool", "eval", ["--data", "{tmp}/label_bool.jsonl"], "data"),
     ("checkpoint-missing", "eval", ["--checkpoint", "{tmp}/missing.ckpt"], "compatibility"),
     ("checkpoint-directory", "eval", ["--checkpoint", "{tmp}"], "compatibility"),
     ("checkpoint-format-3", "eval", ["--checkpoint", "{tmp}/v3.ckpt"], "compatibility"),
+    ("checkpoint-format-4", "eval", ["--checkpoint", "{tmp}/v4.ckpt"], "compatibility"),
+    ("checkpoint-flipped-byte", "eval", ["--checkpoint", "{tmp}/flipped.ckpt"], "compatibility"),
     ("eval-batch-size-0", "eval", ["--batch-size", "0"], "config"),
     ("eval-batch-size-negative", "eval", ["--batch-size", "-3"], "config"),
     ("attribute-ids-not-int", "attribute", ["--ids", "1,x"], "config"),
@@ -306,6 +312,10 @@ BAD_INPUT = [
     ("output-dir-file-attribute", "attribute", ["--output-dir", "{tmp}/afile"], "config"),
     ("output-dir-file-export", "export-embeddings", ["--output-dir", "{tmp}/afile"], "config"),
     ("gen-data-out-missing-dir", "gen-data", ["--out", "{tmp}/missing/g.jsonl"], "config"),
+    ("gen-data-seed-negative", "gen-data", ["--seed", "-1"], "config"),
+    ("train-seed-negative", "train", ["--seed", "-3"], "config"),
+    ("train-split-seed-negative", "train", ["--split-seed", "-1"], "config"),
+    ("train-config-file-seed-negative", "train", ["--config", "{tmp}/negative_seed.json"], "config"),
     # {tmp}/blocked holds a directory where each command's artifact goes.
     ("artifact-blocked-train", "train", ["--output-dir", "{tmp}/blocked"], "config"),
     ("artifact-blocked-eval", "eval", ["--output-dir", "{tmp}/blocked"], "config"),
@@ -332,15 +342,29 @@ def test_bad_input_exits_with_its_category(workdir, tmp_path, capsys, command, f
     (tmp_path / "int.jsonl").write_text("5\n")
     (tmp_path / "null.jsonl").write_text("null\n")
     (tmp_path / "afile").write_text("")
+    good = [json.loads(line) for line in workdir["data"].read_text().splitlines()[:40]]
+    bad_records = {  # each follows 40 good records, which make every split non-empty
+        "id_list": {"id": [1, 2], "text": "a", "label": 0},
+        "id_dup": {"id": 5, "text": "b", "label": 1},
+        "text_null": {"id": 40, "text": None, "label": 0},
+        "label_bool": {"id": 40, "text": "a", "label": True},
+    }
+    for name, record in bad_records.items():
+        (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in good + [record]))
+    (tmp_path / "negative_seed.json").write_text(json.dumps({"seed": -2}))
     for name in ("report_val.tsv", "attributions.txt", "embeddings_layer0_val.tsv"):
         (tmp_path / "blocked" / name).mkdir(parents=True)
-    raw = workdir["ckpt"].read_bytes()  # the same checkpoint, labelled format 3
+    raw = workdir["ckpt"].read_bytes()  # the same checkpoint, labelled format 3 and 4
     (blob_len,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16:16 + blob_len])
-    header["format_version"] = 3
-    blob = json.dumps(header).encode("utf-8")
-    (tmp_path / "v3.ckpt").write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
-                                       + raw[16 + blob_len:])
+    for version in (3, 4):
+        header["format_version"] = version
+        blob = json.dumps(header).encode("utf-8")
+        (tmp_path / f"v{version}.ckpt").write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                                                    + raw[16 + blob_len:])
+    flipped = bytearray(raw)  # one payload bit
+    flipped[16 + blob_len + 100] ^= 0x01
+    (tmp_path / "flipped.ckpt").write_bytes(bytes(flipped))
     argv = [command] + [arg.format(tmp=tmp_path, ckpt=workdir["ckpt"], data=workdir["data"])
                         for arg in BASE_ARGV[command] + flags]
     code = main(argv)

@@ -63,8 +63,10 @@ class TestVocabulary:
         vocab = build_vocab(["a b c"], min_frequency=1, merge_negations=True)
         from switchtext.data import Vocabulary
 
+        assert set(vocab.to_dict()) == {"id_to_token", "merge_negations", "stopwords"}
         clone = Vocabulary.from_dict(vocab.to_dict())
         assert clone.id_to_token == vocab.id_to_token
+        assert clone.token_to_id == {t: i for i, t in enumerate(vocab.id_to_token)}
         assert clone.merge_negations is True
 
 
@@ -107,35 +109,35 @@ class TestEncode:
             assert len(ids) >= 1
 
 
+def labeled(labels) -> LabeledDataset:
+    return LabeledDataset([Example(example_id=i, text="", label=int(y)) for i, y in enumerate(labels)])
+
+
 class TestSplit:
     def test_corpus_scale_sizes(self):
-        splits = split_dataset(5444, seed=1)
+        splits = split_dataset(labeled(np.zeros(5444)), seed=1)
         assert len(splits["val"]) == 544 and len(splits["test"]) == 544
         assert len(splits["train"]) == 4356
 
     def test_partition_property(self):
-        splits = split_dataset(1003, seed=2)
+        splits = split_dataset(labeled(np.zeros(1003)), seed=2)
         merged = np.concatenate([splits["train"], splits["val"], splits["test"]])
         assert len(merged) == 1003
         assert len(np.unique(merged)) == 1003
 
     def test_stratified_keeps_label_ratio(self):
         labels = np.array([1] * 1941 + [0] * 3503)
-        splits = split_dataset(5444, seed=3, stratify=True, labels=labels)
+        splits = split_dataset(labeled(labels), seed=3, stratify=True)
         for name, idx in splits.items():
             frac = labels[idx].mean()
             assert 0.34 <= frac <= 0.38, f"{name} positive fraction {frac}"
             assert abs(len(idx) - {"train": 4356, "val": 544, "test": 544}[name]) <= 1
 
     def test_same_seed_identical(self):
-        a = split_dataset(500, seed=9)
-        b = split_dataset(500, seed=9)
+        a = split_dataset(labeled(np.zeros(500)), seed=9)
+        b = split_dataset(labeled(np.zeros(500)), seed=9)
         for k in a:
             np.testing.assert_array_equal(a[k], b[k])
-
-    def test_bad_fractions(self):
-        with pytest.raises(ConfigError):
-            split_dataset(100, fractions=(0.8, 0.1, 0.2))
 
 
 class TestClassWeights:
@@ -211,11 +213,28 @@ class TestJsonl:
         with pytest.raises(DataError):
             read_jsonl(path)
 
-    def test_subset_accessors(self):
-        ds = generate_synthetic_corpus(40, seed=2)
-        ds.splits = split_dataset(ds, seed=1)
-        train = ds.subset("train")
-        assert len(train) == len(ds.splits["train"])
-        assert len(ds.subset("all")) == 40
-        with pytest.raises(ConfigError):
-            ds.subset("nope")
+    @pytest.mark.parametrize("record,message", [
+        ({"id": [1, 2], "text": "x", "label": 0}, "id must be an integer or a string"),
+        ({"id": 1.5, "text": "x", "label": 0}, "id must be an integer or a string"),
+        ({"id": True, "text": "x", "label": 0}, "id must be an integer or a string"),
+        ({"id": None, "text": "x", "label": 0}, "id must be an integer or a string"),
+        ({"id": 0, "text": "x", "label": 0}, "duplicate id 0"),
+        ({"text": "x", "label": 0}, "duplicate id 2"),  # defaults to its index, 2
+        ({"id": 9, "text": None, "label": 0}, "text must be a string"),
+        ({"id": 9, "text": 5, "label": 0}, "text must be a string"),
+        ({"id": 9, "text": "x", "label": True}, "label must be the integer 0 or 1"),
+        ({"id": 9, "text": "x", "label": 1.0}, "label must be the integer 0 or 1"),
+    ])
+    def test_malformed_record_rejected_naming_its_line(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        lines = [{"id": 0, "text": "a", "label": 1}, {"id": 2, "text": "b", "label": 0}, record]
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        with pytest.raises(DataError, match=f"bad.jsonl:3: {message}"):
+            read_jsonl(path)
+
+    def test_string_and_integer_ids_kept(self, tmp_path):
+        path = tmp_path / "ids.jsonl"
+        lines = [{"id": "n-7", "text": "a", "label": 1}, {"id": 7, "text": "b", "label": 0},
+                 {"text": "c", "label": 0}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        assert [e.example_id for e in read_jsonl(path).examples] == ["n-7", 7, 2]

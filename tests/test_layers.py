@@ -9,7 +9,7 @@ from switchtext import Tape, Tensor, finite_difference_check
 from switchtext import tensor as T
 from switchtext.errors import ConfigError, DimensionError, VocabularyError
 from switchtext.layers import (EmbeddingTable, LayerNormParams, LinearParams,
-                               dropout, embed, glorot_normal, glorot_std, layer_norm)
+                               dropout, embed, init_weight, layer_norm)
 
 rng = np.random.default_rng(77)
 
@@ -92,24 +92,29 @@ class TestLayerNorm:
 
 
 class TestGlorot:
+    """``init_weight`` draws from the Glorot-normal law N(0, 2/(fan_in+fan_out))."""
+
     def test_variance_within_ten_percent(self):
-        draws = glorot_normal(200, 200, seed=9).data  # 40_000 samples
+        draws = init_weight(200, 200, np.random.default_rng(9)).data  # 40_000 samples
         target = 2.0 / 400
         assert abs(draws.var() - target) <= 0.1 * target
 
     def test_same_seed_bit_identical(self):
-        a = glorot_normal(7, 5, seed=123).data
-        b = glorot_normal(7, 5, seed=123).data
+        a = init_weight(7, 5, np.random.default_rng(123)).data
+        b = init_weight(7, 5, np.random.default_rng(123)).data
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(
+            a, np.random.default_rng(123).normal(0.0, np.sqrt(2.0 / 12), size=(7, 5)))
 
     def test_degenerate_fans_target_variance_one(self):
-        assert glorot_std(1, 1) == 1.0
-        draws = np.array([glorot_normal(1, 1, seed=s).data[0, 0] for s in range(4000)])
+        gen = np.random.default_rng(0)
+        draws = np.array([init_weight(1, 1, gen).data[0, 0] for _ in range(4000)])
         assert abs(draws.var() - 1.0) <= 0.1
 
     def test_invalid_fans(self):
-        with pytest.raises(ConfigError):
-            glorot_normal(0, 3, seed=0)
+        for rng_ in (np.random.default_rng(0), None):
+            with pytest.raises(ConfigError):
+                init_weight(0, 3, rng_)
 
 
 class TestEmbedding:

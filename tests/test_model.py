@@ -2,6 +2,7 @@
 invariance, parameter accounting against an independent closed form,
 end-to-end gradient checks, hidden-state export, and checkpointing."""
 
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -14,8 +15,8 @@ from switchtext import ModelConfig, EncoderModel, Tape, Tensor, count_parameters
 from switchtext import tensor as T
 from switchtext.errors import CompatibilityError, ConfigError, ContractError
 from switchtext.layers import embed
-from switchtext.model import (CHECKPOINT_MAGIC, export_hidden_embeddings, load_checkpoint,
-                              save_checkpoint)
+from switchtext.model import (CHECKPOINT_MAGIC, NUM_CLASSES, export_hidden_embeddings,
+                              load_checkpoint, save_checkpoint)
 from switchtext.moe import SwitchParams
 from switchtext.training import EncodedExample, total_loss, weighted_cross_entropy
 
@@ -43,7 +44,7 @@ def closed_form_count(cfg: ModelConfig) -> dict:
         block = mha + norms + ffn
     else:
         block = mha + norms + gate + cfg.num_experts * ffn
-    head = d * cfg.num_classes + cfg.num_classes
+    head = d * NUM_CLASSES + NUM_CLASSES
     total = embeddings + cfg.num_layers * block + head
     return {"total": total, "core": total - cfg.vocab_size * d,
             "ffn": ffn, "gate": gate}
@@ -375,16 +376,19 @@ class TestCheckpoint:
         )
 
     def test_load_draws_no_initialization(self, tmp_path, monkeypatch):
-        import switchtext.layers
-
         model = EncoderModel.build(tiny_config("switch"))
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
 
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a checkpoint load drew a random initialization")
+        class NoDraw(np.random.Generator):
+            def normal(self, *args, **kwargs):  # the draw inside init_weight
+                raise AssertionError("a checkpoint load drew a random initialization")
 
-        monkeypatch.setattr(switchtext.layers, "glorot_normal", no_draw)
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: NoDraw(default_rng(seed).bit_generator))
+        with pytest.raises(AssertionError, match="drew"):
+            EncoderModel.build(tiny_config("switch"))
         restored, _, _ = load_checkpoint(path)
         by_name = dict(restored.parameters())
         for name, p in model.parameters():
@@ -410,10 +414,11 @@ class TestCheckpoint:
         (blob_len,) = struct.unpack("<Q", raw[8:16])
         return path, raw, blob_len
 
-    @pytest.mark.parametrize("part", ["header_length", "header", "payload"])
+    @pytest.mark.parametrize("part", ["header_length", "header", "payload", "trailer"])
     def test_truncated_file_rejected(self, tmp_path, part):
         path, raw, blob_len = self.saved(tmp_path)
-        keep = {"header_length": 12, "header": 16 + blob_len - 1, "payload": len(raw) - 3}[part]
+        keep = {"header_length": 12, "header": 16 + blob_len - 1, "payload": len(raw) - 35,
+                "trailer": len(raw) - 3}[part]
         path.write_bytes(raw[:keep])
         with pytest.raises(CompatibilityError, match="truncated"):
             load_checkpoint(path)
@@ -433,16 +438,50 @@ class TestCheckpoint:
 
     def test_missing_parameter_rejected(self, tmp_path):
         path, raw, blob_len = self.saved(tmp_path)
-        # head.bias is the last tensor: drop its header entry and its 2 floats.
-        self.rewrite(path, raw, blob_len, lambda h: h["params"].pop(), payload_end=-16)
+        # head.bias is the last tensor: drop its header entry and its 2 floats,
+        # which sit before the 32-byte trailer.
+        self.rewrite(path, raw, blob_len, lambda h: h["params"].pop(), payload_end=-48)
         with pytest.raises(CompatibilityError, match="lacks model parameters.*head.bias"):
             load_checkpoint(path)
 
-    def test_version_1_rejected(self, tmp_path):
-        # Versions 1 (per-head attention names), 2 (a dense_moe config key)
-        # and 3 (one set of tensors per expert) predate the current format.
+    def test_invalid_config_in_header_is_a_compatibility_error(self, tmp_path):
         path, raw, blob_len = self.saved(tmp_path)
-        for version in (1, 2, 3):
+        self.rewrite(path, raw, blob_len, lambda h: h["config"].update(dropout=2.0))
+        with pytest.raises(CompatibilityError, match="dropout must be in"):
+            load_checkpoint(path)
+
+    def test_version_1_rejected(self, tmp_path):
+        # Versions 1 (per-head attention names), 2 (a dense_moe config key),
+        # 3 (one set of tensors per expert) and 4 (no sha256 trailer; config
+        # keys num_classes, layer_norm_eps and aux_loss_weight) predate the
+        # current format.
+        path, raw, blob_len = self.saved(tmp_path)
+        for version in (1, 2, 3, 4):
             self.rewrite(path, raw, blob_len, lambda h: h.update(format_version=version))
             with pytest.raises(CompatibilityError, match=f"format version {version} in"):
                 load_checkpoint(path)
+
+    def test_trailer_is_the_sha256_of_every_byte_before_it(self, tmp_path):
+        path, raw, _ = self.saved(tmp_path)
+        assert raw[-32:] == hashlib.sha256(raw[:-32]).digest()
+
+    @pytest.mark.parametrize("region", ["header", "payload", "trailer"])
+    def test_flipped_byte_rejected(self, tmp_path, region):
+        path, raw, blob_len = self.saved(tmp_path)
+        lo, hi = {"header": (0, 16 + blob_len), "payload": (16 + blob_len, len(raw) - 32),
+                  "trailer": (len(raw) - 32, len(raw))}[region]
+        gen = np.random.default_rng(16)
+        for _ in range(8):
+            flipped = bytearray(raw)
+            flipped[gen.integers(lo, hi)] ^= int(gen.integers(1, 256))
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(CompatibilityError,
+                               match=None if region == "header" else "sha256 trailer"):
+                load_checkpoint(path)
+
+    def test_header_edit_that_stays_valid_fails_the_trailer(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, EncoderModel.build(tiny_config()), extra={"note": "t"})
+        path.write_bytes(path.read_bytes().replace(b'"note": "t"', b'"note": "u"'))
+        with pytest.raises(CompatibilityError, match="do not match their sha256 trailer"):
+            load_checkpoint(path)

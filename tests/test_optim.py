@@ -225,27 +225,29 @@ class TestAccumulationEquivalence:
 
 
 class TestEarlyStopping:
+    # The first three cases track an accuracy-like rising metric through its
+    # negation, the loss-like falling metric the stopper watches.
     def test_monotonic_improvement_never_stops(self):
-        stopper = EarlyStopping(patience=3, min_delta=1e-4, mode="max")
+        stopper = EarlyStopping(patience=3, min_delta=1e-4)
         for epoch, metric in enumerate([0.1, 0.2, 0.3, 0.4, 0.5], start=1):
-            assert not stopper.update(metric, epoch)
+            assert not stopper.update(-metric, epoch)
         assert stopper.best_epoch == 5
 
     def test_flat_metric_counter_arithmetic(self):
-        stopper = EarlyStopping(patience=3, min_delta=1e-4, mode="max")
-        decisions = [stopper.update(0.5, epoch) for epoch in range(1, 6)]
+        stopper = EarlyStopping(patience=3, min_delta=1e-4)
+        decisions = [stopper.update(-0.5, epoch) for epoch in range(1, 6)]
         assert decisions == [False, False, False, True, True]
         assert stopper.best_epoch == 1  # stop fires after epoch 4
 
     def test_trace_walkthrough(self):
-        stopper = EarlyStopping(patience=2, min_delta=1e-4, mode="max")
+        stopper = EarlyStopping(patience=2, min_delta=1e-4)
         trace = [0.5, 0.7, 0.6, 0.65, 0.6]
-        stops = [stopper.update(m, epoch) for epoch, m in enumerate(trace, start=1)]
+        stops = [stopper.update(-m, epoch) for epoch, m in enumerate(trace, start=1)]
         assert stops.index(True) == 3  # stop after epoch 4
         assert stopper.best_epoch == 2  # restore the epoch-2 checkpoint
 
     def test_min_mode_on_losses(self):
-        stopper = EarlyStopping(patience=2, min_delta=0.0, mode="min")
+        stopper = EarlyStopping(patience=2, min_delta=0.0)
         assert not stopper.update(1.0, 1)
         assert not stopper.update(0.5, 2)
         assert not stopper.update(0.6, 3)
@@ -257,7 +259,7 @@ class TestEarlyStopping:
             EarlyStopping().update(float("nan"), 1)
 
     def test_invariant_counter_bounded_by_patience(self):
-        stopper = EarlyStopping(patience=4, mode="min")
+        stopper = EarlyStopping(patience=4)
         for epoch in range(1, 20):
             stopped = stopper.update(1.0, epoch)
             assert stopper.epochs_since_best <= stopper.patience

@@ -306,6 +306,33 @@ class TestGatherScatter:
         np.add.at(expected, idx, coeffs)
         np.testing.assert_array_equal(x.grad, expected)
 
+    @pytest.mark.parametrize("many", [False, True])
+    def test_repeated_positions_accumulate_through_flat_np_add_at(self, many, monkeypatch):
+        # Gradients of mixed magnitude, so another summation order would
+        # show in the bits; the columns of a padded batch repeat once per note.
+        gen = np.random.default_rng(15)
+        idx = ((gen.integers(0, 4, 300), gen.integers(0, 3, 300)) if many
+               else np.nonzero(gen.random((16, 40)) < 0.7)[1])
+        x = Tensor(gen.standard_normal((4, 3) if many else (40, 3)), requires_grad=True)
+        shape = x.data[idx].shape
+        coeffs = gen.standard_normal(shape) * 10.0 ** gen.integers(-8, 8, shape)
+        with Tape() as tape:
+            y = T.sum_(T.mul(T.take_rows(x, idx), coeffs))
+        expected = np.zeros(x.shape)
+        np.add.at(expected, idx, coeffs)  # row by row, the reference order
+        add_at = np.add.at
+
+        def flat_add_at(target, *args):
+            assert target.ndim == 1, "np.add.at row by row"
+            add_at(target, *args)
+
+        numpy_flat_add_at = types.SimpleNamespace(**{
+            name: getattr(np, name) for name in dir(np) if not name.startswith("__")})
+        numpy_flat_add_at.add = types.SimpleNamespace(at=flat_add_at)
+        monkeypatch.setattr(T, "np", numpy_flat_add_at)
+        tape.backward(y)
+        assert x.grad.tobytes() == expected.tobytes()
+
     def test_take_rows_out_of_range(self):
         with pytest.raises(ContractError):
             T.take_rows(Tensor(np.ones((3, 2))), np.array([3]))

@@ -104,10 +104,12 @@ class TestEvaluate:
 
 class TestRunConfig:
     def test_violation_listing_is_exhaustive(self):
-        bad = quick_config(epochs=-1, batch_size=0, warmup_frac=2.0, patience=0)
+        bad = quick_config(epochs=-1, batch_size=0, warmup_frac=2.0, patience=0,
+                           aux_loss_weight=-0.5, seed=-3, split_seed=-1)
         problems = bad.violations()
         joined = " ".join(problems)
-        for token in ("epochs", "batch_size", "warmup_frac", "patience"):
+        for token in ("epochs", "batch_size", "warmup_frac", "patience", "aux_loss_weight",
+                      "seed must", "split_seed must"):
             assert token in joined
         with pytest.raises(ConfigError):
             bad.validate()
@@ -121,7 +123,7 @@ class TestRunConfig:
         changed = {f.name: f.default + 1 for f in fields(ModelConfig)
                    if f.name in run_fields and f.name not in ("variant", "pooling")}
         changed.update(variant="dense", pooling="first")
-        assert len(changed) >= 12
+        assert len(changed) >= 11
         built = RunConfig(**changed).model_config(vocab_size=37)
         assert built.vocab_size == 37
         for name, value in changed.items():
