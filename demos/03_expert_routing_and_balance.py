@@ -1,5 +1,7 @@
 """Top-1 expert routing in action: gate probabilities, capacity overflow,
-the load-balancing loss, and why it matters.
+the load-balancing loss, and why it matters.  The switch layer returns its
+output and a routing record; the penalty is built from the record's gate
+probabilities and choices, as the training loss builds it.
 
 Run:  python demos/03_expert_routing_and_balance.py
 """
@@ -9,31 +11,38 @@ import numpy as np
 from switchtext import AdamW, Tape, Tensor
 from switchtext import tensor as T
 from switchtext.layers import named_tensors
-from switchtext.moe import SwitchParams, expert_utilization, switch_forward
+from switchtext.moe import SwitchParams, expert_utilization, load_balance_loss, switch_forward
 
 rng = np.random.default_rng(7)
+
+
+def balance_loss(record):
+    """The penalty ``training.total_loss`` adds for one switch layer."""
+    return load_balance_loss(record.probs, record.chosen, len(record.counts))
+
 
 # Route 12 tokens through 4 experts.
 params = SwitchParams.create(d_model=8, d_ff=16, num_experts=4,
                              rng=np.random.default_rng(3), capacity_factor=1.25)
 x = Tensor(rng.standard_normal((12, 8)))
-out, record, aux = switch_forward(x, params)
+out, record = switch_forward(x, params)
 
 print("chosen expert per token:", record.chosen)
-print("gate probability of the chosen expert:", np.round(record.chosen_prob, 3))
+print("gate probability of the chosen expert:",
+      np.round(record.probs.data[np.arange(record.num_tokens), record.chosen], 3))
 print("tokens served per expert:", record.counts,
       f"(capacity {record.capacity}, overflow {record.overflow})")
 print("utilization:", np.round(expert_utilization(record), 3))
-print("balance loss (1.0 = perfectly balanced):", round(aux.item(), 4))
+print("balance loss (1.0 = perfectly balanced):", round(balance_loss(record).item(), 4))
 
 # Force everything to one expert: capacity bites, the rest pass through
 # with zero expert contribution (the residual connection carries them).
 params.gate.weight.data[:] = 0.0
 params.gate.bias.data = np.array([4.0, -4.0, -4.0, -4.0])
-out, record, aux = switch_forward(x, params)
+out, record = switch_forward(x, params)
 print("\nafter rigging the gate toward expert 0:")
 print("  served:", record.counts, "overflow:", record.overflow)
-print("  balance loss:", round(aux.item(), 4), "(rises with imbalance)")
+print("  balance loss:", round(balance_loss(record).item(), 4), "(rises with imbalance)")
 
 # Train a 2-expert layer on tokens that are bimodal along one ray, so the
 # initial routing winner takes every token.  The balance loss rescues it.
@@ -49,11 +58,11 @@ def train_layer(aux_weight, seed=1, steps=200):
     record = None
     for _ in range(steps):
         with Tape() as tape:
-            out, record, aux = switch_forward(Tensor(tokens), layer, training=True)
+            out, record = switch_forward(Tensor(tokens), layer, training=True)
             diff = T.add(out, T.mul(targets, -1.0))
             loss = T.mean(T.mul(diff, diff))
             if aux_weight:
-                loss = T.add(loss, T.mul(aux, aux_weight))
+                loss = T.add(loss, T.mul(balance_loss(record), aux_weight))
         tape.backward(loss)
         opt.step(1e-2)
         opt.zero_grad()

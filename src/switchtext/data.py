@@ -11,7 +11,6 @@ are illustrative, not canonical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import re
@@ -203,10 +202,9 @@ def read_jsonl(path) -> LabeledDataset:
     return LabeledDataset(examples=examples)
 
 
-def write_artifact(path, parts) -> str:
+def write_artifact(path, parts) -> None:
     """Replace the file at ``path`` whole with the concatenated ``parts``
-    (``str`` parts UTF-8 encoded, bytes-like parts as they are) and return
-    the sha256 of the bytes written.
+    (``str`` parts UTF-8 encoded, bytes-like parts as they are).
 
     The parts stream into a sibling temporary file, which ``os.replace``
     then puts at ``path``: an interrupted or failing write leaves the
@@ -215,13 +213,11 @@ def write_artifact(path, parts) -> str:
     """
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    h = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
             for part in parts:
                 if isinstance(part, str):
                     part = part.encode("utf-8")
-                h.update(part)
                 fh.write(part)
         os.replace(tmp, path)
     except OSError as e:
@@ -229,7 +225,6 @@ def write_artifact(path, parts) -> str:
     finally:
         if os.path.lexists(tmp):
             os.remove(tmp)
-    return h.hexdigest()
 
 
 def write_jsonl(path, dataset: LabeledDataset) -> None:

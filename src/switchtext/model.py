@@ -5,7 +5,8 @@ The encoder computes on real tokens only: the embedding lookup yields
 packed ``[N, d_model]`` rows, the real tokens in the ``[batch, len]``
 padding mask's row-major order, and they stay packed up to the pooling.  In
 the blocks only the ``T.attention`` node lays them out on the padded grid;
-mean pooling scatters them onto it once, to sum them.
+mean pooling scatters them onto it once, to sum them.  The forward builds no
+loss term: ``training.total_loss`` builds the whole objective.
 
 Also home to parameter counting, pooled hidden-state export, and the
 deterministic checkpoint container, which ends with the sha256 of every
@@ -14,9 +15,9 @@ byte before it, so a load rejects a flipped byte.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field, asdict
@@ -74,8 +75,8 @@ class ModelConfig:
             problems.append(f"max_len must be >= 1, got {self.max_len}")
         if not 0.0 <= self.dropout < 1.0:
             problems.append(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.capacity_factor < 1.0:
-            problems.append(f"capacity_factor must be >= 1, got {self.capacity_factor}")
+        if not 1.0 <= self.capacity_factor < math.inf:
+            problems.append(f"capacity_factor must be finite and >= 1, got {self.capacity_factor}")
         if self.pooling not in ("mean", "first"):
             problems.append(f"pooling must be 'mean' or 'first', got {self.pooling!r}")
         if self.seed < 0:
@@ -99,11 +100,11 @@ class EncoderBlock:
 
 @dataclass
 class ForwardResult:
-    """``hidden`` holds each block's output as [N_real, d_model] packed rows."""
+    """``hidden`` holds each block's output as [N_real, d_model] packed rows,
+    ``routing`` each switch layer's record, in layer order."""
 
     logits: Tensor
     hidden: list[Tensor]
-    aux_loss: Tensor
     routing: list[RoutingRecord] = field(default_factory=list)
 
 
@@ -152,8 +153,8 @@ class EncoderModel:
 
         ``token_ids`` and ``pad_mask`` are [batch, len]; the mask marks real
         tokens.  Returns logits [batch, NUM_CLASSES], post-block hidden
-        states for every layer (packed [N_real, d_model] rows), and the mean
-        auxiliary loss over routed layers (0 for the dense variant).
+        states for every layer (packed [N_real, d_model] rows), and one
+        routing record per switch layer (none for the dense variant).
         """
         ids = np.asarray(token_ids)
         if ids.ndim != 2 or 0 in ids.shape:
@@ -177,7 +178,6 @@ class EncoderModel:
         rng = self._dropout_rng
         hidden: list[Tensor] = []
         routing: list[RoutingRecord] = []
-        aux_terms: list[Tensor] = []
 
         # Block dropout draws its masks over the padded grid (layout=mask),
         # so every real token gets the mask the padded layout would give it.
@@ -185,18 +185,15 @@ class EncoderModel:
             attended = multi_head_attention(h, block.mha, mask)
             h = layer_norm(T.add(h, dropout(attended, cfg.dropout, training, rng, mask)), block.norm1)
             if isinstance(block.mixer, SwitchParams):
-                mixed, record, aux = switch_forward(h, block.mixer, training)
+                mixed, record = switch_forward(h, block.mixer, training)
                 routing.append(record)
-                aux_terms.append(aux)
             else:
                 mixed = position_wise_ffn(h, block.mixer)
             h = layer_norm(T.add(h, dropout(mixed, cfg.dropout, training, rng, mask)), block.norm2)
             hidden.append(h)
 
         logits = linear(dropout(self._pool(h, mask), cfg.dropout, training, rng), self.head)
-        aux_loss = (T.mul(functools.reduce(T.add, aux_terms), 1.0 / len(aux_terms))
-                    if aux_terms else Tensor(0.0))
-        return ForwardResult(logits=logits, hidden=hidden, aux_loss=aux_loss, routing=routing)
+        return ForwardResult(logits=logits, hidden=hidden, routing=routing)
 
     def _pool(self, h: Tensor, mask: np.ndarray) -> Tensor:
         """[batch, d_model] from packed rows: each sequence's first real row,
@@ -281,18 +278,19 @@ def save_checkpoint(path, model: EncoderModel, vocab=None, extra: dict | None = 
         "params": [{"name": n, "shape": list(p.shape)} for n, p in params],
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    return write_artifact(path, _with_trailer(
-        [CHECKPOINT_MAGIC, struct.pack("<Q", len(blob)), blob]
-        + [np.ascontiguousarray(p.data, dtype="<f8") for _, p in params]))
-
-
-def _with_trailer(parts):
-    """``parts``, then the sha256 digest of all of them."""
     h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-        yield part
-    yield h.digest()
+
+    def parts():
+        for part in ([CHECKPOINT_MAGIC, struct.pack("<Q", len(blob)), blob]
+                     + [np.ascontiguousarray(p.data, dtype="<f8") for _, p in params]):
+            h.update(part)
+            yield part
+        trailer = h.digest()  # of every byte before it; then h hashes the whole file
+        h.update(trailer)
+        yield trailer
+
+    write_artifact(path, parts())
+    return h.hexdigest()
 
 
 def load_checkpoint(path):

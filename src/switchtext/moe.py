@@ -1,5 +1,6 @@
 """Routed expert layer: a softmax gate over E expert FFNs with top-1
-dispatch, per-expert capacity, and a load-balancing auxiliary loss.
+dispatch and per-expert capacity, and the load-balancing penalty, which
+``training.total_loss`` builds from each layer's ``RoutingRecord``.
 
 Routing decisions (argmax, capacity cuts) are taken on raw values and held
 fixed; gradients flow through the chosen gate probability and through the
@@ -10,6 +11,7 @@ group per expert.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +46,8 @@ class SwitchParams:
     ) -> "SwitchParams":
         if num_experts < 1:
             raise ConfigError(f"num_experts must be >= 1, got {num_experts}")
-        if capacity_factor < 1.0:
-            raise ConfigError(f"capacity_factor must be >= 1, got {capacity_factor}")
+        if not 1.0 <= capacity_factor < math.inf:
+            raise ConfigError(f"capacity_factor must be finite and >= 1, got {capacity_factor}")
         gate = LinearParams.create(d_model, num_experts, rng)
         experts = FfnParams(*(LinearParams(Tensor(np.empty((num_experts, fan_in, fan_out)), True),
                                            Tensor(np.zeros((num_experts, fan_out)), True))
@@ -61,6 +63,7 @@ class SwitchParams:
 class RoutingRecord:
     """Bookkeeping for one routed batch of tokens.
 
+    ``probs`` holds the [T, E] gate probabilities the penalty differentiates.
     ``counts`` holds tokens actually served per expert (within capacity);
     overflowed tokens bypassed their expert, so counts.sum() + overflow
     equals the token count.  ``chosen`` keeps the argmax expert of every
@@ -68,7 +71,7 @@ class RoutingRecord:
     """
 
     chosen: np.ndarray
-    chosen_prob: np.ndarray
+    probs: Tensor
     counts: np.ndarray
     overflow: int
     capacity: int
@@ -98,11 +101,11 @@ def load_balance_loss(probs: Tensor, chosen: np.ndarray, num_experts: int) -> Te
 def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
     """Route each of the T tokens in ``x`` [T, d] to its top-1 expert.
 
-    Returns ``(output, RoutingRecord, aux_loss)``.  Each token's output is
-    its chosen gate probability times that expert's FFN.  In training an
-    expert serves at most floor(capacity_factor*T/E) tokens, its first in
-    token order; the rest contribute zero (the caller's residual connection
-    carries them) and are recorded as overflow, never an error.  Outside
+    Returns ``(output, RoutingRecord)``.  Each token's output is its chosen
+    gate probability times that expert's FFN.  In training an expert serves
+    at most floor(capacity_factor*T/E) tokens, and never more than T, its
+    first in token order; the rest contribute zero (the caller's residual
+    connection carries them) and are recorded as overflow, never an error.  Outside
     training every token is served, so batch mates act on an output only
     through rounding: BLAS picks its kernel by row count (one row goes to
     GEMV), so an output can differ from a batch-1 forward in its last bits.
@@ -115,9 +118,9 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
     E = p.num_experts
     probs = gate_probs(x, p.gate)
     chosen = np.argmax(probs.data, axis=1)  # ties resolve to the lowest index
-    aux = load_balance_loss(probs, chosen, E)
 
-    capacity = int(np.floor(p.capacity_factor * num_tokens / E)) if training else num_tokens
+    # A factor of E or more serves every token, and a huge one would overflow.
+    capacity = int(np.floor(min(p.capacity_factor, E) * num_tokens / E)) if training else num_tokens
     dispatched = np.bincount(chosen, minlength=E)
     order = np.argsort(chosen, kind="stable")
     rank = np.arange(num_tokens) - (np.cumsum(dispatched) - dispatched)[chosen[order]]
@@ -128,17 +131,16 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
         combined = T.scatter_rows(served, kept, (num_tokens,))
     else:  # a capacity of 0 serves no token
         combined = Tensor(np.zeros(x.shape))
-    rows = np.arange(num_tokens)
-    out = T.mul(combined, T.take_rows(probs, (rows[:, None], chosen[:, None])))
+    out = T.mul(combined, T.take_rows(probs, (np.arange(num_tokens)[:, None], chosen[:, None])))
 
     record = RoutingRecord(
         chosen=chosen,
-        chosen_prob=probs.data[rows, chosen],
+        probs=probs,
         counts=counts,
         overflow=num_tokens - int(counts.sum()),
         capacity=capacity,
     )
-    return out, record, aux
+    return out, record
 
 
 def expert_utilization(record: RoutingRecord) -> np.ndarray:

@@ -1,7 +1,7 @@
-"""Training engine: run configuration, weighted cross-entropy with the
-routing auxiliary loss, gradient accumulation, per-epoch evaluation and
-logging, early stopping with best-checkpoint restore, and reproducibility
-manifests.
+"""Training engine: run configuration, the one training objective (weighted
+cross-entropy plus the routing load-balancing penalty), gradient
+accumulation, per-epoch evaluation and logging, early stopping with
+best-checkpoint restore, and reproducibility manifests.
 
 All artifacts are plain UTF-8 delimited text or JSON, written with fixed
 float formatting so two runs with the same config and seed are
@@ -12,6 +12,7 @@ the single artifact excluded from that guarantee.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -32,7 +33,7 @@ from .errors import ConfigError, DataError
 from .metrics import EvalReport, classification_metrics, confusion, roc_auc
 from .model import (EncoderModel, ForwardResult, ModelConfig, load_checkpoint,
                     save_checkpoint)
-from .moe import RoutingRecord
+from .moe import load_balance_loss
 from .optim import AdamW, EarlyStopping, ScheduleConfig, clip_grad_norm, cosine_warmup_lr
 from .tensor import Tape, Tensor
 
@@ -95,6 +96,8 @@ class RunConfig:
 
     def violations(self, check_paths: bool = False) -> list[str]:
         problems = self.model_config(vocab_size=2).violations()
+        problems += [f"{f.name} must be finite, got {getattr(self, f.name)}" for f in fields(self)
+                     if type(f.default) is float and not math.isfinite(getattr(self, f.name))]
         if self.aux_loss_weight < 0.0:
             problems.append(f"aux_loss_weight must be >= 0, got {self.aux_loss_weight}")
         if self.split_seed < 0:
@@ -186,12 +189,14 @@ def weighted_cross_entropy(logits: Tensor, labels: np.ndarray, weights=None) -> 
     return T.mul(T.sum_(T.mul(picked, Tensor(-w))), 1.0 / float(w.sum()))
 
 
-def total_loss(logits: Tensor, labels: np.ndarray, aux: Tensor,
-               aux_weight: float, weights=None) -> tuple[Tensor, Tensor]:
-    """The training objective, cross-entropy plus ``aux_weight`` times the
-    routing auxiliary loss; returns ``(total, cross_entropy)``."""
-    ce = weighted_cross_entropy(logits, labels, weights)
-    return T.add(ce, T.mul(aux, aux_weight)), ce
+def total_loss(result: ForwardResult, labels: np.ndarray, aux_weight: float,
+               weights=None) -> tuple[Tensor, Tensor, Tensor]:
+    """Cross-entropy plus ``aux_weight`` times the mean load-balancing penalty
+    of the routed layers (0 when dense); returns ``(total, ce, penalty)``."""
+    ce = weighted_cross_entropy(result.logits, labels, weights)
+    terms = [load_balance_loss(r.probs, r.chosen, len(r.counts)) for r in result.routing]
+    aux = T.mul(functools.reduce(T.add, terms), 1.0 / len(terms)) if terms else Tensor(0.0)
+    return T.add(ce, T.mul(aux, aux_weight)), ce, aux
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +216,7 @@ class EvalOutcome:
 class BatchTally:
     """One pass over a split's batches, in a training epoch or in
     ``evaluate``: the weighted cross-entropy sums, and each batch's class
-    probabilities, labels, aux loss and routing records."""
+    probabilities, labels, aux loss and per-layer expert token counts."""
 
     weights: np.ndarray | None = None
     loss_sum: float = 0.0
@@ -219,16 +224,16 @@ class BatchTally:
     probs: list[np.ndarray] = field(default_factory=list)
     labels: list[np.ndarray] = field(default_factory=list)
     aux: list[float] = field(default_factory=list)
-    routing: list[list[RoutingRecord]] = field(default_factory=list)
+    routing: list[list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=list)
 
-    def add(self, result: ForwardResult, labels: np.ndarray, ce: Tensor) -> None:
+    def add(self, result: ForwardResult, labels: np.ndarray, ce: Tensor, aux: Tensor) -> None:
         w_sum = float(_example_weights(labels, self.weights).sum())
         self.loss_sum += ce.item() * w_sum
         self.weight_sum += w_sum
         self.probs.append(np.exp(T.log_softmax(result.logits, axis=1).data))
         self.labels.append(labels)
-        self.aux.append(result.aux_loss.item())
-        self.routing.append(result.routing)
+        self.aux.append(aux.item())
+        self.routing.append([(r.dispatched_counts(), r.counts) for r in result.routing])
 
     def outcome(self) -> EvalOutcome:
         """Weighted mean loss, confusion metrics, and rank AUC from
@@ -244,12 +249,12 @@ class BatchTally:
     def routing_rows(self, epoch: int) -> list[str]:
         """Per layer and expert, the fractions of the routed tokens that chose
         the expert and that overflowed it; none for a dense model."""
-        routed = [records for records in self.routing if records]
+        routed = [layers for layers in self.routing if layers]
         if not routed:
             return []
-        tokens = sum(records[0].num_tokens for records in routed)
-        chose = sum(np.stack([r.dispatched_counts() for r in records]) for records in routed)
-        overflow = chose - sum(np.stack([r.counts for r in records]) for records in routed)
+        chose = sum(np.stack([c for c, _ in layers]) for layers in routed)
+        overflow = chose - sum(np.stack([s for _, s in layers]) for layers in routed)
+        tokens = int(chose[0].sum())  # each token chooses one expert in every layer
         return [f"{epoch}\t{layer}\t{e}\t{chose[layer, e] / tokens:.6f}"
                 f"\t{overflow[layer, e] / tokens:.6f}" for layer, e in np.ndindex(chose.shape)]
 
@@ -266,7 +271,8 @@ def evaluate(model: EncoderModel, encoded: list[EncodedExample], batch_size: int
     for start in range(0, len(encoded), batch_size):
         ids, mask, labels = make_batch(encoded[start: start + batch_size])
         result = model.forward(ids, mask, training=False)
-        tally.add(result, labels, weighted_cross_entropy(result.logits, labels, weights))
+        _, ce, aux = total_loss(result, labels, 0.0, weights)
+        tally.add(result, labels, ce, aux)
     return tally.outcome()
 
 
@@ -435,10 +441,9 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
                     ids, mask, labels = make_batch([encoded["train"][i] for i in chunk])
                     with Tape() as tape:
                         result = model.forward(ids, mask, training=True)
-                        loss, ce = total_loss(result.logits, labels, result.aux_loss,
-                                              config.aux_loss_weight, weights)
+                        loss, ce, aux = total_loss(result, labels, config.aux_loss_weight, weights)
                     tape.backward(loss)
-                    tally.add(result, labels, ce)
+                    tally.add(result, labels, ce, aux)
                 if len(chunks) > 1:
                     for _, p in params:
                         if p.grad is not None:

@@ -7,6 +7,7 @@ import numpy as np
 from switchtext import Tensor, finite_difference_check
 from switchtext.attention import FfnParams
 from switchtext.layers import LinearParams
+from switchtext.moe import load_balance_loss
 
 
 def check_param_gradient(make_loss, holder, attr, h=1e-6):
@@ -49,3 +50,14 @@ def expert(p, j):
     holding views of slice j."""
     return FfnParams(*(LinearParams(Tensor(lin.weight.data[j]), Tensor(lin.bias.data[j]))
                        for lin in (p.experts.lin1, p.experts.lin2)))
+
+
+def penalty(record):
+    """The load-balancing penalty ``training.total_loss`` builds from one
+    switch layer's routing record."""
+    return load_balance_loss(record.probs, record.chosen, len(record.counts))
+
+
+def chosen_prob(record):
+    """Each token's gate probability of its chosen expert."""
+    return record.probs.data[np.arange(record.num_tokens), record.chosen]

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import check_many_params, expert, file_digest
+from helpers import check_many_params, expert, file_digest, penalty
 from switchtext import (EncoderModel, ModelConfig, RunConfig, Tensor,
                         count_parameters, finite_difference_check,
                         generate_synthetic_corpus)
@@ -23,7 +23,7 @@ from switchtext.layers import LayerNormParams, LinearParams, layer_norm, linear
 from switchtext.model import NUM_CLASSES
 from switchtext.metrics import ConfusionMatrix, classification_metrics, confusion
 from switchtext.moe import SwitchParams, gate_probs, load_balance_loss, switch_forward
-from switchtext.training import train, weighted_cross_entropy
+from switchtext.training import total_loss, train
 
 rng = np.random.default_rng(0xACCE)
 
@@ -95,8 +95,8 @@ class TestCriterion1GradientCorrectness:
         sw_coeffs = Tensor(gen.standard_normal((4, 8)))
 
         def switch_loss():
-            out, _, aux = switch_forward(xs, sw, training=True)
-            return T.add(T.sum_(T.mul(out, sw_coeffs)), T.mul(aux, 0.01))
+            out, record = switch_forward(xs, sw, training=True)
+            return T.add(T.sum_(T.mul(out, sw_coeffs)), T.mul(penalty(record), 0.01))
 
         worst = max(worst, check_many_params(switch_loss, [
             (sw.gate, "weight"), (sw.gate, "bias"),
@@ -114,8 +114,7 @@ class TestCriterion1GradientCorrectness:
 
             def model_loss():
                 result = model.forward(ids, ids != 0, training=True)
-                ce = weighted_cross_entropy(result.logits, labels)
-                return T.add(ce, T.mul(result.aux_loss, 0.01))
+                return total_loss(result, labels, 0.01)[0]
 
             targets = [
                 (model.embeddings, "table"), (model.blocks[0].mha, "wq"),
@@ -157,7 +156,7 @@ class TestCriterion2MoeEquivalences:
         sw.gate.weight.data = np.zeros_like(sw.gate.weight.data)
         sw.gate.bias.data = np.array([0.0, -1e30, -1e30])
         x = rng.standard_normal((5, 6))
-        out, _, _ = switch_forward(Tensor(x), sw, training=False)
+        out, _ = switch_forward(Tensor(x), sw, training=False)
         expert_out = position_wise_ffn(Tensor(x), expert(sw, 0)).data
         np.testing.assert_array_equal(out.data, expert_out)
         report(2, "mixture equivalences",
@@ -173,7 +172,7 @@ class TestCriterion3RoutingInvariants:
         assert sum_err <= 1e-12
 
         sw = SwitchParams.create(8, 16, 4, np.random.default_rng(2), capacity_factor=16.0)
-        out, record, _ = switch_forward(Tensor(rng.standard_normal((32, 8))), sw)
+        out, record = switch_forward(Tensor(rng.standard_normal((32, 8))), sw)
         assert record.counts.sum() + record.overflow == 32  # exactly one expert per token
         assert len(record.chosen) == 32
 

@@ -316,6 +316,19 @@ BAD_INPUT = [
     ("train-seed-negative", "train", ["--seed", "-3"], "config"),
     ("train-split-seed-negative", "train", ["--split-seed", "-1"], "config"),
     ("train-config-file-seed-negative", "train", ["--config", "{tmp}/negative_seed.json"], "config"),
+    # A non-finite float would slip past every range check that compares it.
+    ("train-capacity-factor-nan", "train", ["--capacity-factor", "nan"], "config"),
+    ("train-capacity-factor-inf", "train", ["--capacity-factor", "inf"], "config"),
+    ("train-config-file-capacity-factor-nan", "train", ["--config", "{tmp}/nan_capacity.json"],
+     "config"),
+    ("train-grad-clip-nan", "train", ["--grad-clip", "nan"], "config"),
+    ("train-min-delta-nan", "train", ["--min-delta", "nan"], "config"),
+    ("train-stop-at-val-accuracy-nan", "train", ["--stop-at-val-accuracy", "nan"], "config"),
+    ("train-weight-decay-nan", "train", ["--weight-decay", "nan"], "config"),
+    ("train-adam-eps-nan", "train", ["--adam-eps", "nan"], "config"),
+    ("train-aux-loss-weight-nan", "train", ["--aux-loss-weight", "nan"], "config"),
+    ("train-config-file-floats-non-finite", "train", ["--config", "{tmp}/non_finite.json"],
+     "config"),
     # {tmp}/blocked holds a directory where each command's artifact goes.
     ("artifact-blocked-train", "train", ["--output-dir", "{tmp}/blocked"], "config"),
     ("artifact-blocked-eval", "eval", ["--output-dir", "{tmp}/blocked"], "config"),
@@ -352,6 +365,8 @@ def test_bad_input_exits_with_its_category(workdir, tmp_path, capsys, command, f
     for name, record in bad_records.items():
         (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in good + [record]))
     (tmp_path / "negative_seed.json").write_text(json.dumps({"seed": -2}))
+    (tmp_path / "nan_capacity.json").write_text('{"capacity_factor": NaN}')
+    (tmp_path / "non_finite.json").write_text('{"aux_loss_weight": NaN, "grad_clip": Infinity}')
     for name in ("report_val.tsv", "attributions.txt", "embeddings_layer0_val.tsv"):
         (tmp_path / "blocked" / name).mkdir(parents=True)
     raw = workdir["ckpt"].read_bytes()  # the same checkpoint, labelled format 3 and 4

@@ -18,7 +18,7 @@ from switchtext.layers import embed
 from switchtext.model import (CHECKPOINT_MAGIC, NUM_CLASSES, export_hidden_embeddings,
                               load_checkpoint, save_checkpoint)
 from switchtext.moe import SwitchParams
-from switchtext.training import EncodedExample, total_loss, weighted_cross_entropy
+from switchtext.training import EncodedExample, total_loss
 
 rng = np.random.default_rng(1234)
 
@@ -69,7 +69,7 @@ class TestForward:
     def test_dense_variant_zero_aux(self):
         model = EncoderModel.build(tiny_config("dense"))
         result = model.forward(np.array([[2, 3]]), np.array([[True, True]]))
-        assert result.aux_loss.item() == 0.0
+        assert total_loss(result, np.array([1]), 0.01)[2].item() == 0.0
         assert result.routing == []
 
     def test_hidden_states_per_layer(self):
@@ -163,8 +163,7 @@ class TestForward:
                     p.grad = None
                 with T.Tape() as tape:
                     result = model.forward(batch, batch != 0, training=True)
-                    loss = T.add(weighted_cross_entropy(result.logits, labels),
-                                 T.mul(result.aux_loss, 0.01))
+                    loss = total_loss(result, labels, 0.01)[0]
                 tape.backward(loss)
                 grads.append({name: p.grad for name, p in model.parameters()})
             for name, g in grads[0].items():
@@ -247,8 +246,7 @@ class TestEndToEndGradients:
 
         def make_loss():
             result = model.forward(ids, mask, training=True)
-            ce = weighted_cross_entropy(result.logits, labels)
-            return T.add(ce, T.mul(result.aux_loss, 0.01))
+            return total_loss(result, labels, 0.01)[0]
 
         targets = [
             (model.embeddings, "table"), (model.embeddings, "positional"),
@@ -294,7 +292,7 @@ class TestTapeMemory:
             tracemalloc.start()
             with Tape() as tape:
                 result = model.forward(ids, ids != 0, training=True)
-                loss, _ = total_loss(result.logits, labels, result.aux_loss, 0.01)
+                loss = total_loss(result, labels, 0.01)[0]
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.stop()
             tape.backward(loss)
@@ -322,9 +320,23 @@ class TestTapeNodes:
         for batch in (ids, ids[:1, :lengths[0]]):  # 16 padded notes, then one note
             with Tape() as tape:
                 result = model.forward(batch, batch != 0, training=True)
-                total_loss(result.logits, np.zeros(len(batch), int), result.aux_loss, 0.01)
+                total_loss(result, np.zeros(len(batch), int), 0.01)
             counts.append(len(tape._nodes))
         assert tuple(counts) == nodes
+
+    def test_inference_pass_records_no_loss_term(self):
+        # The batch-1 pass integrated gradients records at each path point.
+        # The forward builds no loss term: 16 nodes per switch block and 6
+        # outside the blocks, the logit pick included.
+        model = EncoderModel.build(tiny_config("switch", num_experts=4, d_model=32, d_ff=64,
+                                               vocab_size=50, max_len=16, dropout=0.2, seed=5))
+        ids = np.array([[4, 22, 31, 9, 15, 27, 38, 10, 19]])
+        mask = ids != 0
+        probe = Tensor(embed(ids, mask, model.embeddings).data, requires_grad=True)
+        with Tape(wrt=[probe]) as tape:
+            result = model.forward_from_embeddings(probe, mask)
+            T.sum_(T.take_rows(result.logits, (np.array([0]), np.array([1]))))
+        assert len(tape._nodes) == 38
 
 
 class TestHiddenExport:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import check_many_params, expert
+from helpers import check_many_params, chosen_prob, expert, penalty
 from switchtext import AdamW, Tape, Tensor
 from switchtext import tensor as T
 from switchtext.attention import FfnParams
@@ -54,10 +54,10 @@ class TestSwitchForward:
     def test_single_expert_identity_gate(self):
         p = make_params(n_experts=1)
         x = Tensor(rng.standard_normal((5, 4)))
-        out, record, aux = switch_forward(x, p)
+        out, record = switch_forward(x, p)
         np.testing.assert_allclose(out.data, ffn_numpy(x.data, expert(p, 0)), atol=1e-12)
-        np.testing.assert_array_equal(record.chosen_prob, np.ones(5))
-        assert aux.item() == 1.0
+        np.testing.assert_array_equal(chosen_prob(record), np.ones(5))
+        assert penalty(record).item() == 1.0
 
     def test_identical_experts_routing_independent(self):
         p = make_params(n_experts=3, capacity_factor=10.0)
@@ -65,8 +65,8 @@ class TestSwitchForward:
             lin.weight.data[1:] = lin.weight.data[0]
             lin.bias.data[1:] = lin.bias.data[0]
         x = rng.standard_normal((6, 4))
-        out, record, _ = switch_forward(Tensor(x), p)
-        expected = record.chosen_prob[:, None] * ffn_numpy(x, expert(p, 0))
+        out, record = switch_forward(Tensor(x), p)
+        expected = chosen_prob(record)[:, None] * ffn_numpy(x, expert(p, 0))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_hand_evaluated_two_token_dispatch(self):
@@ -77,20 +77,20 @@ class TestSwitchForward:
                                        [math.log(0.2), math.log(0.8)]])
         p.gate.bias.data = np.zeros(2)
         x = np.eye(2)
-        out, record, aux = switch_forward(Tensor(x), p)
+        out, record = switch_forward(Tensor(x), p)
         assert record.capacity == 1  # floor(1.25 * 2 / 2)
         np.testing.assert_array_equal(record.chosen, [0, 1])
-        np.testing.assert_allclose(record.chosen_prob, [0.9, 0.8], atol=1e-12)
+        np.testing.assert_allclose(chosen_prob(record), [0.9, 0.8], atol=1e-12)
         np.testing.assert_allclose(out.data[0], 0.9 * ffn_numpy(x[:1], expert(p, 0))[0], atol=1e-12)
         np.testing.assert_allclose(out.data[1], 0.8 * ffn_numpy(x[1:], expert(p, 1))[0], atol=1e-12)
         # f = (1/2, 1/2); P = ((0.9+0.2)/2, (0.1+0.8)/2); aux = 2 * sum(f*P) = 1.0
-        np.testing.assert_allclose(aux.item(), 1.0, atol=1e-12)
+        np.testing.assert_allclose(penalty(record).item(), 1.0, atol=1e-12)
 
     def test_argmax_tie_goes_to_lowest_index(self):
         p = make_params(n_experts=3)
         p.gate.weight.data = np.zeros_like(p.gate.weight.data)
         p.gate.bias.data = np.zeros_like(p.gate.bias.data)
-        _, record, _ = switch_forward(Tensor(rng.standard_normal((4, 4))), p)
+        _, record = switch_forward(Tensor(rng.standard_normal((4, 4))), p)
         np.testing.assert_array_equal(record.chosen, np.zeros(4, dtype=int))
 
     def test_capacity_overflow_zero_contribution(self):
@@ -99,7 +99,7 @@ class TestSwitchForward:
         p.gate.weight.data = np.zeros_like(p.gate.weight.data)
         p.gate.bias.data = np.array([5.0, -5.0])
         x = rng.standard_normal((6, 4))
-        out, record, _ = switch_forward(Tensor(x), p)
+        out, record = switch_forward(Tensor(x), p)
         assert record.capacity == 3  # floor(1.0 * 6 / 2)
         assert record.overflow == 3
         np.testing.assert_array_equal(record.counts, [3, 0])
@@ -115,21 +115,28 @@ class TestSwitchForward:
         p.gate.bias.data = np.array([5.0, -5.0])
         p.experts.lin2.bias.data[0] = 1.0  # a served row is never zero
         x = rng.standard_normal((6, 4))
-        out, record, _ = switch_forward(Tensor(x), p, training=False)
+        out, record = switch_forward(Tensor(x), p, training=False)
         assert record.capacity == 6
         assert record.overflow == 0
         np.testing.assert_array_equal(record.counts, [6, 0])
         assert (np.abs(out.data).sum(axis=1) > 0).all()
-        expected = record.chosen_prob[:, None] * ffn_numpy(x, expert(p, 0))
+        expected = chosen_prob(record)[:, None] * ffn_numpy(x, expert(p, 0))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    def test_huge_capacity_factor_serves_every_token(self):
+        # 1e308 * T overflows a float; the capacity stops at the token count.
+        p = make_params(n_experts=2, capacity_factor=1e308)
+        p.gate.bias.data = np.array([5.0, -5.0])
+        _, record = switch_forward(Tensor(rng.standard_normal((6, 4))), p, training=True)
+        assert record.capacity == 6 and record.overflow == 0
 
     def test_capacity_zero_serves_no_token(self):
         # floor(1.25 * 2 / 4) = 0: no expert serves anything in training.
         p = make_params(n_experts=4, capacity_factor=1.25)
         x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
         with Tape() as tape:
-            out, record, aux = switch_forward(x, p, training=True)
-            loss = T.add(T.sum_(out), aux)
+            out, record = switch_forward(x, p, training=True)
+            loss = T.add(T.sum_(out), penalty(record))
         tape.backward(loss)
         assert record.capacity == 0
         assert record.overflow == record.num_tokens == 2
@@ -181,8 +188,8 @@ class TestGradients:
         coeffs = Tensor(rng.standard_normal((3, 4)))
 
         def make_loss():
-            out, _, aux = switch_forward(Tensor(x), p, training=True)
-            return T.add(T.sum_(T.mul(out, coeffs)), T.mul(aux, 0.01))
+            out, record = switch_forward(Tensor(x), p, training=True)
+            return T.add(T.sum_(T.mul(out, coeffs)), T.mul(penalty(record), 0.01))
 
         check_many_params(make_loss, [
             (p.gate, "weight"), (p.gate, "bias"),
@@ -235,8 +242,8 @@ class TestStackedDispatch:
         x = Tensor(rng.standard_normal((12, 6)), requires_grad=True)
         coeffs = rng.standard_normal((12, 6))
         with Tape() as tape:
-            out, record, aux = switch_forward(x, p, training=True)
-            loss = T.add(T.sum_(T.mul(out, Tensor(coeffs))), T.mul(aux, 0.01))
+            out, record = switch_forward(x, p, training=True)
+            loss = T.add(T.sum_(T.mul(out, Tensor(coeffs))), T.mul(penalty(record), 0.01))
         tape.backward(loss)
         assert record.overflow > 0 and record.counts.min() > 0
         expected, grads = switch_reference(x.data, p, coeffs, 0.01)
@@ -267,14 +274,14 @@ class TestForcedGate:
         p.gate.weight.data = np.zeros_like(p.gate.weight.data)
         p.gate.bias.data = np.array([0.0, -1e30])
         x = rng.standard_normal((5, 3))
-        out, _, _ = switch_forward(Tensor(x), p, training=False)
+        out, _ = switch_forward(Tensor(x), p, training=False)
         np.testing.assert_array_equal(out.data, ffn_numpy(x, expert(p, 0)))
 
 
 class TestExpertUtilization:
     def make_record(self, chosen, counts, overflow):
         chosen = np.asarray(chosen)
-        return RoutingRecord(chosen=chosen, chosen_prob=np.full(len(chosen), 0.9),
+        return RoutingRecord(chosen=chosen, probs=Tensor(np.full((len(chosen), len(counts)), 0.5)),
                              counts=np.asarray(counts), overflow=overflow, capacity=99)
 
     def test_all_one_expert(self):
@@ -296,6 +303,11 @@ class TestConfigValidation:
     def test_bad_capacity_factor(self):
         with pytest.raises(ConfigError):
             make_params(capacity_factor=0.5)
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_non_finite_capacity_factor(self, factor):
+        with pytest.raises(ConfigError, match="finite"):
+            make_params(capacity_factor=factor)
 
     def test_bad_expert_count(self):
         with pytest.raises(ConfigError):
@@ -324,11 +336,11 @@ class TestBalanceTraining:
         record = None
         for _ in range(steps):
             with Tape() as tape:
-                out, record, aux = switch_forward(Tensor(x), p, training=True)
+                out, record = switch_forward(Tensor(x), p, training=True)
                 diff = T.add(out, T.mul(y, -1.0))
                 loss = T.mean(T.mul(diff, diff))
                 if aux_weight:
-                    loss = T.add(loss, T.mul(aux, aux_weight))
+                    loss = T.add(loss, T.mul(penalty(record), aux_weight))
             tape.backward(loss)
             opt.step(lr)
             opt.zero_grad()

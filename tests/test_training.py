@@ -14,7 +14,8 @@ from switchtext import tensor as T
 from switchtext import training
 from switchtext.data import class_weights
 from switchtext.errors import ConfigError, ContractError, DataError
-from switchtext.model import ModelConfig, load_checkpoint
+from switchtext.model import ForwardResult, ModelConfig, load_checkpoint
+from switchtext.moe import RoutingRecord
 from switchtext.tensor import Tape
 from switchtext.training import (EncodedExample, dataset_digest, encode_examples,
                                  evaluate, make_batch, total_loss, train,
@@ -64,11 +65,17 @@ class TestLoss:
     def test_total_loss_aux_weight_zero_is_pure_ce(self):
         logits = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         labels = np.array([0, 1, 1, 0])
-        aux = Tensor(5.0)
-        ce_only, ce_part = total_loss(logits, labels, aux, aux_weight=0.0)
-        with_aux, ce_term = total_loss(logits, labels, aux, aux_weight=0.01)
+        # Two routed layers with penalties 5 and 5 (E * f_0 * P_0 = 5 * 1 * 1).
+        probs = np.zeros((3, 5))
+        probs[:, 0] = 1.0
+        record = RoutingRecord(chosen=np.zeros(3, int), probs=Tensor(probs),
+                               counts=np.array([3, 0, 0, 0, 0]), overflow=0, capacity=3)
+        result = ForwardResult(logits=logits, hidden=[], routing=[record, record])
+        ce_only, ce_part, aux = total_loss(result, labels, aux_weight=0.0)
+        with_aux, ce_term, _ = total_loss(result, labels, aux_weight=0.01)
         ce = weighted_cross_entropy(logits, labels)
         assert ce_only.item() == ce.item() == ce_part.item() == ce_term.item()
+        assert aux.item() == 5.0
         np.testing.assert_allclose(with_aux.item(), ce.item() + 0.05, atol=1e-12)
 
 
@@ -113,6 +120,12 @@ class TestRunConfig:
             assert token in joined
         with pytest.raises(ConfigError):
             bad.validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_every_non_finite_float_rejected(self, value):
+        for name in [f.name for f in fields(RunConfig) if type(f.default) is float]:
+            problems = quick_config(**{name: value}).violations()
+            assert f"{name} must be finite" in " ".join(problems), name
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
