@@ -1,7 +1,9 @@
 """Top-1 expert routing in action: gate probabilities, capacity overflow,
 the load-balancing loss, and why it matters.  The switch layer returns its
 output and a routing record; the penalty is built from the record's gate
-probabilities and choices, as the training loss builds it.
+probabilities and choices, as the training loss builds it, and each
+expert's utilization is its share of the routing choices,
+``record.dispatched_counts() / record.num_tokens``.
 
 Run:  python demos/03_expert_routing_and_balance.py
 """
@@ -11,7 +13,7 @@ import numpy as np
 from switchtext import AdamW, Tape, Tensor
 from switchtext import tensor as T
 from switchtext.layers import named_tensors
-from switchtext.moe import SwitchParams, expert_utilization, load_balance_loss, switch_forward
+from switchtext.moe import SwitchParams, load_balance_loss, switch_forward
 
 rng = np.random.default_rng(7)
 
@@ -32,7 +34,7 @@ print("gate probability of the chosen expert:",
       np.round(record.probs.data[np.arange(record.num_tokens), record.chosen], 3))
 print("tokens served per expert:", record.counts,
       f"(capacity {record.capacity}, overflow {record.overflow})")
-print("utilization:", np.round(expert_utilization(record), 3))
+print("utilization:", np.round(record.dispatched_counts() / record.num_tokens, 3))
 print("balance loss (1.0 = perfectly balanced):", round(balance_loss(record).item(), 4))
 
 # Force everything to one expert: capacity bites, the rest pass through
@@ -66,7 +68,7 @@ def train_layer(aux_weight, seed=1, steps=200):
         tape.backward(loss)
         opt.step(1e-2)
         opt.zero_grad()
-    return expert_utilization(record)
+    return record.dispatched_counts() / record.num_tokens
 
 print("\ntraining without balance loss -> utilization",
       np.round(train_layer(aux_weight=0.0), 3), "(collapse)")

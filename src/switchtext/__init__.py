@@ -19,8 +19,7 @@ from .attention import (  # noqa: F401
     multi_head_attention, position_wise_ffn,
 )
 from .moe import (  # noqa: F401
-    RoutingRecord, SwitchParams, expert_utilization, gate_probs,
-    load_balance_loss, switch_forward,
+    RoutingRecord, SwitchParams, gate_probs, load_balance_loss, switch_forward,
 )
 from .model import (  # noqa: F401
     EncoderModel, ModelConfig, count_parameters, export_hidden_embeddings,

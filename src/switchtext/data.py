@@ -182,7 +182,7 @@ def read_jsonl(path) -> LabeledDataset:
         where = f"{path}:{line_no + 1}"
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
             raise DataError(f"{where}: invalid JSON record") from e
         if not isinstance(record, dict) or "text" not in record or "label" not in record:
             raise DataError(f"{where}: record needs to be a JSON object with 'text' and 'label'")

@@ -132,8 +132,7 @@ def integrated_gradients(model: EncoderModel, ids: np.ndarray, mask: np.ndarray,
 
 def rank_misclassified(model: EncoderModel, encoded, vocab: Vocabulary | None = None,
                        target: str = "true", num_steps: int = 128,
-                       baseline: str = "pad", eval_batch_size: int = 64,
-                       limit: int | None = None):
+                       baseline: str = "pad", limit: int | None = None):
     """Attribution reports for every misclassified example of a split,
     false negatives first.
 
@@ -145,24 +144,31 @@ def rank_misclassified(model: EncoderModel, encoded, vocab: Vocabulary | None = 
 
     if limit is not None and limit < 0:
         raise ConfigError(f"limit must be >= 0, got {limit}")
-    outcome = evaluate(model, encoded, batch_size=eval_batch_size)
-    wrong = [i for i in range(len(encoded)) if outcome.predictions[i] != outcome.labels[i]]
+    predictions = evaluate(model, encoded).predictions
+    wrong = [i for i, e in enumerate(encoded) if predictions[i] != e.label]
     # False negatives (true label 1) lead; stable by position within groups.
-    wrong.sort(key=lambda i: (outcome.labels[i] != 1, i))
+    wrong.sort(key=lambda i: (encoded[i].label != 1, i))
     if limit is not None:
         wrong = wrong[:limit]
-    return _attribute_each(model, [(encoded[i], int(outcome.predictions[i])) for i in wrong],
+    return _attribute_each(model, [(encoded[i], int(predictions[i])) for i in wrong],
                            vocab, target, num_steps, baseline)
 
 
 def attribution_for_ids(model: EncoderModel, encoded, example_ids, vocab=None,
                         target: str = "true", num_steps: int = 128, baseline: str = "pad"):
-    """Attribution reports for specific example ids within a split."""
-    by_id = {e.example_id: e for e in encoded}
-    for example_id in example_ids:
-        if example_id not in by_id:
-            raise LookupError_(f"example id {example_id} not found in the requested split")
-    return _attribute_each(model, [(by_id[i], None) for i in example_ids],
+    """Attribution reports for specific examples within a split, each named
+    by its id or the id's text (``5`` or ``"5"`` names the id 5 and the id
+    "5"); a name that matches no example, or two, is a lookup error."""
+    by_name: dict[str, list] = {}
+    for e in encoded:
+        by_name.setdefault(str(e.example_id), []).append(e)
+    for name in map(str, example_ids):
+        found = by_name.get(name, [])
+        if len(found) != 1:
+            raise LookupError_(f"example id {name} not found in the requested split" if not found
+                               else f"example id {name} names {len(found)} examples: "
+                                    + " and ".join(repr(e.example_id) for e in found))
+    return _attribute_each(model, [(by_name[str(i)][0], None) for i in example_ids],
                            vocab, target, num_steps, baseline)
 
 

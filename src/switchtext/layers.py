@@ -1,7 +1,7 @@
-"""Parameterized primitive layers: affine maps, layer normalization,
-token + learned-position embeddings looked up straight into packed
-real-token rows, and Glorot-normal initialization from a caller's generator
-(``init_weight``).
+"""Parameterized primitive layers: affine maps, layer normalization (with
+the one epsilon ``LAYER_NORM_EPS``), token + learned-position embeddings
+looked up straight into packed real-token rows, and Glorot-normal
+initialization from a caller's generator (``init_weight``).
 
 Parameter containers are plain dataclasses of tensors, which
 ``named_tensors`` walks to name every parameter.  The functional ops below
@@ -22,6 +22,7 @@ from .tensor import Tensor
 
 PAD_ID = 0
 UNK_ID = 1
+LAYER_NORM_EPS = 1e-5
 
 
 def init_weight(fan_in: int, fan_out: int, rng: np.random.Generator | None) -> Tensor:
@@ -55,7 +56,6 @@ class LinearParams:
 class LayerNormParams:
     gamma: Tensor
     beta: Tensor
-    epsilon: float = 1e-5
 
     @staticmethod
     def create(dim: int) -> "LayerNormParams":
@@ -98,7 +98,8 @@ def named_tensors(node, prefix: str) -> list[tuple[str, Tensor]]:
 
     Walks dataclass fields in declaration order and list items by index, so
     the names follow the container layout, e.g. ``blocks.0.mixer.lin1.weight``.
-    Fields holding anything else (epsilons, flags) are not parameters.
+    Fields holding anything else (a capacity factor, a head count) are not
+    parameters.
     """
     if isinstance(node, Tensor):
         return [(prefix, node)]
@@ -120,14 +121,15 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
 
 
 def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
-    """Per-position normalization over the last axis: gamma*(x-mu)/sqrt(var+eps)+beta.
+    """Per-position normalization over the last axis:
+    gamma*(x-mu)/sqrt(var+LAYER_NORM_EPS)+beta.
 
     The variance is the population (biased) estimate.
     """
     d = p.gamma.shape[0]
     if x.shape[-1] != d:
         raise DimensionError(f"layer_norm expects last extent {d}, got shape {x.shape}")
-    return T.layer_norm(x, p.gamma, p.beta, p.epsilon)
+    return T.layer_norm(x, p.gamma, p.beta, LAYER_NORM_EPS)
 
 
 def embed(tokens: np.ndarray, pad_mask: np.ndarray, table: EmbeddingTable) -> Tensor:

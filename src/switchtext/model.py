@@ -20,7 +20,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .tensor import Tensor
 CHECKPOINT_MAGIC = b"SWTCKPT1"
 CHECKPOINT_VERSION = 5
 NUM_CLASSES = 2  # binary labels: the loss, class weights and metrics assume two
+EXPORT_BATCH_SIZE = 32  # notes per forward in export_hidden_embeddings
 
 
 @dataclass
@@ -90,6 +91,27 @@ class ModelConfig:
         return self
 
 
+def config_from_dict(cls, d):
+    """``cls(**d)`` for a config dataclass; each value must have its field's
+    default type, except that an int is taken where a float is due."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"a {cls.__name__} must be a JSON object, got {d!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = set(d) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    values = {}
+    for key, value in d.items():
+        want = type(defaults[key])
+        if want is float and type(value) is int:
+            value = float(value)
+        if type(value) is not want:
+            raise ConfigError(f"config key {key!r} must be of type {want.__name__}, "
+                              f"got {value!r}")
+        values[key] = value
+    return cls(**values)
+
+
 @dataclass
 class EncoderBlock:
     mha: MultiHeadParams
@@ -132,7 +154,7 @@ class EncoderModel:
             mha = MultiHeadParams.create(config.d_model, config.num_heads, rng)
             mixer = (FfnParams.create(config.d_model, config.d_ff, rng) if config.variant == "dense"
                      else SwitchParams.create(config.d_model, config.d_ff, config.num_experts, rng,
-                                              capacity_factor=config.capacity_factor))
+                                              config.capacity_factor))
             blocks.append(EncoderBlock(
                 mha=mha,
                 norm1=LayerNormParams.create(config.d_model),
@@ -235,8 +257,7 @@ def count_parameters(model: EncoderModel) -> ParamCountReport:
     return ParamCountReport(items=items, total=total, core_total=total - token_table)
 
 
-def export_hidden_embeddings(model: EncoderModel, encoded, layer: int, path,
-                             batch_size: int = 32) -> int:
+def export_hidden_embeddings(model: EncoderModel, encoded, layer: int, path) -> int:
     """Write one record per example: id, label, pooled hidden vector at
     ``layer``.  ``encoded`` is the ``EncodedExample`` list ``evaluate``
     takes.  Returns the record count.  Deterministic formatting, so
@@ -248,8 +269,8 @@ def export_hidden_embeddings(model: EncoderModel, encoded, layer: int, path,
 
     def lines():
         yield "example_id\tlabel\t" + "\t".join(f"h{i}" for i in range(model.config.d_model)) + "\n"
-        for start in range(0, len(encoded), batch_size):
-            chunk = encoded[start:start + batch_size]
+        for start in range(0, len(encoded), EXPORT_BATCH_SIZE):
+            chunk = encoded[start:start + EXPORT_BATCH_SIZE]
             ids, mask = pad_batch([e.ids for e in chunk])
             pooled = model._pool(model.forward(ids, mask).hidden[layer], mask).data
             for row, e in zip(pooled, chunk):
@@ -298,10 +319,12 @@ def load_checkpoint(path):
     tensors round-trip bit-exactly.
 
     All or nothing: a missing or unreadable path, a foreign or older-format
-    file, a truncated or malformed header or payload, trailing bytes, a
-    parameter set that differs from the model's, or bytes that do not match
-    the sha256 trailer raises CompatibilityError.  Tensors are read one at a
-    time; the trailer is checked after the version and shape checks.
+    file, a truncated or malformed header (config values of the wrong type,
+    a vocabulary that is not 2 to ``vocab_size`` tokens, an ``extra`` that is
+    not an object) or payload, trailing bytes, a parameter set that differs
+    from the model's, or bytes that do not match the sha256 trailer raises
+    CompatibilityError.  Tensors are read one at a time; the trailer is
+    checked after the version and shape checks.
     """
     try:
         fh = open(path, "rb")
@@ -325,7 +348,7 @@ def load_checkpoint(path):
             raise CompatibilityError(f"truncated checkpoint {path}: header length exceeds the file")
         try:
             header = json.loads(read(blob_len, "header").decode("utf-8"))
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise CompatibilityError(f"malformed checkpoint header in {path}: {e}") from e
         version = header.get("format_version") if isinstance(header, dict) else None
         if version != CHECKPOINT_VERSION:
@@ -335,11 +358,19 @@ def load_checkpoint(path):
             )
         try:
             specs = [(spec["name"], tuple(spec["shape"])) for spec in header["params"]]
-            model = EncoderModel.build(ModelConfig(**header["config"]), init=False)
+            names = {name for name, _ in specs}
+            model = EncoderModel.build(config_from_dict(ModelConfig, header["config"]), init=False)
+            vocab = Vocabulary.from_dict(header["vocab"]) if header.get("vocab") else None
+            extra = header.get("extra", {})
+            if not isinstance(extra, dict):
+                raise TypeError(f"extra must be an object, got {extra!r}")
         except (KeyError, TypeError, ConfigError) as e:
             raise CompatibilityError(f"malformed checkpoint header in {path}: {e!r}") from e
+        if vocab is not None and not 2 <= len(vocab) <= model.config.vocab_size:
+            raise CompatibilityError(f"checkpoint {path} holds {len(vocab)} vocabulary tokens for "
+                                     f"an embedding table of {model.config.vocab_size} rows")
         by_name = dict(model.parameters())
-        missing = sorted(by_name.keys() - {name for name, _ in specs})
+        missing = sorted(by_name.keys() - names)
         if missing:
             raise CompatibilityError(f"checkpoint {path} lacks model parameters {missing}")
         for name, shape in specs:
@@ -359,5 +390,4 @@ def load_checkpoint(path):
         if fh.read(1):
             raise CompatibilityError(f"checkpoint {path} has bytes after its last parameter "
                                      f"and sha256 trailer")
-    vocab = Vocabulary.from_dict(header["vocab"]) if header.get("vocab") else None
-    return model, vocab, header.get("extra", {})
+    return model, vocab, extra

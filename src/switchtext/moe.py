@@ -1,6 +1,9 @@
 """Routed expert layer: a softmax gate over E expert FFNs with top-1
 dispatch and per-expert capacity, and the load-balancing penalty, which
-``training.total_loss`` builds from each layer's ``RoutingRecord``.
+``training.total_loss`` builds from each layer's ``RoutingRecord``.  A
+record stores the routing decisions and derives the rest: the overflow is
+``num_tokens - counts.sum()``, and the expert utilization
+``dispatched_counts() / num_tokens``.
 
 Routing decisions (argmax, capacity cuts) are taken on raw values and held
 fixed; gradients flow through the chosen gate probability and through the
@@ -30,7 +33,7 @@ class SwitchParams:
 
     gate: LinearParams
     experts: FfnParams
-    capacity_factor: float = 1.25
+    capacity_factor: float
 
     @property
     def num_experts(self) -> int:
@@ -42,7 +45,7 @@ class SwitchParams:
         d_ff: int,
         num_experts: int,
         rng: np.random.Generator | None,
-        capacity_factor: float = 1.25,
+        capacity_factor: float,
     ) -> "SwitchParams":
         if num_experts < 1:
             raise ConfigError(f"num_experts must be >= 1, got {num_experts}")
@@ -65,20 +68,23 @@ class RoutingRecord:
 
     ``probs`` holds the [T, E] gate probabilities the penalty differentiates.
     ``counts`` holds tokens actually served per expert (within capacity);
-    overflowed tokens bypassed their expert, so counts.sum() + overflow
-    equals the token count.  ``chosen`` keeps the argmax expert of every
-    token, overflowed or not.
+    overflowed tokens bypassed their expert.  ``chosen`` keeps the argmax
+    expert of every token, overflowed or not.
     """
 
     chosen: np.ndarray
     probs: Tensor
     counts: np.ndarray
-    overflow: int
     capacity: int
 
     @property
     def num_tokens(self) -> int:
         return len(self.chosen)
+
+    @property
+    def overflow(self) -> int:
+        """Tokens that bypassed their chosen expert at its capacity."""
+        return self.num_tokens - int(self.counts.sum())
 
     def dispatched_counts(self) -> np.ndarray:
         """Tokens per expert by routing decision, overflow included."""
@@ -133,19 +139,4 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
         combined = Tensor(np.zeros(x.shape))
     out = T.mul(combined, T.take_rows(probs, (np.arange(num_tokens)[:, None], chosen[:, None])))
 
-    record = RoutingRecord(
-        chosen=chosen,
-        probs=probs,
-        counts=counts,
-        overflow=num_tokens - int(counts.sum()),
-        capacity=capacity,
-    )
-    return out, record
-
-
-def expert_utilization(record: RoutingRecord) -> np.ndarray:
-    """Fraction of tokens per expert by routing decision; sums to 1.
-    Overflowed tokens count at their chosen expert."""
-    if record.num_tokens == 0:
-        raise ContractError("expert_utilization needs at least one routed token")
-    return record.dispatched_counts() / record.num_tokens
+    return out, RoutingRecord(chosen=chosen, probs=probs, counts=counts, capacity=capacity)

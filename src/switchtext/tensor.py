@@ -342,32 +342,28 @@ def ffn(x, w1, b1, w2, b2, sizes=None) -> Tensor:
 # reductions
 
 
-def _restore_reduced(g: np.ndarray, in_shape, axis, keepdims) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g.reshape((1,) * len(in_shape)), in_shape)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    if not keepdims:
-        for ax in sorted(ax % len(in_shape) for ax in axes):
-            g = np.expand_dims(g, ax)
+def _restore_reduced(g: np.ndarray, in_shape, axis) -> np.ndarray:
+    """The gradient ``g`` of a reduction over ``axis`` broadcast back to ``in_shape``."""
+    g = g.reshape((1,) * len(in_shape)) if axis is None else np.expand_dims(g, axis)
     return np.broadcast_to(g, in_shape)
 
 
-def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(x, axis=None) -> Tensor:
     x = _as_tensor(x)
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+    out = x.data.sum(axis=axis)
     in_shape = x.data.shape
     return _maybe_record(np.asarray(out), [
-        (x, lambda g: _restore_reduced(g, in_shape, axis, keepdims)),
+        (x, lambda g: _restore_reduced(g, in_shape, axis)),
     ])
 
 
-def mean(x, axis=None, keepdims: bool = False) -> Tensor:
+def mean(x, axis=None) -> Tensor:
     x = _as_tensor(x)
-    out = x.data.mean(axis=axis, keepdims=keepdims)
+    out = x.data.mean(axis=axis)
     in_shape = x.data.shape
     inv = 1.0 / float(x.data.size // np.size(out))
     return _maybe_record(np.asarray(out), [
-        (x, lambda g: _restore_reduced(g, in_shape, axis, keepdims) * inv),
+        (x, lambda g: _restore_reduced(g, in_shape, axis) * inv),
     ])
 
 

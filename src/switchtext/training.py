@@ -1,7 +1,9 @@
 """Training engine: run configuration, the one training objective (weighted
 cross-entropy plus the routing load-balancing penalty), gradient
 accumulation, per-epoch evaluation and logging, early stopping with
-best-checkpoint restore, and reproducibility manifests.
+best-checkpoint restore, and reproducibility manifests.  ``TrainResult``
+and ``EvalOutcome`` keep what their callers read; the artifacts hold the
+rest (learning rate and aux losses per epoch in train_log.tsv).
 
 All artifacts are plain UTF-8 delimited text or JSON, written with fixed
 float formatting so two runs with the same config and seed are
@@ -31,7 +33,7 @@ from .data import (LabeledDataset, Vocabulary, build_vocab, class_weights,
                    encode, pad_batch, split_dataset, write_artifact, FRENCH_STOPWORDS)
 from .errors import ConfigError, DataError
 from .metrics import EvalReport, classification_metrics, confusion, roc_auc
-from .model import (EncoderModel, ForwardResult, ModelConfig, load_checkpoint,
+from .model import (EncoderModel, ForwardResult, ModelConfig, config_from_dict, load_checkpoint,
                     save_checkpoint)
 from .moe import load_balance_loss
 from .optim import AdamW, EarlyStopping, ScheduleConfig, clip_grad_norm, cosine_warmup_lr
@@ -98,8 +100,11 @@ class RunConfig:
         problems = self.model_config(vocab_size=2).violations()
         problems += [f"{f.name} must be finite, got {getattr(self, f.name)}" for f in fields(self)
                      if type(f.default) is float and not math.isfinite(getattr(self, f.name))]
-        if self.aux_loss_weight < 0.0:
-            problems.append(f"aux_loss_weight must be >= 0, got {self.aux_loss_weight}")
+        problems += [f"{name} must be >= 0, got {getattr(self, name)}" for name in
+                     ("aux_loss_weight", "weight_decay", "grad_clip", "min_delta")
+                     if getattr(self, name) < 0.0]
+        if not 0.0 <= self.stop_at_val_accuracy <= 1.0:
+            problems.append(f"stop_at_val_accuracy must be in [0, 1], got {self.stop_at_val_accuracy}")
         if self.split_seed < 0:
             problems.append(f"split_seed must be >= 0, got {self.split_seed}")
         if self.epochs < 0:
@@ -130,22 +135,8 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        """Build from config-file keys; each value must have its field's
-        default type, except that an int is taken where a float is due."""
-        defaults = {f.name: f.default for f in fields(RunConfig)}
-        unknown = set(d) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        values = {}
-        for key, value in d.items():
-            want = type(defaults[key])
-            if want is float and type(value) is int:
-                value = float(value)
-            if type(value) is not want:
-                raise ConfigError(f"config key {key!r} must be of type {want.__name__}, "
-                                  f"got {value!r}")
-            values[key] = value
-        return RunConfig(**values)
+        """Build from config-file keys (``config_from_dict``)."""
+        return config_from_dict(RunConfig, d)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +199,6 @@ class EvalOutcome:
     report: EvalReport
     predictions: np.ndarray
     scores: np.ndarray
-    labels: np.ndarray
     aux_loss: float
 
 
@@ -243,7 +233,7 @@ class BatchTally:
         auc = roc_auc(labels, probs[:, 1]) if len(np.unique(labels)) == 2 else None
         report = classification_metrics(confusion(labels, preds), auc=auc)
         report.loss = self.loss_sum / self.weight_sum
-        return EvalOutcome(report=report, predictions=preds, scores=probs[:, 1], labels=labels,
+        return EvalOutcome(report=report, predictions=preds, scores=probs[:, 1],
                            aux_loss=float(np.mean(self.aux)))
 
     def routing_rows(self, epoch: int) -> list[str]:
@@ -283,19 +273,19 @@ def evaluate(model: EncoderModel, encoded: list[EncodedExample], batch_size: int
 @dataclass
 class TrainResult:
     """``best_epoch`` is the restored epoch (0 when no epoch ran); ``model``
-    holds its parameters and ``final_val`` its validation report."""
+    holds its parameters and ``final_val`` its validation report.
+    ``history`` has one row per epoch run, mapping "train" and "val" to
+    their reports; train_log.tsv holds the learning rate and aux losses."""
 
     model: EncoderModel
     vocab: Vocabulary
-    splits: dict[str, np.ndarray]
-    history: list[dict]
+    history: list[dict[str, EvalReport]]
     best_epoch: int
     stopped_early: bool
     checkpoint_path: str
     checkpoint_digest: str
     final_val: EvalReport
     encoded: dict[str, list[EncodedExample]]
-    out_dir: str | None
 
 
 def dataset_digest(dataset: LabeledDataset) -> str:
@@ -336,15 +326,15 @@ def write_manifest(out_dir, command: str, config_dict: dict, data_digest: str,
                    [json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False), "\n"])
 
 
-def clear_manifest(out_dir) -> None:
-    """Remove ``out_dir``'s manifest.json before a run's first artifact: it is
+def clear_manifest(path) -> None:
+    """Remove the manifest at ``path`` before a run's first artifact: it is
     written last, so one present vouches for a complete set from one run."""
     try:
-        os.remove(f"{out_dir}/manifest.json")
+        os.remove(path)
     except FileNotFoundError:
         pass
     except OSError as e:
-        raise ConfigError(f"cannot remove {out_dir}/manifest.json: {e.strerror}") from e
+        raise ConfigError(f"cannot remove {path}: {e.strerror}") from e
 
 
 def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None,
@@ -405,7 +395,7 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5F)))
     stopper = EarlyStopping(patience=config.patience, min_delta=config.min_delta)
 
-    history: list[dict] = []
+    history: list[dict[str, EvalReport]] = []
     tables = {  # artifact name -> header and rows
         "train_log.tsv": ["epoch\tsplit\tloss\taccuracy\tprecision\trecall\tlr\taux_loss"],
         "gap.tsv": ["epoch\tgap\ttrain_loss\tval_loss\ttrain_accuracy\tval_accuracy"],
@@ -417,7 +407,7 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
     if config.epochs == 0:
         say("warning: epochs=0, writing the initialized checkpoint and exiting")
     if out_dir:
-        clear_manifest(out_dir)
+        clear_manifest(f"{out_dir}/manifest.json")
 
     with (contextlib.nullcontext(out_dir) if out_dir else tempfile.TemporaryDirectory()) as ckpt_dir:
         ckpt_path = f"{ckpt_dir}/best.ckpt"
@@ -458,8 +448,7 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
             val_out = evaluate(model, encoded["val"], config.eval_batch_size, weights)
             train_report, val_report = train_out.report, val_out.report
             lr_now = cosine_warmup_lr(min(epoch * steps_per_epoch, total_steps), schedule)
-            history.append({"epoch": epoch, "train": train_report, "val": val_report, "lr": lr_now,
-                            "train_aux": train_out.aux_loss, "val_aux": val_out.aux_loss})
+            history.append({"train": train_report, "val": val_report})
             for split, out in (("train", train_out), ("val", val_out)):
                 r = out.report
                 tables["train_log.tsv"].append(
@@ -504,10 +493,10 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
                         "report_val.tsv", "report_val.json"])
 
     return TrainResult(
-        model=model, vocab=vocab, splits=splits, history=history,
+        model=model, vocab=vocab, history=history,
         best_epoch=best_epoch, stopped_early=stopped_early,
         checkpoint_path=ckpt_path if out_dir else "", checkpoint_digest=digest if out_dir else "",
-        final_val=final_val, encoded=encoded, out_dir=out_dir,
+        final_val=final_val, encoded=encoded,
     )
 
 

@@ -152,7 +152,7 @@ class TestCriterion2MoeEquivalences:
         assert diff <= 1e-10
 
         # Top-1 routing at inference with one gate forced to probability exactly 1.
-        sw = SwitchParams.create(6, 12, 3, np.random.default_rng(5))
+        sw = SwitchParams.create(6, 12, 3, np.random.default_rng(5), 1.25)
         sw.gate.weight.data = np.zeros_like(sw.gate.weight.data)
         sw.gate.bias.data = np.array([0.0, -1e30, -1e30])
         x = rng.standard_normal((5, 6))

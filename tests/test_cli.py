@@ -1,6 +1,7 @@
 """Command-line tests: the full command set end to end on a tiny corpus,
 config merging and overrides, error categories, and artifact layout."""
 
+import hashlib
 import json
 import os
 import struct
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from switchtext.cli import EXIT_CODES, build_parser, main, resolve_train_config
-from switchtext.data import read_jsonl
+from switchtext.data import read_jsonl, write_artifact
 from switchtext.errors import ConfigError
 from switchtext.training import train
 
@@ -50,6 +51,22 @@ class TestGenData:
         main(["gen-data", "--n", "30", "--seed", "5", "--out", str(a)])
         main(["gen-data", "--n", "30", "--seed", "5", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, monkeypatch, capsys):
+        data = tmp_path / "g.jsonl"
+        assert main(["gen-data", "--n", "20", "--seed", "1", "--out", str(data)]) == 0
+        manifest = tmp_path / "g.jsonl.manifest.json"
+        assert manifest.exists()
+
+        def failing_write(path, parts):
+            if str(path).endswith(".manifest.json"):
+                raise ConfigError(f"cannot write {path}")
+            return write_artifact(path, parts)
+
+        monkeypatch.setattr("switchtext.cli.write_artifact", failing_write)
+        assert main(["gen-data", "--n", "20", "--seed", "2", "--out", str(data)]) == 2
+        assert "category=config" in capsys.readouterr().err
+        assert not manifest.exists()  # the seed-1 manifest no longer vouches for seed-2 data
 
 
 class TestTrain:
@@ -253,6 +270,19 @@ class TestAttribute:
                    (out / "attributions.jsonl").read_text().strip().split("\n")]
         assert [r["example_id"] for r in records] == [3, 7]
 
+    def test_attribute_by_string_ids(self, workdir, tmp_path):
+        data = tmp_path / "named.jsonl"
+        data.write_text("".join(json.dumps({**json.loads(line), "id": f"n{i}"}) + "\n"
+                                for i, line in enumerate(workdir["data"].read_text().splitlines())))
+        out = tmp_path / "attr_names"
+        code = main(["attribute", "--checkpoint", str(workdir["ckpt"]), "--data", str(data),
+                     "--split", "all", "--ids", "n3,n7", "--num-steps", "16",
+                     "--output-dir", str(out)])
+        assert code == 0
+        records = [json.loads(l) for l in
+                   (out / "attributions.jsonl").read_text().strip().split("\n")]
+        assert [r["example_id"] for r in records] == ["n3", "n7"]
+
     def test_unknown_id_lookup_error(self, workdir, tmp_path, capsys):
         code = main(["attribute", "--checkpoint", str(workdir["ckpt"]),
                      "--data", str(workdir["data"]), "--split", "val",
@@ -298,14 +328,30 @@ BAD_INPUT = [
     ("data-id-duplicate", "attribute", ["--data", "{tmp}/id_dup.jsonl", "--ids", "5"], "data"),
     ("data-text-null", "eval", ["--data", "{tmp}/text_null.jsonl"], "data"),
     ("data-label-bool", "eval", ["--data", "{tmp}/label_bool.jsonl"], "data"),
+    ("data-record-nested-deep", "eval", ["--data", "{tmp}/nested.jsonl"], "data"),
     ("checkpoint-missing", "eval", ["--checkpoint", "{tmp}/missing.ckpt"], "compatibility"),
     ("checkpoint-directory", "eval", ["--checkpoint", "{tmp}"], "compatibility"),
     ("checkpoint-format-3", "eval", ["--checkpoint", "{tmp}/v3.ckpt"], "compatibility"),
     ("checkpoint-format-4", "eval", ["--checkpoint", "{tmp}/v4.ckpt"], "compatibility"),
     ("checkpoint-flipped-byte", "eval", ["--checkpoint", "{tmp}/flipped.ckpt"], "compatibility"),
+    # Header edits behind a recomputed sha256 trailer, as a faulty writer would make them.
+    ("checkpoint-vocab-not-strings", "eval", ["--checkpoint", "{tmp}/vocab_lists.ckpt"],
+     "compatibility"),
+    ("checkpoint-vocab-one-token", "attribute", ["--checkpoint", "{tmp}/vocab_short.ckpt"],
+     "compatibility"),
+    ("checkpoint-extra-not-object", "eval", ["--checkpoint", "{tmp}/extra_int.ckpt"],
+     "compatibility"),
+    ("checkpoint-config-heads-bool", "eval", ["--checkpoint", "{tmp}/heads_bool.ckpt"],
+     "compatibility"),
+    ("checkpoint-run-config-split-seed-negative", "eval",
+     ["--checkpoint", "{tmp}/split_seed.ckpt"], "compatibility"),
     ("eval-batch-size-0", "eval", ["--batch-size", "0"], "config"),
     ("eval-batch-size-negative", "eval", ["--batch-size", "-3"], "config"),
-    ("attribute-ids-not-int", "attribute", ["--ids", "1,x"], "config"),
+    # An id is named by its text, so "x" is an id the split lacks.
+    ("attribute-ids-not-int", "attribute", ["--ids", "1,x"], "lookup"),
+    # The int id 5 and the string id "5" share the name 5.
+    ("attribute-ids-ambiguous", "attribute",
+     ["--data", "{tmp}/id_str_5.jsonl", "--split", "all", "--ids", "5"], "lookup"),
     ("attribute-limit-negative", "attribute", ["--limit", "-1"], "config"),
     ("output-dir-file-train", "train", ["--output-dir", "{tmp}/afile"], "config"),
     ("output-dir-file-eval", "eval", ["--output-dir", "{tmp}/afile"], "config"),
@@ -316,6 +362,7 @@ BAD_INPUT = [
     ("train-seed-negative", "train", ["--seed", "-3"], "config"),
     ("train-split-seed-negative", "train", ["--split-seed", "-1"], "config"),
     ("train-config-file-seed-negative", "train", ["--config", "{tmp}/negative_seed.json"], "config"),
+    ("train-config-file-nested-deep", "train", ["--config", "{tmp}/nested.json"], "config"),
     # A non-finite float would slip past every range check that compares it.
     ("train-capacity-factor-nan", "train", ["--capacity-factor", "nan"], "config"),
     ("train-capacity-factor-inf", "train", ["--capacity-factor", "inf"], "config"),
@@ -327,8 +374,17 @@ BAD_INPUT = [
     ("train-weight-decay-nan", "train", ["--weight-decay", "nan"], "config"),
     ("train-adam-eps-nan", "train", ["--adam-eps", "nan"], "config"),
     ("train-aux-loss-weight-nan", "train", ["--aux-loss-weight", "nan"], "config"),
+    # Overflow to a non-finite gradient is a numeric error, with no numpy warning.
+    ("train-aux-loss-weight-overflows", "train", ["--aux-loss-weight", "1e308", "--epochs", "1"],
+     "numeric"),
     ("train-config-file-floats-non-finite", "train", ["--config", "{tmp}/non_finite.json"],
      "config"),
+    # Out-of-range run floats would silently change the run.
+    ("train-stop-at-val-accuracy-negative", "train", ["--stop-at-val-accuracy", "-0.5"], "config"),
+    ("train-stop-at-val-accuracy-above-one", "train", ["--stop-at-val-accuracy", "1.5"], "config"),
+    ("train-min-delta-negative", "train", ["--min-delta", "-5"], "config"),
+    ("train-grad-clip-negative", "train", ["--grad-clip", "-1"], "config"),
+    ("train-weight-decay-negative", "train", ["--weight-decay", "-0.01"], "config"),
     # {tmp}/blocked holds a directory where each command's artifact goes.
     ("artifact-blocked-train", "train", ["--output-dir", "{tmp}/blocked"], "config"),
     ("artifact-blocked-eval", "eval", ["--output-dir", "{tmp}/blocked"], "config"),
@@ -354,6 +410,8 @@ def test_bad_input_exits_with_its_category(workdir, tmp_path, capsys, command, f
     (tmp_path / "latin1.jsonl").write_bytes(b'{"text": "caf\xe9", "label": 1}\n')
     (tmp_path / "int.jsonl").write_text("5\n")
     (tmp_path / "null.jsonl").write_text("null\n")
+    (tmp_path / "nested.jsonl").write_text("[" * 100000 + "\n")
+    (tmp_path / "nested.json").write_text("[" * 100000)
     (tmp_path / "afile").write_text("")
     good = [json.loads(line) for line in workdir["data"].read_text().splitlines()[:40]]
     bad_records = {  # each follows 40 good records, which make every split non-empty
@@ -361,6 +419,7 @@ def test_bad_input_exits_with_its_category(workdir, tmp_path, capsys, command, f
         "id_dup": {"id": 5, "text": "b", "label": 1},
         "text_null": {"id": 40, "text": None, "label": 0},
         "label_bool": {"id": 40, "text": "a", "label": True},
+        "id_str_5": {"id": "5", "text": "b", "label": 1},
     }
     for name, record in bad_records.items():
         (tmp_path / f"{name}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in good + [record]))
@@ -380,6 +439,20 @@ def test_bad_input_exits_with_its_category(workdir, tmp_path, capsys, command, f
     flipped = bytearray(raw)  # one payload bit
     flipped[16 + blob_len + 100] ^= 0x01
     (tmp_path / "flipped.ckpt").write_bytes(bytes(flipped))
+    header["format_version"] = 5
+    payload = raw[16 + blob_len:-32]
+    for name, edit in {
+        "vocab_lists": lambda h: h["vocab"].update(id_to_token=[[1]] * 3),
+        "vocab_short": lambda h: h["vocab"].update(id_to_token=["<pad>"]),
+        "extra_int": lambda h: h.update(extra=-1),
+        "heads_bool": lambda h: h["config"].update(num_heads=True),
+        "split_seed": lambda h: h["extra"]["run_config"].update(split_seed=-1),
+    }.items():
+        edited = json.loads(json.dumps(header))
+        edit(edited)
+        blob = json.dumps(edited).encode("utf-8")
+        body = raw[:8] + struct.pack("<Q", len(blob)) + blob + payload
+        (tmp_path / f"{name}.ckpt").write_bytes(body + hashlib.sha256(body).digest())
     argv = [command] + [arg.format(tmp=tmp_path, ckpt=workdir["ckpt"], data=workdir["data"])
                         for arg in BASE_ARGV[command] + flags]
     code = main(argv)

@@ -22,22 +22,22 @@ def norm_oracle(x, gamma, beta, eps):
 
 class TestLayerNorm:
     def test_three_point_example(self):
-        # mean 2, population variance 2/3
-        p = LayerNormParams(gamma=Tensor(np.ones(3)), beta=Tensor(np.zeros(3)), epsilon=0.0)
-        out = layer_norm(Tensor([1.0, 2.0, 3.0]), p)
+        # mean 2, population variance 2/3; the primitive with no epsilon
+        p = LayerNormParams(gamma=Tensor(np.ones(3)), beta=Tensor(np.zeros(3)))
+        out = T.layer_norm(Tensor([1.0, 2.0, 3.0]), p.gamma, p.beta, 0.0)
         expected = norm_oracle(np.array([1.0, 2.0, 3.0]), 1.0, 0.0, 0.0)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
         np.testing.assert_allclose(out.data, [-1.2247, 0.0, 1.2247], atol=1e-4)
 
     def test_constant_input_returns_beta(self):
         beta = np.array([0.3, -0.7])
-        p = LayerNormParams(gamma=Tensor(np.ones(2)), beta=Tensor(beta), epsilon=1e-5)
+        p = LayerNormParams(gamma=Tensor(np.ones(2)), beta=Tensor(beta))
         for c in (0.0, 5.0, -3.25):
             out = layer_norm(Tensor([c, c]), p)
             np.testing.assert_allclose(out.data, beta, atol=1e-12)
 
     def test_zero_gamma_annihilates(self):
-        p = LayerNormParams(gamma=Tensor(np.zeros(4)), beta=Tensor(np.full(4, 2.5)), epsilon=1e-5)
+        p = LayerNormParams(gamma=Tensor(np.zeros(4)), beta=Tensor(np.full(4, 2.5)))
         out = layer_norm(Tensor(rng.standard_normal((3, 4))), p)
         np.testing.assert_array_equal(out.data, np.full((3, 4), 2.5))
 
@@ -67,7 +67,7 @@ class TestLayerNorm:
         coeffs = Tensor(rng.standard_normal((3, 4)))
 
         def against_gamma(g):
-            q = LayerNormParams(gamma=g, beta=p.beta, epsilon=p.epsilon)
+            q = LayerNormParams(gamma=g, beta=p.beta)
             return T.sum_(T.mul(layer_norm(x_fixed, q), coeffs))
 
         assert finite_difference_check(against_gamma, Tensor(np.ones(4)), h=1e-6) < 1e-4

@@ -13,8 +13,8 @@ from switchtext import tensor as T
 from switchtext.attention import FfnParams
 from switchtext.errors import ConfigError, ContractError
 from switchtext.layers import LinearParams, named_tensors
-from switchtext.moe import (RoutingRecord, SwitchParams, expert_utilization,
-                            gate_probs, load_balance_loss, switch_forward)
+from switchtext.moe import (RoutingRecord, SwitchParams, gate_probs, load_balance_loss,
+                            switch_forward)
 
 rng = np.random.default_rng(99)
 
@@ -24,8 +24,8 @@ def ffn_numpy(x, p: FfnParams):
     return h @ p.lin2.weight.data + p.lin2.bias.data
 
 
-def make_params(d=4, d_ff=8, n_experts=2, seed=0, **kw):
-    return SwitchParams.create(d, d_ff, n_experts, np.random.default_rng(seed), **kw)
+def make_params(d=4, d_ff=8, n_experts=2, seed=0, capacity_factor=1.25):
+    return SwitchParams.create(d, d_ff, n_experts, np.random.default_rng(seed), capacity_factor)
 
 
 class TestGateProbs:
@@ -257,7 +257,7 @@ class TestStackedDispatch:
     def test_fresh_draw_is_expert_by_expert(self):
         # Expert j's weights are the draws E separate FFNs would get, in turn.
         gen = np.random.default_rng(2)
-        p = SwitchParams.create(4, 6, 3, np.random.default_rng(2))
+        p = SwitchParams.create(4, 6, 3, np.random.default_rng(2), 1.25)
         gen.normal(size=(4, 3))  # the gate
         for j in range(3):
             np.testing.assert_array_equal(p.experts.lin1.weight.data[j],
@@ -279,23 +279,30 @@ class TestForcedGate:
 
 
 class TestExpertUtilization:
+    """Utilization is ``dispatched_counts() / num_tokens``; the overflow is
+    derived from the served counts."""
+
     def make_record(self, chosen, counts, overflow):
         chosen = np.asarray(chosen)
-        return RoutingRecord(chosen=chosen, probs=Tensor(np.full((len(chosen), len(counts)), 0.5)),
-                             counts=np.asarray(counts), overflow=overflow, capacity=99)
+        record = RoutingRecord(chosen=chosen, probs=Tensor(np.full((len(chosen), len(counts)), 0.5)),
+                               counts=np.asarray(counts), capacity=99)
+        assert record.overflow == overflow
+        return record
 
     def test_all_one_expert(self):
         record = self.make_record([0] * 5, [5, 0, 0], 0)
-        np.testing.assert_array_equal(expert_utilization(record), [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(record.dispatched_counts() / record.num_tokens,
+                                      [1.0, 0.0, 0.0])
 
     def test_perfectly_balanced(self):
         record = self.make_record([0, 1, 2, 0, 1, 2], [2, 2, 2], 0)
-        np.testing.assert_allclose(expert_utilization(record), [1 / 3] * 3, atol=1e-15)
+        np.testing.assert_allclose(record.dispatched_counts() / record.num_tokens, [1 / 3] * 3,
+                                   atol=1e-15)
 
     def test_counts_arithmetic_with_overflow(self):
         # Overflowed tokens still count at their chosen expert.
         record = self.make_record([0, 0, 0, 1], [2, 1], 1)
-        np.testing.assert_array_equal(expert_utilization(record), [0.75, 0.25])
+        np.testing.assert_array_equal(record.dispatched_counts() / record.num_tokens, [0.75, 0.25])
         np.testing.assert_array_equal(record.dispatched_counts() - record.counts, [1, 0])
 
 
@@ -344,7 +351,7 @@ class TestBalanceTraining:
             tape.backward(loss)
             opt.step(lr)
             opt.zero_grad()
-        return expert_utilization(record).max()
+        return (record.dispatched_counts() / record.num_tokens).max()
 
     def test_aux_loss_prevents_collapse(self):
         seeds = [1, 2, 3, 4, 5]

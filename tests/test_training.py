@@ -69,7 +69,7 @@ class TestLoss:
         probs = np.zeros((3, 5))
         probs[:, 0] = 1.0
         record = RoutingRecord(chosen=np.zeros(3, int), probs=Tensor(probs),
-                               counts=np.array([3, 0, 0, 0, 0]), overflow=0, capacity=3)
+                               counts=np.array([3, 0, 0, 0, 0]), capacity=3)
         result = ForwardResult(logits=logits, hidden=[], routing=[record, record])
         ce_only, ce_part, aux = total_loss(result, labels, aux_weight=0.0)
         with_aux, ce_term, _ = total_loss(result, labels, aux_weight=0.01)
