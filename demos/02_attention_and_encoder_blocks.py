@@ -25,8 +25,8 @@ print("attention weights (rows sum to 1):\n", np.round(weights.data, 4))
 print("row sums:", weights.data.sum(axis=1))
 
 # A padded second sequence of 2 real tokens: 5 packed rows in all.  Each
-# query weighs only its own sequence's keys; padding and the other
-# sequence get exactly zero.
+# sequence attends over its own rows only, so no padded key is read and
+# the other sequence's keys get exactly zero weight.
 mask = np.array([[True, True, True], [True, True, False]])
 q2 = Tensor(rng.standard_normal((5, 5)))
 k2 = Tensor(rng.standard_normal((5, 5)))
@@ -35,7 +35,8 @@ print("\nweights over the 5 packed keys, second sequence padded:\n", np.round(ma
 
 # --- multi-head attention over a packed batch ----------------------------
 # The encoder carries only real tokens, as [N, d] rows in the mask's
-# row-major order; attention lays them out on the [batch, len] grid inside.
+# row-major order.  Inside, attention views each run of consecutive
+# sequences of equal length as an unpadded [n, heads, len, d_k] grid.
 p = MultiHeadParams.create(d_model=8, num_heads=2, rng=np.random.default_rng(2))
 grid = rng.standard_normal((2, 5, 8))
 mask = np.array([[True] * 5, [True, True, True, False, False]])
@@ -53,7 +54,8 @@ result = model.forward(ids, ids != 0)
 print("\nlogits:\n", result.logits.data)
 print("hidden states per layer (10 real tokens of 12 positions):", [h.shape for h in result.hidden])
 
-# Padding invariance: appending PAD tokens never changes the logits.
+# Padding invariance: appending PAD tokens leaves the packed rows, and so
+# the logits, exactly as they were.
 padded = np.concatenate([ids, np.zeros((2, 3), dtype=ids.dtype)], axis=1)
 delta = np.abs(model.forward(padded, padded != 0).logits.data - result.logits.data).max()
 print("max logit change after appending PADs:", delta)

@@ -1,10 +1,10 @@
 """Multi-head self-attention and the position-wise feed-forward block.
 
 Tokens arrive packed as ``[N, d]`` rows, the real tokens of a batch in its
-``[batch, len]`` padding mask's row-major order.  In the encoder blocks
-the ``T.attention`` node is the only place tokens sit on the padded grid:
-it lays the three projections out there for the scores, masks padded keys
-with an additive bias, and returns packed rows again.  The output map is
+``[batch, len]`` padding mask's row-major order, so each sequence's tokens
+are consecutive rows.  The ``T.attention`` node views each run of
+consecutive equal-length sequences as an unpadded grid for the scores,
+reads no padded key, and returns packed rows again.  The output map is
 one ``T.linear`` node and the feed-forward block one ``T.ffn`` node.
 """
 

@@ -3,10 +3,11 @@ or routed expert mixture), masked pooling, and a two-logit classifier head.
 
 The encoder computes on real tokens only: the embedding lookup yields
 packed ``[N, d_model]`` rows, the real tokens in the ``[batch, len]``
-padding mask's row-major order, and they stay packed up to the pooling.  In
-the blocks only the ``T.attention`` node lays them out on the padded grid;
-mean pooling scatters them onto it once, to sum them.  The forward builds no
-loss term: ``training.total_loss`` builds the whole objective.
+padding mask's row-major order, and they stay packed up to the pooling.
+No block reads a padded position: ``T.attention`` views each run of
+equal-length sequences as an unpadded grid, and only mean pooling scatters
+rows onto the padded grid, once, to sum them.  The forward builds no loss
+term: ``training.total_loss`` builds the whole objective.
 
 Also home to parameter counting, pooled hidden-state export, and the
 deterministic checkpoint container, which ends with the sha256 of every
@@ -249,6 +250,17 @@ class ParamCountReport:
     core_total: int
 
 
+def parameter_count(config: ModelConfig) -> int:
+    """The scalar-parameter count of the model ``config`` describes, in closed
+    form, without building it."""
+    d, f, experts = config.d_model, config.d_ff, config.num_experts
+    ffn = 2 * d * f + f + d
+    mixer = ffn if config.variant == "dense" else d * experts + experts + experts * ffn
+    block = 4 * d * d + d + 4 * d + mixer  # q, k, v and output maps, output bias, two norms
+    head = (d + 1) * NUM_CLASSES
+    return (config.vocab_size + config.max_len) * d + config.num_layers * block + head
+
+
 def count_parameters(model: EncoderModel) -> ParamCountReport:
     """Exact scalar-parameter count, itemized per component."""
     items = [(name, int(p.size)) for name, p in model.parameters()]
@@ -323,8 +335,11 @@ def load_checkpoint(path):
     a vocabulary that is not 2 to ``vocab_size`` tokens, an ``extra`` that is
     not an object) or payload, trailing bytes, a parameter set that differs
     from the model's, or bytes that do not match the sha256 trailer raises
-    CompatibilityError.  Tensors are read one at a time; the trailer is
-    checked after the version and shape checks.
+    CompatibilityError.  The parameter specs must account for the file's
+    length and for the config's closed-form parameter count before the
+    model is built, so a header cannot ask for a model its file does not
+    hold.  Tensors are read one at a time; the trailer is checked after the
+    version and shape checks.
     """
     try:
         fh = open(path, "rb")
@@ -344,7 +359,8 @@ def load_checkpoint(path):
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise CompatibilityError(f"not a checkpoint file: {path}")
         (blob_len,) = struct.unpack("<Q", read(8, "header length"))
-        if blob_len > os.fstat(fh.fileno()).st_size:
+        file_size = os.fstat(fh.fileno()).st_size
+        if blob_len > file_size:
             raise CompatibilityError(f"truncated checkpoint {path}: header length exceeds the file")
         try:
             header = json.loads(read(blob_len, "header").decode("utf-8"))
@@ -358,17 +374,35 @@ def load_checkpoint(path):
             )
         try:
             specs = [(spec["name"], tuple(spec["shape"])) for spec in header["params"]]
+            if not all(type(n) is int and n >= 0 for _, shape in specs for n in shape):
+                raise TypeError(f"parameter shapes must be lists of counts, got {specs!r}")
             names = {name for name, _ in specs}
-            model = EncoderModel.build(config_from_dict(ModelConfig, header["config"]), init=False)
+            config = config_from_dict(ModelConfig, header["config"]).validate()
             vocab = Vocabulary.from_dict(header["vocab"]) if header.get("vocab") else None
             extra = header.get("extra", {})
             if not isinstance(extra, dict):
                 raise TypeError(f"extra must be an object, got {extra!r}")
         except (KeyError, TypeError, ConfigError) as e:
             raise CompatibilityError(f"malformed checkpoint header in {path}: {e!r}") from e
-        if vocab is not None and not 2 <= len(vocab) <= model.config.vocab_size:
+        # Bound the model by the file before building it: the specs must
+        # describe the bytes that follow, and the config that many scalars.
+        total = sum(math.prod(shape) for _, shape in specs)
+        rest, want = file_size - fh.tell(), 8 * total + h.digest_size
+        if rest < want:
+            raise CompatibilityError(f"truncated checkpoint {path}: its parameters and sha256 "
+                                     f"trailer need {want} bytes after the header, it has {rest}")
+        if rest > want:
+            raise CompatibilityError(f"checkpoint {path} has bytes after its last parameter "
+                                     f"and sha256 trailer")
+        described = parameter_count(config)
+        if total != described:
+            what = "lacks model parameters" if total < described else "holds extra parameters"
+            raise CompatibilityError(f"checkpoint {path} {what}: they hold {total} scalars, its "
+                                     f"config describes {described}")
+        model = EncoderModel.build(config, init=False)
+        if vocab is not None and not 2 <= len(vocab) <= config.vocab_size:
             raise CompatibilityError(f"checkpoint {path} holds {len(vocab)} vocabulary tokens for "
-                                     f"an embedding table of {model.config.vocab_size} rows")
+                                     f"an embedding table of {config.vocab_size} rows")
         by_name = dict(model.parameters())
         missing = sorted(by_name.keys() - names)
         if missing:
@@ -387,7 +421,4 @@ def load_checkpoint(path):
         if read(h.digest_size, "sha256 trailer") != digest:
             raise CompatibilityError(f"corrupted checkpoint {path}: its bytes do not match "
                                      f"their sha256 trailer")
-        if fh.read(1):
-            raise CompatibilityError(f"checkpoint {path} has bytes after its last parameter "
-                                     f"and sha256 trailer")
     return model, vocab, extra

@@ -7,7 +7,8 @@ record stores the routing decisions and derives the rest: the overflow is
 
 Routing decisions (argmax, capacity cuts) are taken on raw values and held
 fixed; gradients flow through the chosen gate probability and through the
-expert computation.  Capacity cuts apply in training only.  The gate is one
+expert computation.  Capacity cuts apply in training only; outside it
+no token is ranked against a capacity.  The gate is one
 ``T.linear`` node and the stacked experts one ``T.ffn`` node, with one row
 group per expert.
 """
@@ -112,9 +113,10 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
     at most floor(capacity_factor*T/E) tokens, and never more than T, its
     first in token order; the rest contribute zero (the caller's residual
     connection carries them) and are recorded as overflow, never an error.  Outside
-    training every token is served, so batch mates act on an output only
-    through rounding: BLAS picks its kernel by row count (one row goes to
-    GEMV), so an output can differ from a batch-1 forward in its last bits.
+    training every token is served and none is ranked, so batch mates act on
+    an output only through GEMM row counts: BLAS picks its kernel by row
+    count (one row goes to GEMV), so an output can differ from a batch-1
+    forward in its last bits.
     The served tokens are gathered once in stable expert order, run through
     the stacked experts as row groups and scattered back (Gale et al. 2022).
     """
@@ -125,13 +127,16 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
     probs = gate_probs(x, p.gate)
     chosen = np.argmax(probs.data, axis=1)  # ties resolve to the lowest index
 
-    # A factor of E or more serves every token, and a huge one would overflow.
-    capacity = int(np.floor(min(p.capacity_factor, E) * num_tokens / E)) if training else num_tokens
     dispatched = np.bincount(chosen, minlength=E)
     order = np.argsort(chosen, kind="stable")
-    rank = np.arange(num_tokens) - (np.cumsum(dispatched) - dispatched)[chosen[order]]
-    kept = order[rank < capacity]
-    counts = np.minimum(dispatched, capacity)
+    if training:  # each expert keeps its first ``capacity`` tokens
+        # A factor of E or more serves every token, and a huge one would overflow.
+        capacity = int(np.floor(min(p.capacity_factor, E) * num_tokens / E))
+        rank = np.arange(num_tokens) - (np.cumsum(dispatched) - dispatched)[chosen[order]]
+        kept = order[rank < capacity]
+        counts = np.minimum(dispatched, capacity)
+    else:  # every token is served
+        capacity, kept, counts = num_tokens, order, dispatched
     if len(kept):
         served = position_wise_ffn(T.take_rows(x, kept), p.experts, counts)
         combined = T.scatter_rows(served, kept, (num_tokens,))

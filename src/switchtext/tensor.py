@@ -9,13 +9,14 @@ once, accumulating gradients additively across fan-out.  The sweep consumes
 the tape: it drops each node's backward rules, and the arrays they saved,
 as soon as they have run, and adds leaf gradients into ``.grad`` in place.
 
-``attention`` takes and returns packed [N, d] token rows; its node is the
-only place where the encoder blocks lay tokens out on the padded
-[batch, heads, len, d_k] grid.  ``linear`` records an affine map and ``ffn``
-a position-wise feed-forward block (dense, or experts stacked as row groups)
-as one node each, with bias and ReLU applied in place.  ``take_rows`` and
-``scatter_rows`` are the one gather/scatter pair: embedding lookup, expert
-dispatch and combine, picking entries, and placing packed rows on a grid.
+``attention`` takes and returns packed [N, d] token rows and reads no
+padded key: each run of consecutive equal-length sequences is one unpadded
+[n, heads, len, d_k] view of its rows.  ``linear`` records an affine map
+and ``ffn`` a position-wise feed-forward block (dense, or experts stacked
+as row groups) as one node each, with bias and ReLU applied in place.
+``take_rows`` and ``scatter_rows`` are the one gather/scatter pair:
+embedding lookup, expert dispatch and combine, picking entries, and placing
+packed rows on a grid.
 
 With no tape active, operations compute plain numpy results and record
 nothing, which is the inference path.  Tapes are single-threaded; a tensor
@@ -34,8 +35,6 @@ from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 _tape_counter = itertools.count(1)
 _ACTIVE_TAPES: list["Tape"] = []
-
-MASK_BIAS = -1e30  # at padded keys: softmax weight exactly 0, every input finite
 
 
 def _active_tape() -> "Tape | None":
@@ -437,59 +436,69 @@ def attention(q, k, v, pad_mask: np.ndarray, num_heads: int) -> Tensor:
     """Multi-head self-attention from packed [N, d] rows to packed rows, one node.
 
     The rows are the real tokens of the [batch, len] ``pad_mask`` in its
-    row-major order, head h in columns h*d_k:(h+1)*d_k.  Inside, they sit on
-    the padded [batch, heads, len, d_k] grid for ``P v`` with
-    ``P = softmax(q kᵀ / sqrt(d_k) + bias)``, the bias MASK_BIAS at padded
-    keys.  Closed-form backward: with ``dP = g vᵀ``,
+    row-major order, head h in columns h*d_k:(h+1)*d_k, so each sequence's
+    tokens are a block of consecutive rows wherever its mask is True.  Each
+    run of consecutive sequences of equal length L is viewed as an
+    unpadded [n, heads, L, d_k] grid for ``P v`` with
+    ``P = softmax(q kᵀ / sqrt(d_k))``: no padded key is read, and a
+    sequence's output and gradients are bit for bit those it has alone.
+    Closed-form backward: with ``dP = g vᵀ``,
     ``dS = (dP - sum(dP * P)) * P / sqrt(d_k)`` gives ``dq = dS k``,
     ``dk = (qᵀ dS)ᵀ`` and ``dv = Pᵀ g``.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     mask = np.asarray(pad_mask, dtype=bool)
-    if (mask.ndim != 2 or q.ndim != 2 or k.shape != q.shape or v.shape != q.shape
-            or q.shape[0] != mask.sum() or num_heads < 1 or q.shape[1] % num_heads):
+    lengths = mask.sum(axis=1).tolist() if mask.ndim == 2 else None
+    if (lengths is None or q.ndim != 2 or k.shape != q.shape or v.shape != q.shape
+            or q.shape[0] != sum(lengths) or num_heads < 1 or q.shape[1] % num_heads):
         raise DimensionError(f"attention needs a [batch, len] mask and [N, d] q, k and v with "
                              f"one row per real token and d divisible by {num_heads} heads, got "
                              f"mask {mask.shape}, q {q.shape}, k {k.shape}, v {v.shape}")
-    if not mask.any(axis=1).all():
+    if not all(lengths):
         raise ContractError("attention requires at least one real token per sequence")
     rows, width = q.shape
-    grid = mask.shape + (num_heads, width // num_heads)
+    d_k = width // num_heads
+    scale = 1.0 / np.sqrt(d_k)
+    runs, end = [], 0  # per run: its rows, their [n, L, heads, d_k] shape, q, k, v and P
+    for length, run in itertools.groupby(lengths):
+        count = len(list(run))
+        r = slice(end, end + count * length)
+        end = r.stop
+        shape = (count, length, num_heads, d_k)
+        qd, kd, vd = (x.data[r].reshape(shape).transpose(0, 2, 1, 3) for x in (q, k, v))
+        probs = np.matmul(qd, np.swapaxes(kd, -1, -2))
+        probs *= scale
+        runs.append((r, shape, qd, kd, vd, _softmax_in_place(probs, -1)))
 
-    def to_grid(x):  # [N, d] -> [batch, heads, len, d_k], zero at padding
-        if rows < mask.size:
-            x, real = np.zeros(grid), x
-            x[mask] = real.reshape(rows, *grid[2:])
-        return x.reshape(grid).transpose(0, 2, 1, 3)
+    def to_rows(parts):  # each run's [n, heads, L, d_k] product -> packed [N, d] rows
+        if len(runs) == 1:
+            # Reshaped as it is: a copy into C order would change the layout,
+            # and so the rounding, of the products that follow.
+            return parts[0].transpose(0, 2, 1, 3).reshape(rows, width)
+        out = np.empty((rows, width))
+        for (r, shape, *_), part in zip(runs, parts):
+            out[r].reshape(shape)[...] = part.transpose(0, 2, 1, 3)
+        return out
 
-    def to_rows(x):  # [batch, heads, len, d_k] -> its real rows, [N, d]
-        x = x.transpose(0, 2, 1, 3)
-        # Unpadded rows are reshaped as they are, without a copy: a copy would
-        # change the layout, and so the rounding, of the products that follow.
-        return (x if rows == mask.size else x[mask]).reshape(rows, width)
-
-    qd, kd, vd = to_grid(q.data), to_grid(k.data), to_grid(v.data)
-    scale = 1.0 / np.sqrt(grid[3])
-    probs = np.matmul(qd, np.swapaxes(kd, -1, -2))
-    probs *= scale
-    if rows < mask.size:
-        probs += np.where(mask, 0.0, MASK_BIAS)[:, None, None, :]
-    _softmax_in_place(probs, -1)
-    last = [None, None, None]  # (incoming gradient, it on the grid, its score gradient)
+    last = [None, None]  # (incoming gradient, per run: q, k, P, it on the grid, dS)
 
     def grads(g):  # shared by the three vjps
         if last[0] is not g:
-            g_grid = to_grid(g)
-            d_probs = np.matmul(g_grid, np.swapaxes(vd, -1, -2))
-            d_scores = (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True)) * probs * scale
-            last[:] = g, g_grid, d_scores
-        return last[1:]
+            per_run = []
+            for r, shape, qd, kd, vd, probs in runs:
+                g_grid = g[r].reshape(shape).transpose(0, 2, 1, 3)
+                d_probs = np.matmul(g_grid, np.swapaxes(vd, -1, -2))
+                d_scores = (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True)) * probs * scale
+                per_run.append((qd, kd, probs, g_grid, d_scores))
+            last[:] = g, per_run
+        return last[1]
 
-    return _maybe_record(to_rows(np.matmul(probs, vd)), [
-        (q, lambda g: to_rows(np.matmul(grads(g)[1], kd))),
-        (k, lambda g: to_rows(np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), grads(g)[1]),
-                                          -1, -2))),
-        (v, lambda g: to_rows(np.matmul(np.swapaxes(probs, -1, -2), grads(g)[0]))),
+    return _maybe_record(to_rows([np.matmul(probs, vd) for *_, vd, probs in runs]), [
+        (q, lambda g: to_rows([np.matmul(ds, kd) for _, kd, _, _, ds in grads(g)])),
+        (k, lambda g: to_rows([np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), ds), -1, -2)
+                               for qd, _, _, _, ds in grads(g)])),
+        (v, lambda g: to_rows([np.matmul(np.swapaxes(probs, -1, -2), g_grid)
+                               for _, _, probs, g_grid, _ in grads(g)])),
     ])
 
 

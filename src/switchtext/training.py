@@ -252,18 +252,26 @@ class BatchTally:
 def evaluate(model: EncoderModel, encoded: list[EncodedExample], batch_size: int = 64,
              weights=None) -> EvalOutcome:
     """Eval-mode metrics over ``encoded``: weighted cross-entropy, confusion
-    metrics, and rank AUC from positive-class probabilities."""
+    metrics, and rank AUC from positive-class probabilities.
+
+    Batches are taken in a stable length-sorted order, so each holds few
+    lengths and little padding; ``predictions`` and ``scores`` come back in
+    the order of ``encoded``."""
     if not encoded:
         raise DataError("evaluate needs at least one example, got an empty split")
     if batch_size < 1:
         raise ConfigError(f"evaluation batch size must be >= 1, got {batch_size}")
+    order = sorted(range(len(encoded)), key=lambda i: len(encoded[i].ids))
     tally = BatchTally(weights)
-    for start in range(0, len(encoded), batch_size):
-        ids, mask, labels = make_batch(encoded[start: start + batch_size])
+    for start in range(0, len(order), batch_size):
+        ids, mask, labels = make_batch([encoded[i] for i in order[start: start + batch_size]])
         result = model.forward(ids, mask, training=False)
         _, ce, aux = total_loss(result, labels, 0.0, weights)
         tally.add(result, labels, ce, aux)
-    return tally.outcome()
+    outcome = tally.outcome()
+    for values in (outcome.predictions, outcome.scores):  # back to the order of ``encoded``
+        values[order] = values.copy()
+    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ from switchtext import ModelConfig, EncoderModel, Tape, Tensor, count_parameters
 from switchtext import tensor as T
 from switchtext.errors import CompatibilityError, ConfigError, ContractError
 from switchtext.layers import embed
+from switchtext.cli import EXIT_CODES
 from switchtext.model import (CHECKPOINT_MAGIC, NUM_CLASSES, export_hidden_embeddings,
-                              load_checkpoint, save_checkpoint)
+                              load_checkpoint, parameter_count, save_checkpoint)
 from switchtext.moe import SwitchParams
 from switchtext.training import EncodedExample, total_loss
 
@@ -197,7 +198,7 @@ class TestParameterCount:
                           d_ff=32, num_experts=3, vocab_size=40, max_len=10)
         report = count_parameters(EncoderModel.build(cfg))
         expected = closed_form_count(cfg)
-        assert report.total == expected["total"]
+        assert report.total == expected["total"] == parameter_count(cfg)
         assert report.core_total == expected["core"]
 
     def test_linear_and_norm_item_counts(self):
@@ -453,8 +454,29 @@ class TestCheckpoint:
         # head.bias is the last tensor: drop its header entry and its 2 floats,
         # which sit before the 32-byte trailer.
         self.rewrite(path, raw, blob_len, lambda h: h["params"].pop(), payload_end=-48)
-        with pytest.raises(CompatibilityError, match="lacks model parameters.*head.bias"):
+        n = parameter_count(tiny_config())
+        path.write_bytes(path.read_bytes() + hashlib.sha256(path.read_bytes()).digest())
+        with pytest.raises(CompatibilityError, match=f"lacks model parameters: they hold {n - 2} "
+                                                     f"scalars, its config describes {n}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("num_layers", [1, 3, 20_000])
+    def test_header_asking_for_another_model_is_rejected_before_building(
+            self, tmp_path, monkeypatch, num_layers):
+        # A re-signed header naming another layer count: the parameter specs
+        # and the file no longer fit the config, so nothing is built.
+        path, raw, blob_len = self.saved(tmp_path)
+        self.rewrite(path, raw, blob_len, lambda h: h["config"].update(num_layers=num_layers),
+                     payload_end=-32)
+        path.write_bytes(path.read_bytes() + hashlib.sha256(path.read_bytes()).digest())
+
+        def build(*args, **kwargs):
+            raise AssertionError("load_checkpoint built a model")
+
+        monkeypatch.setattr(EncoderModel, "build", build)
+        with pytest.raises(CompatibilityError, match="config describes") as caught:
+            load_checkpoint(path)
+        assert EXIT_CODES[caught.value.category] == 5
 
     def test_invalid_config_in_header_is_a_compatibility_error(self, tmp_path):
         path, raw, blob_len = self.saved(tmp_path)

@@ -35,11 +35,11 @@ BATCHES = {
 
 EXPECTED = {
     ("dense", "padded"):
-        "e8c44cfe9e60de1e72aa1536fbbea709e55a71c83f19477754f626449d7da92a",
+        "e3d98c82ea14fe536b87dc1dd2d99d450f84bf621b54a567deb2075098adbec4",
     ("dense", "batch1"):
         "79a5efc588bae91aa9e4a09a8e5ea80cc93227e0bd15c2321b9c638f23d0ea96",
     ("switch", "padded"):
-        "db49a754911145c8ffed327979a829b129a19f3d4a30fb4bbca7786090fdee10",
+        "7b12bcf8748dbc27be09a73e4f2b82e61d1a8b440ff6a50e3e461d6b957750de",
     ("switch", "batch1"):
         "1db960f11af97594bb11085ad0628d336c61053eeeedfb443162daabe6a5d5d2",
 }

@@ -515,41 +515,75 @@ class TestFfn:
 
 
 class TestAttention:
-    """One node for multi-head softmax(q kᵀ / sqrt(d_k) + bias) v from packed
-    [N, d] rows to packed rows, on a padded and an unpadded batch."""
+    """One node for multi-head softmax(q kᵀ / sqrt(d_k)) v from packed [N, d]
+    rows to packed rows, each sequence attending over its own real tokens."""
 
     masks = {
         "padded": np.array([[True, True, True, False, False], [True, True, True, True, True]]),
         "unpadded": np.ones((2, 4), bool),
+        # lengths 2, 3, 3, 1, 3: a run of two, a length-1 sequence between
+        # equal lengths, and a row whose real tokens are not a prefix
+        "runs": np.array([[True, True, False, False], [True, True, True, False],
+                          [True, True, True, False], [True, False, False, False],
+                          [False, True, True, True]]),
     }
     num_heads = 2
 
-    def operands(self, mask):
+    def operands(self, mask, width=6):
         n = int(mask.sum())
-        return tuple(rng.standard_normal((n, 6)) for _ in range(3))
+        return tuple(rng.standard_normal((n, width)) for _ in range(3))
 
     @staticmethod
-    def grid_composite(q, k, v, mask, num_heads):
-        """The same attention laid out by hand on the [batch, heads, len, d_k]
-        grid with numpy, zero rows at padding, and packed back."""
-        def to_grid(x):
-            grid = np.zeros(mask.shape + (num_heads, x.shape[1] // num_heads))
-            grid[mask] = x.reshape(len(x), num_heads, -1)
-            return grid.transpose(0, 2, 1, 3)
+    def composite(q, k, v, mask, num_heads):
+        """The same attention composed with numpy, one sequence at a time: the rows of
+        sequence i are the next ``mask[i].sum()`` packed rows."""
+        out, start = [], 0
+        for length in mask.sum(axis=1):
+            def heads(x):  # [L, d] -> [heads, L, d_k]
+                return x[start:start + length].reshape(length, num_heads, -1).transpose(1, 0, 2)
 
-        qg, kg, vg = to_grid(q), to_grid(k), to_grid(v)
-        scores = np.matmul(qg, np.swapaxes(kg, -1, -2))
-        scores *= 1.0 / np.sqrt(qg.shape[-1])
-        scores += np.where(mask, 0.0, T.MASK_BIAS)[:, None, None, :]
-        weights = T.softmax(Tensor(scores)).data
-        return np.matmul(weights, vg).transpose(0, 2, 1, 3)[mask].reshape(q.shape)
+            qh, kh, vh = heads(q), heads(k), heads(v)
+            scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
+            scores *= 1.0 / np.sqrt(qh.shape[-1])
+            scores -= scores.max(axis=-1, keepdims=True)
+            weights = np.exp(scores)
+            weights /= weights.sum(axis=-1, keepdims=True)
+            out.append(np.matmul(weights, vh).transpose(1, 0, 2).reshape(length, -1))
+            start += length
+        return np.concatenate(out)
 
     def test_matches_the_composite(self):
         for layout, mask in self.masks.items():
             q, k, v = self.operands(mask)
             fused = T.attention(Tensor(q), Tensor(k), Tensor(v), mask, self.num_heads).data
             np.testing.assert_array_equal(
-                fused, self.grid_composite(q, k, v, mask, self.num_heads), err_msg=layout)
+                fused, self.composite(q, k, v, mask, self.num_heads), err_msg=layout)
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    def test_each_sequence_gets_the_bits_it_gets_alone(self, num_heads):
+        # Lengths 12, 30, 30, 1, 45 and 30 on a 45-wide grid: a run of two,
+        # a length-1 sequence, a length equal to the run's but not next to
+        # it, and a row whose real tokens are not a prefix.
+        mask = np.arange(45) < np.array([12, 30, 30, 1, 45, 30])[:, None]
+        mask[5] = np.arange(45) % 3 != 0
+        operands = self.operands(mask, width=8)
+        coeffs = rng.standard_normal(operands[0].shape)
+
+        def run(rows, seq_mask):
+            q, k, v = (Tensor(x[rows], requires_grad=True) for x in operands)
+            with Tape() as tape:
+                out = T.attention(q, k, v, seq_mask, num_heads)
+                loss = T.sum_(T.mul(out, Tensor(coeffs[rows])))
+            tape.backward(loss)
+            return [out.data, q.grad, k.grad, v.grad]
+
+        batch = run(slice(None), mask)
+        ends = np.cumsum(mask.sum(axis=1))
+        for end, length in zip(ends, mask.sum(axis=1)):
+            rows = slice(end - length, end)
+            alone = run(rows, np.ones((1, length), bool))
+            for what, got, want in zip(("output", "dq", "dk", "dv"), batch, alone):
+                np.testing.assert_array_equal(got[rows], want, err_msg=f"{what}, rows {rows}")
 
     def test_finite_difference(self):
         for layout, mask in self.masks.items():

@@ -92,6 +92,38 @@ class TestEvaluate:
             np.testing.assert_allclose(a.report.loss, b.report.loss, atol=1e-12)
             assert a.report.accuracy == b.report.accuracy
 
+    @pytest.mark.parametrize("run", ["toy_run", "smooth_toy_run"])
+    def test_eval_follows_a_permutation_of_the_examples(self, run, request):
+        result = request.getfixturevalue(run)
+        val = result.encoded["val"]
+        perm = np.random.default_rng(3).permutation(len(val))
+        a = evaluate(result.model, val, batch_size=7)
+        b = evaluate(result.model, [val[i] for i in perm], batch_size=7)
+        # Equal lengths keep their input order, so batch mates can change.
+        np.testing.assert_array_equal(b.predictions, a.predictions[perm])
+        np.testing.assert_allclose(b.scores, a.scores[perm], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.report.loss, a.report.loss, rtol=0, atol=1e-12)
+
+    def test_eval_batches_in_length_order(self, toy_run, monkeypatch):
+        val = toy_run.encoded["val"]
+        padded = []
+
+        def make_batch_counting_padding(chunk):
+            ids, mask, labels = make_batch(chunk)
+            padded.append(int((~mask).sum()))
+            return ids, mask, labels
+
+        monkeypatch.setattr(training, "make_batch", make_batch_counting_padding)
+        evaluate(toy_run.model, val, batch_size=7)
+
+        def padding(lengths):
+            chunks = [lengths[i:i + 7] for i in range(0, len(lengths), 7)]
+            return [max(c) * len(c) - sum(c) for c in chunks]
+
+        lengths = [len(e.ids) for e in val]
+        assert padded == padding(sorted(lengths))
+        assert sum(padded) < sum(padding(lengths))
+
     def test_report_fields_complete(self, toy_run):
         out = evaluate(toy_run.model, toy_run.encoded["val"])
         d = out.report.to_dict()
