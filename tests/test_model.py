@@ -13,9 +13,9 @@ import pytest
 from helpers import check_many_params, file_digest
 from switchtext import ModelConfig, EncoderModel, Tape, Tensor, count_parameters
 from switchtext import tensor as T
+from switchtext.cli import EXIT_CODES
 from switchtext.errors import CompatibilityError, ConfigError, ContractError
 from switchtext.layers import embed
-from switchtext.cli import EXIT_CODES
 from switchtext.model import (CHECKPOINT_MAGIC, NUM_CLASSES, export_hidden_embeddings,
                               load_checkpoint, parameter_count, save_checkpoint)
 from switchtext.moe import SwitchParams
@@ -442,20 +442,21 @@ class TestCheckpoint:
         with pytest.raises(CompatibilityError, match="after its last parameter"):
             load_checkpoint(path)
 
-    def rewrite(self, path, raw, blob_len, edit_header, payload_end=None):
+    def rewrite(self, path, raw, blob_len, edit_header, payload_end=None, sign=False):
+        """Write ``raw`` with an edited header, its bytes from ``payload_end``
+        on cut, and with ``sign`` a new sha256 trailer."""
         header = json.loads(raw[16:16 + blob_len])
         edit_header(header)
         blob = json.dumps(header).encode("utf-8")
-        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob
-                         + raw[16 + blob_len:payload_end])
+        body = CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob + raw[16 + blob_len:payload_end]
+        path.write_bytes(body + (hashlib.sha256(body).digest() if sign else b""))
 
     def test_missing_parameter_rejected(self, tmp_path):
         path, raw, blob_len = self.saved(tmp_path)
         # head.bias is the last tensor: drop its header entry and its 2 floats,
-        # which sit before the 32-byte trailer.
-        self.rewrite(path, raw, blob_len, lambda h: h["params"].pop(), payload_end=-48)
+        # which sit before the 32-byte trailer, and sign what is left.
+        self.rewrite(path, raw, blob_len, lambda h: h["params"].pop(), payload_end=-48, sign=True)
         n = parameter_count(tiny_config())
-        path.write_bytes(path.read_bytes() + hashlib.sha256(path.read_bytes()).digest())
         with pytest.raises(CompatibilityError, match=f"lacks model parameters: they hold {n - 2} "
                                                      f"scalars, its config describes {n}"):
             load_checkpoint(path)
@@ -467,8 +468,7 @@ class TestCheckpoint:
         # and the file no longer fit the config, so nothing is built.
         path, raw, blob_len = self.saved(tmp_path)
         self.rewrite(path, raw, blob_len, lambda h: h["config"].update(num_layers=num_layers),
-                     payload_end=-32)
-        path.write_bytes(path.read_bytes() + hashlib.sha256(path.read_bytes()).digest())
+                     payload_end=-32, sign=True)
 
         def build(*args, **kwargs):
             raise AssertionError("load_checkpoint built a model")
