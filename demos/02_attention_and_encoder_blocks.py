@@ -1,5 +1,6 @@
-"""What the attention stack computes: scaled dot-product weights, padding
-masks, multi-head projections, and a full encoder forward pass.
+"""What the attention stack computes: scaled dot-product weights, packed
+rows with sequence lengths, multi-head projections, and a full encoder
+forward pass.
 
 Run:  python demos/02_attention_and_encoder_blocks.py
 """
@@ -13,35 +14,35 @@ from switchtext.attention import MultiHeadParams, multi_head_attention
 rng = np.random.default_rng(1)
 
 # --- scaled dot-product attention on a 3-token sequence ------------------
-# T.attention takes packed [N, d] rows, the real tokens of a [batch, len]
-# padding mask in row-major order, and returns packed rows.
+# T.attention takes packed [N, d] rows and a lengths vector (sequence i is
+# the next lengths[i] rows), and returns packed rows.
 q = Tensor(rng.standard_normal((3, 3)))
 k = Tensor(rng.standard_normal((3, 3)))
 v = Tensor(np.eye(3))
 
 # With v = I and one head the output rows ARE the attention weights.
-weights = T.attention(q, k, v, np.array([[True, True, True]]), num_heads=1)
+weights = T.attention(q, k, v, np.array([3]), num_heads=1)
 print("attention weights (rows sum to 1):\n", np.round(weights.data, 4))
 print("row sums:", weights.data.sum(axis=1))
 
-# A padded second sequence of 2 real tokens: 5 packed rows in all.  Each
-# sequence attends over its own rows only, so no padded key is read and
-# the other sequence's keys get exactly zero weight.
-mask = np.array([[True, True, True], [True, True, False]])
+# A second sequence of 2 real tokens: 5 packed rows in all.  Each sequence
+# attends over its own rows only, so the other sequence's keys get exactly
+# zero weight.
 q2 = Tensor(rng.standard_normal((5, 5)))
 k2 = Tensor(rng.standard_normal((5, 5)))
-masked = T.attention(q2, k2, Tensor(np.eye(5)), mask, num_heads=1)
-print("\nweights over the 5 packed keys, second sequence padded:\n", np.round(masked.data, 4))
+two = T.attention(q2, k2, Tensor(np.eye(5)), np.array([3, 2]), num_heads=1)
+print("\nweights over the 5 packed keys, lengths 3 and 2:\n", np.round(two.data, 4))
 
 # --- multi-head attention over a packed batch ----------------------------
-# The encoder carries only real tokens, as [N, d] rows in the mask's
-# row-major order.  Inside, attention views each run of consecutive
-# sequences of equal length as an unpadded [n, heads, len, d_k] grid.
+# EncoderModel.forward turns its [batch, len] padding mask into lengths
+# once; below it the encoder carries only real tokens, as [N, d] rows.
+# Inside, attention views each run of consecutive sequences of equal
+# length as an unpadded [n, heads, len, d_k] grid.
 p = MultiHeadParams.create(d_model=8, num_heads=2, rng=np.random.default_rng(2))
 grid = rng.standard_normal((2, 5, 8))
 mask = np.array([[True] * 5, [True, True, True, False, False]])
 x = Tensor(grid[mask])
-out = multi_head_attention(x, p, mask)
+out = multi_head_attention(x, p, mask.sum(axis=1))
 print("\npadded grid", grid.shape, "-> packed rows", x.shape, "-> multi-head output", out.shape)
 
 # --- a whole encoder model ------------------------------------------------

@@ -1,10 +1,9 @@
 """Multi-head self-attention and the position-wise feed-forward block.
 
-Tokens arrive packed as ``[N, d]`` rows, the real tokens of a batch in its
-``[batch, len]`` padding mask's row-major order, so each sequence's tokens
-are consecutive rows.  The ``T.attention`` node views each run of
-consecutive equal-length sequences as an unpadded grid for the scores,
-reads no padded key, and returns packed rows again.  The output map is
+Tokens arrive packed as ``[N, d]`` rows with a ``lengths`` vector:
+sequence i is the next ``lengths[i]`` rows.  The ``T.attention`` node views
+each run of consecutive equal-length sequences as an unpadded grid for the
+scores, reads no padded key, and returns packed rows again.  The output map is
 one ``T.linear`` node and the feed-forward block one ``T.ffn`` node.
 """
 
@@ -62,12 +61,12 @@ class FfnParams:
         )
 
 
-def multi_head_attention(h: Tensor, p: MultiHeadParams, pad_mask: np.ndarray) -> Tensor:
-    """Self-attention over packed rows ``h`` [N, d_model], the real tokens of
-    the [batch, len] ``pad_mask`` in its row-major order; returns [N, d_model]:
-    the q, k and v projections, one ``T.attention`` node and the output map."""
+def multi_head_attention(h: Tensor, p: MultiHeadParams, lengths: np.ndarray) -> Tensor:
+    """Self-attention over packed rows ``h`` [N, d_model], sequence i the next
+    ``lengths[i]`` rows; returns [N, d_model]: the q, k and v projections,
+    one ``T.attention`` node and the output map."""
     return linear(T.attention(T.matmul(h, p.wq), T.matmul(h, p.wk), T.matmul(h, p.wv),
-                              pad_mask, p.num_heads), p.wo)
+                              lengths, p.num_heads), p.wo)
 
 
 def position_wise_ffn(x: Tensor, p: FfnParams, sizes=None) -> Tensor:

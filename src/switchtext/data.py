@@ -1,8 +1,8 @@
 """Corpus handling: whitespace-unigram vocabulary, encoding, batch padding
-with masks, stratified 80/10/10 splitting, inverse-frequency class weights,
-JSON-lines dataset files whose records are checked field by field, a
-synthetic note generator with planted keywords, and ``write_artifact``, the
-one function through which every file is written.
+with masks and back to lengths, stratified 80/10/10 splitting,
+inverse-frequency class weights, JSON-lines dataset files whose records are
+checked field by field, a synthetic note generator with planted keywords,
+and ``write_artifact``, the one function through which every file is written.
 
 Tokenization lowercases and strips punctuation while preserving accents
 (the corpora are French-like).  The shipped stop-word and negation lists
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, ContractError, DataError
 from .layers import PAD_ID, UNK_ID
 
 _TOKEN_CLEANER = re.compile(r"[^\w\s]", flags=re.UNICODE)
@@ -131,13 +131,23 @@ def decode(ids, vocab: Vocabulary) -> list[str]:
 def pad_batch(sequences: list[np.ndarray]):
     """Right-pad sequences with PAD to the batch maximum; returns [B, L] ids
     and a boolean mask of real positions."""
-    width = max(len(s) for s in sequences)
-    ids = np.full((len(sequences), width), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(sequences), width), dtype=bool)
-    for row, seq in enumerate(sequences):
-        ids[row, : len(seq)] = seq
-        mask[row, : len(seq)] = True
+    lengths = np.array([len(s) for s in sequences])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    ids = np.full(mask.shape, PAD_ID, dtype=np.int64)
+    ids[mask] = np.concatenate(sequences)
     return ids, mask
+
+
+def mask_lengths(ids, pad_mask) -> np.ndarray:
+    """The inverse of ``pad_batch``: the lengths of a mask shaped as the
+    [batch, len] ids, each row a non-empty prefix of True, else ContractError."""
+    ids, mask = np.asarray(ids), np.asarray(pad_mask, dtype=bool)
+    if mask.ndim != 2 or mask.shape != ids.shape:
+        raise ContractError(f"pad mask shape {mask.shape} does not match the ids {ids.shape}")
+    lengths = mask.sum(axis=1)
+    if not lengths.all() or (mask != (np.arange(mask.shape[1]) < lengths[:, None])).any():
+        raise ContractError("each pad mask row must mark a prefix of at least one real token")
+    return lengths
 
 
 # ---------------------------------------------------------------------------

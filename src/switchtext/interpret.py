@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import Vocabulary, decode
+from .data import Vocabulary, decode, mask_lengths
 from .errors import ConfigError, ContractError, NumericError, LookupError_
 from .layers import PAD_ID, embed
 from .model import EncoderModel
@@ -84,12 +84,12 @@ def path_integrated_gradients(fn, x: np.ndarray, baseline: np.ndarray, num_steps
     return attributions, delta, residual
 
 
-def _baseline_embedding(model: EncoderModel, mask: np.ndarray, kind: str) -> np.ndarray:
-    """Packed baseline rows for the real tokens of ``mask``."""
+def _baseline_embedding(model: EncoderModel, ids, lengths, kind: str) -> np.ndarray:
+    """Packed baseline rows for the real tokens of the padded ``ids``."""
     if kind == "pad":
-        return embed(np.full(mask.shape, PAD_ID, dtype=np.int64), mask, model.embeddings).data
+        return embed(np.full_like(ids, PAD_ID), lengths, model.embeddings).data
     if kind == "zero":
-        return np.zeros((int(mask.sum()), model.config.d_model))
+        return np.zeros((int(lengths.sum()), model.config.d_model))
     raise ConfigError(f"baseline must be 'pad' or 'zero', got {kind!r}")
 
 
@@ -98,25 +98,25 @@ def integrated_gradients(model: EncoderModel, ids: np.ndarray, mask: np.ndarray,
                          baseline: str = "pad", num_steps: int = 128) -> AttributionReport:
     """Attribute the target-class logit to the example's input embeddings.
 
+    ``ids`` and ``mask`` are one example's [len] ids and real-token mask.
     Scores are summed over the embedding dimension, one per real token.
     The default baseline is the all-PAD embedding sequence with positional
     rows retained; ``zero`` uses an all-zero input instead.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    mask = np.asarray(mask, dtype=bool)
-    batch_mask = mask[None, :]
+    ids = np.asarray(ids, dtype=np.int64)[None, :]
+    lengths = mask_lengths(ids, np.asarray(mask)[None, :])
     target = int(target_class)
 
     def logit_fn(emb: Tensor) -> Tensor:
-        result = model.forward_from_embeddings(emb, batch_mask, training=False)
+        result = model.forward_from_embeddings(emb, lengths, training=False)
         return T.sum_(T.take_rows(result.logits, (np.array([0]), np.array([target]))))
 
-    x = embed(ids[None, :], batch_mask, model.embeddings).data
-    base = _baseline_embedding(model, batch_mask, baseline)
-    attributions, delta, residual = path_integrated_gradients(logit_fn, x, base, num_steps)
+    x = embed(ids, lengths, model.embeddings)
+    base = _baseline_embedding(model, ids, lengths, baseline)
+    attributions, delta, residual = path_integrated_gradients(logit_fn, x.data, base, num_steps)
 
-    logits = model.forward(ids[None, :], batch_mask, training=False).logits.data[0]
-    real = ids[mask]
+    logits = model.forward_from_embeddings(x, lengths).logits.data[0]
+    real = ids[0, :lengths[0]]
     tokens = decode(real, vocab) if vocab is not None else [str(i) for i in real]
     return AttributionReport(
         tokens=tokens,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DimensionError, VocabularyError
+from .errors import ConfigError, DimensionError, VocabularyError
 from .tensor import Tensor
 
 PAD_ID = 0
@@ -132,28 +132,25 @@ def layer_norm(x: Tensor, p: LayerNormParams) -> Tensor:
     return T.layer_norm(x, p.gamma, p.beta, LAYER_NORM_EPS)
 
 
-def embed(tokens: np.ndarray, pad_mask: np.ndarray, table: EmbeddingTable) -> Tensor:
+def embed(tokens: np.ndarray, lengths: np.ndarray, table: EmbeddingTable) -> Tensor:
     """Token + positional embeddings of the real tokens as packed [N, d] rows.
 
-    ``tokens`` and ``pad_mask`` share one shape, [len] or [batch, len], the
-    last axis the position; the rows are the True entries of the mask in its
-    row-major order.  Padding is never looked up, and the gradient of a
-    downstream loss touches only the looked-up rows.
+    ``tokens`` are [batch, len] padded ids, the first ``lengths[i]`` of row i
+    real; the rows are those tokens, in order.  Padding is never looked up,
+    and a downstream gradient touches only the looked-up rows.
     """
-    ids = np.asarray(tokens)
-    mask = np.asarray(pad_mask, dtype=bool)
-    if mask.shape != ids.shape:
-        raise ContractError(f"pad mask shape {mask.shape} does not match the ids {ids.shape}")
-    if ids.shape[-1] > table.max_len:
-        raise DimensionError(f"sequence length {ids.shape[-1]} exceeds max_len {table.max_len}")
-    real = ids[mask]
-    if real.size and (real.min() < 0 or real.max() >= table.vocab_size):
+    ids, lengths = np.asarray(tokens), np.asarray(lengths)
+    if ids.shape[1] > table.max_len:
+        raise DimensionError(f"sequence length {ids.shape[1]} exceeds max_len {table.max_len}")
+    real = np.arange(ids.shape[1]) < lengths[:, None]  # the real positions of the grid
+    real_ids = ids[real]
+    if real_ids.size and (real_ids.min() < 0 or real_ids.max() >= table.vocab_size):
         raise VocabularyError(
             f"token id out of range [0, {table.vocab_size}): "
-            f"min={real.min()}, max={real.max()}"
+            f"min={real_ids.min()}, max={real_ids.max()}"
         )
-    return T.add(T.take_rows(table.table, real),
-                 T.take_rows(table.positional, np.nonzero(mask)[-1]))
+    return T.add(T.take_rows(table.table, real_ids),
+                 T.take_rows(table.positional, np.nonzero(real)[1]))
 
 
 # Dropout is a tape primitive; exposed here alongside the other layer ops.

@@ -1,13 +1,12 @@
 """Encoder model assembly: embeddings, a stack of encoder blocks (dense FFN
-or routed expert mixture), masked pooling, and a two-logit classifier head.
+or routed expert mixture), pooling over each sequence's real tokens, and a
+two-logit classifier head.
 
-The encoder computes on real tokens only: the embedding lookup yields
-packed ``[N, d_model]`` rows, the real tokens in the ``[batch, len]``
-padding mask's row-major order, and they stay packed up to the pooling.
-No block reads a padded position: ``T.attention`` views each run of
-equal-length sequences as an unpadded grid, and only mean pooling scatters
-rows onto the padded grid, once, to sum them.  The forward builds no loss
-term: ``training.total_loss`` builds the whole objective.
+``EncoderModel.forward`` turns its ``[batch, len]`` padding mask into
+lengths once (``data.mask_lengths``); below it, the real tokens travel as
+packed ``[N, d_model]`` rows, sequence i the next ``lengths[i]`` rows, and
+no layer reads a padded position.  The forward builds no loss term:
+``training.total_loss`` builds the whole objective.
 
 Also home to parameter counting, pooled hidden-state export, and the
 deterministic checkpoint container, which ends with the sha256 of every
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import FfnParams, MultiHeadParams, multi_head_attention, position_wise_ffn
-from .data import Vocabulary, pad_batch, write_artifact
+from .data import Vocabulary, mask_lengths, pad_batch, write_artifact
 from .errors import CompatibilityError, ConfigError, ContractError
 from .layers import (EmbeddingTable, LayerNormParams, LinearParams, dropout, embed, layer_norm,
                      linear, named_tensors)
@@ -132,8 +131,8 @@ class ForwardResult:
 
 
 class EncoderModel:
-    """Embeddings, ``num_layers`` post-norm encoder blocks, masked pooling,
-    and a linear classifier head."""
+    """Embeddings, ``num_layers`` post-norm encoder blocks, pooling over each
+    sequence's real tokens, and a linear classifier head."""
 
     def __init__(self, config: ModelConfig, embeddings: EmbeddingTable,
                  blocks: list[EncoderBlock], head: LinearParams):
@@ -175,57 +174,49 @@ class EncoderModel:
         """Run a batch of padded id sequences through the encoder.
 
         ``token_ids`` and ``pad_mask`` are [batch, len]; the mask marks real
-        tokens.  Returns logits [batch, NUM_CLASSES], post-block hidden
-        states for every layer (packed [N_real, d_model] rows), and one
-        routing record per switch layer (none for the dense variant).
+        tokens (``data.mask_lengths``).  Returns logits [batch, NUM_CLASSES],
+        post-block hidden states for every layer (packed [N_real, d_model]
+        rows), and one routing record per switch layer (none if dense).
         """
         ids = np.asarray(token_ids)
         if ids.ndim != 2 or 0 in ids.shape:
             raise ContractError(f"forward expects a non-empty [batch, len] id array, got {ids.shape}")
-        mask = np.asarray(pad_mask, dtype=bool)
-        return self._encode(embed(ids, mask, self.embeddings), mask, training)
+        lengths = mask_lengths(ids, pad_mask)
+        return self._encode(embed(ids, lengths, self.embeddings), lengths, training)
 
-    def forward_from_embeddings(self, emb: Tensor, pad_mask: np.ndarray, training: bool = False) -> ForwardResult:
+    def forward_from_embeddings(self, emb: Tensor, lengths: np.ndarray, training: bool = False) -> ForwardResult:
         """Forward pass starting from explicit embeddings: packed [N, d_model]
-        rows, one per real token of the [batch, len] ``pad_mask`` in its
-        row-major order, as ``embed`` gives them; the entry point for
-        gradient-based attribution."""
-        return self._encode(emb, np.asarray(pad_mask, dtype=bool), training)
+        rows, sequence i the next ``lengths[i]`` rows, as ``embed`` gives
+        them; the entry point for gradient-based attribution."""
+        return self._encode(emb, np.asarray(lengths), training)
 
-    def _encode(self, h: Tensor, mask: np.ndarray, training: bool) -> ForwardResult:
+    def _encode(self, h: Tensor, lengths: np.ndarray, training: bool) -> ForwardResult:
         cfg = self.config
-        if h.ndim != 2 or mask.ndim != 2 or h.shape[0] != mask.sum():
-            raise ContractError(f"expected [N, d_model] rows, one per real token of a [batch, len] "
-                                f"pad mask, got rows {h.shape} for a mask of shape {mask.shape} "
-                                f"with {mask.sum()} real tokens")
+        if h.ndim != 2:
+            raise ContractError(f"expected [N, d_model] rows, one per real token, got {h.shape}")
         rng = self._dropout_rng
         hidden: list[Tensor] = []
         routing: list[RoutingRecord] = []
 
-        # Block dropout draws its masks over the padded grid (layout=mask),
-        # so every real token gets the mask the padded layout would give it.
         for block in self.blocks:
-            attended = multi_head_attention(h, block.mha, mask)
-            h = layer_norm(T.add(h, dropout(attended, cfg.dropout, training, rng, mask)), block.norm1)
+            attended = multi_head_attention(h, block.mha, lengths)
+            h = layer_norm(T.add(h, dropout(attended, cfg.dropout, training, rng)), block.norm1)
             if isinstance(block.mixer, SwitchParams):
                 mixed, record = switch_forward(h, block.mixer, training)
                 routing.append(record)
             else:
                 mixed = position_wise_ffn(h, block.mixer)
-            h = layer_norm(T.add(h, dropout(mixed, cfg.dropout, training, rng, mask)), block.norm2)
+            h = layer_norm(T.add(h, dropout(mixed, cfg.dropout, training, rng)), block.norm2)
             hidden.append(h)
 
-        logits = linear(dropout(self._pool(h, mask), cfg.dropout, training, rng), self.head)
+        logits = linear(dropout(self._pool(h, lengths), cfg.dropout, training, rng), self.head)
         return ForwardResult(logits=logits, hidden=hidden, routing=routing)
 
-    def _pool(self, h: Tensor, mask: np.ndarray) -> Tensor:
-        """[batch, d_model] from packed rows: each sequence's first real row,
-        or the mean of its real rows."""
-        counts = mask.sum(axis=1)
+    def _pool(self, h: Tensor, lengths: np.ndarray) -> Tensor:
+        """[batch, d_model]: each sequence's first packed row, or their mean."""
         if self.config.pooling == "first":
-            return T.take_rows(h, np.cumsum(counts) - counts)
-        summed = T.sum_(T.scatter_rows(h, mask, mask.shape), axis=1)
-        return T.mul(summed, Tensor(1.0 / counts[:, None]))
+            return T.take_rows(h, np.cumsum(lengths) - lengths)
+        return T.mul(T.segment_sum(h, lengths), Tensor(1.0 / lengths[:, None]))
 
     # ------------------------------------------------------------------
     # parameters
@@ -284,8 +275,8 @@ def export_hidden_embeddings(model: EncoderModel, encoded, layer: int, path) -> 
         for start in range(0, len(encoded), EXPORT_BATCH_SIZE):
             chunk = encoded[start:start + EXPORT_BATCH_SIZE]
             ids, mask = pad_batch([e.ids for e in chunk])
-            pooled = model._pool(model.forward(ids, mask).hidden[layer], mask).data
-            for row, e in zip(pooled, chunk):
+            pooled = model._pool(model.forward(ids, mask).hidden[layer], mask_lengths(ids, mask))
+            for row, e in zip(pooled.data, chunk):
                 vec = "\t".join(f"{v:.17g}" for v in row)
                 yield f"{e.example_id}\t{e.label}\t{vec}\n"
 

@@ -139,7 +139,7 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
         capacity, kept, counts = num_tokens, order, dispatched
     if len(kept):
         served = position_wise_ffn(T.take_rows(x, kept), p.experts, counts)
-        combined = T.scatter_rows(served, kept, (num_tokens,))
+        combined = T.scatter_rows(served, kept, num_tokens)
     else:  # a capacity of 0 serves no token
         combined = Tensor(np.zeros(x.shape))
     out = T.mul(combined, T.take_rows(probs, (np.arange(num_tokens)[:, None], chosen[:, None])))

@@ -9,14 +9,14 @@ once, accumulating gradients additively across fan-out.  The sweep consumes
 the tape: it drops each node's backward rules, and the arrays they saved,
 as soon as they have run, and adds leaf gradients into ``.grad`` in place.
 
-``attention`` takes and returns packed [N, d] token rows and reads no
-padded key: each run of consecutive equal-length sequences is one unpadded
-[n, heads, len, d_k] view of its rows.  ``linear`` records an affine map
-and ``ffn`` a position-wise feed-forward block (dense, or experts stacked
-as row groups) as one node each, with bias and ReLU applied in place.
-``take_rows`` and ``scatter_rows`` are the one gather/scatter pair:
-embedding lookup, expert dispatch and combine, picking entries, and placing
-packed rows on a grid.
+Sequences travel as packed [N, d] rows plus a ``lengths`` vector: sequence
+i is the next ``lengths[i]`` rows.  ``attention`` and ``segment_sum`` view
+each run of consecutive equal-length sequences as one unpadded [n, len, …]
+block of its rows, so no padded position is read.  ``linear`` records an
+affine map and ``ffn`` a position-wise feed-forward block (dense, or
+experts stacked as row groups) as one node each, with bias and ReLU applied
+in place.  ``take_rows`` and ``scatter_rows`` are the one gather/scatter
+pair: embedding lookup, expert dispatch and combine, and picking entries.
 
 With no tape active, operations compute plain numpy results and record
 nothing, which is the inference path.  Tapes are single-threaded; a tensor
@@ -341,19 +341,11 @@ def ffn(x, w1, b1, w2, b2, sizes=None) -> Tensor:
 # reductions
 
 
-def _restore_reduced(g: np.ndarray, in_shape, axis) -> np.ndarray:
-    """The gradient ``g`` of a reduction over ``axis`` broadcast back to ``in_shape``."""
-    g = g.reshape((1,) * len(in_shape)) if axis is None else np.expand_dims(g, axis)
-    return np.broadcast_to(g, in_shape)
-
-
-def sum_(x, axis=None) -> Tensor:
+def sum_(x) -> Tensor:
+    """The sum of every element, a scalar."""
     x = _as_tensor(x)
-    out = x.data.sum(axis=axis)
     in_shape = x.data.shape
-    return _maybe_record(np.asarray(out), [
-        (x, lambda g: _restore_reduced(g, in_shape, axis)),
-    ])
+    return _maybe_record(np.asarray(x.data.sum()), [(x, lambda g: np.broadcast_to(g, in_shape))])
 
 
 def mean(x, axis=None) -> Tensor:
@@ -362,7 +354,8 @@ def mean(x, axis=None) -> Tensor:
     in_shape = x.data.shape
     inv = 1.0 / float(x.data.size // np.size(out))
     return _maybe_record(np.asarray(out), [
-        (x, lambda g: _restore_reduced(g, in_shape, axis) * inv),
+        (x, lambda g: np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
+                                      in_shape) * inv),
     ])
 
 
@@ -432,14 +425,29 @@ def log_softmax(x, axis: int = -1) -> Tensor:
     ])
 
 
-def attention(q, k, v, pad_mask: np.ndarray, num_heads: int) -> Tensor:
+def _runs(lengths, rows: int) -> list[tuple[slice, int, int]]:
+    """(row slice, count, length) of each run of consecutive equal lengths in
+    ``lengths``, which must be ints >= 1 summing to the ``rows`` packed rows."""
+    lengths = np.asarray(lengths)
+    values = lengths.tolist()  # Python ints: cheaper to check and group at batch 1
+    if (lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not values
+            or min(values) < 1 or sum(values) != rows):
+        raise ContractError(f"lengths {values} must be ints giving each sequence at least one "
+                            f"real token and the {rows} packed rows one per real token")
+    runs, end = [], 0
+    for length, run in itertools.groupby(values):
+        count = len(list(run))
+        runs.append((slice(end, end + count * length), count, length))
+        end += count * length
+    return runs
+
+
+def attention(q, k, v, lengths, num_heads: int) -> Tensor:
     """Multi-head self-attention from packed [N, d] rows to packed rows, one node.
 
-    The rows are the real tokens of the [batch, len] ``pad_mask`` in its
-    row-major order, head h in columns h*d_k:(h+1)*d_k, so each sequence's
-    tokens are a block of consecutive rows wherever its mask is True.  Each
-    run of consecutive sequences of equal length L is viewed as an
-    unpadded [n, heads, L, d_k] grid for ``P v`` with
+    Sequence i is the next ``lengths[i]`` rows, head h in columns
+    h*d_k:(h+1)*d_k.  Each run of consecutive sequences of equal length L
+    is viewed as an unpadded [n, heads, L, d_k] grid for ``P v`` with
     ``P = softmax(q kᵀ / sqrt(d_k))``: no padded key is read, and a
     sequence's output and gradients are bit for bit those it has alone.
     Closed-form backward: with ``dP = g vᵀ``,
@@ -447,23 +455,15 @@ def attention(q, k, v, pad_mask: np.ndarray, num_heads: int) -> Tensor:
     ``dk = (qᵀ dS)ᵀ`` and ``dv = Pᵀ g``.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    mask = np.asarray(pad_mask, dtype=bool)
-    lengths = mask.sum(axis=1).tolist() if mask.ndim == 2 else None
-    if (lengths is None or q.ndim != 2 or k.shape != q.shape or v.shape != q.shape
-            or q.shape[0] != sum(lengths) or num_heads < 1 or q.shape[1] % num_heads):
-        raise DimensionError(f"attention needs a [batch, len] mask and [N, d] q, k and v with "
-                             f"one row per real token and d divisible by {num_heads} heads, got "
-                             f"mask {mask.shape}, q {q.shape}, k {k.shape}, v {v.shape}")
-    if not all(lengths):
-        raise ContractError("attention requires at least one real token per sequence")
+    if (q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or num_heads < 1
+            or q.shape[1] % num_heads):
+        raise DimensionError(f"attention needs [N, d] q, k and v with d divisible by "
+                             f"{num_heads} heads, got q {q.shape}, k {k.shape}, v {v.shape}")
     rows, width = q.shape
     d_k = width // num_heads
     scale = 1.0 / np.sqrt(d_k)
-    runs, end = [], 0  # per run: its rows, their [n, L, heads, d_k] shape, q, k, v and P
-    for length, run in itertools.groupby(lengths):
-        count = len(list(run))
-        r = slice(end, end + count * length)
-        end = r.stop
+    runs = []  # per run: its rows, their [n, L, heads, d_k] shape, q, k, v and P
+    for r, count, length in _runs(lengths, rows):
         shape = (count, length, num_heads, d_k)
         qd, kd, vd = (x.data[r].reshape(shape).transpose(0, 2, 1, 3) for x in (q, k, v))
         probs = np.matmul(qd, np.swapaxes(kd, -1, -2))
@@ -548,38 +548,40 @@ def take_rows(x, index) -> Tensor:
     return _maybe_record(x.data[key], [(x, scatter)])
 
 
-def scatter_rows(x, index, shape: tuple[int, ...]) -> Tensor:
-    """The rows of ``x`` placed at distinct positions of a zero block whose
-    leading shape is ``shape``.  ``index`` is a boolean mask of that shape,
-    True at the rows' positions in its row-major order, or an int array of
-    the positions along a single leading axis."""
+def scatter_rows(x, index, num_rows: int) -> Tensor:
+    """The rows of ``x`` placed at the distinct positions ``index``, an int
+    array, of a zero block of ``num_rows`` rows."""
     x = _as_tensor(x)
     idx = np.asarray(index)
-    out = np.zeros(tuple(shape) + x.shape[1:])
+    out = np.zeros((num_rows,) + x.shape[1:])
     try:
         out[idx] = x.data
     except (IndexError, ValueError) as e:
         raise ContractError(f"scatter_rows: rows {x.shape} do not fit index {idx.shape} "
-                            f"into leading shape {tuple(shape)}") from e
+                            f"into {num_rows} rows") from e
     return _maybe_record(out, [(x, lambda g: g[idx])])
+
+
+def segment_sum(x, lengths) -> Tensor:
+    """[batch, d] sums of the packed [N, d] rows ``x``, sequence i summing the
+    next ``lengths[i]`` rows, one run of equal lengths at a time as an
+    [n, L, d] view: row by row, as a sum over the zero-padded grid rounds."""
+    x = _as_tensor(x)
+    sums = [x.data[r].reshape(count, length, -1).sum(axis=1)
+            for r, count, length in _runs(lengths, len(x.data))]
+    return _maybe_record(np.concatenate(sums), [(x, lambda g: np.repeat(g, lengths, axis=0))])
 
 
 # ---------------------------------------------------------------------------
 # dropout
 
 
-def dropout(x, rate: float, training: bool, rng: np.random.Generator,
-            layout: np.ndarray | None = None) -> Tensor:
+def dropout(x, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
     """Inverted dropout recorded with its boolean keep-mask so backward is exact.
 
     Identity (the same object) at rate 0 or outside training.  Masks come
-    from the caller's generator so a seeded run is reproducible.  Without
-    ``layout`` the uniforms are drawn over ``x.shape`` in row-major order.
-    With a boolean ``layout`` (e.g. a [batch, len] padding mask) whose True
-    entries, in row-major order, are the rows of ``x``, they are drawn over
-    the whole grid ``layout.shape + x.shape[1:]`` and the rows under True
-    kept: packed rows then get the mask their padded layout would, and the
-    generator advances as it would for the padded tensor.
+    from the caller's generator, one uniform per element of ``x`` in
+    row-major order, so a seeded run is reproducible.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -587,11 +589,7 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator,
     if not training or rate == 0.0:
         return x
     scale = 1.0 / (1.0 - rate)
-    if layout is None:
-        uniforms = rng.random(x.shape)
-    else:
-        uniforms = rng.random(layout.shape + x.shape[1:])[layout]
-    keep = uniforms >= rate  # one byte per element; ``keep * scale`` is the float mask
+    keep = rng.random(x.shape) >= rate  # one byte per element; ``keep * scale`` is the float mask
     return _maybe_record(x.data * (keep * scale), [(x, lambda g: g * (keep * scale))])
 
 

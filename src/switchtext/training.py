@@ -205,45 +205,50 @@ class EvalOutcome:
 @dataclass
 class BatchTally:
     """One pass over a split's batches, in a training epoch or in
-    ``evaluate``: the weighted cross-entropy sums, and each batch's class
-    probabilities, labels, aux loss and per-layer expert token counts."""
+    ``evaluate``: the weighted cross-entropy sums, each batch's class
+    probabilities and labels, and per switch layer and expert its chosen and
+    served token counts and gate-probability sum."""
 
     weights: np.ndarray | None = None
     loss_sum: float = 0.0
     weight_sum: float = 0.0
     probs: list[np.ndarray] = field(default_factory=list)
     labels: list[np.ndarray] = field(default_factory=list)
-    aux: list[float] = field(default_factory=list)
-    routing: list[list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=list)
+    routing: list[np.ndarray] = field(default_factory=list)  # per batch, [layers, 3, experts]
 
-    def add(self, result: ForwardResult, labels: np.ndarray, ce: Tensor, aux: Tensor) -> None:
+    def add(self, result: ForwardResult, labels: np.ndarray, ce: Tensor) -> None:
         w_sum = float(_example_weights(labels, self.weights).sum())
         self.loss_sum += ce.item() * w_sum
         self.weight_sum += w_sum
         self.probs.append(np.exp(T.log_softmax(result.logits, axis=1).data))
         self.labels.append(labels)
-        self.aux.append(aux.item())
-        self.routing.append([(r.dispatched_counts(), r.counts) for r in result.routing])
+        if result.routing:
+            self.routing.append(np.stack([(r.dispatched_counts(), r.counts, r.probs.data.sum(axis=0))
+                                          for r in result.routing]))
 
     def outcome(self) -> EvalOutcome:
-        """Weighted mean loss, confusion metrics, and rank AUC from
-        positive-class probabilities."""
+        """Weighted mean loss, confusion metrics, rank AUC from positive-class
+        probabilities, and the layers' mean load-balancing penalty (as
+        ``moe.load_balance_loss``) of the counts pooled over every batch."""
         probs, labels = np.concatenate(self.probs), np.concatenate(self.labels)
         preds = probs.argmax(axis=1)
         auc = roc_auc(labels, probs[:, 1]) if len(np.unique(labels)) == 2 else None
         report = classification_metrics(confusion(labels, preds), auc=auc)
         report.loss = self.loss_sum / self.weight_sum
-        return EvalOutcome(report=report, predictions=preds, scores=probs[:, 1],
-                           aux_loss=float(np.mean(self.aux)))
+        aux = 0.0
+        if self.routing:
+            chose, _, prob_sums = np.moveaxis(sum(self.routing), 1, 0)
+            tokens = chose[0].sum()  # each token chooses one expert in every layer
+            aux = float(np.mean(chose.shape[1] * (chose / tokens * (prob_sums / tokens)).sum(axis=1)))
+        return EvalOutcome(report=report, predictions=preds, scores=probs[:, 1], aux_loss=aux)
 
     def routing_rows(self, epoch: int) -> list[str]:
         """Per layer and expert, the fractions of the routed tokens that chose
         the expert and that overflowed it; none for a dense model."""
-        routed = [layers for layers in self.routing if layers]
-        if not routed:
+        if not self.routing:
             return []
-        chose = sum(np.stack([c for c, _ in layers]) for layers in routed)
-        overflow = chose - sum(np.stack([s for _, s in layers]) for layers in routed)
+        chose, served, _ = np.moveaxis(sum(self.routing), 1, 0)
+        overflow = chose - served
         tokens = int(chose[0].sum())  # each token chooses one expert in every layer
         return [f"{epoch}\t{layer}\t{e}\t{chose[layer, e] / tokens:.6f}"
                 f"\t{overflow[layer, e] / tokens:.6f}" for layer, e in np.ndindex(chose.shape)]
@@ -266,8 +271,7 @@ def evaluate(model: EncoderModel, encoded: list[EncodedExample], batch_size: int
     for start in range(0, len(order), batch_size):
         ids, mask, labels = make_batch([encoded[i] for i in order[start: start + batch_size]])
         result = model.forward(ids, mask, training=False)
-        _, ce, aux = total_loss(result, labels, 0.0, weights)
-        tally.add(result, labels, ce, aux)
+        tally.add(result, labels, weighted_cross_entropy(result.logits, labels, weights))
     outcome = tally.outcome()
     for values in (outcome.predictions, outcome.scores):  # back to the order of ``encoded``
         values[order] = values.copy()
@@ -439,9 +443,9 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
                     ids, mask, labels = make_batch([encoded["train"][i] for i in chunk])
                     with Tape() as tape:
                         result = model.forward(ids, mask, training=True)
-                        loss, ce, aux = total_loss(result, labels, config.aux_loss_weight, weights)
+                        loss, ce, _ = total_loss(result, labels, config.aux_loss_weight, weights)
                     tape.backward(loss)
-                    tally.add(result, labels, ce, aux)
+                    tally.add(result, labels, ce)
                 if len(chunks) > 1:
                     for _, p in params:
                         if p.grad is not None:

@@ -56,30 +56,30 @@ class TestCriterion1GradientCorrectness:
             lambda t: T.sum_(T.mul(layer_norm(t, ln), ln_coeffs)),
             Tensor(gen.standard_normal((3, 6)))))
 
-        # standalone attention head: gradients through q, k, v, the 4 real
-        # rows of a padded [2, 3] batch
+        # standalone attention head: gradients through q, k, v, 4 packed
+        # rows of sequences of lengths 3 and 1
         kv = Tensor(gen.standard_normal((4, 4)))
         vv = Tensor(gen.standard_normal((4, 4)))
-        head_mask = np.array([[True, True, True], [True, False, False]])
+        head_lengths = np.array([3, 1])
         head_coeffs = Tensor(gen.standard_normal((4, 4)))
         worst = max(worst, finite_difference_check(
-            lambda t: T.sum_(T.mul(T.attention(t, kv, vv, head_mask, 1), head_coeffs)),
+            lambda t: T.sum_(T.mul(T.attention(t, kv, vv, head_lengths, 1), head_coeffs)),
             Tensor(gen.standard_normal((4, 4)))))
         worst = max(worst, finite_difference_check(
-            lambda t: T.sum_(T.mul(T.attention(kv, t, vv, head_mask, 1), head_coeffs)),
+            lambda t: T.sum_(T.mul(T.attention(kv, t, vv, head_lengths, 1), head_coeffs)),
             Tensor(gen.standard_normal((4, 4)))))
         worst = max(worst, finite_difference_check(
-            lambda t: T.sum_(T.mul(T.attention(kv, vv, t, head_mask, 1), head_coeffs)),
+            lambda t: T.sum_(T.mul(T.attention(kv, vv, t, head_lengths, 1), head_coeffs)),
             Tensor(gen.standard_normal((4, 4)))))
 
-        # multi-head + FFN (d_model <= 8, len <= 4); attention takes the 4
-        # real rows of a padded [2, 3] batch, packed
+        # multi-head + FFN (d_model <= 8, len <= 4); attention takes 4 packed
+        # rows of sequences of lengths 3 and 1
         mha = MultiHeadParams.create(8, 2, gen)
         xa = Tensor(gen.standard_normal((4, 8)))
-        mask = np.array([[True, True, True], [True, False, False]])
+        lengths = np.array([3, 1])
         mha_coeffs = Tensor(gen.standard_normal((4, 8)))
         worst = max(worst, check_many_params(
-            lambda: T.sum_(T.mul(multi_head_attention(xa, mha, mask), mha_coeffs)),
+            lambda: T.sum_(T.mul(multi_head_attention(xa, mha, lengths), mha_coeffs)),
             [(mha, "wq"), (mha, "wk"), (mha, "wv"), (mha.wo, "weight"), (mha.wo, "bias")]))
 
         ffn = FfnParams.create(8, 16, gen)

@@ -1,4 +1,4 @@
-"""Attention tests: closed-form weight oracles, masking semantics,
+"""Attention tests: closed-form weight oracles, sequence lengths,
 single-head reduction, permutation equivariance, and gradient checks."""
 
 import math
@@ -10,7 +10,7 @@ from switchtext import Tape, Tensor, finite_difference_check
 from switchtext import tensor as T
 from switchtext.attention import (FfnParams, MultiHeadParams,
                                   multi_head_attention, position_wise_ffn)
-from switchtext.errors import ConfigError, ContractError, DimensionError
+from switchtext.errors import ConfigError, ContractError
 from switchtext.layers import LinearParams
 
 rng = np.random.default_rng(4242)
@@ -25,16 +25,17 @@ def attention_weights_oracle(q, k, mask=None):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def one_head(q, k, v, mask):
-    """``T.attention`` with one head on the packed rows of a [batch, len] mask."""
-    return T.attention(Tensor(q), Tensor(k), Tensor(v), np.atleast_2d(mask), 1)
+def one_head(q, k, v, lengths):
+    """``T.attention`` with one head on packed rows, sequence i the next
+    ``lengths[i]`` rows."""
+    return T.attention(Tensor(q), Tensor(k), Tensor(v), np.array(lengths), 1)
 
 
 class TestScaledDotProductAttention:
     def test_single_key_returns_value(self):
         q, k = rng.standard_normal((2, 1, 4))
         v = rng.standard_normal((1, 4))
-        np.testing.assert_array_equal(one_head(q, k, v, [True]).data, v)
+        np.testing.assert_array_equal(one_head(q, k, v, [1]).data, v)
 
     def test_two_key_closed_form(self):
         # query 0's scores are (1/sqrt(2), 0); weights e^{1/sqrt(2)} : e^0 normalized
@@ -42,31 +43,29 @@ class TestScaledDotProductAttention:
         k = np.eye(2)
         v = np.eye(2)
         w1 = math.exp(1 / math.sqrt(2)) / (math.exp(1 / math.sqrt(2)) + 1.0)
-        out = one_head(q, k, v, [True, True]).data
+        out = one_head(q, k, v, [2]).data
         np.testing.assert_allclose(out[0], [w1, 1 - w1], atol=1e-12)
         np.testing.assert_allclose(out[0], [0.6698, 0.3302], atol=1e-4)
         np.testing.assert_array_equal(out[1], [0.5, 0.5])
 
     def test_zero_query_gives_mean_of_unmasked_values(self):
-        mask = np.array([True, True, False, True, False])
         k = rng.standard_normal((3, 4))
         v = rng.standard_normal((3, 4))
-        out = one_head(np.zeros((3, 4)), k, v, mask)
+        out = one_head(np.zeros((3, 4)), k, v, [3])
         np.testing.assert_allclose(out.data, np.tile(v.mean(axis=0), (3, 1)), atol=1e-12)
 
     def test_all_masked_raises(self):
         q = np.zeros((2, 2))
         with pytest.raises(ContractError):
-            one_head(q, q, q, np.array([[True, True], [False, False]]))
+            one_head(q, q, q, [2, 0])
 
     def test_masked_keys_get_zero_weight(self):
         # With v = I the output rows are each query's weights over the
         # packed keys: the oracle's over its own sequence, exactly 0 on the
-        # other sequence's keys, padded ones included.
-        mask = np.array([[True, False, True, False], [True, True, True, True]])
+        # other sequence's keys.
         q = rng.standard_normal((6, 6))
         k = rng.standard_normal((6, 6))
-        weights = one_head(q, k, np.eye(6), mask).data
+        weights = one_head(q, k, np.eye(6), [2, 4]).data
         np.testing.assert_allclose(weights[:2, :2], attention_weights_oracle(q[:2], k[:2]),
                                    atol=1e-12)
         np.testing.assert_allclose(weights[2:, 2:], attention_weights_oracle(q[2:], k[2:]),
@@ -78,9 +77,11 @@ class TestScaledDotProductAttention:
         q = rng.standard_normal((3, 4))
         k = rng.standard_normal((3, 4))
         v = rng.standard_normal((3, 4))
-        full = one_head(q, k, v, [True, True, True, False, False])
-        short = one_head(q, k, v, [True] * 3)
-        np.testing.assert_allclose(full.data, short.data, atol=1e-12)
+        one = one_head(q, k, v, [3])
+        # the same rows as the first of two sequences
+        two = one_head(np.concatenate([q, q[:1]]), np.concatenate([k, k[:1]]),
+                       np.concatenate([v, v[:1]]), [3, 1])
+        np.testing.assert_allclose(two.data[:3], one.data, atol=1e-12)
 
 
 class TestMultiHeadAttention:
@@ -91,30 +92,29 @@ class TestMultiHeadAttention:
                           bias=Tensor(np.zeros(d), requires_grad=True))
         p = MultiHeadParams(wq=identity(), wk=identity(), wv=identity(), wo=wo, num_heads=1)
         x = Tensor(rng.standard_normal((3, d)))
-        mask = np.array([True, True, True])
-        out = multi_head_attention(x, p, mask[None, :])
+        out = multi_head_attention(x, p, np.array([3]))
         direct = attention_weights_oracle(x.data, x.data) @ x.data
         np.testing.assert_allclose(out.data, direct, atol=1e-12)
 
     def test_output_shape_contract(self):
         p = MultiHeadParams.create(8, 4, np.random.default_rng(0))
         x = Tensor(rng.standard_normal((5, 8)))
-        assert multi_head_attention(x, p, np.ones((1, 5), bool)).shape == (5, 8)
-        # Packed rows: the 7 real tokens of a padded [2, 5] batch.
-        mask = np.array([[True, True, True, False, False], [True] * 4 + [False]])
+        assert multi_head_attention(x, p, np.array([5])).shape == (5, 8)
+        # Packed rows: 7 real tokens of sequences of lengths 3 and 4.
+        lengths = np.array([3, 4])
         xb = Tensor(rng.standard_normal((7, 8)))
-        assert multi_head_attention(xb, p, mask).shape == (7, 8)
-        for bad_mask in (mask, np.ones(5, bool)):
-            with pytest.raises(DimensionError):
-                multi_head_attention(x, p, bad_mask)
+        assert multi_head_attention(xb, p, lengths).shape == (7, 8)
+        with pytest.raises(ContractError, match="one per real token"):
+            multi_head_attention(x, p, lengths)
+        with pytest.raises(ContractError, match="must be ints"):
+            multi_head_attention(x, p, np.ones((1, 5), bool))  # a mask, not lengths
 
     def test_padded_batch_is_five_tape_nodes(self):
         # Three projections, one attention node and one for the output map.
         p = MultiHeadParams.create(8, 2, np.random.default_rng(0))
-        mask = np.array([[True, True, True], [True, False, False]])
         x = Tensor(rng.standard_normal((4, 8)), requires_grad=True)
         with Tape() as tape:
-            multi_head_attention(x, p, mask)
+            multi_head_attention(x, p, np.array([3, 1]))
         assert len(tape._nodes) == 5
 
     def test_divisibility_enforced(self):
@@ -123,19 +123,18 @@ class TestMultiHeadAttention:
 
     def test_packed_batch_matches_each_sequence_alone(self):
         p = MultiHeadParams.create(8, 2, np.random.default_rng(5))
-        lengths = (3, 5, 1)
+        lengths = np.array([3, 5, 1])
         seqs = [rng.standard_normal((n, 8)) for n in lengths]
-        mask = np.arange(max(lengths))[None, :] < np.array(lengths)[:, None]
-        packed = multi_head_attention(Tensor(np.concatenate(seqs)), p, mask).data
-        alone = [multi_head_attention(Tensor(x), p, np.ones((1, len(x)), bool)).data for x in seqs]
+        packed = multi_head_attention(Tensor(np.concatenate(seqs)), p, lengths).data
+        alone = [multi_head_attention(Tensor(x), p, np.array([len(x)])).data for x in seqs]
         np.testing.assert_allclose(packed, np.concatenate(alone), atol=1e-12)
 
     def test_permutation_equivariance(self):
         p = MultiHeadParams.create(8, 2, np.random.default_rng(3))
         x = rng.standard_normal((6, 8))
         perm = np.array([3, 0, 5, 1, 4, 2])
-        out = multi_head_attention(Tensor(x), p, np.ones((1, 6), bool)).data
-        out_permuted = multi_head_attention(Tensor(x[perm]), p, np.ones((1, 6), bool)).data
+        out = multi_head_attention(Tensor(x), p, np.array([6])).data
+        out_permuted = multi_head_attention(Tensor(x[perm]), p, np.array([6])).data
         np.testing.assert_allclose(out_permuted, out[perm], atol=1e-12)
 
     def test_gradients_all_parameters(self):
@@ -143,11 +142,11 @@ class TestMultiHeadAttention:
 
         p = MultiHeadParams.create(8, 2, np.random.default_rng(1))
         x = rng.standard_normal((4, 8))
-        mask = np.array([[True, True, True], [True, False, False]])
+        lengths = np.array([3, 1])
         coeffs = Tensor(rng.standard_normal((4, 8)))
 
         def make_loss():
-            return T.sum_(T.mul(multi_head_attention(Tensor(x), p, mask), coeffs))
+            return T.sum_(T.mul(multi_head_attention(Tensor(x), p, lengths), coeffs))
 
         check_many_params(make_loss, [
             (p, "wq"), (p, "wk"), (p, "wv"),
@@ -155,7 +154,7 @@ class TestMultiHeadAttention:
         ])
 
         def against_x(t):
-            return T.sum_(T.mul(multi_head_attention(t, p, mask), coeffs))
+            return T.sum_(T.mul(multi_head_attention(t, p, lengths), coeffs))
 
         assert finite_difference_check(against_x, Tensor(x), h=1e-6) < 1e-4
 

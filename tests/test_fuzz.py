@@ -1,11 +1,14 @@
 """Seeded input fuzz over every input surface of the CLI: dataset records,
 config-file values, flags, and checkpoint bytes, both raw and behind a
-valid sha256 trailer.  A fixed-seed generator draws each case from fixed
-mutation tables, so every run checks the same cases.
+valid sha256 trailer; and over the padding masks the library's entry points
+take and the ``lengths`` vectors the layers below them take.  A fixed-seed
+generator draws each case from fixed mutation tables, so every run checks
+the same cases.
 
-Every case must exit 0 or with one of its surface's documented error
+Every CLI case must exit 0 or with one of its surface's documented error
 categories, never with a traceback; a training run that exits 0 must
-record a config that validates.
+record a config that validates.  A mask or lengths case must succeed
+exactly when its input is well formed, and raise ContractError otherwise.
 """
 
 import contextlib
@@ -19,9 +22,14 @@ import struct
 import traceback
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
+from switchtext import EncoderModel, ModelConfig, Tensor
+from switchtext import tensor as T
 from switchtext.cli import EXIT_CODES, main
+from switchtext.errors import ContractError
+from switchtext.interpret import integrated_gradients
 from switchtext.training import RunConfig
 
 CASES = 80  # per surface
@@ -195,4 +203,84 @@ def test_checkpoint_header_behind_a_valid_trailer(corpus):
         if command:
             argv = [command[0], *argv[1:], *command[1:]]
         check(failures, f"{'/'.join(map(str, path))} edited", argv, [CODES["compatibility"]])
+    assert failures == []
+
+
+def _outcome(call):
+    """The outcome of ``call()``: "ok", or "contract" for a ContractError;
+    any other exception propagates."""
+    try:
+        call()
+    except ContractError:
+        return "contract"
+    return "ok"
+
+
+def test_entry_point_masks():
+    """Edits of a padding mask through ``EncoderModel.forward`` and
+    ``integrated_gradients``: a mask is well formed when it has the ids'
+    shape and every row is one or more True entries, then False ones."""
+    model = EncoderModel.build(ModelConfig(variant="switch", num_layers=1, num_heads=2,
+                                           num_experts=2, d_model=8, d_ff=16, vocab_size=12,
+                                           max_len=8, seed=1))
+    rng = random.Random(5)
+    ids = np.array([[2, 3, 4, 5, 6], [7, 8, 9, 0, 0], [10, 0, 0, 0, 0]])
+    failures = []
+    for _ in range(CASES):
+        mask = ids != 0
+        kind = rng.choice(["flip", "clear-row", "fill-row", "add-column", "drop-row", "none"])
+        if kind == "flip":
+            mask[rng.randrange(3), rng.randrange(5)] ^= True
+        elif kind == "clear-row":
+            mask[rng.randrange(3)] = False
+        elif kind == "fill-row":
+            mask[rng.randrange(3)] = True
+        elif kind == "add-column":
+            mask = np.concatenate([mask, mask[:, :1]], axis=1)
+        elif kind == "drop-row":
+            mask = np.delete(mask, rng.randrange(3), axis=0)
+        rows = [row.tolist() for row in mask]
+        prefixes = [any(row) and row == sorted(row, reverse=True) for row in rows]
+        want = "ok" if mask.shape == ids.shape and all(prefixes) else "contract"
+        got = _outcome(lambda: model.forward(ids, mask))
+        if got != want:
+            failures.append(f"forward, {kind}: {rows} gave {got}")
+        i = rng.randrange(len(mask))  # one example, as [len] ids and mask
+        want = "ok" if mask.shape[1] == ids.shape[1] and prefixes[i] else "contract"
+        got = _outcome(lambda: integrated_gradients(model, ids[i], mask[i], 1, num_steps=8))
+        if got != want:
+            failures.append(f"integrated_gradients, {kind}: {rows[i]} gave {got}")
+    assert failures == []
+
+
+def test_packed_lengths():
+    """Edits of a ``lengths`` vector through ``T.attention`` and
+    ``T.segment_sum`` on 12 packed rows: well formed when every length is
+    at least 1 and they sum to the rows."""
+    rng = random.Random(6)
+    x = Tensor(np.random.default_rng(6).standard_normal((12, 4)))
+    failures = []
+    for _ in range(CASES):
+        lengths = [3, 3, 1, 5]
+        kind = rng.choice(["zero", "negative", "increment", "decrement", "drop", "append",
+                           "swap"])
+        i = rng.randrange(len(lengths))
+        if kind == "zero":
+            lengths[i] = 0
+        elif kind == "negative":
+            lengths[i] = -rng.randrange(1, 4)
+        elif kind in ("increment", "decrement"):
+            lengths[i] += 1 if kind == "increment" else -1
+        elif kind == "drop":
+            del lengths[i]
+        elif kind == "append":
+            lengths.append(rng.randrange(-1, 3))
+        else:
+            lengths[i], lengths[-1] = lengths[-1], lengths[i]
+        want = "ok" if min(lengths, default=0) >= 1 and sum(lengths) == 12 else "contract"
+        for name, op in (("attention", lambda n: T.attention(x, x, x, n, 2)),
+                         ("segment_sum", lambda n: T.segment_sum(x, n))):
+            got = _outcome(lambda: op(np.array(lengths, dtype=int)))
+            if got != want:
+                failures.append(f"{name}, {kind}: {lengths} gave {got}")
     assert failures == []

@@ -123,22 +123,23 @@ class TestEmbedding:
 
     def test_all_pad_rows(self):
         table = self.make_table()
-        ids = np.zeros(4, dtype=int)
-        out = embed(ids, np.ones(4, bool), table).data
+        ids = np.zeros((1, 4), dtype=int)
+        out = embed(ids, np.array([4]), table).data
         expected = table.table.data[0] + table.positional.data[:4]
         np.testing.assert_array_equal(out, expected)
 
     def test_zero_positional_is_token_row(self):
         table = self.make_table()
         table.positional.data = np.zeros_like(table.positional.data)
-        out = embed(np.array([3]), np.array([True]), table).data
+        out = embed(np.array([[3]]), np.array([1]), table).data
         np.testing.assert_array_equal(out, table.table.data[[3]])
 
     def test_gradient_touches_only_looked_up_rows(self):
         table = self.make_table()
-        ids, mask = np.array([2, 5, 2]), np.ones(3, bool)
+        ids, lengths = np.array([[2, 5, 2]]), np.array([3])
         with Tape() as tape:
-            y = T.sum_(T.mul(embed(ids, mask, table), Tensor(embed(ids, mask, table).data.copy())))
+            y = T.sum_(T.mul(embed(ids, lengths, table),
+                             Tensor(embed(ids, lengths, table).data.copy())))
         tape.backward(y)
         touched = np.nonzero(np.abs(table.table.grad).sum(axis=1))[0]
         assert set(touched) == {2, 5}
@@ -148,7 +149,7 @@ class TestEmbedding:
         def loss_at(row_value):
             table.table.data = base.copy()
             table.table.data[6] = row_value
-            out = embed(ids, mask, table).data
+            out = embed(ids, lengths, table).data
             table.table.data = base
             return (out * out).sum()
 
@@ -163,27 +164,25 @@ class TestEmbedding:
     def test_out_of_range_id(self):
         table = self.make_table(vocab=4)
         with pytest.raises(VocabularyError):
-            embed(np.array([4]), np.array([True]), table)
+            embed(np.array([[4]]), np.array([1]), table)
 
     def test_too_long_sequence(self):
         table = self.make_table(max_len=3)
         with pytest.raises(DimensionError):
-            embed(np.zeros(5, dtype=int), np.ones(5, bool), table)
+            embed(np.zeros((1, 5), dtype=int), np.array([5]), table)
 
     def test_batched_lookup_shape(self):
         table = self.make_table()
-        mask = np.array([[True, True, True, False, False], [True] * 5])
-        out = embed(np.zeros((2, 5), dtype=int), mask, table)
+        out = embed(np.zeros((2, 5), dtype=int), np.array([3, 5]), table)
         assert out.shape == (8, 4)  # one row per real token
 
     def test_padding_is_never_looked_up(self):
         table = self.make_table(vocab=4)
         ids = np.array([[2, 3, 9], [1, 7, -5]])  # out of range only under padding
-        mask = np.array([[True, True, False], [True, False, False]])
         expected = table.table.data[[2, 3, 1]] + table.positional.data[[0, 1, 0]]
-        np.testing.assert_array_equal(embed(ids, mask, table).data, expected)
+        np.testing.assert_array_equal(embed(ids, np.array([2, 1]), table).data, expected)
         with pytest.raises(VocabularyError):
-            embed(ids, np.ones((2, 3), bool), table)
+            embed(ids, np.array([3, 3]), table)
 
 
 class TestDropoutLayer:
@@ -197,29 +196,17 @@ class TestDropoutLayer:
 
 
 class TestPacking:
-    """``embed`` packs the real tokens of a padded batch into rows and
-    ``T.scatter_rows`` by the mask lays them back out on the grid."""
+    """``embed`` packs the real tokens of a padded batch into rows."""
 
     table = EmbeddingTable.create(9, 2, 3, np.random.default_rng(4))
 
     def grid(self, ids):  # the padded [batch, len, d] embedding grid
         return self.table.table.data[ids] + self.table.positional.data[:ids.shape[1]]
 
-    def test_pack_and_unpack_between_grid_and_real_rows(self):
-        ids = np.array([[5, 8, 0], [3, 0, 0]])
-        mask = ids != 0
-        packed = embed(ids, mask, self.table)
-        grid = self.grid(ids)
-        np.testing.assert_array_equal(packed.data, grid[[0, 0, 1], [0, 1, 0]])
-        expected = np.where(mask[:, :, None], grid, 0.0)
-        np.testing.assert_array_equal(T.scatter_rows(packed, mask, mask.shape).data, expected)
-
     def test_without_padding_the_grid_is_the_packed_rows(self):
         ids = np.array([[5, 8], [3, 1]])
-        mask = np.ones((2, 2), bool)
-        packed = embed(ids, mask, self.table)
+        packed = embed(ids, np.array([2, 2]), self.table)
         assert packed.data.tobytes() == self.grid(ids).tobytes()
-        assert T.scatter_rows(packed, mask, mask.shape).data.tobytes() == packed.data.tobytes()
 
 
 class TestLinearParams:

@@ -2,19 +2,23 @@
 invariance, parameter accounting against an independent closed form,
 end-to-end gradient checks, hidden-state export, and checkpointing."""
 
+import ast
 import hashlib
 import json
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import switchtext
 from helpers import check_many_params, file_digest
 from switchtext import ModelConfig, EncoderModel, Tape, Tensor, count_parameters
 from switchtext import tensor as T
 from switchtext.cli import EXIT_CODES
 from switchtext.errors import CompatibilityError, ConfigError, ContractError
+from switchtext.interpret import integrated_gradients
 from switchtext.layers import embed
 from switchtext.model import (CHECKPOINT_MAGIC, NUM_CLASSES, export_hidden_embeddings,
                               load_checkpoint, parameter_count, save_checkpoint)
@@ -110,8 +114,29 @@ class TestForward:
 
     def test_mask_of_another_shape_rejected(self):
         model = EncoderModel.build(tiny_config())
-        with pytest.raises(ContractError, match="pad mask shape"):
-            model.forward(np.array([[2, 3, 4]]), np.ones((1, 4), bool))
+        ids = np.array([2, 3, 4])
+        for mask in (np.ones((1, 4), bool), np.ones((2, 3), bool), np.ones((1, 1, 3), bool)):
+            with pytest.raises(ContractError, match="pad mask shape"):
+                model.forward(ids[None, :], mask)
+        for mask in (np.ones(4, bool), np.ones((1, 3), bool)):  # one example's mask is [len]
+            with pytest.raises(ContractError, match="pad mask shape"):
+                integrated_gradients(model, ids, mask, target_class=1, num_steps=8)
+
+    def test_mask_rows_that_are_not_real_token_prefixes_rejected(self):
+        model = EncoderModel.build(tiny_config())
+        entry_points = {
+            "forward": lambda row: model.forward(np.array([[2, 3, 4, 5]]), np.array([row])),
+            "integrated_gradients": lambda row: integrated_gradients(
+                model, np.array([2, 3, 4, 5]), np.array(row), target_class=1, num_steps=8)}
+        for name, call in entry_points.items():
+            for row, match in (([True, False, True, True], "prefix"),
+                               ([False, True, True, True], "prefix"),
+                               ([False] * 4, "at least one real token")):
+                with pytest.raises(ContractError, match=match):
+                    call(row)
+                    pytest.fail(f"{name} took the mask row {row}")
+        with pytest.raises(ContractError, match="at least one real token"):
+            model.forward(np.array([[2, 3], [4, 0]]), np.array([[True, True], [False, False]]))
 
     def test_sequences_of_no_tokens_rejected(self):
         model = EncoderModel.build(tiny_config())
@@ -122,18 +147,18 @@ class TestForward:
     def test_forward_from_embedded_rows_matches_forward(self, variant):
         model = EncoderModel.build(tiny_config(variant))
         ids = np.array([[2, 3, 4, 0], [5, 6, 0, 0], [7, 0, 0, 0]])
-        mask = ids != 0
-        rows = embed(ids, mask, model.embeddings)
-        assert rows.shape == (mask.sum(), model.config.d_model)
-        logits = model.forward_from_embeddings(rows, mask).logits.data
-        assert logits.tobytes() == model.forward(ids, mask).logits.data.tobytes()
+        lengths = np.array([3, 2, 1])
+        rows = embed(ids, lengths, model.embeddings)
+        assert rows.shape == (lengths.sum(), model.config.d_model)
+        logits = model.forward_from_embeddings(rows, lengths).logits.data
+        assert logits.tobytes() == model.forward(ids, ids != 0).logits.data.tobytes()
 
     def test_forward_from_embeddings_needs_one_row_per_real_token(self):
         model = EncoderModel.build(tiny_config())
-        mask = np.array([[True, True, False], [True, False, False]])
+        lengths = np.array([2, 1])
         for shape in [(2, 8), (4, 8), (2, 3, 8)]:  # 3 real tokens, in rows of width 8
             with pytest.raises(ContractError, match="one per real token"):
-                model.forward_from_embeddings(Tensor(np.ones(shape)), mask)
+                model.forward_from_embeddings(Tensor(np.ones(shape)), lengths)
 
     def test_switch_single_expert_matches_dense(self):
         dense = EncoderModel.build(tiny_config("dense"))
@@ -174,12 +199,12 @@ class TestForward:
         model = EncoderModel.build(tiny_config(pooling="first"))
         ids = np.array([[2, 3, 4]])
         result = model.forward(ids, np.ones((1, 3), bool))
-        pooled = model._pool(result.hidden[-1], np.ones((1, 3), bool))
+        pooled = model._pool(result.hidden[-1], np.array([3]))
         np.testing.assert_array_equal(pooled.data, result.hidden[-1].data[[0]])
         # Packed rows of a padded batch: the sequences start at rows 0 and 3.
         ids = np.array([[2, 3, 4], [5, 6, 0]])
         result = model.forward(ids, ids != 0)
-        pooled = model._pool(result.hidden[-1], ids != 0)
+        pooled = model._pool(result.hidden[-1], np.array([3, 2]))
         np.testing.assert_array_equal(pooled.data, result.hidden[-1].data[[0, 3]])
 
     def test_config_validation_lists_violations(self):
@@ -189,6 +214,32 @@ class TestForward:
         assert len(problems) >= 4
         with pytest.raises(ConfigError):
             bad.validate()
+
+
+def _parameters(node, prefix=""):
+    """(qualified name, parameter names) of every function and lambda under
+    ``node``; class and function names prefix the names nested in them."""
+    for child in ast.iter_child_nodes(node):
+        scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        name = prefix + (child.name if scope else "<lambda>")
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = child.args
+            named = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+            yield name, [arg.arg for arg in named]
+        yield from _parameters(child, name + "." if scope else prefix)
+
+
+def test_only_the_entry_points_take_a_mask():
+    """The padded [batch, len] layout stops at the public entry points and
+    the function that turns a mask into lengths; every layer below takes
+    ``lengths``."""
+    takers = []
+    for path in sorted(Path(switchtext.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        takers += [(path.name, name) for name, params in _parameters(tree)
+                   if any("mask" in param for param in params)]
+    assert takers == [("data.py", "mask_lengths"), ("interpret.py", "integrated_gradients"),
+                      ("model.py", "EncoderModel.forward")]
 
 
 class TestParameterCount:
@@ -308,7 +359,7 @@ class TestTapeNodes:
     """Nodes a d32 training forward plus its loss records: one per affine map
     and one per FFN, dense or expert-stacked."""
 
-    @pytest.mark.parametrize("variant,nodes", [("dense", (38, 38)), ("switch", (61, 61))])
+    @pytest.mark.parametrize("variant,nodes", [("dense", (37, 37)), ("switch", (60, 60))])
     def test_training_pass_node_count(self, variant, nodes):
         model = EncoderModel.build(tiny_config(variant, num_experts=4, d_model=32, d_ff=64,
                                                vocab_size=50, max_len=16, dropout=0.2, seed=5))
@@ -327,17 +378,17 @@ class TestTapeNodes:
 
     def test_inference_pass_records_no_loss_term(self):
         # The batch-1 pass integrated gradients records at each path point.
-        # The forward builds no loss term: 16 nodes per switch block and 6
+        # The forward builds no loss term: 16 nodes per switch block and 5
         # outside the blocks, the logit pick included.
         model = EncoderModel.build(tiny_config("switch", num_experts=4, d_model=32, d_ff=64,
                                                vocab_size=50, max_len=16, dropout=0.2, seed=5))
         ids = np.array([[4, 22, 31, 9, 15, 27, 38, 10, 19]])
-        mask = ids != 0
-        probe = Tensor(embed(ids, mask, model.embeddings).data, requires_grad=True)
+        lengths = np.array([9])
+        probe = Tensor(embed(ids, lengths, model.embeddings).data, requires_grad=True)
         with Tape(wrt=[probe]) as tape:
-            result = model.forward_from_embeddings(probe, mask)
+            result = model.forward_from_embeddings(probe, lengths)
             T.sum_(T.take_rows(result.logits, (np.array([0]), np.array([1]))))
-        assert len(tape._nodes) == 38
+        assert len(tape._nodes) == 37
 
 
 class TestHiddenExport:

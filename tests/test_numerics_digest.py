@@ -5,7 +5,8 @@ a refactor that moves a result by one unit in the last place passes them.
 These digests pin the exact bits of fresh d32 dense and switch models for
 fixed seeds: logits at inference, and logits plus every parameter gradient
 of a training forward (dropout on) and its loss, on a padded batch and on a
-batch-1 sequence; the IG scores of one switch example; and the inference
+batch-1 sequence; the inference logits of the padded batch on their own, so
+a move in them cannot hide behind a move in the training bits; the IG scores of one switch example; and the inference
 logits of a switch batch that leaves one expert without a token.
 
 They hold for numpy 2.4.6 linked against OpenBLAS 0.3.31 (the scipy-openblas
@@ -35,13 +36,17 @@ BATCHES = {
 
 EXPECTED = {
     ("dense", "padded"):
-        "e3d98c82ea14fe536b87dc1dd2d99d450f84bf621b54a567deb2075098adbec4",
+        "131004f7dcbf18289d722a9e199eb11824d049cb0966fe1ea3161f02528f8cfd",
     ("dense", "batch1"):
         "79a5efc588bae91aa9e4a09a8e5ea80cc93227e0bd15c2321b9c638f23d0ea96",
     ("switch", "padded"):
-        "7b12bcf8748dbc27be09a73e4f2b82e61d1a8b440ff6a50e3e461d6b957750de",
+        "9c621c59dc424b170ddbc74799fc037277713d8aad58adc327aa9fa43963f23e",
     ("switch", "batch1"):
         "1db960f11af97594bb11085ad0628d336c61053eeeedfb443162daabe6a5d5d2",
+}
+EXPECTED_PADDED_INFERENCE = {
+    "dense": "81e49e999af1de89a43434ddc6aa972de0b4295b96675c99a56be606c39bcfcc",
+    "switch": "cf5d1aa8c425bd3798294891edbf4466137a293181ce0092b844762479df7075",
 }
 EXPECTED_IG = "fc7264948c34429dd98c9c9472488f335fff52120b68b934f98b0f2ccda17310"
 
@@ -75,6 +80,13 @@ def pass_digest(variant: str, batch: str) -> str:
 @pytest.mark.parametrize("variant,batch", sorted(EXPECTED))
 def test_logits_and_gradients_keep_their_bits(variant, batch):
     assert pass_digest(variant, batch) == EXPECTED[(variant, batch)]
+
+
+@pytest.mark.parametrize("variant", sorted(EXPECTED_PADDED_INFERENCE))
+def test_padded_inference_logits_keep_their_bits(variant):
+    ids = BATCHES["padded"][0]
+    logits = d32_model(variant).forward(ids, ids != 0).logits.data
+    assert hashlib.sha256(logits.tobytes()).hexdigest() == EXPECTED_PADDED_INFERENCE[variant]
 
 
 def test_integrated_gradients_keep_their_bits():

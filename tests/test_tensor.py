@@ -341,7 +341,7 @@ class TestGatherScatter:
         x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         idx = np.array([4, 1, 0])
         with Tape() as tape:
-            s = T.scatter_rows(x, idx, (6,))
+            s = T.scatter_rows(x, idx, 6)
             y = T.sum_(T.mul(T.take_rows(s, idx), 2.0))
         tape.backward(y)
         np.testing.assert_array_equal(x.grad, np.full((3, 2), 2.0))
@@ -367,12 +367,11 @@ class TestGatherScatter:
 
     def test_fdc_through_gather_scatter_pick(self):
         idx = np.array([1, 3])
-        mask = np.array([[False, True], [True, False]])
 
         def build(m):
-            s = T.scatter_rows(T.take_rows(m, idx), np.array([0, 2]), (4,))
-            grid = T.scatter_rows(T.take_rows(m, idx), mask, mask.shape)
-            return (T.sum_(T.mul(s, s)) + T.sum_(T.mul(grid, grid))
+            s = T.scatter_rows(T.take_rows(m, idx), np.array([0, 2]), 4)
+            sums = T.segment_sum(T.take_rows(m, np.array([3, 0, 2])), np.array([1, 2]))
+            return (T.sum_(T.mul(s, s)) + T.sum_(T.mul(sums, sums))
                     + T.sum_(T.take_rows(m, (np.array([0, 0]), np.array([0, 1])))))
 
         assert finite_difference_check(build, Tensor(rng.standard_normal((4, 2))), h=1e-6) < 1e-4
@@ -387,25 +386,12 @@ class TestGatherScatter:
                 T.take_rows(x, index)
         assert T.take_rows(x, (np.array([2]), np.array([1]))).shape == (1,)
 
-    def test_scatter_rows_by_mask_fills_the_grid_in_row_major_order(self):
-        x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-        mask = np.array([[True, True, False], [False, True, False]])
-        coeffs = rng.standard_normal((2, 3, 2))
-        with Tape() as tape:
-            grid = T.scatter_rows(x, mask, mask.shape)
-            y = T.sum_(T.mul(grid, coeffs))
-        tape.backward(y)
-        expected = np.zeros((2, 3, 2))
-        expected[[0, 0, 1], [0, 1, 1]] = x.data
-        np.testing.assert_array_equal(grid.data, expected)
-        np.testing.assert_array_equal(x.grad, coeffs[mask])
-
-    @pytest.mark.parametrize("index,shape", [(np.ones((2, 2), bool), (2, 2)),  # 4 places
-                                             (np.ones((1, 3), bool), (3, 1)),  # another shape
+    @pytest.mark.parametrize("index,shape", [(np.array([0, 1]), (3,)),  # 2 places
+                                             (np.array([0, 1, 2, 3]), (4,)),  # 4 places
                                              (np.array([0, 4, 1]), (4,))])  # out of range
     def test_scatter_rows_that_do_not_fit_rejected(self, index, shape):
         with pytest.raises(ContractError, match="do not fit"):
-            T.scatter_rows(Tensor(np.ones((3, 2))), index, shape)
+            T.scatter_rows(Tensor(np.ones((3, 2))), index, *shape)
 
 
 class TestLinear:
@@ -516,29 +502,25 @@ class TestFfn:
 
 class TestAttention:
     """One node for multi-head softmax(q kᵀ / sqrt(d_k)) v from packed [N, d]
-    rows to packed rows, each sequence attending over its own real tokens."""
+    rows to packed rows, each sequence attending over its own rows."""
 
-    masks = {
-        "padded": np.array([[True, True, True, False, False], [True, True, True, True, True]]),
-        "unpadded": np.ones((2, 4), bool),
-        # lengths 2, 3, 3, 1, 3: a run of two, a length-1 sequence between
-        # equal lengths, and a row whose real tokens are not a prefix
-        "runs": np.array([[True, True, False, False], [True, True, True, False],
-                          [True, True, True, False], [True, False, False, False],
-                          [False, True, True, True]]),
+    lengths = {
+        "unequal": np.array([3, 5]),
+        "equal": np.array([4, 4]),
+        # a run of two, and a length-1 sequence between equal lengths
+        "runs": np.array([2, 3, 3, 1, 3]),
     }
     num_heads = 2
 
-    def operands(self, mask, width=6):
-        n = int(mask.sum())
-        return tuple(rng.standard_normal((n, width)) for _ in range(3))
+    def operands(self, lengths, width=6):
+        return tuple(rng.standard_normal((int(lengths.sum()), width)) for _ in range(3))
 
     @staticmethod
-    def composite(q, k, v, mask, num_heads):
+    def composite(q, k, v, lengths, num_heads):
         """The same attention composed with numpy, one sequence at a time: the rows of
-        sequence i are the next ``mask[i].sum()`` packed rows."""
+        sequence i are the next ``lengths[i]`` packed rows."""
         out, start = [], 0
-        for length in mask.sum(axis=1):
+        for length in lengths:
             def heads(x):  # [L, d] -> [heads, L, d_k]
                 return x[start:start + length].reshape(length, num_heads, -1).transpose(1, 0, 2)
 
@@ -553,76 +535,108 @@ class TestAttention:
         return np.concatenate(out)
 
     def test_matches_the_composite(self):
-        for layout, mask in self.masks.items():
-            q, k, v = self.operands(mask)
-            fused = T.attention(Tensor(q), Tensor(k), Tensor(v), mask, self.num_heads).data
+        for layout, lengths in self.lengths.items():
+            q, k, v = self.operands(lengths)
+            fused = T.attention(Tensor(q), Tensor(k), Tensor(v), lengths, self.num_heads).data
             np.testing.assert_array_equal(
-                fused, self.composite(q, k, v, mask, self.num_heads), err_msg=layout)
+                fused, self.composite(q, k, v, lengths, self.num_heads), err_msg=layout)
 
     @pytest.mark.parametrize("num_heads", [1, 2, 4])
     def test_each_sequence_gets_the_bits_it_gets_alone(self, num_heads):
-        # Lengths 12, 30, 30, 1, 45 and 30 on a 45-wide grid: a run of two,
-        # a length-1 sequence, a length equal to the run's but not next to
-        # it, and a row whose real tokens are not a prefix.
-        mask = np.arange(45) < np.array([12, 30, 30, 1, 45, 30])[:, None]
-        mask[5] = np.arange(45) % 3 != 0
-        operands = self.operands(mask, width=8)
+        # Lengths up to 45: a run of two, a length-1 sequence, and a length
+        # equal to the run's but not next to it.
+        lengths = np.array([12, 30, 30, 1, 45, 30])
+        operands = self.operands(lengths, width=8)
         coeffs = rng.standard_normal(operands[0].shape)
 
-        def run(rows, seq_mask):
+        def run(rows, seq_lengths):
             q, k, v = (Tensor(x[rows], requires_grad=True) for x in operands)
             with Tape() as tape:
-                out = T.attention(q, k, v, seq_mask, num_heads)
+                out = T.attention(q, k, v, seq_lengths, num_heads)
                 loss = T.sum_(T.mul(out, Tensor(coeffs[rows])))
             tape.backward(loss)
             return [out.data, q.grad, k.grad, v.grad]
 
-        batch = run(slice(None), mask)
-        ends = np.cumsum(mask.sum(axis=1))
-        for end, length in zip(ends, mask.sum(axis=1)):
+        batch = run(slice(None), lengths)
+        for end, length in zip(np.cumsum(lengths), lengths):
             rows = slice(end - length, end)
-            alone = run(rows, np.ones((1, length), bool))
+            alone = run(rows, np.array([length]))
             for what, got, want in zip(("output", "dq", "dk", "dv"), batch, alone):
                 np.testing.assert_array_equal(got[rows], want, err_msg=f"{what}, rows {rows}")
 
     def test_finite_difference(self):
-        for layout, mask in self.masks.items():
-            operands = dict(zip("qkv", self.operands(mask)))
+        for layout, lengths in self.lengths.items():
+            operands = dict(zip("qkv", self.operands(lengths)))
             coeffs = Tensor(rng.standard_normal(operands["q"].shape))
             for name in operands:
-                def f(t, name=name, mask=mask, operands=operands, coeffs=coeffs):
+                def f(t, name=name, lengths=lengths, operands=operands, coeffs=coeffs):
                     args = {key: Tensor(val) for key, val in operands.items()}
                     args[name] = t
-                    out = T.attention(args["q"], args["k"], args["v"], mask, self.num_heads)
+                    out = T.attention(args["q"], args["k"], args["v"], lengths, self.num_heads)
                     return T.sum_(T.mul(out, coeffs))
                 err = finite_difference_check(f, Tensor(operands[name]), h=1e-6)
                 assert err < 1e-4, (layout, name)
 
     def test_one_node_and_non_finite_scores(self):
-        mask = self.masks["padded"]
-        q, k, v = (Tensor(a, requires_grad=True) for a in self.operands(mask))
+        lengths = self.lengths["unequal"]
+        q, k, v = (Tensor(a, requires_grad=True) for a in self.operands(lengths))
         with Tape() as tape:
-            out = T.attention(q, k, v, mask, self.num_heads)
+            out = T.attention(q, k, v, lengths, self.num_heads)
         assert len(tape._nodes) == 1 and out.shape == q.shape
         q.data[0, 0] = np.nan
         with pytest.raises(NumericError):
-            T.attention(q, k, v, mask, self.num_heads)
+            T.attention(q, k, v, lengths, self.num_heads)
 
     def test_shape_and_mask_checks(self):
-        mask = self.masks["padded"]
-        q, k, v = (Tensor(a) for a in self.operands(mask))
+        lengths = self.lengths["unequal"]  # 8 rows
+        q, k, v = (Tensor(a) for a in self.operands(lengths))
         short = Tensor(q.data[:-1])
         narrow = Tensor(q.data[:, :4])
-        for args in ((short, short, short, mask, 2),  # rows != pad_mask.sum()
-                     (q, k, short, mask, 2),
-                     (q, narrow, v, mask, 2),  # widths differ
-                     (q, k, v, mask, 4),  # 6 not divisible by 4 heads
-                     (q, k, v, mask.reshape(-1), 2)):  # not a [batch, len] mask
+        for args in ((q, k, short, lengths, 2),  # rows differ
+                     (q, narrow, v, lengths, 2),  # widths differ
+                     (q, k, v, lengths, 4)):  # 6 not divisible by 4 heads
             with pytest.raises(DimensionError):
                 T.attention(*args)
-        empty = np.array([[True] * 4 + [False], [False] * 5, [True] * 4 + [False]])
-        with pytest.raises(ContractError, match="at least one real token"):
-            T.attention(q, k, v, empty, 2)
+        # The one check of a lengths vector, which T.segment_sum shares.
+        ops = {"attention": lambda x, n: T.attention(x, x, x, n, 2), "segment_sum": T.segment_sum}
+        for bad, match in ((np.array([3, 0, 5]), "at least one real token"),  # a zero length
+                           (np.array([9, -1]), "at least one real token"),  # a negative length
+                           (np.array([], dtype=int), "at least one real token"),  # no sequence
+                           (np.array([3, 4]), "one per real token"),  # fewer than the rows
+                           (np.array([3, 6]), "one per real token"),  # more than the rows
+                           (np.ones((2, 4), bool), "must be ints"),  # a [batch, len] mask
+                           (np.array([3.0, 5.0]), "must be ints")):
+            for name, op in ops.items():
+                with pytest.raises(ContractError, match=match):
+                    op(q, bad)
+                    pytest.fail(f"{name} took lengths {bad}")
+
+
+class TestSegmentSum:
+    """One node summing each sequence's packed rows."""
+
+    @pytest.mark.parametrize("width", [32, 200])
+    def test_sums_bit_for_bit_as_the_padded_grid_does(self, width):
+        gen = np.random.default_rng(width)
+        for _ in range(20):
+            lengths = gen.integers(1, 12, size=int(gen.integers(1, 9)))
+            lengths[gen.random(len(lengths)) < 0.4] = lengths[0]  # runs of equal lengths
+            rows = gen.standard_normal((int(lengths.sum()), width))
+            grid = np.zeros((len(lengths), lengths.max(), width))
+            grid[np.arange(lengths.max()) < lengths[:, None]] = rows
+            got = T.segment_sum(Tensor(rows), lengths).data
+            assert got.tobytes() == grid.sum(axis=1).tobytes(), lengths
+
+    def test_backward_repeats_each_sum_gradient_over_its_rows(self):
+        lengths = np.array([2, 2, 1, 3])
+        x = Tensor(rng.standard_normal((8, 3)), requires_grad=True)
+        coeffs = rng.standard_normal((4, 3))
+        with Tape() as tape:
+            out = T.segment_sum(x, lengths)
+            y = T.sum_(T.mul(out, Tensor(coeffs)))
+        tape.backward(y)
+        assert len(tape._nodes) == 3 and out.shape == (4, 3)
+        np.testing.assert_array_equal(x.grad, np.repeat(coeffs, lengths, axis=0))
 
 
 class TestDropout:
@@ -668,17 +682,6 @@ class TestDropout:
         mask = (np.random.default_rng(4).random(n) >= rate) * (1.0 / (1.0 - rate))
         assert out.data.tobytes() == (x.data * mask).tobytes()
         assert x.grad.tobytes() == (upstream * mask).tobytes()
-
-    def test_layout_draws_over_the_padded_grid(self):
-        # Packed rows get the mask of their padded position, and the
-        # generator advances as it would for the padded tensor.
-        grid = rng.standard_normal((3, 4, 5))
-        layout = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]], dtype=bool)
-        padded_gen, packed_gen = np.random.default_rng(9), np.random.default_rng(9)
-        padded = T.dropout(Tensor(grid), 0.4, True, padded_gen)
-        packed = T.dropout(Tensor(grid[layout]), 0.4, True, packed_gen, layout)
-        np.testing.assert_array_equal(packed.data, padded.data[layout])
-        assert packed_gen.random() == padded_gen.random()
 
     def test_invalid_rate(self):
         with pytest.raises(ConfigError):

@@ -8,16 +8,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers import file_digest
+from helpers import file_digest, penalty
 from switchtext import RunConfig, Tensor, generate_synthetic_corpus
 from switchtext import tensor as T
 from switchtext import training
-from switchtext.data import class_weights
+from switchtext.data import (FRENCH_STOPWORDS, Example, LabeledDataset, build_vocab,
+                             class_weights)
 from switchtext.errors import ConfigError, ContractError, DataError
-from switchtext.model import ForwardResult, ModelConfig, load_checkpoint
+from switchtext.model import EncoderModel, ForwardResult, ModelConfig, load_checkpoint
 from switchtext.moe import RoutingRecord
 from switchtext.tensor import Tape
-from switchtext.training import (EncodedExample, dataset_digest, encode_examples,
+from switchtext.training import (BatchTally, EncodedExample, dataset_digest, encode_examples,
                                  evaluate, make_batch, total_loss, train,
                                  weighted_cross_entropy)
 
@@ -91,6 +92,28 @@ class TestEvaluate:
             np.testing.assert_allclose(a.scores, b.scores, atol=1e-12)
             np.testing.assert_allclose(a.report.loss, b.report.loss, atol=1e-12)
             assert a.report.accuracy == b.report.accuracy
+            # The penalty is formed once from counts pooled over the batches.
+            np.testing.assert_allclose(a.aux_loss, b.aux_loss, rtol=0, atol=1e-12)
+
+    def test_aux_loss_is_the_penalty_of_the_pooled_tokens(self):
+        # Two batches through two switch layers: the tally's aux loss is the
+        # layers' mean penalty over all the tokens at once, not a mean of
+        # per-batch penalties.
+        model = EncoderModel.build(ModelConfig(variant="switch", num_layers=2, num_heads=2,
+                                               num_experts=3, d_model=8, d_ff=16, vocab_size=20,
+                                               max_len=8, dropout=0.0, seed=1))
+        tally, routing = BatchTally(), []
+        for ids in (np.array([[2, 3, 4], [5, 6, 0]]), np.array([[7, 8, 9, 10]])):
+            labels = np.zeros(len(ids), dtype=int)
+            result = model.forward(ids, ids != 0)
+            tally.add(result, labels, weighted_cross_entropy(result.logits, labels))
+            routing.append(result.routing)
+        pooled = [RoutingRecord(chosen=np.concatenate([r[layer].chosen for r in routing]),
+                                probs=Tensor(np.concatenate([r[layer].probs.data for r in routing])),
+                                counts=sum(r[layer].counts for r in routing), capacity=0)
+                  for layer in range(2)]
+        want = np.mean([penalty(record).item() for record in pooled])
+        assert tally.outcome().aux_loss == pytest.approx(want, rel=0, abs=1e-15)
 
     @pytest.mark.parametrize("run", ["toy_run", "smooth_toy_run"])
     def test_eval_follows_a_permutation_of_the_examples(self, run, request):
@@ -193,6 +216,25 @@ class TestTrainRuns:
                          "report_val.tsv", "report_val.json"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
         assert file_digest(outs[0] / "best.ckpt") == file_digest(outs[1] / "best.ckpt")
+
+    def test_stopword_run_drops_stopwords_and_reruns_byte_identically(self, tmp_path):
+        stop = sorted(FRENCH_STOPWORDS)
+        notes = generate_synthetic_corpus(60, seed=4, min_tokens=6, max_tokens=12).examples
+        corpus = LabeledDataset([Example(e.example_id, f"{stop[i % len(stop)]} {e.text} et le",
+                                         e.label) for i, e in enumerate(notes)])
+        assert FRENCH_STOPWORDS & set(build_vocab(e.text for e in corpus.examples).id_to_token)
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            out.mkdir()
+            result = train(quick_config(epochs=2, use_stopwords=True), corpus, out_dir=str(out),
+                           quiet=True)
+            assert not FRENCH_STOPWORDS & set(result.vocab.id_to_token)
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir() if p.name != "timings.tsv")
+        assert "best.ckpt" in names and "manifest.json" in names
+        for artifact in names:
+            assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
 
     @pytest.mark.parametrize("early_stopping", [False, True])
     def test_checkpoint_is_hashed_while_written(self, tmp_path, monkeypatch, early_stopping):
