@@ -4,7 +4,8 @@ Tokens arrive packed as ``[N, d]`` rows with a ``lengths`` vector:
 sequence i is the next ``lengths[i]`` rows.  The ``T.attention`` node views
 each run of consecutive equal-length sequences as an unpadded grid for the
 scores, reads no padded key, and returns packed rows again.  The output map is
-one ``T.linear`` node and the feed-forward block one ``T.ffn`` node.
+one ``T.linear`` node and the feed-forward block one ``T.ffn`` node, or, for
+routed experts, one ``T.routed_ffn`` node that also dispatches and combines.
 """
 
 from __future__ import annotations
@@ -69,8 +70,10 @@ def multi_head_attention(h: Tensor, p: MultiHeadParams, lengths: np.ndarray) -> 
                               lengths, p.num_heads), p.wo)
 
 
-def position_wise_ffn(x: Tensor, p: FfnParams, sizes=None) -> Tensor:
+def position_wise_ffn(x: Tensor, p: FfnParams, route=()) -> Tensor:
     """ReLU(x W1 + b1) W2 + b2, independently at every position, one
-    ``T.ffn`` node.  With ``sizes`` the maps are stacked, one per group of
-    consecutive rows."""
-    return T.ffn(x, p.lin1.weight, p.lin1.bias, p.lin2.weight, p.lin2.bias, sizes)
+    ``T.ffn`` node.  With ``route`` = (gate probabilities, chosen experts,
+    kept tokens) the maps are stacked experts and the node is
+    ``T.routed_ffn``."""
+    maps = (p.lin1.weight, p.lin1.bias, p.lin2.weight, p.lin2.bias)
+    return T.routed_ffn(x, *maps, *route) if route else T.ffn(x, *maps)

@@ -50,13 +50,15 @@ class AttributionReport:
         return lines
 
 
-def path_integrated_gradients(fn, x: np.ndarray, baseline: np.ndarray, num_steps: int):
+def path_integrated_gradients(fn, x: np.ndarray, baseline: np.ndarray, num_steps: int,
+                              at_input: float | None = None):
     """Integrated gradients of scalar-valued ``fn`` over input ``x``.
 
     ``fn`` maps a Tensor shaped like ``x`` to a scalar Tensor.  The path
     integral is the right-Riemann sum over ``num_steps`` points.  Returns
     ``(attributions, delta, residual)`` where delta = fn(x) - fn(baseline)
-    and residual = attributions.sum() - delta.  Each path point is
+    and residual = attributions.sum() - delta; ``at_input``, when given, is
+    fn(x), which is then not evaluated again.  Each path point is
     differentiated with respect to its probe only, so the gradients of any
     parameters ``fn`` uses are neither computed nor touched.
     """
@@ -79,7 +81,9 @@ def path_integrated_gradients(fn, x: np.ndarray, baseline: np.ndarray, num_steps
         total += probe.grad
 
     attributions = diff * (total / num_steps)
-    delta = fn(Tensor(x)).item() - fn(Tensor(baseline)).item()
+    if at_input is None:
+        at_input = fn(Tensor(x)).item()
+    delta = at_input - fn(Tensor(baseline)).item()
     residual = float(attributions.sum() - delta)
     return attributions, delta, residual
 
@@ -94,34 +98,41 @@ def _baseline_embedding(model: EncoderModel, ids, lengths, kind: str) -> np.ndar
 
 
 def integrated_gradients(model: EncoderModel, ids: np.ndarray, mask: np.ndarray,
-                         target_class: int, vocab: Vocabulary | None = None,
+                         target_class: int | None, vocab: Vocabulary | None = None,
                          baseline: str = "pad", num_steps: int = 128) -> AttributionReport:
     """Attribute the target-class logit to the example's input embeddings.
 
     ``ids`` and ``mask`` are one example's [len] ids and real-token mask.
-    Scores are summed over the embedding dimension, one per real token.
-    The default baseline is the all-PAD embedding sequence with positional
-    rows retained; ``zero`` uses an all-zero input instead.
+    A target class of None attributes the predicted class.  Scores are
+    summed over the embedding dimension, one per real token.  The default
+    baseline is the all-PAD embedding sequence with positional rows
+    retained; ``zero`` uses an all-zero input instead.  One forward pass at
+    the input gives both the predicted class and the target logit there.
     """
     ids = np.asarray(ids, dtype=np.int64)[None, :]
     lengths = mask_lengths(ids, np.asarray(mask)[None, :])
-    target = int(target_class)
-
-    def logit_fn(emb: Tensor) -> Tensor:
-        result = model.forward_from_embeddings(emb, lengths, training=False)
-        return T.sum_(T.take_rows(result.logits, (np.array([0]), np.array([target]))))
 
     x = embed(ids, lengths, model.embeddings)
     base = _baseline_embedding(model, ids, lengths, baseline)
-    attributions, delta, residual = path_integrated_gradients(logit_fn, x.data, base, num_steps)
+    logits = model.forward_from_embeddings(x, lengths).logits
+    predicted = int(logits.data[0].argmax())
+    target = predicted if target_class is None else int(target_class)
 
-    logits = model.forward_from_embeddings(x, lengths).logits.data[0]
+    def target_logit(logits: Tensor) -> Tensor:
+        return T.sum_(T.take_rows(logits, (np.array([0]), np.array([target]))))
+
+    def logit_fn(emb: Tensor) -> Tensor:
+        return target_logit(model.forward_from_embeddings(emb, lengths, training=False).logits)
+
+    attributions, delta, residual = path_integrated_gradients(
+        logit_fn, x.data, base, num_steps, at_input=target_logit(logits).item())
+
     real = ids[0, :lengths[0]]
     tokens = decode(real, vocab) if vocab is not None else [str(i) for i in real]
     return AttributionReport(
         tokens=tokens,
         scores=attributions.sum(axis=1),
-        predicted_class=int(logits.argmax()),
+        predicted_class=predicted,
         target_class=target,
         completeness_residual=residual,
         output_delta=delta,
@@ -176,21 +187,15 @@ def _attribute_each(model: EncoderModel, pairs, vocab, target: str, num_steps: i
                     baseline: str):
     """Integrated gradients for each (EncodedExample, predicted class) pair
     against the true or the predicted class; a predicted class of None is
-    taken from a batch-1 forward pass.  Returns (example, report) pairs."""
+    taken from the report's own pass at the input.  Returns (example,
+    report) pairs."""
     if target not in ("true", "predicted"):
         raise ConfigError(f"target must be 'true' or 'predicted', got {target!r}")
     reports = []
     for example, predicted in pairs:
-        mask = np.ones(len(example.ids), dtype=bool)
-        if target == "true":
-            target_class = example.label
-        elif predicted is not None:
-            target_class = predicted
-        else:
-            logits = model.forward(example.ids[None, :], mask[None, :]).logits.data[0]
-            target_class = int(logits.argmax())
+        target_class = example.label if target == "true" else predicted
         reports.append((example, integrated_gradients(
-            model, example.ids, mask, target_class, vocab=vocab,
+            model, example.ids, np.ones(len(example.ids), dtype=bool), target_class, vocab=vocab,
             baseline=baseline, num_steps=num_steps,
         )))
     return reports

@@ -8,9 +8,9 @@ record stores the routing decisions and derives the rest: the overflow is
 Routing decisions (argmax, capacity cuts) are taken on raw values and held
 fixed; gradients flow through the chosen gate probability and through the
 expert computation.  Capacity cuts apply in training only; outside it
-no token is ranked against a capacity.  The gate is one
-``T.linear`` node and the stacked experts one ``T.ffn`` node, with one row
-group per expert.
+no token is ranked against a capacity.  The gate is a ``T.linear`` and a
+``T.softmax`` node, and dispatch, the stacked experts and combine are one
+``T.routed_ffn`` node, with one row group per expert.
 """
 
 from __future__ import annotations
@@ -117,8 +117,9 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
     an output only through GEMM row counts: BLAS picks its kernel by row
     count (one row goes to GEMV), so an output can differ from a batch-1
     forward in its last bits.
-    The served tokens are gathered once in stable expert order, run through
-    the stacked experts as row groups and scattered back (Gale et al. 2022).
+    Gathering the served tokens in stable expert order, running the stacked
+    experts as row groups, scaling by the chosen probability and writing
+    back in token order is one ``T.routed_ffn`` node (Gale et al. 2022).
     """
     if x.ndim != 2:
         raise ContractError(f"switch_forward expects [T, d] input, got shape {x.shape}")
@@ -137,11 +138,5 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
         counts = np.minimum(dispatched, capacity)
     else:  # every token is served
         capacity, kept, counts = num_tokens, order, dispatched
-    if len(kept):
-        served = position_wise_ffn(T.take_rows(x, kept), p.experts, counts)
-        combined = T.scatter_rows(served, kept, num_tokens)
-    else:  # a capacity of 0 serves no token
-        combined = Tensor(np.zeros(x.shape))
-    out = T.mul(combined, T.take_rows(probs, (np.arange(num_tokens)[:, None], chosen[:, None])))
-
+    out = position_wise_ffn(x, p.experts, (probs, chosen, kept))
     return out, RoutingRecord(chosen=chosen, probs=probs, counts=counts, capacity=capacity)

@@ -13,15 +13,18 @@ Sequences travel as packed [N, d] rows plus a ``lengths`` vector: sequence
 i is the next ``lengths[i]`` rows.  ``attention`` and ``segment_sum`` view
 each run of consecutive equal-length sequences as one unpadded [n, len, …]
 block of its rows, so no padded position is read.  ``linear`` records an
-affine map and ``ffn`` a position-wise feed-forward block (dense, or
-experts stacked as row groups) as one node each, with bias and ReLU applied
-in place.  ``take_rows`` and ``scatter_rows`` are the one gather/scatter
-pair: embedding lookup, expert dispatch and combine, and picking entries.
+affine map and ``ffn`` a position-wise feed-forward block as one node each,
+with bias and ReLU applied in place.  ``routed_ffn`` is top-1 routed
+experts as one node: it gathers the served rows, runs the stacked experts
+as row groups, scales each row by its gate probability and writes it back
+in token order.  ``take_rows`` is the one gather: embedding lookup and
+picking entries.
 
-With no tape active, operations compute plain numpy results and record
-nothing, which is the inference path.  Tapes are single-threaded; a tensor
-that is not being recorded is immutable from the library's point of view
-and safe to share across threads for read-only use.
+With no tape active, operations compute plain numpy results and return
+before they build any backward rule or cache, which is the inference path.
+Tapes are single-threaded; a tensor that is not being recorded is immutable
+from the library's point of view and safe to share across threads for
+read-only use.
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ from .errors import ConfigError, ContractError, DimensionError, NumericError
 
 _tape_counter = itertools.count(1)
 _ACTIVE_TAPES: list["Tape"] = []
-
-
-def _active_tape() -> "Tape | None":
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
 
 
 class Tensor:
@@ -219,9 +218,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _maybe_record(out_data: np.ndarray, edges) -> Tensor:
-    tape = _active_tape()
+    """The output, recorded on the active tape if it tracks an input.  Ops
+    call it only while a tape is active; with none, they return their plain
+    result before building any backward state."""
     out = Tensor(out_data)
-    if tape is not None and any(tape.tracks(t) for t, _ in edges):
+    tape = _ACTIVE_TAPES[-1]
+    if any(tape.tracks(t) for t, _ in edges):
         tape.record(out, edges)
     return out
 
@@ -232,8 +234,11 @@ def _maybe_record(out_data: np.ndarray, edges) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
+    out = a.data + b.data
+    if not _ACTIVE_TAPES:
+        return Tensor(out)
     a_shape, b_shape = a.shape, b.shape  # all the vjps read, so the operands can go
-    return _maybe_record(a.data + b.data, [
+    return _maybe_record(out, [
         (a, lambda g: _unbroadcast(g, a_shape)),
         (b, lambda g: _unbroadcast(g, b_shape)),
     ])
@@ -242,6 +247,8 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data * b.data
+    if not _ACTIVE_TAPES:
+        return Tensor(out)
     return _maybe_record(out, [
         (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
         (b, lambda g: _unbroadcast(g * a.data, b.data.shape)),
@@ -262,6 +269,8 @@ def matmul(a, b) -> Tensor:
         out = np.matmul(a.data, b.data)
     except ValueError as e:
         raise DimensionError(f"matmul shapes incompatible: {a.shape} @ {b.shape}") from e
+    if not _ACTIVE_TAPES:
+        return Tensor(out)
     ad, bd = a.data, b.data
     return _maybe_record(out, [
         (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)),
@@ -278,6 +287,8 @@ def linear(x, w, b) -> Tensor:
     xd, wd = x.data, w.data
     out = np.matmul(xd, wd)
     out += b.data
+    if not _ACTIVE_TAPES:
+        return Tensor(out)
     return _maybe_record(out, [
         (x, lambda g: np.matmul(g, wd.T)),
         (w, lambda g: np.matmul(xd.T, g)),
@@ -285,25 +296,13 @@ def linear(x, w, b) -> Tensor:
     ])
 
 
-def ffn(x, w1, b1, w2, b2, sizes=None) -> Tensor:
-    """``relu(x @ w1 + b1) @ w2 + b2`` for [N, d] rows, one node; bias and
-    ReLU are applied in place.  With ``sizes`` the maps are stacked ([G, d, f],
-    [G, f], [G, f, d], [G, d]) and the next ``sizes[j]`` rows go through
-    slice j; an empty group costs nothing and gets zero gradients.  The
-    hidden gradient ``(g @ w2ᵀ) * (h > 0)`` is formed once, when a vjp first
-    reads it, so differentiating ``x`` alone forms no weight gradient."""
-    x, w1, b1, w2, b2 = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
-    grouped = sizes is not None
-    sizes = np.asarray(sizes).tolist() if grouped else list(x.shape[:1])
-    w1d, b1d, w2d, b2d = stacks = [p.data if grouped else p.data[None] for p in (w1, b1, w2, b2)]
-    (n, d), G, f = x.shape if x.ndim == 2 else (0, 0), len(sizes), w1.shape[-1]
-    if (x.ndim != 2 or sum(sizes) != n or min(sizes) < 0
-            or [s.shape for s in stacks] != [(G, d, f), (G, f), (G, f, d), (G, d)]):
-        raise DimensionError(f"ffn: rows {x.shape}, maps {w1.shape} {b1.shape} {w2.shape} "
-                             f"{b2.shape} and group sizes {sizes} do not fit")
-    ends = itertools.accumulate(sizes)
-    groups = [(j, slice(end - size, end)) for j, (size, end) in enumerate(zip(sizes, ends)) if size]
-    xd, h, out = x.data, np.empty((n, f)), np.empty((n, d))
+def _row_groups(xd, stacks, groups):
+    """``relu(x @ w1 + b1) @ w2 + b2`` with row group (j, r) of ``xd`` run
+    through slice j of the stacked maps ``stacks`` ([G, d, f], [G, f],
+    [G, f, d], [G, d]), bias and ReLU in place.  Returns the hidden rows and
+    the output rows."""
+    w1d, b1d, w2d, b2d = stacks
+    h, out = np.empty((len(xd), w1d.shape[-1])), np.empty(xd.shape)
     for j, r in groups:
         np.matmul(xd[r], w1d[j], out=h[r])
         h[r] += b1d[j]
@@ -311,30 +310,132 @@ def ffn(x, w1, b1, w2, b2, sizes=None) -> Tensor:
     for j, r in groups:
         np.matmul(h[r], w2d[j], out=out[r])
         out[r] += b2d[j]
+    return h, out
 
-    def per_group(shape, fill, by_row=False):  # fill(o, j, r) writes group j's share into o
-        grad = np.empty(shape) if len(groups) == G else np.zeros(shape)
-        slots = grad if grouped else grad[None]
+
+def _row_group_vjps(xd, h, stacks, shapes, groups, out_grad):
+    """The vjps of :func:`_row_groups` for its rows and the four maps, of
+    ``shapes``, given ``out_grad(g)``: the gradient of its output rows from
+    the node's incoming ``g``.  A map slice whose group is empty gets zeros.
+    The hidden gradient ``(g @ w2ᵀ) * (h > 0)`` is formed once, when a vjp
+    first reads it, so differentiating the rows alone forms no map gradient."""
+    w1d, b1d, w2d, b2d = stacks
+
+    def per_group(shape, stack, fill):  # fill(o, j, r) writes group j's share into o
+        by_row = stack is None
+        grad = np.empty(shape) if by_row or len(groups) == len(stack) else np.zeros(shape)
+        slots = grad if by_row else grad.reshape(stack.shape)
         for j, r in groups:
-            fill(grad[r] if by_row else slots[j], j, r)
+            fill(slots[r] if by_row else slots[j], j, r)
         return grad
 
-    last = [None, None]  # (incoming gradient, hidden gradient)
+    last = [None, None, None]  # (incoming gradient, output-row gradient, hidden gradient)
 
-    def dh(g):  # shared by the vjps of x, w1 and b1
+    def rows(g):
         if last[0] is not g:
-            last[:] = g, per_group(h.shape, lambda o, j, r: np.matmul(g[r], w2d[j].T, out=o), True)
-            last[1] *= h > 0
+            last[:] = g, out_grad(g), None
         return last[1]
 
-    return _maybe_record(out, [
-        (x, lambda g: per_group(xd.shape, lambda o, j, r: np.matmul(dh(g)[r], w1d[j].T, out=o),
-                                True)),
-        (w1, lambda g: per_group(w1.shape, lambda o, j, r: np.matmul(xd[r].T, dh(g)[r], out=o))),
-        (b1, lambda g: per_group(b1.shape, lambda o, j, r: np.sum(dh(g)[r], axis=0, out=o))),
-        (w2, lambda g: per_group(w2.shape, lambda o, j, r: np.matmul(h[r].T, g[r], out=o))),
-        (b2, lambda g: per_group(b2.shape, lambda o, j, r: np.sum(g[r], axis=0, out=o))),
-    ])
+    def dh(g):
+        gr = rows(g)
+        if last[2] is None:
+            last[2] = per_group(h.shape, None, lambda o, j, r: np.matmul(gr[r], w2d[j].T, out=o))
+            last[2] *= h > 0
+        return last[2]
+
+    w1s, b1s, w2s, b2s = shapes
+    return [
+        lambda g: per_group(xd.shape, None, lambda o, j, r: np.matmul(dh(g)[r], w1d[j].T, out=o)),
+        lambda g: per_group(w1s, w1d, lambda o, j, r: np.matmul(xd[r].T, dh(g)[r], out=o)),
+        lambda g: per_group(b1s, b1d, lambda o, j, r: np.sum(dh(g)[r], axis=0, out=o)),
+        lambda g: per_group(w2s, w2d, lambda o, j, r: np.matmul(h[r].T, rows(g)[r], out=o)),
+        lambda g: per_group(b2s, b2d, lambda o, j, r: np.sum(rows(g)[r], axis=0, out=o)),
+    ]
+
+
+def ffn(x, w1, b1, w2, b2) -> Tensor:
+    """``relu(x @ w1 + b1) @ w2 + b2`` for [N, d] rows, [d, f] and [f, d]
+    maps and [f] and [d] biases, one node; bias and ReLU are applied in
+    place."""
+    x, *maps = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
+    (n, d), f = x.shape if x.ndim == 2 else (0, 0), maps[0].shape[-1]
+    shapes = [m.shape for m in maps]
+    if x.ndim != 2 or shapes != [(d, f), (f,), (f, d), (d,)]:
+        raise DimensionError(f"ffn: rows {x.shape} and maps {' '.join(map(str, shapes))} "
+                             f"do not fit")
+    stacks, groups = [m.data[None] for m in maps], [(0, slice(0, n))]
+    h, out = _row_groups(x.data, stacks, groups)
+    if not _ACTIVE_TAPES:
+        return Tensor(out)
+    vjps = _row_group_vjps(x.data, h, stacks, shapes, groups, lambda g: g)
+    return _maybe_record(out, list(zip([x, *maps], vjps)))
+
+
+def routed_ffn(x, w1, b1, w2, b2, probs, chosen, kept) -> Tensor:
+    """Top-1 routed experts, one node: output row t is ``probs[t, j]`` times
+    expert j's ``relu(x[t] @ w1[j] + b1[j]) @ w2[j] + b2[j]``, with
+    ``j = chosen[t]``, for each token ``kept`` lists, and zero for the rest.
+
+    The maps are stacked, one slice per expert: ``w1`` [E, d, f], ``b1``
+    [E, f], ``w2`` [E, f, d] and ``b2`` [E, d]; ``probs`` holds the [T, E]
+    gate probabilities and ``chosen`` the [T] expert indices.  ``kept``
+    lists distinct token indices in stable expert order: by chosen expert,
+    then by position.  Their rows are gathered in that order, each expert
+    runs on its run of them with bias and ReLU in place (an empty expert
+    costs nothing and gets zero map gradients), and each result is scaled by
+    its chosen probability and written back in token order.  Output and
+    gradients are bit for bit those of the gather, the grouped FFN, a
+    scatter into zeros and the product with the picked probabilities
+    recorded as separate nodes.  With no token kept, only ``probs`` is
+    differentiated.
+    """
+    x, probs, *maps = (_as_tensor(t) for t in (x, probs, w1, b1, w2, b2))
+    shapes = [m.shape for m in maps]
+    n, d = x.shape if x.ndim == 2 else (0, 0)
+    E, _, f = shapes[0] if len(shapes[0]) == 3 else (0, 0, 0)
+    if x.ndim != 2 or probs.shape != (n, E) or shapes != [(E, d, f), (E, f), (E, f, d), (E, d)]:
+        raise DimensionError(f"routed_ffn: rows {x.shape}, gate probabilities {probs.shape} and "
+                             f"maps {' '.join(map(str, shapes))} do not fit")
+    chosen, kept = np.asarray(chosen), np.asarray(kept)
+    try:  # the (expert, token) slots of the kept rows; raises outside [0, E) x [0, T)
+        experts = chosen[kept]
+        slots = np.ravel_multi_index((experts, kept), (E, n))
+        pick = probs.data[np.arange(n), chosen][:, None]
+    except (IndexError, TypeError, ValueError):
+        slots = None
+    if (slots is None or chosen.shape != (n,) or kept.ndim != 1 or chosen.min() < 0
+            or (slots[1:] <= slots[:-1]).any()):
+        raise ContractError(f"routed_ffn: chosen experts {chosen.tolist()} must be ints in "
+                            f"[0, {E}) and kept tokens {kept.tolist()} distinct ints in "
+                            f"[0, {n}) in stable expert order")
+    sizes = np.bincount(experts, minlength=E).tolist()
+    groups = [(j, slice(end - size, end))
+              for j, (size, end) in enumerate(zip(sizes, itertools.accumulate(sizes))) if size]
+    stacks = [m.data for m in maps]
+    combined = np.zeros((n, d))
+    if groups:
+        xd = x.data[kept]
+        h, served = _row_groups(xd, stacks, groups)
+        combined[kept] = served
+    out = combined * pick
+    if not _ACTIVE_TAPES:
+        return Tensor(out)
+
+    def d_probs(g):
+        grad = np.zeros(probs.shape)
+        grad[np.arange(n), chosen] = _unbroadcast(g * combined, (n, 1))[:, 0]
+        return grad
+
+    if not groups:
+        return _maybe_record(out, [(probs, d_probs)])
+    d_x, *d_maps = _row_group_vjps(xd, h, stacks, shapes, groups, lambda g: (g * pick)[kept])
+
+    def d_rows(g):
+        grad = np.zeros(x.shape)
+        grad[kept] = d_x(g)
+        return grad
+
+    return _maybe_record(out, [(x, d_rows), (probs, d_probs), *zip(maps, d_maps)])
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +445,21 @@ def ffn(x, w1, b1, w2, b2, sizes=None) -> Tensor:
 def sum_(x) -> Tensor:
     """The sum of every element, a scalar."""
     x = _as_tensor(x)
+    out = np.asarray(x.data.sum())
+    if not _ACTIVE_TAPES:
+        return Tensor(out)
     in_shape = x.data.shape
-    return _maybe_record(np.asarray(x.data.sum()), [(x, lambda g: np.broadcast_to(g, in_shape))])
+    return _maybe_record(out, [(x, lambda g: np.broadcast_to(g, in_shape))])
 
 
 def mean(x, axis=None) -> Tensor:
     x = _as_tensor(x)
-    out = x.data.mean(axis=axis)
+    out = np.asarray(x.data.mean(axis=axis))
+    if not _ACTIVE_TAPES:
+        return Tensor(out)
     in_shape = x.data.shape
-    inv = 1.0 / float(x.data.size // np.size(out))
-    return _maybe_record(np.asarray(out), [
+    inv = 1.0 / float(x.data.size // out.size)
+    return _maybe_record(out, [
         (x, lambda g: np.broadcast_to(g if axis is None else np.expand_dims(g, axis),
                                       in_shape) * inv),
     ])
@@ -379,6 +485,8 @@ def layer_norm(x, gamma, beta, epsilon: float) -> Tensor:
     xhat *= inv
     out = xhat * gamma.data
     out += beta.data
+    if not _ACTIVE_TAPES:
+        return Tensor(out)
 
     def dx(g):
         gh = g * gamma.data
@@ -398,6 +506,8 @@ def softmax(x, axis: int = -1) -> Tensor:
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"softmax axis {axis} out of range for shape {x.shape}")
     y = _softmax_in_place(x.data.copy(), axis)
+    if not _ACTIVE_TAPES:
+        return Tensor(y)
     return _maybe_record(y, [
         (x, lambda g: (g - (g * y).sum(axis=axis, keepdims=True)) * y),
     ])
@@ -420,6 +530,8 @@ def log_softmax(x, axis: int = -1) -> Tensor:
         raise NumericError("log_softmax input contains non-finite values")
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    if not _ACTIVE_TAPES:
+        return Tensor(y)
     return _maybe_record(y, [
         (x, lambda g: g - np.exp(y) * g.sum(axis=axis, keepdims=True)),
     ])
@@ -480,6 +592,9 @@ def attention(q, k, v, lengths, num_heads: int) -> Tensor:
             out[r].reshape(shape)[...] = part.transpose(0, 2, 1, 3)
         return out
 
+    out = to_rows([np.matmul(probs, vd) for *_, vd, probs in runs])
+    if not _ACTIVE_TAPES:
+        return Tensor(out)
     last = [None, None]  # (incoming gradient, per run: q, k, P, it on the grid, dS)
 
     def grads(g):  # shared by the three vjps
@@ -493,7 +608,7 @@ def attention(q, k, v, lengths, num_heads: int) -> Tensor:
             last[:] = g, per_run
         return last[1]
 
-    return _maybe_record(to_rows([np.matmul(probs, vd) for *_, vd, probs in runs]), [
+    return _maybe_record(out, [
         (q, lambda g: to_rows([np.matmul(ds, kd) for _, kd, _, _, ds in grads(g)])),
         (k, lambda g: to_rows([np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), ds), -1, -2)
                                for qd, _, _, _, ds in grads(g)])),
@@ -503,7 +618,7 @@ def attention(q, k, v, lengths, num_heads: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# gather / scatter
+# gather and segment sums
 
 
 def take_rows(x, index) -> Tensor:
@@ -517,8 +632,7 @@ def take_rows(x, index) -> Tensor:
     so repeated positions accumulate in index order.  Flat, ``np.add.at``
     takes numpy's one-dimensional fast path, several times faster than row
     by row, and its cost does not grow with how often a position repeats.
-    This is the one gather: embedding lookup, token dispatch and picking
-    entries.
+    This is the one gather: embedding lookup and picking entries.
     """
     x = _as_tensor(x)
     many = isinstance(index, tuple)
@@ -531,6 +645,9 @@ def take_rows(x, index) -> Tensor:
         raise ContractError(f"take_rows index out of range: {len(idx)} index arrays spanning "
                             f"{ranges} for the leading axes of shape {x.shape}") from e
     key = idx if many else idx[0]
+    out = x.data[key]
+    if not _ACTIVE_TAPES:
+        return Tensor(out)
     in_shape = x.data.shape
 
     def scatter(g):
@@ -545,21 +662,7 @@ def take_rows(x, index) -> Tensor:
             np.add.at(z.reshape(-1), elements.reshape(-1), g.reshape(-1))
         return z
 
-    return _maybe_record(x.data[key], [(x, scatter)])
-
-
-def scatter_rows(x, index, num_rows: int) -> Tensor:
-    """The rows of ``x`` placed at the distinct positions ``index``, an int
-    array, of a zero block of ``num_rows`` rows."""
-    x = _as_tensor(x)
-    idx = np.asarray(index)
-    out = np.zeros((num_rows,) + x.shape[1:])
-    try:
-        out[idx] = x.data
-    except (IndexError, ValueError) as e:
-        raise ContractError(f"scatter_rows: rows {x.shape} do not fit index {idx.shape} "
-                            f"into {num_rows} rows") from e
-    return _maybe_record(out, [(x, lambda g: g[idx])])
+    return _maybe_record(out, [(x, scatter)])
 
 
 def segment_sum(x, lengths) -> Tensor:
@@ -567,9 +670,11 @@ def segment_sum(x, lengths) -> Tensor:
     next ``lengths[i]`` rows, one run of equal lengths at a time as an
     [n, L, d] view: row by row, as a sum over the zero-padded grid rounds."""
     x = _as_tensor(x)
-    sums = [x.data[r].reshape(count, length, -1).sum(axis=1)
-            for r, count, length in _runs(lengths, len(x.data))]
-    return _maybe_record(np.concatenate(sums), [(x, lambda g: np.repeat(g, lengths, axis=0))])
+    out = np.concatenate([x.data[r].reshape(count, length, -1).sum(axis=1)
+                          for r, count, length in _runs(lengths, len(x.data))])
+    if not _ACTIVE_TAPES:
+        return Tensor(out)
+    return _maybe_record(out, [(x, lambda g: np.repeat(g, lengths, axis=0))])
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +695,10 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
         return x
     scale = 1.0 / (1.0 - rate)
     keep = rng.random(x.shape) >= rate  # one byte per element; ``keep * scale`` is the float mask
-    return _maybe_record(x.data * (keep * scale), [(x, lambda g: g * (keep * scale))])
+    out = x.data * (keep * scale)
+    if not _ACTIVE_TAPES:
+        return Tensor(out)
+    return _maybe_record(out, [(x, lambda g: g * (keep * scale))])
 
 
 # ---------------------------------------------------------------------------

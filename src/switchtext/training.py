@@ -115,6 +115,10 @@ class RunConfig:
             problems.append(f"grad_accumulation must be >= 1, got {self.grad_accumulation}")
         if not 0.0 <= self.warmup_frac < 1.0:
             problems.append(f"warmup_frac must be in [0, 1), got {self.warmup_frac}")
+        problems += [f"{name} must be in [0, 1), got {getattr(self, name)}"
+                     for name in ("adam_beta1", "adam_beta2") if not 0.0 <= getattr(self, name) < 1.0]
+        if not self.adam_eps > 0.0:
+            problems.append(f"adam_eps must be > 0, got {self.adam_eps}")
         if not 0.0 <= self.min_lr <= self.peak_lr:
             problems.append(f"need 0 <= min_lr <= peak_lr, got {self.min_lr}, {self.peak_lr}")
         if self.patience < 1:

@@ -373,6 +373,9 @@ BAD_INPUT = [
     ("train-stop-at-val-accuracy-nan", "train", ["--stop-at-val-accuracy", "nan"], "config"),
     ("train-weight-decay-nan", "train", ["--weight-decay", "nan"], "config"),
     ("train-adam-eps-nan", "train", ["--adam-eps", "nan"], "config"),
+    ("train-adam-beta1-above-one", "train", ["--adam-beta1", "1.5"], "config"),
+    ("train-adam-beta2-negative", "train", ["--adam-beta2", "-0.1"], "config"),
+    ("train-adam-eps-zero", "train", ["--adam-eps", "0"], "config"),
     ("train-aux-loss-weight-nan", "train", ["--aux-loss-weight", "nan"], "config"),
     # Overflow to a non-finite gradient is a numeric error, with no numpy warning.
     ("train-aux-loss-weight-overflows", "train", ["--aux-loss-weight", "1e308", "--epochs", "1"],

@@ -11,7 +11,8 @@ from switchtext.data import POSITIVE_KEYWORDS
 from switchtext.errors import ConfigError, DimensionError, LookupError_, VocabularyError
 from switchtext.interpret import (attribution_for_ids, integrated_gradients,
                                   path_integrated_gradients, rank_misclassified)
-from switchtext.training import evaluate
+from switchtext.layers import PAD_ID
+from switchtext.training import EncodedExample, evaluate
 
 rng = np.random.default_rng(555)
 
@@ -73,6 +74,29 @@ def tiny_model(seed=2):
 
 
 class TestModelAttribution:
+    @pytest.mark.parametrize("target", ["true", "predicted"])
+    def test_one_pass_at_the_input(self, target, monkeypatch):
+        # 8 path points, the input and the baseline: the input pass gives
+        # both the target logit there and the predicted class.
+        model = tiny_model(seed=4)
+        ids = np.array([3, 7, 5, 11, 2], dtype=np.int64)
+        calls = []
+        for name in ("forward", "forward_from_embeddings"):
+            def counted(self, *args, _name=name, _method=getattr(EncoderModel, name), **kwargs):
+                calls.append(_name)
+                return _method(self, *args, **kwargs)
+            monkeypatch.setattr(EncoderModel, name, counted)
+        example = EncodedExample(example_id=3, ids=ids, label=0, text="")
+        [(_, report)] = attribution_for_ids(model, [example], [3], target=target, num_steps=8)
+        assert calls == ["forward_from_embeddings"] * 10
+        assert report.target_class == (report.predicted_class if target == "predicted" else 0)
+        monkeypatch.undo()
+        mask = np.ones((1, len(ids)), bool)
+        logits = model.forward(ids[None, :], mask).logits.data[0]
+        at_base = model.forward(np.full((1, len(ids)), PAD_ID), mask).logits.data[0]
+        assert report.predicted_class == int(logits.argmax())
+        assert report.output_delta == logits[report.target_class] - at_base[report.target_class]
+
     def test_baseline_attributions_zero(self):
         model = tiny_model()
         ids = np.zeros(5, dtype=np.int64)  # the PAD baseline itself

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import check_many_params, chosen_prob, expert, penalty
-from switchtext import AdamW, Tape, Tensor
+from switchtext import AdamW, Tape, Tensor, finite_difference_check
 from switchtext import tensor as T
 from switchtext.attention import FfnParams
 from switchtext.errors import ConfigError, ContractError
@@ -264,6 +264,142 @@ class TestStackedDispatch:
                                           gen.normal(0.0, np.sqrt(2 / 10), size=(4, 6)))
             np.testing.assert_array_equal(p.experts.lin2.weight.data[j],
                                           gen.normal(0.0, np.sqrt(2 / 10), size=(6, 4)))
+
+
+def routed_oracle(x, w1, b1, w2, b2, probs, chosen, kept, g):
+    """The routed node's output and its six gradients for the incoming
+    gradient ``g``, replaying in numpy the order of the separate nodes it
+    replaces: gather the kept rows, run each expert's group (GEMM and bias,
+    ReLU, GEMM and bias), scatter into zeros, multiply by the picked gate
+    probabilities; and their backward rules in reverse."""
+    n, E = probs.shape
+    sizes = np.bincount(chosen[kept], minlength=E)
+    ends = np.cumsum(sizes)
+    groups = [(j, slice(end - size, end)) for j, (size, end) in enumerate(zip(sizes, ends)) if size]
+    xs = x[kept]
+    h, served = np.empty((len(kept), w1.shape[-1])), np.empty((len(kept), x.shape[1]))
+    for j, r in groups:
+        np.matmul(xs[r], w1[j], out=h[r])
+        h[r] += b1[j]
+    np.maximum(h, 0.0, out=h)
+    for j, r in groups:
+        np.matmul(h[r], w2[j], out=served[r])
+        served[r] += b2[j]
+    combined = np.zeros(x.shape)
+    combined[kept] = served
+    pick = probs[np.arange(n)[:, None], chosen[:, None]]
+    out = combined * pick
+
+    grads = {"probs": np.zeros(probs.shape)}
+    # the product's vjp for the [T, 1] pick sums over columns, unless there is one
+    d_pick = g * combined if x.shape[1] == 1 else (g * combined).sum(axis=1, keepdims=True)
+    grads["probs"][np.arange(n)[:, None], chosen[:, None]] = d_pick
+    if not groups:  # nothing served: the scatter had no input on the tape
+        return out, grads
+    d_served = (g * pick)[kept]
+    dh = np.empty(h.shape)
+    for j, r in groups:
+        np.matmul(d_served[r], w2[j].T, out=dh[r])
+    dh *= h > 0
+    d_xs = np.empty(xs.shape)
+    grads.update({k: np.zeros(v.shape) for k, v in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2))})
+    for j, r in groups:
+        np.matmul(dh[r], w1[j].T, out=d_xs[r])
+        np.matmul(xs[r].T, dh[r], out=grads["w1"][j])
+        np.sum(dh[r], axis=0, out=grads["b1"][j])
+        np.matmul(h[r].T, d_served[r], out=grads["w2"][j])
+        np.sum(d_served[r], axis=0, out=grads["b2"][j])
+    grads["x"] = np.zeros(x.shape)
+    grads["x"][kept] = d_xs
+    return out, grads
+
+
+def assert_same_bits(got, want, what):
+    np.testing.assert_array_equal(got, want, err_msg=what)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want), err_msg=f"{what}: zero signs")
+
+
+class TestRoutedFfn:
+    """``T.routed_ffn`` against the numpy replay of the composite it replaces,
+    bit for bit, output and all six gradients, zero signs included."""
+
+    # name: (tokens, experts, how tokens pick experts, capacity or None for every token)
+    CASES = {
+        "one_expert": (6, 1, "random", None),
+        "empty_expert": (9, 3, "skip_1", None),
+        "every_row_on_one_expert": (7, 3, "all_2", None),
+        "capacity_cuts": (12, 3, "random", 3),
+        "capacity_cuts_with_an_empty_expert": (10, 4, "skip_1", 2),
+        "no_row_served": (5, 3, "random", 0),
+        "inference": (11, 4, "random", None),
+    }
+    NAMES = ("x", "w1", "b1", "w2", "b2", "probs")
+
+    @classmethod
+    def draw(cls, case, d=4, f=6, seed=0):
+        n, E, how, capacity = cls.CASES[case]
+        gen = np.random.default_rng(seed + sorted(cls.CASES).index(case))
+        if how == "random":
+            chosen = gen.integers(0, E, n)
+        elif how == "skip_1":
+            chosen = gen.choice(np.delete(np.arange(E), 1), n)
+        else:
+            chosen = np.full(n, E - 1)
+        order = np.argsort(chosen, kind="stable")
+        if capacity is None:
+            kept = order
+        else:  # each expert keeps its first ``capacity`` tokens
+            counts = np.bincount(chosen, minlength=E)
+            rank = np.arange(n) - (np.cumsum(counts) - counts)[chosen[order]]
+            kept = order[rank < capacity]
+        probs = gen.random((n, E)) + 0.1
+        probs /= probs.sum(axis=1, keepdims=True)
+        ops = {"x": gen.standard_normal((n, d)), "w1": gen.standard_normal((E, d, f)),
+               "b1": gen.standard_normal((E, f)), "w2": gen.standard_normal((E, f, d)),
+               "b2": gen.standard_normal((E, d)), "probs": probs}
+        # Mixed signs and magnitudes, and exact zeros, so a changed order of
+        # operations or a lost zero sign shows in the bits.
+        coeffs = gen.standard_normal((n, d)) * 10.0 ** gen.integers(-3, 3, (n, d))
+        coeffs[gen.random((n, d)) < 0.2] = 0.0
+        coeffs[0, 0] = -0.0
+        return ops, chosen, kept, coeffs
+
+    @staticmethod
+    def apply(args, chosen, kept):
+        return T.routed_ffn(args["x"], args["w1"], args["b1"], args["w2"], args["b2"],
+                            args["probs"], chosen, kept)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_and_gradients_match_the_composite_bit_for_bit(self, case):
+        ops, chosen, kept, coeffs = self.draw(case)
+        args = {k: Tensor(v, requires_grad=True) for k, v in ops.items()}
+        with Tape() as tape:
+            out = self.apply(args, chosen, kept)
+            loss = T.sum_(T.mul(out, Tensor(coeffs)))
+        assert len(tape._nodes) == 3
+        tape.backward(loss)
+        want, grads = routed_oracle(*(ops[k] for k in self.NAMES), chosen, kept, coeffs)
+        assert_same_bits(out.data, want, "output")
+        untaped = self.apply({k: Tensor(v) for k, v in ops.items()}, chosen, kept)
+        assert_same_bits(untaped.data, want, "output without a tape")
+        for name in self.NAMES:
+            if name in grads:
+                assert_same_bits(args[name].grad, grads[name], name)
+            else:  # no row served: only the gate probabilities are differentiated
+                assert args[name].grad is None, name
+
+    @pytest.mark.parametrize("case", ["capacity_cuts_with_an_empty_expert", "one_expert"])
+    def test_finite_difference(self, case):
+        ops, chosen, kept, _ = self.draw(case, seed=7)
+        coeffs = np.random.default_rng(7).standard_normal(ops["x"].shape)
+        hidden = np.einsum("td,tdf->tf", ops["x"][kept], ops["w1"][chosen[kept]])
+        assert np.abs(hidden + ops["b1"][chosen[kept]]).min() > 1e-3  # away from the ReLU kink
+        for name in self.NAMES:
+            def f(t, name=name):
+                args = {k: Tensor(v) for k, v in ops.items()}
+                args[name] = t
+                return T.sum_(T.mul(self.apply(args, chosen, kept), Tensor(coeffs)))
+            assert finite_difference_check(f, Tensor(ops[name]), h=1e-6) < 1e-4, (case, name)
 
 
 class TestForcedGate:

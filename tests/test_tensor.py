@@ -274,6 +274,14 @@ class TestFiniteDifferenceCheck:
                                Tensor([[3.0, -1.0, 2.0], [0.5, -2.0, 1.0]]))),
         lambda t: T.sum_(T.mul(T.softmax(t, axis=0), Tensor([[3.0, -1.0, 2.0], [0.5, -2.0, 1.0]]))),
         lambda t: T.sum_(T.log_softmax(t, axis=1)),
+        lambda t: T.sum_(T.mul(T.add(t, Tensor([0.5, -1.0, 2.0])), T.add(t, t))),
+        lambda t: T.sum_(T.mul(T.matmul(t, Tensor([[1.0, -2.0], [0.5, 3.0], [-1.5, 0.25]])),
+                               Tensor([[2.0, -1.0], [0.5, 1.5]]))),
+        lambda t: T.sum_(T.mul(T.mean(t, axis=0), Tensor([3.0, -1.0, 2.0]))),
+        lambda t: T.mul(T.mean(T.mul(t, t)), 2.0),
+        # A fresh generator per call draws the same mask at every probe.
+        lambda t: T.sum_(T.mul(T.dropout(t, 0.4, True, np.random.default_rng(3)),
+                               Tensor([[3.0, -1.0, 2.0], [0.5, -2.0, 1.0]]))),
     ])
     def test_randomized_ops(self, build):
         x = Tensor(rng.standard_normal((2, 3)) + 0.2)
@@ -337,15 +345,6 @@ class TestGatherScatter:
         with pytest.raises(ContractError):
             T.take_rows(Tensor(np.ones((3, 2))), np.array([3]))
 
-    def test_scatter_then_gather_roundtrip(self):
-        x = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
-        idx = np.array([4, 1, 0])
-        with Tape() as tape:
-            s = T.scatter_rows(x, idx, 6)
-            y = T.sum_(T.mul(T.take_rows(s, idx), 2.0))
-        tape.backward(y)
-        np.testing.assert_array_equal(x.grad, np.full((3, 2), 2.0))
-
     def test_pick_entries(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
         with Tape() as tape:
@@ -369,7 +368,7 @@ class TestGatherScatter:
         idx = np.array([1, 3])
 
         def build(m):
-            s = T.scatter_rows(T.take_rows(m, idx), np.array([0, 2]), 4)
+            s = T.take_rows(T.take_rows(m, idx), np.array([1, 0, 1]))
             sums = T.segment_sum(T.take_rows(m, np.array([3, 0, 2])), np.array([1, 2]))
             return (T.sum_(T.mul(s, s)) + T.sum_(T.mul(sums, sums))
                     + T.sum_(T.take_rows(m, (np.array([0, 0]), np.array([0, 1])))))
@@ -385,13 +384,6 @@ class TestGatherScatter:
             with pytest.raises(ContractError, match="index out of range"):
                 T.take_rows(x, index)
         assert T.take_rows(x, (np.array([2]), np.array([1]))).shape == (1,)
-
-    @pytest.mark.parametrize("index,shape", [(np.array([0, 1]), (3,)),  # 2 places
-                                             (np.array([0, 1, 2, 3]), (4,)),  # 4 places
-                                             (np.array([0, 4, 1]), (4,))])  # out of range
-    def test_scatter_rows_that_do_not_fit_rejected(self, index, shape):
-        with pytest.raises(ContractError, match="do not fit"):
-            T.scatter_rows(Tensor(np.ones((3, 2))), index, *shape)
 
 
 class TestLinear:
@@ -424,7 +416,8 @@ class TestLinear:
 
 
 class TestFfn:
-    """``T.ffn``: dense, and stacked with one map per group of rows."""
+    """``T.ffn`` for dense rows, and ``T.routed_ffn`` with one stacked map per
+    group of rows, every row kept at gate probability 1."""
 
     layouts = {"dense": None, "empty_group": np.array([2, 0, 3]),  # the middle group is empty
                "one_group": np.array([0, 5, 0])}  # every row on one expert
@@ -439,8 +432,18 @@ class TestFfn:
                 "b2": gen.standard_normal(lead + (4,))}
 
     @staticmethod
-    def apply(args, sizes):
-        return T.ffn(args["x"], args["w1"], args["b1"], args["w2"], args["b2"], sizes)
+    def apply(args, sizes, route=None):
+        """The node for ``sizes`` consecutive rows per group; ``route`` =
+        (probs, chosen, kept) replaces the one that ``sizes`` implies."""
+        maps = [args[k] for k in ("w1", "b1", "w2", "b2")]
+        if sizes is None:
+            return T.ffn(args["x"], *maps)
+        if route is None:
+            chosen = np.repeat(np.arange(len(sizes)), sizes)
+            probs = np.zeros((len(chosen), len(sizes)))
+            probs[np.arange(len(chosen)), chosen] = 1.0
+            route = (probs, chosen, np.arange(len(chosen)))
+        return T.routed_ffn(args["x"], *maps, *route)
 
     @pytest.mark.parametrize("layout", sorted(layouts))
     def test_each_group_maps_through_its_slice(self, layout):
@@ -472,7 +475,7 @@ class TestFfn:
         args = {k: Tensor(v, requires_grad=True) for k, v in self.operands(sizes).items()}
         with Tape() as tape:
             y = T.sum_(self.apply(args, sizes))
-        assert len(tape._nodes) == 2  # ffn, sum
+        assert len(tape._nodes) == 2  # routed_ffn, sum
         tape.backward(y)
         for name in ("w1", "b1", "w2", "b2"):
             assert not args[name].grad[1].any() and args[name].grad[0].any(), name
@@ -487,16 +490,37 @@ class TestFfn:
             assert all(args[k].grad is None for k in ("w1", "b1", "w2", "b2"))
 
     def test_shapes_checked(self):
-        ops = self.operands(np.array([2, 0, 3]))
-        bad = {"sizes that miss a row": (ops, np.array([2, 2, 2])),
-               "a negative group size": (ops, np.array([3, -1, 3])),
-               "unstacked maps for groups": (self.operands(None), np.array([5])),
-               "stacked maps without groups": (ops, None),
-               "a bias of another width": ({**ops, "b2": ops["b2"][:, :3]}, np.array([2, 0, 3])),
-               "rows of rank 3": ({**ops, "x": ops["x"][None]}, np.array([2, 0, 3]))}
-        for why, (args, sizes) in bad.items():
-            with pytest.raises(DimensionError):
-                self.apply({k: Tensor(v) for k, v in args.items()}, sizes)
+        sizes = np.array([2, 0, 3])
+        ops = self.operands(sizes)
+
+        def route(chosen, kept):
+            return np.full((5, 3), 1 / 3), np.array(chosen), np.array(kept)
+
+        bad = {"unstacked maps for groups": (self.operands(None), sizes, None, DimensionError),
+               "stacked maps without groups": (ops, None, None, DimensionError),
+               "a bias of another width": ({**ops, "b2": ops["b2"][:, :3]}, sizes, None,
+                                           DimensionError),
+               "rows of rank 3": ({**ops, "x": ops["x"][None]}, sizes, None, DimensionError),
+               "gate probabilities for 2 experts": (
+                   ops, sizes, (np.full((5, 2), 0.5), np.zeros(5, int), np.arange(5)),
+                   DimensionError),
+               "an expert per row missing": (ops, sizes, route([0, 0, 2, 2], [0, 1, 2, 3]),
+                                             ContractError),
+               "a negative expert": (ops, sizes, route([0, 0, -1, 2, 2], [0, 1, 3, 4]),
+                                     ContractError),
+               "an expert beyond the stack": (ops, sizes, route([0, 0, 3, 2, 2], [0, 1, 2, 3, 4]),
+                                              ContractError),
+               "a kept row out of range": (ops, sizes, route([0, 0, 2, 2, 2], [0, 1, 2, 3, 5]),
+                                           ContractError),
+               "a row kept twice": (ops, sizes, route([0, 0, 2, 2, 2], [0, 1, 2, 2, 3]),
+                                    ContractError),
+               "kept rows out of expert order": (ops, sizes, route([0, 0, 2, 2, 2], [2, 0, 1, 3, 4]),
+                                                 ContractError),
+               "kept rows as floats": (ops, sizes, route([0, 0, 2, 2, 2], [0.0, 1.0]),
+                                       ContractError)}
+        for why, (args, sizes, route, error) in bad.items():
+            with pytest.raises(error):
+                self.apply({k: Tensor(v) for k, v in args.items()}, sizes, route)
                 pytest.fail(why)
 
 
@@ -727,3 +751,40 @@ def test_every_public_tape_op_has_a_caller_in_the_package():
         if path.name != "tensor.py":
             used |= _tensor_names_used(ast.parse(path.read_text(encoding="utf-8")))
     assert public and sorted(public - used) == []
+
+
+def _finite_difference_ops(tree):
+    """Attributes read off ``T`` in the tests of a module's syntax tree that
+    call ``finite_difference_check``, counting the methods of their class
+    they call through ``self``."""
+    def reads(node):
+        return {n.attr for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "T"}
+
+    def calls_check(node):
+        return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "finite_difference_check"
+                   for n in ast.walk(node))
+
+    found = set()
+    for owner in [tree] + [n for n in tree.body if isinstance(n, ast.ClassDef)]:
+        methods = {n.name: n for n in owner.body if isinstance(n, ast.FunctionDef)}
+        for test in methods.values():
+            if test.name.startswith("test") and calls_check(test):
+                found |= reads(test)
+                for n in ast.walk(test):
+                    if (isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "self"
+                            and owner is not tree and n.attr in methods):
+                        found |= reads(methods[n.attr])
+    return found
+
+
+def test_every_public_tape_op_has_a_finite_difference_case():
+    package = Path(switchtext.__file__).parent
+    tree = ast.parse((package / "tensor.py").read_text(encoding="utf-8"))
+    ops = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+           and not node.name.startswith("_") and node.name != "finite_difference_check"}
+    checked = set()
+    for name in ("test_tensor.py", "test_moe.py"):
+        checked |= _finite_difference_ops(ast.parse((Path(__file__).parent / name).read_text(
+            encoding="utf-8")))
+    assert ops and sorted(ops - checked) == []

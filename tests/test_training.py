@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import file_digest, penalty
-from switchtext import RunConfig, Tensor, generate_synthetic_corpus
+from switchtext import AdamW, RunConfig, Tensor, generate_synthetic_corpus
 from switchtext import tensor as T
 from switchtext import training
 from switchtext.data import (FRENCH_STOPWORDS, Example, LabeledDataset, build_vocab,
@@ -197,6 +197,16 @@ class TestRunConfig:
         for name, value in changed.items():
             assert getattr(built, name) == value != getattr(ModelConfig(), name), name
 
+    def test_adam_settings_checked_with_the_run_config(self):
+        problems = RunConfig(adam_beta1=1.5, adam_beta2=-0.1, adam_eps=0.0).violations()
+        assert problems == ["adam_beta1 must be in [0, 1), got 1.5",
+                            "adam_beta2 must be in [0, 1), got -0.1", "adam_eps must be > 0, got 0.0"]
+        for name, value in (("adam_beta1", 1.0), ("adam_beta1", -0.5), ("adam_beta2", 1.0),
+                            ("adam_beta2", -0.1), ("adam_eps", 0.0), ("adam_eps", -1e-8)):
+            with pytest.raises(ConfigError, match=f"invalid run config: {name} must be"):
+                quick_config(**{name: value}).validate()
+        assert quick_config(adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300).violations() == []
+
     def test_missing_path_flagged_when_checked(self):
         cfg = quick_config(data_path="/nonexistent/file.jsonl")
         assert any("data_path" in p for p in cfg.violations(check_paths=True))
@@ -216,6 +226,28 @@ class TestTrainRuns:
                          "report_val.tsv", "report_val.json"):
             assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes(), artifact
         assert file_digest(outs[0] / "best.ckpt") == file_digest(outs[1] / "best.ckpt")
+
+    def test_adam_settings_reach_the_optimizer(self, monkeypatch):
+        corpus = generate_synthetic_corpus(60, seed=5, min_tokens=6, max_tokens=12)
+        built = []
+
+        class Recorded(AdamW):
+            def __init__(self, params, **settings):
+                super().__init__(params, **settings)
+                built.append(self)
+
+        monkeypatch.setattr(training, "AdamW", Recorded)
+        runs = [train(quick_config(epochs=1, **settings), corpus, quiet=True) for settings in
+                ({}, dict(adam_beta1=0.5, adam_beta2=0.75, adam_eps=1e-3))]
+        assert [(opt.beta1, opt.beta2, opt.eps) for opt in built] == [(0.9, 0.999, 5e-6),
+                                                                     (0.5, 0.75, 1e-3)]
+        weights = [np.concatenate([p.data.ravel() for _, p in run.model.parameters()]) for run in runs]
+        assert not np.array_equal(*weights)
+
+    def test_invalid_adam_setting_stops_the_run_before_the_split(self, monkeypatch):
+        monkeypatch.setattr(training, "split_dataset", lambda *a, **k: pytest.fail("split"))
+        with pytest.raises(ConfigError, match="invalid run config: adam_beta2"):
+            train(quick_config(adam_beta2=1.0), generate_synthetic_corpus(20, seed=1), quiet=True)
 
     def test_stopword_run_drops_stopwords_and_reruns_byte_identically(self, tmp_path):
         stop = sorted(FRENCH_STOPWORDS)
