@@ -1,8 +1,8 @@
 """Top-1 expert routing in action: gate probabilities, capacity overflow,
 the load-balancing loss, and why it matters.  The switch layer returns its
-output and a routing record; the penalty is built from the record's gate
-probabilities and choices, as the training loss builds it, and each
-expert's utilization is its share of the routing choices,
+output and a routing record; the penalty is built from the record's mean
+gate probabilities and dispatched counts, as the training loss builds it,
+and each expert's utilization is its share of the routing choices,
 ``record.dispatched_counts() / record.num_tokens``.
 
 Run:  python demos/03_expert_routing_and_balance.py
@@ -20,7 +20,7 @@ rng = np.random.default_rng(7)
 
 def balance_loss(record):
     """The penalty ``training.total_loss`` adds for one switch layer."""
-    return load_balance_loss(record.probs, record.chosen, len(record.counts))
+    return load_balance_loss(T.mean(record.probs, axis=0), record.dispatched_counts())
 
 
 # Route 12 tokens through 4 experts.

@@ -22,8 +22,8 @@ from .moe import (  # noqa: F401
     RoutingRecord, SwitchParams, gate_probs, load_balance_loss, switch_forward,
 )
 from .model import (  # noqa: F401
-    EncoderModel, ModelConfig, count_parameters, export_hidden_embeddings,
-    load_checkpoint, save_checkpoint,
+    EncoderModel, ModelConfig, export_hidden_embeddings, load_checkpoint, parameter_count,
+    save_checkpoint,
 )
 from .optim import AdamW, EarlyStopping, ScheduleConfig, cosine_warmup_lr  # noqa: F401
 from .data import (  # noqa: F401

@@ -77,20 +77,14 @@ def _make_output_dir(path: str) -> None:
 def cmd_gen_data(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    dataset = generate_synthetic_corpus(
-        n=args.n, positive_fraction=args.positive_fraction,
-        noise=args.noise, seed=args.seed,
-    )
-    manifest = {
-        "command": "gen-data",
-        "n": args.n, "positive_fraction": args.positive_fraction,
-        "noise": args.noise, "seed": args.seed,
-        "dataset_digest": dataset_digest(dataset),
-    }
+    config = {"n": args.n, "positive_fraction": args.positive_fraction, "noise": args.noise,
+              "seed": args.seed}
+    dataset = generate_synthetic_corpus(**config)
     manifest_path = args.out + ".manifest.json"
     clear_manifest(manifest_path)
     write_jsonl(args.out, dataset)
-    write_artifact(manifest_path, [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
+    write_manifest(manifest_path, "gen-data", config, dataset_digest(dataset),
+                   [os.path.basename(args.out)])
     print(f"wrote {len(dataset)} examples to {args.out}")
     return 0
 
@@ -103,9 +97,11 @@ def resolve_train_config(args, command: str) -> RunConfig:
         values.setdefault("epochs", 500)
         values["early_stopping"] = False
     config = RunConfig.from_dict(values)
-    problems = config.violations(check_paths=True)
+    problems = config.violations()
     if not config.data_path:
         problems.insert(0, "data_path is required")
+    elif not os.path.exists(config.data_path):
+        problems.insert(0, f"data_path does not exist: {config.data_path}")
     if problems:
         raise ConfigError("invalid run config: " + "; ".join(problems))
     return config
@@ -141,8 +137,8 @@ def _on_checkpoint(args) -> int:
     encoded = encode_examples([dataset.examples[i] for i in indices], vocab, model.config.max_len)
     _make_output_dir(args.output_dir)
     artifacts, summary = args.body(args, model, vocab, encoded)
-    write_manifest(args.output_dir, args.command, asdict(run_cfg), dataset_digest(dataset),
-                   artifacts)
+    write_manifest(f"{args.output_dir}/manifest.json", args.command, asdict(run_cfg),
+                   dataset_digest(dataset), artifacts)
     print(summary)
     return 0
 

@@ -6,7 +6,8 @@ straight line from a baseline to the input; by the completeness property
 the attributions sum to F(input) - F(baseline) up to discretization error,
 which shrinks as the step count grows.  The input, the baseline and every
 point between are packed [N, d_model] embedding rows of the real tokens,
-as ``embed`` gives them, so each score belongs to one real token.
+as ``embed`` gives them, so each score belongs to one real token.  One
+forward at the input gives a report both F(input) and its predicted class.
 """
 
 from __future__ import annotations
@@ -51,14 +52,14 @@ class AttributionReport:
 
 
 def path_integrated_gradients(fn, x: np.ndarray, baseline: np.ndarray, num_steps: int,
-                              at_input: float | None = None):
+                              at_input: float):
     """Integrated gradients of scalar-valued ``fn`` over input ``x``.
 
     ``fn`` maps a Tensor shaped like ``x`` to a scalar Tensor.  The path
     integral is the right-Riemann sum over ``num_steps`` points.  Returns
     ``(attributions, delta, residual)`` where delta = fn(x) - fn(baseline)
-    and residual = attributions.sum() - delta; ``at_input``, when given, is
-    fn(x), which is then not evaluated again.  Each path point is
+    and residual = attributions.sum() - delta; ``at_input`` is fn(x), which
+    the caller has already evaluated.  Each path point is
     differentiated with respect to its probe only, so the gradients of any
     parameters ``fn`` uses are neither computed nor touched.
     """
@@ -81,8 +82,6 @@ def path_integrated_gradients(fn, x: np.ndarray, baseline: np.ndarray, num_steps
         total += probe.grad
 
     attributions = diff * (total / num_steps)
-    if at_input is None:
-        at_input = fn(Tensor(x)).item()
     delta = at_input - fn(Tensor(baseline)).item()
     residual = float(attributions.sum() - delta)
     return attributions, delta, residual
@@ -147,9 +146,11 @@ def rank_misclassified(model: EncoderModel, encoded, vocab: Vocabulary | None = 
     """Attribution reports for every misclassified example of a split,
     false negatives first.
 
-    ``encoded`` is a list of EncodedExample; ``target`` selects whether
-    attributions explain the true class (default) or the predicted one.
-    Returns a list of (EncodedExample, AttributionReport).
+    ``encoded`` is a list of EncodedExample; ``evaluate``'s predictions
+    pick the misclassified ones.  ``target`` selects whether attributions
+    explain the true class (default) or the one each report's own pass at
+    the input predicts.  Returns a list of (EncodedExample,
+    AttributionReport).
     """
     from .training import evaluate
 
@@ -161,8 +162,8 @@ def rank_misclassified(model: EncoderModel, encoded, vocab: Vocabulary | None = 
     wrong.sort(key=lambda i: (encoded[i].label != 1, i))
     if limit is not None:
         wrong = wrong[:limit]
-    return _attribute_each(model, [(encoded[i], int(predictions[i])) for i in wrong],
-                           vocab, target, num_steps, baseline)
+    return _attribute_each(model, [encoded[i] for i in wrong], vocab, target, num_steps,
+                           baseline)
 
 
 def attribution_for_ids(model: EncoderModel, encoded, example_ids, vocab=None,
@@ -179,23 +180,18 @@ def attribution_for_ids(model: EncoderModel, encoded, example_ids, vocab=None,
             raise LookupError_(f"example id {name} not found in the requested split" if not found
                                else f"example id {name} names {len(found)} examples: "
                                     + " and ".join(repr(e.example_id) for e in found))
-    return _attribute_each(model, [(by_name[str(i)][0], None) for i in example_ids],
-                           vocab, target, num_steps, baseline)
+    return _attribute_each(model, [by_name[str(i)][0] for i in example_ids], vocab, target,
+                           num_steps, baseline)
 
 
-def _attribute_each(model: EncoderModel, pairs, vocab, target: str, num_steps: int,
+def _attribute_each(model: EncoderModel, examples, vocab, target: str, num_steps: int,
                     baseline: str):
-    """Integrated gradients for each (EncodedExample, predicted class) pair
-    against the true or the predicted class; a predicted class of None is
-    taken from the report's own pass at the input.  Returns (example,
-    report) pairs."""
+    """Integrated gradients for each EncodedExample against its true class
+    or the class the report's own pass at the input predicts.  Returns
+    (example, report) pairs."""
     if target not in ("true", "predicted"):
         raise ConfigError(f"target must be 'true' or 'predicted', got {target!r}")
-    reports = []
-    for example, predicted in pairs:
-        target_class = example.label if target == "true" else predicted
-        reports.append((example, integrated_gradients(
-            model, example.ids, np.ones(len(example.ids), dtype=bool), target_class, vocab=vocab,
-            baseline=baseline, num_steps=num_steps,
-        )))
-    return reports
+    return [(example, integrated_gradients(
+        model, example.ids, np.ones(len(example.ids), dtype=bool),
+        example.label if target == "true" else None, vocab=vocab, baseline=baseline,
+        num_steps=num_steps)) for example in examples]

@@ -75,10 +75,6 @@ class EmbeddingTable:
         return self.table.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.table.shape[1]
-
-    @property
     def max_len(self) -> int:
         return self.positional.shape[0]
 

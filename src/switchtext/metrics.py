@@ -151,14 +151,6 @@ def roc_auc(labels, scores) -> float:
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i: j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, group, sizes = np.unique(scores, return_inverse=True, return_counts=True)
+    last = np.cumsum(sizes)  # each group's last 1-based rank
+    return (last - (sizes - 1) / 2.0)[group]

@@ -8,9 +8,9 @@ packed ``[N, d_model]`` rows, sequence i the next ``lengths[i]`` rows, and
 no layer reads a padded position.  The forward builds no loss term:
 ``training.total_loss`` builds the whole objective.
 
-Also home to parameter counting, pooled hidden-state export, and the
-deterministic checkpoint container, which ends with the sha256 of every
-byte before it, so a load rejects a flipped byte.
+Also home to the closed-form parameter count, pooled hidden-state export,
+and the deterministic checkpoint container, which ends with the sha256 of
+every byte before it, so a load rejects a flipped byte.
 """
 
 from __future__ import annotations
@@ -228,19 +228,6 @@ class EncoderModel:
                 + named_tensors(self.head, "head"))
 
 
-@dataclass
-class ParamCountReport:
-    """Itemized scalar-parameter counts.
-
-    ``core_total`` excludes the token-embedding table, whose size is set by
-    the vocabulary rather than the architecture.
-    """
-
-    items: list[tuple[str, int]]
-    total: int
-    core_total: int
-
-
 def parameter_count(config: ModelConfig) -> int:
     """The scalar-parameter count of the model ``config`` describes, in closed
     form, without building it."""
@@ -250,14 +237,6 @@ def parameter_count(config: ModelConfig) -> int:
     block = 4 * d * d + d + 4 * d + mixer  # q, k, v and output maps, output bias, two norms
     head = (d + 1) * NUM_CLASSES
     return (config.vocab_size + config.max_len) * d + config.num_layers * block + head
-
-
-def count_parameters(model: EncoderModel) -> ParamCountReport:
-    """Exact scalar-parameter count, itemized per component."""
-    items = [(name, int(p.size)) for name, p in model.parameters()]
-    total = sum(c for _, c in items)
-    token_table = int(model.embeddings.table.size)
-    return ParamCountReport(items=items, total=total, core_total=total - token_table)
 
 
 def export_hidden_embeddings(model: EncoderModel, encoded, layer: int, path) -> int:

@@ -1,6 +1,7 @@
 """Routed expert layer: a softmax gate over E expert FFNs with top-1
-dispatch and per-expert capacity, and the load-balancing penalty, which
-``training.total_loss`` builds from each layer's ``RoutingRecord``.  A
+dispatch and per-expert capacity, and the load-balancing penalty, the one
+E * sum_j f_j * P_j: ``training.total_loss`` builds it from each layer's
+``RoutingRecord`` and ``training.BatchTally`` from pooled counts.  A
 record stores the routing decisions and derives the rest: the overflow is
 ``num_tokens - counts.sum()``, and the expert utilization
 ``dispatched_counts() / num_tokens``.
@@ -97,12 +98,12 @@ def gate_probs(x: Tensor, gate: LinearParams) -> Tensor:
     return T.softmax(linear(x, gate), axis=-1)
 
 
-def load_balance_loss(probs: Tensor, chosen: np.ndarray, num_experts: int) -> Tensor:
-    """E * sum_j f_j * P_j with f_j the dispatch fraction and P_j the mean
-    gate probability of expert j.  Equals 1 exactly at perfect balance."""
-    frac = np.bincount(chosen, minlength=num_experts) / len(chosen)
-    mean_probs = T.mean(probs, axis=0)
-    return T.mul(T.sum_(T.mul(mean_probs, Tensor(frac))), float(num_experts))
+def load_balance_loss(mean_probs: Tensor, dispatched: np.ndarray) -> Tensor:
+    """E * sum_j f_j * P_j over the E experts, with P_j = ``mean_probs[j]``
+    the mean gate probability of expert j and f_j its share of the
+    ``dispatched`` token counts.  Equals 1 exactly at perfect balance."""
+    frac = dispatched / dispatched.sum()
+    return T.mul(T.sum_(T.mul(mean_probs, Tensor(frac))), float(len(dispatched)))
 
 
 def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):

@@ -18,7 +18,7 @@ with bias and ReLU applied in place.  ``routed_ffn`` is top-1 routed
 experts as one node: it gathers the served rows, runs the stacked experts
 as row groups, scales each row by its gate probability and writes it back
 in token order.  ``take_rows`` is the one gather: embedding lookup and
-picking entries.
+picking entries; its backward is one flat ``np.add.at``.
 
 With no tape active, operations compute plain numpy results and return
 before they build any backward rule or cache, which is the inference path.
@@ -45,7 +45,9 @@ class Tensor:
 
     ``node_id`` is the tensor's handle on the tape identified by
     ``_tape_id``; it is reassigned whenever the tensor joins a new tape.
-    A tensor with ``requires_grad=False`` never receives a gradient buffer.
+    ``requires_grad`` marks a leaf that wants a gradient; op outputs never
+    set it, so an output of one pass is no leaf of a later tape.  A tensor
+    with ``requires_grad=False`` never receives a gradient buffer.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node_id", "_tape_id")
@@ -152,7 +154,6 @@ class Tape:
                 pairs.append((self._register(t, leaf=t._tape_id != self.id), vjp))
             else:
                 pairs.append((None, None))
-        out.requires_grad = True
         self._register(out, leaf=False)
         self._nodes.append((out.node_id, tuple(pairs)))
 
@@ -186,8 +187,6 @@ class Tape:
                 contrib = vjp(g)
                 leaf = leaves.get(inp_id)
                 if leaf is not None:
-                    if not leaf.requires_grad:
-                        continue
                     if leaf.grad is not None:
                         leaf.grad += contrib
                     elif contrib is g or contrib.base is not None:
@@ -627,11 +626,11 @@ def take_rows(x, index) -> Tensor:
     ``x[rows, cols]`` of a matrix).  Each index array is checked against its
     axis.
 
-    The backward rule scatters into zeros: by assignment when the indexed
-    positions are distinct, else through ``np.add.at`` on the flat elements,
-    so repeated positions accumulate in index order.  Flat, ``np.add.at``
-    takes numpy's one-dimensional fast path, several times faster than row
-    by row, and its cost does not grow with how often a position repeats.
+    The backward rule scatters into zeros through ``np.add.at`` on the flat
+    elements, so repeated positions accumulate in index order.  Flat,
+    ``np.add.at`` takes numpy's one-dimensional fast path, several times
+    faster than row by row, and its cost does not grow with how often a
+    position repeats.
     This is the one gather: embedding lookup and picking entries.
     """
     x = _as_tensor(x)
@@ -652,14 +651,9 @@ def take_rows(x, index) -> Tensor:
 
     def scatter(g):
         z = np.zeros(in_shape)
-        seen = np.zeros(int(np.prod(axes)), dtype=bool)
-        seen[slots] = True
-        if np.count_nonzero(seen) == slots.size:
-            z[key] = g
-        else:
-            width = z.size // seen.size
-            elements = slots.reshape(-1, 1) * width + np.arange(width)
-            np.add.at(z.reshape(-1), elements.reshape(-1), g.reshape(-1))
+        width = z.size // int(np.prod(axes))
+        elements = slots.reshape(-1, 1) * width + np.arange(width)
+        np.add.at(z.reshape(-1), elements.reshape(-1), g.reshape(-1))
         return z
 
     return _maybe_record(out, [(x, scatter)])

@@ -3,7 +3,10 @@ cross-entropy plus the routing load-balancing penalty), gradient
 accumulation, per-epoch evaluation and logging, early stopping with
 best-checkpoint restore, and reproducibility manifests.  ``TrainResult``
 and ``EvalOutcome`` keep what their callers read; the artifacts hold the
-rest (learning rate and aux losses per epoch in train_log.tsv).
+rest (learning rate and aux losses per epoch in train_log.tsv).  The
+objective and the logged aux loss form the penalty with the one
+``moe.load_balance_loss``: per batch, and over a whole pass's pooled
+counts.
 
 All artifacts are plain UTF-8 delimited text or JSON, written with fixed
 float formatting so two runs with the same config and seed are
@@ -96,7 +99,7 @@ class RunConfig:
         shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name in own}
         return ModelConfig(vocab_size=vocab_size, **shared)
 
-    def violations(self, check_paths: bool = False) -> list[str]:
+    def violations(self) -> list[str]:
         problems = self.model_config(vocab_size=2).violations()
         problems += [f"{f.name} must be finite, got {getattr(self, f.name)}" for f in fields(self)
                      if type(f.default) is float and not math.isfinite(getattr(self, f.name))]
@@ -127,12 +130,10 @@ class RunConfig:
             problems.append(f"min_frequency must be >= 1, got {self.min_frequency}")
         if self.eval_batch_size < 1:
             problems.append(f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
-        if check_paths and self.data_path and not os.path.exists(self.data_path):
-            problems.append(f"data_path does not exist: {self.data_path}")
         return problems
 
-    def validate(self, check_paths: bool = False) -> "RunConfig":
-        problems = self.violations(check_paths=check_paths)
+    def validate(self) -> "RunConfig":
+        problems = self.violations()
         if problems:
             raise ConfigError("invalid run config: " + "; ".join(problems))
         return self
@@ -189,7 +190,8 @@ def total_loss(result: ForwardResult, labels: np.ndarray, aux_weight: float,
     """Cross-entropy plus ``aux_weight`` times the mean load-balancing penalty
     of the routed layers (0 when dense); returns ``(total, ce, penalty)``."""
     ce = weighted_cross_entropy(result.logits, labels, weights)
-    terms = [load_balance_loss(r.probs, r.chosen, len(r.counts)) for r in result.routing]
+    terms = [load_balance_loss(T.mean(r.probs, axis=0), r.dispatched_counts())
+             for r in result.routing]
     aux = T.mul(functools.reduce(T.add, terms), 1.0 / len(terms)) if terms else Tensor(0.0)
     return T.add(ce, T.mul(aux, aux_weight)), ce, aux
 
@@ -232,8 +234,8 @@ class BatchTally:
 
     def outcome(self) -> EvalOutcome:
         """Weighted mean loss, confusion metrics, rank AUC from positive-class
-        probabilities, and the layers' mean load-balancing penalty (as
-        ``moe.load_balance_loss``) of the counts pooled over every batch."""
+        probabilities, and the layers' mean ``moe.load_balance_loss`` of the
+        counts and gate probabilities pooled over every batch."""
         probs, labels = np.concatenate(self.probs), np.concatenate(self.labels)
         preds = probs.argmax(axis=1)
         auc = roc_auc(labels, probs[:, 1]) if len(np.unique(labels)) == 2 else None
@@ -242,8 +244,8 @@ class BatchTally:
         aux = 0.0
         if self.routing:
             chose, _, prob_sums = np.moveaxis(sum(self.routing), 1, 0)
-            tokens = chose[0].sum()  # each token chooses one expert in every layer
-            aux = float(np.mean(chose.shape[1] * (chose / tokens * (prob_sums / tokens)).sum(axis=1)))
+            aux = float(np.mean([load_balance_loss(Tensor(p / c.sum()), c).item()
+                                 for c, p in zip(chose, prob_sums)]))
         return EvalOutcome(report=report, predictions=preds, scores=probs[:, 1], aux_loss=aux)
 
     def routing_rows(self, epoch: int) -> list[str]:
@@ -320,8 +322,11 @@ def portable_config(config_dict: dict) -> dict:
     return {k: v for k, v in config_dict.items() if k not in ("data_path", "output_dir")}
 
 
-def write_manifest(out_dir, command: str, config_dict: dict, data_digest: str,
+def write_manifest(path, command: str, config_dict: dict, data_digest: str,
                    artifacts: list[str]) -> None:
+    """The manifest at ``path``: the command, its portable config and that
+    config's digest, the seed, code version, dataset digest, platform and
+    the artifact names."""
     config_dict = portable_config(config_dict)
     canonical = json.dumps(config_dict, sort_keys=True, ensure_ascii=False)
     manifest = {
@@ -338,8 +343,7 @@ def write_manifest(out_dir, command: str, config_dict: dict, data_digest: str,
         },
         "artifacts": sorted(artifacts),
     }
-    write_artifact(f"{out_dir}/manifest.json",
-                   [json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False), "\n"])
+    write_artifact(path, [json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False), "\n"])
 
 
 def clear_manifest(path) -> None:
@@ -504,9 +508,9 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
         for name, lines in tables.items():
             write_artifact(f"{out_dir}/{name}", (f"{line}\n" for line in lines))
         _write_report(out_dir, "report_val", final_val)
-        write_manifest(out_dir, command, asdict(config), dataset_digest(dataset),
-                       ["train_log.tsv", "gap.tsv", "routing.tsv", "best.ckpt",
-                        "report_val.tsv", "report_val.json"])
+        write_manifest(f"{out_dir}/manifest.json", command, asdict(config),
+                       dataset_digest(dataset), ["train_log.tsv", "gap.tsv", "routing.tsv",
+                                                 "best.ckpt", "report_val.tsv", "report_val.json"])
 
     return TrainResult(
         model=model, vocab=vocab, history=history,

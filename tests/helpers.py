@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 
 from switchtext import Tensor, finite_difference_check
+from switchtext import tensor as T
 from switchtext.attention import FfnParams
 from switchtext.layers import LinearParams
 from switchtext.moe import load_balance_loss
@@ -55,7 +56,7 @@ def expert(p, j):
 def penalty(record):
     """The load-balancing penalty ``training.total_loss`` builds from one
     switch layer's routing record."""
-    return load_balance_loss(record.probs, record.chosen, len(record.counts))
+    return load_balance_loss(T.mean(record.probs, axis=0), record.dispatched_counts())
 
 
 def chosen_prob(record):

@@ -44,7 +44,7 @@ class TestGenData:
         assert set(record) == {"id", "text", "label"}
         manifest = json.loads((workdir["data"].parent / "notes.jsonl.manifest.json").read_text())
         assert manifest["command"] == "gen-data"
-        assert manifest["n"] == 150
+        assert manifest["config"]["n"] == 150
 
     def test_deterministic_per_seed(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -63,7 +63,7 @@ class TestGenData:
                 raise ConfigError(f"cannot write {path}")
             return write_artifact(path, parts)
 
-        monkeypatch.setattr("switchtext.cli.write_artifact", failing_write)
+        monkeypatch.setattr("switchtext.training.write_artifact", failing_write)
         assert main(["gen-data", "--n", "20", "--seed", "2", "--out", str(data)]) == 2
         assert "category=config" in capsys.readouterr().err
         assert not manifest.exists()  # the seed-1 manifest no longer vouches for seed-2 data
@@ -360,6 +360,7 @@ BAD_INPUT = [
     ("gen-data-out-missing-dir", "gen-data", ["--out", "{tmp}/missing/g.jsonl"], "config"),
     ("gen-data-seed-negative", "gen-data", ["--seed", "-1"], "config"),
     ("train-seed-negative", "train", ["--seed", "-3"], "config"),
+    ("train-data-path-missing", "train", ["--data-path", "{tmp}/missing.jsonl"], "config"),
     ("train-split-seed-negative", "train", ["--split-seed", "-1"], "config"),
     ("train-config-file-seed-negative", "train", ["--config", "{tmp}/negative_seed.json"], "config"),
     ("train-config-file-nested-deep", "train", ["--config", "{tmp}/nested.json"], "config"),

@@ -25,7 +25,8 @@ class TestPathCore:
             return T.sum_(T.mul(t, w))
 
         x = rng.standard_normal((4, 3))
-        attr, delta, residual = path_integrated_gradients(fn, x, x.copy(), num_steps=16)
+        attr, delta, residual = path_integrated_gradients(fn, x, x.copy(), num_steps=16,
+                                                          at_input=fn(Tensor(x)).item())
         np.testing.assert_array_equal(attr, np.zeros((4, 3)))
         assert delta == 0.0 and residual == 0.0
 
@@ -37,7 +38,8 @@ class TestPathCore:
             return T.sum_(T.mul(t, Tensor(w)))
 
         x = rng.standard_normal((5, 2))
-        attr, delta, residual = path_integrated_gradients(fn, x, np.zeros_like(x), num_steps)
+        attr, delta, residual = path_integrated_gradients(fn, x, np.zeros_like(x), num_steps,
+                                                          fn(Tensor(x)).item())
         np.testing.assert_allclose(attr, w * x, atol=1e-12)
         assert abs(residual) < 1e-12
 
@@ -51,20 +53,21 @@ class TestPathCore:
 
         residuals = {}
         for m in (16, 32, 64):
-            _, _, residuals[m] = path_integrated_gradients(fn, x, np.zeros_like(x), m)
+            _, _, residuals[m] = path_integrated_gradients(fn, x, np.zeros_like(x), m,
+                                                           fn(Tensor(x)).item())
         np.testing.assert_allclose(residuals[16], (x * x).sum() / 16, atol=1e-10)
         np.testing.assert_allclose(residuals[32], residuals[16] / 2, atol=1e-10)
         np.testing.assert_allclose(residuals[64], residuals[32] / 2, atol=1e-10)
 
     def test_step_floor_enforced(self):
         with pytest.raises(ConfigError):
-            path_integrated_gradients(lambda t: T.sum_(t), np.ones(3), np.zeros(3), 4)
+            path_integrated_gradients(lambda t: T.sum_(t), np.ones(3), np.zeros(3), 4, 3.0)
 
     def test_baseline_shape_mismatch(self):
         from switchtext.errors import ContractError
 
         with pytest.raises(ContractError):
-            path_integrated_gradients(lambda t: T.sum_(t), np.ones(3), np.zeros(4), 8)
+            path_integrated_gradients(lambda t: T.sum_(t), np.ones(3), np.zeros(4), 8, 3.0)
 
 
 def tiny_model(seed=2):
@@ -217,6 +220,19 @@ class TestTrainedModelProperties:
         # false negatives lead
         for example, report in reports[:cm.fn]:
             assert example.label == 1
+
+    def test_rank_mode_targets_the_class_each_report_predicts(self, toy_run, monkeypatch):
+        # evaluate's predictions only pick the examples; here they call every
+        # example misclassified, and each report still targets the class its
+        # own pass at the input predicts.
+        encoded = toy_run.encoded["val"][:6]
+        outcome = evaluate(toy_run.model, encoded)
+        outcome.predictions = np.array([1 - e.label for e in encoded])
+        monkeypatch.setattr("switchtext.training.evaluate", lambda *args, **kwargs: outcome)
+        reports = rank_misclassified(toy_run.model, encoded, target="predicted", num_steps=8)
+        assert len(reports) == len(encoded)
+        assert all(report.target_class == report.predicted_class for _, report in reports)
+        assert any(report.predicted_class == example.label for example, report in reports)
 
     def test_perfect_subset_gives_empty_list(self, toy_run):
         model = toy_run.model

@@ -14,7 +14,7 @@ import pytest
 
 import switchtext
 from helpers import check_many_params, file_digest
-from switchtext import ModelConfig, EncoderModel, Tape, Tensor, count_parameters
+from switchtext import ModelConfig, EncoderModel, Tape, Tensor
 from switchtext import tensor as T
 from switchtext.cli import EXIT_CODES
 from switchtext.errors import CompatibilityError, ConfigError, ContractError
@@ -247,15 +247,15 @@ class TestParameterCount:
     def test_matches_closed_form_exactly(self, variant):
         cfg = tiny_config(variant, num_layers=3, num_heads=4, d_model=16,
                           d_ff=32, num_experts=3, vocab_size=40, max_len=10)
-        report = count_parameters(EncoderModel.build(cfg))
+        model = EncoderModel.build(cfg)
+        total = sum(p.size for _, p in model.parameters())
         expected = closed_form_count(cfg)
-        assert report.total == expected["total"] == parameter_count(cfg)
-        assert report.core_total == expected["core"]
+        assert total == expected["total"] == parameter_count(cfg)
+        assert total - model.embeddings.table.size == expected["core"]
 
     def test_linear_and_norm_item_counts(self):
         cfg = tiny_config("dense", d_model=8)
-        report = count_parameters(EncoderModel.build(cfg))
-        items = dict(report.items)
+        items = {name: p.size for name, p in EncoderModel.build(cfg).parameters()}
         assert items["blocks.0.norm1.gamma"] + items["blocks.0.norm1.beta"] == 16
         assert items["head.weight"] + items["head.bias"] == 8 * 2 + 2
 
@@ -277,13 +277,13 @@ class TestParameterCount:
     def test_switch_minus_dense_identity(self):
         common = dict(num_layers=4, num_heads=4, d_model=16, d_ff=64,
                       vocab_size=50, max_len=12, num_experts=4)
-        dense = count_parameters(EncoderModel.build(tiny_config("dense", **common)))
-        switch = count_parameters(EncoderModel.build(tiny_config("switch", **common)))
+        dense = parameter_count(tiny_config("dense", **common))
+        switch = parameter_count(tiny_config("switch", **common))
         forms = closed_form_count(tiny_config("switch", **common))
         expected_diff = common["num_layers"] * (
             (common["num_experts"] - 1) * forms["ffn"] + forms["gate"]
         )
-        assert switch.total - dense.total == expected_diff
+        assert switch - dense == expected_diff
 
 
 class TestEndToEndGradients:

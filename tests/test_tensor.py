@@ -251,6 +251,17 @@ class TestBackward:
         assert c.grad is None
         np.testing.assert_array_equal(x.grad, c.data)
 
+    def test_an_output_of_one_tape_is_no_leaf_of_the_next(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Tape():
+            y = T.mul(x, 2.0)
+        with Tape() as later:
+            z = T.sum_(T.mul(y, 3.0))
+        assert not y.requires_grad and later._nodes == [] and z.node_id is None
+        with pytest.raises(ContractError, match="not recorded"):
+            later.backward(z)
+        assert y.grad is None and x.grad is None
+
 
 class TestFiniteDifferenceCheck:
     def test_sum_of_squares(self):
@@ -299,35 +310,26 @@ class TestGatherScatter:
         np.add.at(expected, idx, 1.0)
         np.testing.assert_array_equal(x.grad, expected)
 
-    @pytest.mark.parametrize("idx", [np.array([3, 0, 4, 1]), np.array([[2, 0], [1, 4]])])
-    def test_take_rows_unique_indices_assign_without_add_at(self, idx, monkeypatch):
-        x = Tensor(rng.standard_normal((6, 3)), requires_grad=True)
-        coeffs = rng.standard_normal(idx.shape + (3,))
-        with Tape() as tape:
-            y = T.sum_(T.mul(T.take_rows(x, idx), coeffs))
-        numpy_without_add_at = types.SimpleNamespace(**{
-            name: getattr(np, name) for name in dir(np) if not name.startswith("__")})
-        numpy_without_add_at.add = types.SimpleNamespace(at=lambda *a: pytest.fail("np.add.at"))
-        monkeypatch.setattr(T, "np", numpy_without_add_at)
-        tape.backward(y)
-        expected = np.zeros((6, 3))
-        np.add.at(expected, idx, coeffs)
-        np.testing.assert_array_equal(x.grad, expected)
-
     @pytest.mark.parametrize("many", [False, True])
     def test_repeated_positions_accumulate_through_flat_np_add_at(self, many, monkeypatch):
         # Gradients of mixed magnitude, so another summation order would
         # show in the bits; the columns of a padded batch repeat once per note.
+        # Distinct positions, here a 2-d index array, take the same rule.
         gen = np.random.default_rng(15)
-        idx = ((gen.integers(0, 4, 300), gen.integers(0, 3, 300)) if many
-               else np.nonzero(gen.random((16, 40)) < 0.7)[1])
+        repeated = ((gen.integers(0, 4, 300), gen.integers(0, 3, 300)) if many
+                    else np.nonzero(gen.random((16, 40)) < 0.7)[1])
+        distinct = ((np.array([3, 0, 1]), np.array([2, 0, 1])) if many
+                    else np.array([[2, 0], [1, 4]]))
         x = Tensor(gen.standard_normal((4, 3) if many else (40, 3)), requires_grad=True)
-        shape = x.data[idx].shape
-        coeffs = gen.standard_normal(shape) * 10.0 ** gen.integers(-8, 8, shape)
-        with Tape() as tape:
-            y = T.sum_(T.mul(T.take_rows(x, idx), coeffs))
-        expected = np.zeros(x.shape)
-        np.add.at(expected, idx, coeffs)  # row by row, the reference order
+        passes = []
+        for idx in (repeated, distinct):
+            shape = x.data[idx].shape
+            coeffs = gen.standard_normal(shape) * 10.0 ** gen.integers(-8, 8, shape)
+            with Tape() as tape:
+                y = T.sum_(T.mul(T.take_rows(x, idx), coeffs))
+            expected = np.zeros(x.shape)
+            np.add.at(expected, idx, coeffs)  # row by row, the reference order
+            passes.append((tape, y, expected))
         add_at = np.add.at
 
         def flat_add_at(target, *args):
@@ -338,8 +340,10 @@ class TestGatherScatter:
             name: getattr(np, name) for name in dir(np) if not name.startswith("__")})
         numpy_flat_add_at.add = types.SimpleNamespace(at=flat_add_at)
         monkeypatch.setattr(T, "np", numpy_flat_add_at)
-        tape.backward(y)
-        assert x.grad.tobytes() == expected.tobytes()
+        for tape, y, expected in passes:
+            x.grad = None
+            tape.backward(y)
+            assert x.grad.tobytes() == expected.tobytes()
 
     def test_take_rows_out_of_range(self):
         with pytest.raises(ContractError):

@@ -115,6 +115,20 @@ class TestEvaluate:
         want = np.mean([penalty(record).item() for record in pooled])
         assert tally.outcome().aux_loss == pytest.approx(want, rel=0, abs=1e-15)
 
+    def test_one_batch_aux_loss_is_the_objective_penalty(self):
+        # Over a single batch the tally's pooled aux loss is the penalty
+        # ``total_loss`` adds to the objective, to the bit.
+        model = EncoderModel.build(ModelConfig(variant="switch", num_layers=2, num_heads=2,
+                                               num_experts=3, d_model=8, d_ff=16, vocab_size=20,
+                                               max_len=8, dropout=0.0, seed=1))
+        ids = np.array([[2, 3, 4, 11], [5, 6, 0, 0], [7, 8, 9, 0]])
+        labels = np.array([0, 1, 0])
+        result = model.forward(ids, ids != 0)
+        _, ce, aux = total_loss(result, labels, aux_weight=0.01)
+        tally = BatchTally()
+        tally.add(result, labels, ce)
+        assert tally.outcome().aux_loss == aux.item()
+
     @pytest.mark.parametrize("run", ["toy_run", "smooth_toy_run"])
     def test_eval_follows_a_permutation_of_the_examples(self, run, request):
         result = request.getfixturevalue(run)
@@ -206,11 +220,6 @@ class TestRunConfig:
             with pytest.raises(ConfigError, match=f"invalid run config: {name} must be"):
                 quick_config(**{name: value}).validate()
         assert quick_config(adam_beta1=0.0, adam_beta2=0.0, adam_eps=1e-300).violations() == []
-
-    def test_missing_path_flagged_when_checked(self):
-        cfg = quick_config(data_path="/nonexistent/file.jsonl")
-        assert any("data_path" in p for p in cfg.violations(check_paths=True))
-        assert not cfg.violations(check_paths=False)
 
 
 class TestTrainRuns:
