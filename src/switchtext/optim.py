@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, ContractError, NumericError
 from .tensor import Tensor
 
 
@@ -26,11 +26,14 @@ class AdamW:
     ``params`` are (name, Tensor) pairs, as ``EncoderModel.parameters()``
     and ``named_tensors`` give them; the names appear in diagnostics.
 
-    ``step`` walks each parameter in chunks of ``CHUNK`` elements through
-    two chunk-sized scratch buffers, so the optimizer holds nothing beyond
-    the moments that grows with the largest parameter.  Every element goes
-    through the same correctly rounded operations as the formula above, so
-    chunking changes no result bit.
+    The optimizer adopts its parameters into one flat float64 arena,
+    ``data``, in ``params`` order (``offsets`` bound the segments): each
+    ``p.data`` becomes a view of its segment and each ``p.grad`` a view of
+    the same segment of ``grad``; the moments ``m`` and ``v`` share the
+    layout.  A rebound ``p.data`` makes ``step`` raise ContractError.
+    ``step`` walks the arenas in ``CHUNK``-element passes through two
+    chunk-sized scratch buffers, each element through the same correctly
+    rounded operations as the formula, so no result bit changes.
     """
 
     def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999,
@@ -45,32 +48,40 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros(p.shape) for _, p in self.params]
-        self.v = [np.zeros(p.shape) for _, p in self.params]
+        self.offsets = np.cumsum([0] + [p.size for _, p in self.params])
+        self.data, self.grad, self.m, self.v = (np.zeros(self.offsets[-1]) for _ in range(4))
+        self._views = []  # per parameter: its data and gradient segments
+        for (_, p), lo, hi in zip(self.params, self.offsets, self.offsets[1:]):
+            data, grad = (arena[lo:hi].reshape(p.shape) for arena in (self.data, self.grad))
+            data[...] = p.data
+            if p.grad is not None:
+                grad[...] = p.grad
+            p.data, p.grad = data, grad
+            self._views.append((data, grad))
         self._scratch = np.empty((2, CHUNK))
 
     def step(self, lr: float) -> None:
-        """One update from the gradients accumulated in each param's .grad.
-        Parameters with no gradient this step keep their moments decaying.
-        A non-finite gradient anywhere aborts the step before any state
-        changes.  Moments and ``p.data`` are updated in place, chunk by
-        chunk, in the operation order of the formula above."""
-        for name, p in self.params:
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise NumericError(f"non-finite gradient for {name}; step {self.t + 1} aborted")
+        """One update from the gradient arena, after copying in each
+        ``.grad`` assigned from outside (None as zeros: the moments of a
+        parameter with no gradient keep decaying).  A non-finite gradient
+        anywhere aborts the step before any state changes."""
+        for (name, p), (data, grad) in zip(self.params, self._views):
+            if p.data is not data:
+                raise ContractError(f"{name}.data was rebound after AdamW adopted it; "
+                                    f"update it in place")
+            if p.grad is not grad:
+                grad[...] = 0.0 if p.grad is None else p.grad
+                p.grad = grad
+        finite = np.isfinite(self.grad)
+        if not finite.all():  # argmin: the first non-finite element
+            name = self.params[np.searchsorted(self.offsets, finite.argmin(), side="right") - 1][0]
+            raise NumericError(f"non-finite gradient for {name}; step {self.t + 1} aborted")
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for (_, p), m, v in zip(self.params, self.m, self.v):
-            # reshape(-1) of a layout that is not C-ordered copies, so such a
-            # parameter is updated in a C copy and written back whole.
-            data = p.data if p.data.flags.c_contiguous else p.data.copy()
-            g = p.grad if p.grad is not None else np.zeros(p.shape)
-            flat = [a.reshape(-1) for a in (data, m, v, g)]
-            for lo in range(0, p.size, CHUNK):
-                self._update(*(a[lo:lo + CHUNK] for a in flat), lr, bc1, bc2)
-            if data is not p.data:
-                p.data[...] = data
+        for lo in range(0, self.data.size, CHUNK):
+            self._update(*(a[lo:lo + CHUNK] for a in (self.data, self.m, self.v, self.grad)),
+                         lr, bc1, bc2)
 
     def _update(self, w, m, v, g, lr: float, bc1: float, bc2: float) -> None:
         update, tmp = self._scratch[:, :w.size]
@@ -87,8 +98,11 @@ class AdamW:
         w -= update
 
     def zero_grad(self) -> None:
-        for _, p in self.params:
-            p.grad = None
+        """Zero the gradient arena and point every ``.grad`` back at its
+        segment, where the tape's backward adds the next gradients."""
+        self.grad.fill(0.0)
+        for (_, p), (_, grad) in zip(self.params, self._views):
+            p.grad = grad
 
 
 def clip_grad_norm(params, max_norm: float) -> float:

@@ -10,11 +10,12 @@ the tape: it drops each node's backward rules, and the arrays they saved,
 as soon as they have run, and adds leaf gradients into ``.grad`` in place.
 
 Sequences travel as packed [N, d] rows plus a ``lengths`` vector: sequence
-i is the next ``lengths[i]`` rows.  ``attention`` and ``segment_sum`` view
-each run of consecutive equal-length sequences as one unpadded [n, len, …]
-block of its rows, so no padded position is read.  ``linear`` records an
-affine map and ``ffn`` a position-wise feed-forward block as one node each,
-with bias and ReLU applied in place.  ``routed_ffn`` is top-1 routed
+i is the next ``lengths[i]`` rows.  ``attention`` (through head-major
+[heads, N, d_k] views) and ``segment_sum`` view each run of consecutive
+equal-length sequences as one unpadded block of its rows, so no padded
+position is read.  ``linear`` records an affine map and ``ffn`` a
+position-wise feed-forward block as one node each, with bias and ReLU
+applied in place.  ``routed_ffn`` is top-1 routed
 experts as one node: it gathers the served rows, runs the stacked experts
 as row groups, scales each row by its gate probability and writes it back
 in token order.  ``take_rows`` is the one gather: embedding lookup and
@@ -236,7 +237,7 @@ def add(a, b) -> Tensor:
     out = a.data + b.data
     if not _ACTIVE_TAPES:
         return Tensor(out)
-    a_shape, b_shape = a.shape, b.shape  # all the vjps read, so the operands can go
+    a_shape, b_shape = a.data.shape, b.data.shape  # all the vjps read, so the operands can go
     return _maybe_record(out, [
         (a, lambda g: _unbroadcast(g, a_shape)),
         (b, lambda g: _unbroadcast(g, b_shape)),
@@ -260,17 +261,17 @@ def mul(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
+    ad, bd = a.data, b.data
+    if ad.ndim < 2 or bd.ndim < 2:
         raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if ad.shape[-1] != bd.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     try:
-        out = np.matmul(a.data, b.data)
+        out = np.matmul(ad, bd)
     except ValueError as e:
         raise DimensionError(f"matmul shapes incompatible: {a.shape} @ {b.shape}") from e
     if not _ACTIVE_TAPES:
         return Tensor(out)
-    ad, bd = a.data, b.data
     return _maybe_record(out, [
         (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)),
         (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)),
@@ -281,9 +282,9 @@ def linear(x, w, b) -> Tensor:
     """``x @ w + b`` for [N, d_in] rows, a [d_in, d_out] map and a [d_out]
     bias, one node; the bias is added in place into the product."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise DimensionError(f"linear: rows {x.shape}, weight {w.shape}, bias {b.shape} do not fit")
     xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0] or b.data.shape != wd.shape[1:]:
+        raise DimensionError(f"linear: rows {x.shape}, weight {w.shape}, bias {b.shape} do not fit")
     out = np.matmul(xd, wd)
     out += b.data
     if not _ACTIVE_TAPES:
@@ -357,9 +358,9 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
     maps and [f] and [d] biases, one node; bias and ReLU are applied in
     place."""
     x, *maps = (_as_tensor(t) for t in (x, w1, b1, w2, b2))
-    (n, d), f = x.shape if x.ndim == 2 else (0, 0), maps[0].shape[-1]
-    shapes = [m.shape for m in maps]
-    if x.ndim != 2 or shapes != [(d, f), (f,), (f, d), (d,)]:
+    shapes = [m.data.shape for m in maps]
+    (n, d), f = x.data.shape if x.data.ndim == 2 else (0, 0), shapes[0][-1]
+    if x.data.ndim != 2 or shapes != [(d, f), (f,), (f, d), (d,)]:
         raise DimensionError(f"ffn: rows {x.shape} and maps {' '.join(map(str, shapes))} "
                              f"do not fit")
     stacks, groups = [m.data[None] for m in maps], [(0, slice(0, n))]
@@ -389,10 +390,11 @@ def routed_ffn(x, w1, b1, w2, b2, probs, chosen, kept) -> Tensor:
     differentiated.
     """
     x, probs, *maps = (_as_tensor(t) for t in (x, probs, w1, b1, w2, b2))
-    shapes = [m.shape for m in maps]
-    n, d = x.shape if x.ndim == 2 else (0, 0)
+    shapes = [m.data.shape for m in maps]
+    n, d = x.data.shape if x.data.ndim == 2 else (0, 0)
     E, _, f = shapes[0] if len(shapes[0]) == 3 else (0, 0, 0)
-    if x.ndim != 2 or probs.shape != (n, E) or shapes != [(E, d, f), (E, f), (E, f, d), (E, d)]:
+    if (x.data.ndim != 2 or probs.data.shape != (n, E)
+            or shapes != [(E, d, f), (E, f), (E, f, d), (E, d)]):
         raise DimensionError(f"routed_ffn: rows {x.shape}, gate probabilities {probs.shape} and "
                              f"maps {' '.join(map(str, shapes))} do not fit")
     chosen, kept = np.asarray(chosen), np.asarray(kept)
@@ -421,7 +423,7 @@ def routed_ffn(x, w1, b1, w2, b2, probs, chosen, kept) -> Tensor:
         return Tensor(out)
 
     def d_probs(g):
-        grad = np.zeros(probs.shape)
+        grad = np.zeros((n, E))
         grad[np.arange(n), chosen] = _unbroadcast(g * combined, (n, 1))[:, 0]
         return grad
 
@@ -430,7 +432,7 @@ def routed_ffn(x, w1, b1, w2, b2, probs, chosen, kept) -> Tensor:
     d_x, *d_maps = _row_group_vjps(xd, h, stacks, shapes, groups, lambda g: (g * pick)[kept])
 
     def d_rows(g):
-        grad = np.zeros(x.shape)
+        grad = np.zeros((n, d))
         grad[kept] = d_x(g)
         return grad
 
@@ -478,7 +480,7 @@ def layer_norm(x, gamma, beta, epsilon: float) -> Tensor:
     beta gradients sum ``g * xhat`` and ``g`` over the leading axes.
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    d = x.shape[-1]  # means are sums over d, bit for bit what np.mean gives
+    d = x.data.shape[-1]  # means are sums over d, bit for bit what np.mean gives
     xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
     inv = ((xhat * xhat).sum(axis=-1, keepdims=True) / d + epsilon) ** -0.5
     xhat *= inv
@@ -502,7 +504,7 @@ def layer_norm(x, gamma, beta, epsilon: float) -> Tensor:
 def softmax(x, axis: int = -1) -> Tensor:
     """Softmax along ``axis`` with max-subtraction for stability."""
     x = _as_tensor(x)
-    if not -x.ndim <= axis < x.ndim:
+    if not -x.data.ndim <= axis < x.data.ndim:
         raise DimensionError(f"softmax axis {axis} out of range for shape {x.shape}")
     y = _softmax_in_place(x.data.copy(), axis)
     if not _ACTIVE_TAPES:
@@ -557,62 +559,74 @@ def attention(q, k, v, lengths, num_heads: int) -> Tensor:
     """Multi-head self-attention from packed [N, d] rows to packed rows, one node.
 
     Sequence i is the next ``lengths[i]`` rows, head h in columns
-    h*d_k:(h+1)*d_k.  Each run of consecutive sequences of equal length L
-    is viewed as an unpadded [n, heads, L, d_k] grid for ``P v`` with
-    ``P = softmax(q kᵀ / sqrt(d_k))``: no padded key is read, and a
-    sequence's output and gradients are bit for bit those it has alone.
+    h*d_k:(h+1)*d_k.  Packed rows are viewed head-major, [heads, N, d_k]:
+    a run of one sequence of length L is one [heads, L, d_k] slice, and a
+    run of n equal-length sequences an [n, heads, L, d_k] grid, for ``P v``
+    with ``P = softmax(q kᵀ / sqrt(d_k))``.  No padded key is read, a
+    sequence's output and gradients are bit for bit those it has alone, and
+    products go straight into such views of their packed output.
     Closed-form backward: with ``dP = g vᵀ``,
     ``dS = (dP - sum(dP * P)) * P / sqrt(d_k)`` gives ``dq = dS k``,
     ``dk = (qᵀ dS)ᵀ`` and ``dv = Pᵀ g``.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if (q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or num_heads < 1
-            or q.shape[1] % num_heads):
+    shape = q.data.shape
+    if (len(shape) != 2 or k.data.shape != shape or v.data.shape != shape or num_heads < 1
+            or shape[1] % num_heads):
         raise DimensionError(f"attention needs [N, d] q, k and v with d divisible by "
                              f"{num_heads} heads, got q {q.shape}, k {k.shape}, v {v.shape}")
-    rows, width = q.shape
+    rows, width = shape
     d_k = width // num_heads
     scale = 1.0 / np.sqrt(d_k)
-    runs = []  # per run: its rows, their [n, L, heads, d_k] shape, q, k, v and P
-    for r, count, length in _runs(lengths, rows):
-        shape = (count, length, num_heads, d_k)
-        qd, kd, vd = (x.data[r].reshape(shape).transpose(0, 2, 1, 3) for x in (q, k, v))
-        probs = np.matmul(qd, np.swapaxes(kd, -1, -2))
-        probs *= scale
-        runs.append((r, shape, qd, kd, vd, _softmax_in_place(probs, -1)))
+    spans = _runs(lengths, rows)
 
-    def to_rows(parts):  # each run's [n, heads, L, d_k] product -> packed [N, d] rows
-        if len(runs) == 1:
-            # Reshaped as it is: a copy into C order would change the layout,
-            # and so the rounding, of the products that follow.
-            return parts[0].transpose(0, 2, 1, 3).reshape(rows, width)
-        out = np.empty((rows, width))
-        for (r, shape, *_), part in zip(runs, parts):
-            out[r].reshape(shape)[...] = part.transpose(0, 2, 1, 3)
+    def heads(a):  # packed [N, d] rows -> their [heads, N, d_k] view, sliced per run
+        a = a.reshape(rows, num_heads, d_k).transpose(1, 0, 2)
+        return [a[:, r] if n == 1 else a[:, r].reshape(num_heads, n, length, d_k).swapaxes(0, 1)
+                for r, n, length in spans]
+
+    def packed(product):  # new packed rows, ``product(i, view)`` writing run i into its view
+        out = np.empty(shape)
+        for i, view in enumerate(heads(out)):
+            product(i, view)
         return out
 
-    out = to_rows([np.matmul(probs, vd) for *_, vd, probs in runs])
+    qs, ks, vs = heads(q.data), heads(k.data), heads(v.data)
+    ps = []  # per run: P
+    for qd, kd in zip(qs, ks):
+        probs = np.matmul(qd, kd.swapaxes(-1, -2))
+        probs *= scale
+        ps.append(_softmax_in_place(probs, -1))
+    out = packed(lambda i, o: np.matmul(ps[i], vs[i], out=o))
     if not _ACTIVE_TAPES:
         return Tensor(out)
-    last = [None, None]  # (incoming gradient, per run: q, k, P, it on the grid, dS)
+    last = [None, None, None]  # the incoming gradient, and per run its g and dS
 
     def grads(g):  # shared by the three vjps
         if last[0] is not g:
-            per_run = []
-            for r, shape, qd, kd, vd, probs in runs:
-                g_grid = g[r].reshape(shape).transpose(0, 2, 1, 3)
-                d_probs = np.matmul(g_grid, np.swapaxes(vd, -1, -2))
-                d_scores = (d_probs - (d_probs * probs).sum(axis=-1, keepdims=True)) * probs * scale
-                per_run.append((qd, kd, probs, g_grid, d_scores))
-            last[:] = g, per_run
-        return last[1]
+            gs, d_scores = heads(g), []
+            for g_run, vd, probs in zip(gs, vs, ps):
+                ds = np.matmul(g_run, vd.swapaxes(-1, -2))
+                ds -= (ds * probs).sum(axis=-1, keepdims=True)
+                ds *= probs
+                ds *= scale
+                d_scores.append(ds)
+            last[:] = g, gs, d_scores
+        return last
+
+    def k_grad(g):
+        products = [np.matmul(qd.swapaxes(-1, -2), ds) for qd, ds in zip(qs, grads(g)[2])]
+        if len(spans) == 1 and spans[0][1] == 1:
+            # Left in the layout of its [heads, d_k, L] product: a copy into
+            # C order would change the rounding of the products that follow.
+            return products[0].transpose(2, 0, 1).reshape(shape)
+        return packed(lambda i, o: np.copyto(o, products[i].swapaxes(-1, -2)))
 
     return _maybe_record(out, [
-        (q, lambda g: to_rows([np.matmul(ds, kd) for _, kd, _, _, ds in grads(g)])),
-        (k, lambda g: to_rows([np.swapaxes(np.matmul(np.swapaxes(qd, -1, -2), ds), -1, -2)
-                               for qd, _, _, _, ds in grads(g)])),
-        (v, lambda g: to_rows([np.matmul(np.swapaxes(probs, -1, -2), g_grid)
-                               for _, _, probs, g_grid, _ in grads(g)])),
+        (q, lambda g: packed(lambda i, o: np.matmul(grads(g)[2][i], ks[i], out=o))),
+        (k, k_grad),
+        (v, lambda g: packed(lambda i, o: np.matmul(ps[i].swapaxes(-1, -2), grads(g)[1][i],
+                                                    out=o))),
     ])
 
 
@@ -636,7 +650,7 @@ def take_rows(x, index) -> Tensor:
     x = _as_tensor(x)
     many = isinstance(index, tuple)
     idx = tuple(np.asarray(i) for i in index) if many else (np.asarray(index),)
-    axes = x.shape[:len(idx)]
+    axes = x.data.shape[:len(idx)]
     try:  # the flat positions; raises on an index outside its axis
         slots = np.ravel_multi_index(idx, axes)
     except ValueError as e:
@@ -688,7 +702,7 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
     if not training or rate == 0.0:
         return x
     scale = 1.0 / (1.0 - rate)
-    keep = rng.random(x.shape) >= rate  # one byte per element; ``keep * scale`` is the float mask
+    keep = rng.random(x.data.shape) >= rate  # one byte per element; ``keep * scale`` is the float mask
     out = x.data * (keep * scale)
     if not _ACTIVE_TAPES:
         return Tensor(out)

@@ -455,9 +455,7 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
                     tape.backward(loss)
                     tally.add(result, labels, ce)
                 if len(chunks) > 1:
-                    for _, p in params:
-                        if p.grad is not None:
-                            p.grad *= 1.0 / len(chunks)
+                    opt.grad *= 1.0 / len(chunks)
                 if config.grad_clip > 0:
                     clip_grad_norm(params, config.grad_clip)
                 opt.step(cosine_warmup_lr(step, schedule))
@@ -494,6 +492,9 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
                 say(f"validation accuracy target {config.stop_at_val_accuracy} reached at epoch {epoch}")
                 break
 
+        for _, p in params:  # free the gradient and moment arenas before the restore allocates
+            p.grad = None
+        del opt
         best_epoch = len(history)
         if config.early_stopping and history:
             model, vocab, extra = load_checkpoint(ckpt_path)

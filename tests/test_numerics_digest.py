@@ -6,8 +6,10 @@ These digests pin the exact bits of fresh d32 dense and switch models for
 fixed seeds: logits at inference, and logits plus every parameter gradient
 of a training forward (dropout on) and its loss, on a padded batch and on a
 batch-1 sequence; the inference logits of the padded batch on their own, so
-a move in them cannot hide behind a move in the training bits; the IG scores of one switch example; and the inference
-logits of a switch batch that leaves one expert without a token.
+a move in them cannot hide behind a move in the training bits; the IG scores of one switch example; the inference
+logits of a switch batch that leaves one expert without a token; and the
+best checkpoint of a short switch ``train()``, which pins the optimizer's
+output bits through accumulation, clipping and early stopping.
 
 They hold for numpy 2.4.6 linked against OpenBLAS 0.3.31 (the scipy-openblas
 wheel build, DYNAMIC_ARCH, running its SkylakeX kernels on an AVX-512 x86-64
@@ -22,9 +24,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from switchtext import EncoderModel, ModelConfig, Tape
+from switchtext import EncoderModel, ModelConfig, RunConfig, Tape, generate_synthetic_corpus
 from switchtext.interpret import integrated_gradients
-from switchtext.training import total_loss
+from switchtext.training import total_loss, train
 
 BATCHES = {
     "padded": (np.array([[5, 9, 13, 2, 40, 7, 0, 0],
@@ -54,6 +56,10 @@ EXPECTED_IG = "fc7264948c34429dd98c9c9472488f335fff52120b68b934f98b0f2ccda17310"
 # expert 1 serves an empty row group.
 EMPTY_EXPERT_IDS = np.array([[41, 34, 2, 0, 0, 0], [3, 38, 37, 0, 0, 0], [43, 0, 0, 0, 0, 0]])
 EXPECTED_EMPTY_EXPERT = "95d4cd7da1bccfc2bb67c4b09c63b15db68a4fc2226374ff70ffc6ae730377fc"
+
+# Two epochs of ten steps, two micro-batches a step; the gradient norm is
+# clipped on 7 of the 10 steps, and epoch 2 is the best epoch restored.
+EXPECTED_TRAINED_CHECKPOINT = "58e2ae6f7ebf620332614f2f8b2a35ce1a52db1692a5ce040d1c5e95fde64293"
 
 
 def d32_model(variant: str) -> EncoderModel:
@@ -101,3 +107,15 @@ def test_inference_with_an_empty_expert_keeps_its_bits():
     result = d32_model("switch").forward(ids, ids != 0)
     assert [record.counts.tolist() for record in result.routing] == [[6, 1], [7, 0]]
     assert hashlib.sha256(result.logits.data.tobytes()).hexdigest() == EXPECTED_EMPTY_EXPERT
+
+
+def test_trained_checkpoint_keeps_its_bits(tmp_path):
+    config = RunConfig(variant="switch", num_layers=2, num_heads=2, num_experts=2, d_model=32,
+                       d_ff=64, max_len=32, dropout=0.2, seed=3, epochs=2, batch_size=8,
+                       grad_accumulation=2, peak_lr=2e-3, grad_clip=2.0, early_stopping=True,
+                       patience=2, min_frequency=1)
+    corpus = generate_synthetic_corpus(96, positive_fraction=0.4, noise=0.05, seed=21)
+    result = train(config, corpus, out_dir=str(tmp_path), quiet=True)
+    assert result.best_epoch == 2
+    digest = hashlib.sha256((tmp_path / "best.ckpt").read_bytes()).hexdigest()
+    assert digest == EXPECTED_TRAINED_CHECKPOINT

@@ -8,7 +8,7 @@ import pytest
 
 from switchtext import AdamW, EarlyStopping, ScheduleConfig, Tensor, cosine_warmup_lr
 from switchtext import tensor as T
-from switchtext.errors import ConfigError, NumericError
+from switchtext.errors import ConfigError, ContractError, NumericError
 from switchtext.optim import CHUNK, clip_grad_norm
 from switchtext.tensor import Tape
 
@@ -16,6 +16,20 @@ from switchtext.tensor import Tape
 def make_param(value):
     p = Tensor(np.asarray(value, dtype=float), requires_grad=True)
     return p
+
+
+def textbook_adam(values, grads, lr):
+    """Plain Adam (betas 0.9, 0.999, eps 5e-6), written independently."""
+    w = values.copy()
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
+    for t, g in enumerate(grads, start=1):
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat = m / (1.0 - 0.9 ** t)
+        v_hat = v / (1.0 - 0.999 ** t)
+        w = w - lr * m_hat / (np.sqrt(v_hat) + 5e-6)
+    return w
 
 
 class TestAdamW:
@@ -52,18 +66,33 @@ class TestAdamW:
         for g in grads:
             p.grad = g.copy()
             opt.step(lr=0.01)
+        np.testing.assert_array_equal(p.data, textbook_adam(values, grads, lr=0.01))
 
-        # Textbook Adam, written independently.
-        w = values.copy()
-        m = np.zeros(6)
-        v = np.zeros(6)
-        for t, g in enumerate(grads, start=1):
-            m = 0.9 * m + (1.0 - 0.9) * g
-            v = 0.999 * v + (1.0 - 0.999) * g * g
-            m_hat = m / (1.0 - 0.9 ** t)
-            v_hat = v / (1.0 - 0.999 ** t)
-            w = w - 0.01 * m_hat / (np.sqrt(v_hat) + 5e-6)
-        np.testing.assert_array_equal(p.data, w)
+    def test_preset_and_foreign_gradients_reach_the_update(self):
+        # One gradient is set before the optimizer adopts the parameter, the
+        # next is a new array assigned after a zero_grad.
+        gen = np.random.default_rng(10)
+        values = gen.standard_normal(4)
+        grads = [gen.standard_normal(4) for _ in range(2)]
+        p = make_param(values.copy())
+        p.grad = grads[0].copy()
+        opt = AdamW([("p", p)])
+        opt.step(lr=0.01)
+        opt.zero_grad()
+        p.grad = grads[1].copy()
+        opt.step(lr=0.01)
+        np.testing.assert_array_equal(p.data, textbook_adam(values, grads, lr=0.01))
+        np.testing.assert_array_equal(opt.grad, grads[1])
+
+    def test_rebound_data_makes_step_raise(self):
+        p = make_param([1.0, 2.0])
+        opt = AdamW([("head.bias", p)])
+        p.data = np.array([3.0, 4.0])
+        p.grad = np.ones(2)
+        with pytest.raises(ContractError, match="head.bias.data was rebound"):
+            opt.step(lr=0.1)
+        assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+        np.testing.assert_array_equal(opt.data, [1.0, 2.0])
 
     def test_non_finite_gradient_aborts(self):
         p = make_param([1.0])
@@ -84,20 +113,22 @@ class TestAdamW:
             p.grad = np.ones(p.shape)
         opt.step(lr=0.1)
         params[-1].grad = np.array([0.5, np.nan])
-        before = ([p.data.copy() for p in params], [m.copy() for m in opt.m],
-                  [v.copy() for v in opt.v], opt.t)
+        before = [p.data.copy() for p in params], opt.m.copy(), opt.v.copy(), opt.t
         with pytest.raises(NumericError, match="w2"):
             opt.step(lr=0.1)
         assert opt.t == before[3]
-        for now, then in zip(([p.data for p in params], opt.m, opt.v), before[:3]):
-            for a, b in zip(now, then):
-                np.testing.assert_array_equal(a, b)
-
+        for a, b in zip([p.data for p in params], before[0]):
+            np.testing.assert_array_equal(a, b)
+        # The moments are flat arenas: compare them whole, not element by element.
+        assert opt.m.shape == opt.v.shape == (5,)
+        np.testing.assert_array_equal(opt.m, before[1])
+        np.testing.assert_array_equal(opt.v, before[2])
 
     def test_step_updates_in_place_like_the_out_of_place_formula(self):
         gen = np.random.default_rng(9)
-        # "c" spans more than one chunk and ends in a partial one; "d" is a
-        # transposed view, which reshape(-1) would copy.
+        # "c" spans more than one chunk, ends in a partial one and moves the
+        # segment after it off the chunk boundaries; "d" starts as a
+        # transposed view and is adopted into its C-ordered segment.
         params = [("a", make_param(gen.standard_normal((3, 4)))),
                   ("b", make_param(gen.standard_normal(5))),
                   ("c", make_param(gen.standard_normal(2 * CHUNK + 7))),
@@ -107,7 +138,9 @@ class TestAdamW:
         m = [np.zeros(p.shape) for _, p in params]
         v = [np.zeros(p.shape) for _, p in params]
         opt = AdamW(params, weight_decay=0.02)
-        buffers = [p.data for _, p in params] + opt.m + opt.v
+        segments = list(zip(opt.offsets, opt.offsets[1:]))
+        assert segments[-1][1] == opt.data.size == sum(x.size for x in w)
+        views = [(p.data, p.grad) for _, p in params]
         for t in range(1, 4):
             grads = [gen.standard_normal(p.shape) for _, p in params]
             for (_, p), g in zip(params, grads):
@@ -119,10 +152,15 @@ class TestAdamW:
                 v[i] = v[i] * 0.999 + (1.0 - 0.999) * g * g
                 update = 0.01 * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + 5e-6)
                 w[i] = w[i] - (update + 0.01 * 0.02 * w[i])
-        for i, (_, p) in enumerate(params):
-            assert p.data.tobytes() == w[i].tobytes()
-            assert opt.m[i].tobytes() == m[i].tobytes() and opt.v[i].tobytes() == v[i].tobytes()
-        assert all(a is b for a, b in zip(buffers, [p.data for _, p in params] + opt.m + opt.v))
+        for i, ((_, p), (lo, hi)) in enumerate(zip(params, segments)):
+            assert p.data.tobytes() == w[i].tobytes() == opt.data[lo:hi].tobytes()
+            assert opt.m[lo:hi].tobytes() == m[i].tobytes()
+            assert opt.v[lo:hi].tobytes() == v[i].tobytes()
+            # Still the same views of the parameter's own segment of each arena.
+            assert p.data is views[i][0] and p.grad is views[i][1]
+            for view, arena in ((p.data, opt.data), (p.grad, opt.grad)):
+                assert view.base is arena and view.ctypes.data == arena[lo:].ctypes.data
+                assert view.flags.c_contiguous and view.size == hi - lo
 
 
 class TestClip:

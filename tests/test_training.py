@@ -3,6 +3,7 @@ determinism, early-stopping restore, and artifact layout."""
 
 import json
 import os
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -252,6 +253,31 @@ class TestTrainRuns:
                                                                      (0.5, 0.75, 1e-3)]
         weights = [np.concatenate([p.data.ravel() for _, p in run.model.parameters()]) for run in runs]
         assert not np.array_equal(*weights)
+
+    @pytest.mark.parametrize("early_stopping", [True, False])
+    def test_optimizer_state_is_gone_before_the_restore(self, monkeypatch, early_stopping):
+        # The optimizer's moment and gradient arenas are released before the
+        # best checkpoint is loaded back, and no returned parameter keeps a
+        # gradient.
+        corpus = generate_synthetic_corpus(60, seed=5, min_tokens=6, max_tokens=12)
+        built, restores = [], []
+
+        class Recorded(AdamW):
+            def __init__(self, params, **settings):
+                super().__init__(params, **settings)
+                built.append(weakref.ref(self))
+
+        def load(path):
+            restores.append([ref() for ref in built])
+            return load_checkpoint(path)
+
+        monkeypatch.setattr(training, "AdamW", Recorded)
+        monkeypatch.setattr(training, "load_checkpoint", load)
+        result = train(quick_config(epochs=2, early_stopping=early_stopping, patience=5), corpus,
+                       quiet=True)
+        assert len(built) == 1 and built[0]() is None
+        assert restores == ([[None]] if early_stopping else [])
+        assert all(p.grad is None for _, p in result.model.parameters())
 
     def test_invalid_adam_setting_stops_the_run_before_the_split(self, monkeypatch):
         monkeypatch.setattr(training, "split_dataset", lambda *a, **k: pytest.fail("split"))
