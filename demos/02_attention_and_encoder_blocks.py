@@ -37,12 +37,14 @@ print("\nweights over the 5 packed keys, lengths 3 and 2:\n", np.round(two.data,
 # EncoderModel.forward turns its [batch, len] padding mask into lengths
 # once; below it the encoder carries only real tokens, as [N, d] rows.
 # Inside, attention views each run of consecutive sequences of equal
-# length as an unpadded [n, heads, len, d_k] grid.
+# length as an unpadded [n, heads, len, d_k] grid.  The parameters are
+# tensors only: the head count is a setting (ModelConfig.num_heads), passed
+# to the forward, and fixes only the Glorot scale of the one q/k/v draw.
 p = MultiHeadParams.create(d_model=8, num_heads=2, rng=np.random.default_rng(2))
 grid = rng.standard_normal((2, 5, 8))
 mask = np.array([[True] * 5, [True, True, True, False, False]])
 x = Tensor(grid[mask])
-out = multi_head_attention(x, p, mask.sum(axis=1))
+out = multi_head_attention(x, p, mask.sum(axis=1), num_heads=2)
 print("\npadded grid", grid.shape, "-> packed rows", x.shape, "-> multi-head output", out.shape)
 
 # --- a whole encoder model ------------------------------------------------

@@ -3,7 +3,9 @@ the load-balancing loss, and why it matters.  The switch layer returns its
 output and a routing record; the penalty is built from the record's mean
 gate probabilities and dispatched counts, as the training loss builds it,
 and each expert's utilization is its share of the routing choices,
-``record.dispatched_counts() / record.num_tokens``.
+``record.dispatched_counts() / record.num_tokens``.  The layer's parameters
+are tensors only; the capacity factor is a setting
+(``ModelConfig.capacity_factor``) that each ``switch_forward`` call takes.
 
 Run:  python demos/03_expert_routing_and_balance.py
 """
@@ -24,10 +26,9 @@ def balance_loss(record):
 
 
 # Route 12 tokens through 4 experts.
-params = SwitchParams.create(d_model=8, d_ff=16, num_experts=4,
-                             rng=np.random.default_rng(3), capacity_factor=1.25)
+params = SwitchParams.create(d_model=8, d_ff=16, num_experts=4, rng=np.random.default_rng(3))
 x = Tensor(rng.standard_normal((12, 8)))
-out, record = switch_forward(x, params)
+out, record = switch_forward(x, params, training=True, capacity_factor=1.25)
 
 print("chosen expert per token:", record.chosen)
 print("gate probability of the chosen expert:",
@@ -41,7 +42,7 @@ print("balance loss (1.0 = perfectly balanced):", round(balance_loss(record).ite
 # with zero expert contribution (the residual connection carries them).
 params.gate.weight.data[:] = 0.0
 params.gate.bias.data = np.array([4.0, -4.0, -4.0, -4.0])
-out, record = switch_forward(x, params)
+out, record = switch_forward(x, params, training=True, capacity_factor=1.25)
 print("\nafter rigging the gate toward expert 0:")
 print("  served:", record.counts, "overflow:", record.overflow)
 print("  balance loss:", round(balance_loss(record).item(), 4), "(rises with imbalance)")
@@ -55,12 +56,12 @@ def train_layer(aux_weight, seed=1, steps=200):
     tokens = np.concatenate([0.6 * direction + gen.normal(0, 0.1, (32, 8)),
                              1.8 * direction + gen.normal(0, 0.1, (32, 8))])
     targets = Tensor(np.maximum(0.0, tokens @ (gen.standard_normal((8, 8)) * 0.5)))
-    layer = SwitchParams.create(8, 16, 2, gen, capacity_factor=4.0)
+    layer = SwitchParams.create(8, 16, 2, gen)
     opt = AdamW(named_tensors(layer, "switch"))  # gate, then every expert
     record = None
     for _ in range(steps):
         with Tape() as tape:
-            out, record = switch_forward(Tensor(tokens), layer, training=True)
+            out, record = switch_forward(Tensor(tokens), layer, training=True, capacity_factor=4.0)
             diff = T.add(out, T.mul(targets, -1.0))
             loss = T.mean(T.mul(diff, diff))
             if aux_weight:

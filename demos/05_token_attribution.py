@@ -7,6 +7,7 @@ Run:  python demos/05_token_attribution.py
 import numpy as np
 
 from switchtext import RunConfig, generate_synthetic_corpus
+from switchtext.data import decode
 from switchtext.interpret import integrated_gradients, rank_misclassified
 from switchtext.training import train
 
@@ -22,7 +23,7 @@ result = train(config, corpus, out_dir=None, quiet=True)
 model, vocab = result.model, result.vocab
 
 example = next(e for e in result.encoded["val"] if e.label == 1)
-print("note:", example.text)
+print("note:", " ".join(decode(example.ids, vocab)))
 print("true label:", example.label)
 
 report = integrated_gradients(model, example.ids, np.ones(len(example.ids), bool),

@@ -6,6 +6,7 @@ each run of consecutive equal-length sequences as an unpadded grid for the
 scores, reads no padded key, and returns packed rows again.  The output map is
 one ``T.linear`` node and the feed-forward block one ``T.ffn`` node, or, for
 routed experts, one ``T.routed_ffn`` node that also dispatches and combines.
+The parameters are tensors only; the head count is an argument.
 """
 
 from __future__ import annotations
@@ -30,21 +31,17 @@ class MultiHeadParams:
     wk: Tensor
     wv: Tensor
     wo: LinearParams
-    num_heads: int
 
     @staticmethod
     def create(d_model: int, num_heads: int, rng: np.random.Generator | None) -> "MultiHeadParams":
         if d_model % num_heads != 0:
             raise ConfigError(f"d_model {d_model} not divisible by num_heads {num_heads}")
-        d_k = d_model // num_heads
-        # Each head's q, k and v blocks are drawn in turn at Glorot scale for
-        # fan_out d_k; this draw order fixes the values a seed gives.
-        draws = [[init_weight(d_model, d_k, rng).data for _ in range(3)]
-                 for _ in range(num_heads)]
-        wq, wk, wv = (Tensor(np.concatenate([head[i] for head in draws], axis=1),
-                             requires_grad=True) for i in range(3))
-        return MultiHeadParams(wq=wq, wk=wk, wv=wv,
-                               wo=LinearParams.create(d_model, d_model, rng), num_heads=num_heads)
+        # One draw, head by head and within a head q, k, v, each block at the
+        # Glorot scale for fan_out d_k; this order fixes the values a seed gives.
+        qkv = init_weight((num_heads, 3, d_model, d_model // num_heads), rng).data
+        wq, wk, wv = (Tensor(w, requires_grad=True)
+                      for w in qkv.transpose(1, 2, 0, 3).reshape(3, d_model, d_model))
+        return MultiHeadParams(wq=wq, wk=wk, wv=wv, wo=LinearParams.create(d_model, d_model, rng))
 
 
 @dataclass
@@ -62,12 +59,13 @@ class FfnParams:
         )
 
 
-def multi_head_attention(h: Tensor, p: MultiHeadParams, lengths: np.ndarray) -> Tensor:
+def multi_head_attention(h: Tensor, p: MultiHeadParams, lengths: np.ndarray,
+                         num_heads: int) -> Tensor:
     """Self-attention over packed rows ``h`` [N, d_model], sequence i the next
-    ``lengths[i]`` rows; returns [N, d_model]: the q, k and v projections,
-    one ``T.attention`` node and the output map."""
+    ``lengths[i]`` rows, in ``num_heads`` heads; returns [N, d_model]: the q,
+    k and v projections, one ``T.attention`` node and the output map."""
     return linear(T.attention(T.matmul(h, p.wq), T.matmul(h, p.wk), T.matmul(h, p.wv),
-                              lengths, p.num_heads), p.wo)
+                              lengths, num_heads), p.wo)
 
 
 def position_wise_ffn(x: Tensor, p: FfnParams, route=()) -> Tensor:

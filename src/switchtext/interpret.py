@@ -22,6 +22,7 @@ from .errors import ConfigError, ContractError, NumericError, LookupError_
 from .layers import PAD_ID, embed
 from .model import EncoderModel
 from .tensor import Tape, Tensor
+from .training import evaluate
 
 
 @dataclass
@@ -152,8 +153,6 @@ def rank_misclassified(model: EncoderModel, encoded, vocab: Vocabulary | None = 
     the input predicts.  Returns a list of (EncodedExample,
     AttributionReport).
     """
-    from .training import evaluate
-
     if limit is not None and limit < 0:
         raise ConfigError(f"limit must be >= 0, got {limit}")
     predictions = evaluate(model, encoded).predictions

@@ -3,7 +3,7 @@ the one epsilon ``LAYER_NORM_EPS``), token + learned-position embeddings
 looked up straight into packed real-token rows, and Glorot-normal
 initialization from a caller's generator (``init_weight``).
 
-Parameter containers are plain dataclasses of tensors, which
+Parameter containers are dataclasses of tensors and lists only, which
 ``named_tensors`` walks to name every parameter.  The functional ops below
 apply tape primitives to a container's tensors; an affine map and layer
 normalization are single primitives whose backward rules are closed forms,
@@ -12,7 +12,7 @@ not composites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,16 +25,18 @@ UNK_ID = 1
 LAYER_NORM_EPS = 1e-5
 
 
-def init_weight(fan_in: int, fan_out: int, rng: np.random.Generator | None) -> Tensor:
-    """A ``fan_in x fan_out`` weight drawn from the Glorot-normal law
-    N(0, 2/(fan_in+fan_out)) with ``rng``, or with ``rng`` None an unfilled
-    one that draws nothing, for a checkpoint load to overwrite."""
+def init_weight(shape: tuple[int, ...], rng: np.random.Generator | None) -> Tensor:
+    """A weight of ``shape``, a stack of ``fan_in x fan_out`` maps, drawn from
+    the Glorot-normal law N(0, 2/(fan_in+fan_out)) with ``rng``, or with
+    ``rng`` None an unfilled one that draws nothing, for a checkpoint load to
+    overwrite.  One draw gives the stack the maps drawn one by one would get."""
+    fan_in, fan_out = shape[-2:]
     if fan_in < 1 or fan_out < 1:
         raise ConfigError(f"fan extents must be >= 1, got {fan_in}, {fan_out}")
     if rng is None:
-        return Tensor(np.empty((fan_in, fan_out)), requires_grad=True)
+        return Tensor(np.empty(shape), requires_grad=True)
     std = float(np.sqrt(2.0 / (fan_in + fan_out)))
-    return Tensor(rng.normal(0.0, std, size=(fan_in, fan_out)), requires_grad=True)
+    return Tensor(rng.normal(0.0, std, size=shape), requires_grad=True)
 
 
 @dataclass
@@ -47,7 +49,7 @@ class LinearParams:
     @staticmethod
     def create(fan_in: int, fan_out: int, rng: np.random.Generator | None) -> "LinearParams":
         return LinearParams(
-            weight=init_weight(fan_in, fan_out, rng),
+            weight=init_weight((fan_in, fan_out), rng),
             bias=Tensor(np.zeros(fan_out), requires_grad=True),
         )
 
@@ -84,8 +86,8 @@ class EmbeddingTable:
         if vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2 (PAD and UNK), got {vocab_size}")
         return EmbeddingTable(
-            table=init_weight(vocab_size, dim, rng),
-            positional=init_weight(max_len, dim, rng),
+            table=init_weight((vocab_size, dim), rng),
+            positional=init_weight((max_len, dim), rng),
         )
 
 
@@ -94,17 +96,13 @@ def named_tensors(node, prefix: str) -> list[tuple[str, Tensor]]:
 
     Walks dataclass fields in declaration order and list items by index, so
     the names follow the container layout, e.g. ``blocks.0.mixer.lin1.weight``.
-    Fields holding anything else (a capacity factor, a head count) are not
-    parameters.
     """
     if isinstance(node, Tensor):
         return [(prefix, node)]
     if isinstance(node, list):
         children = [(str(i), child) for i, child in enumerate(node)]
-    elif is_dataclass(node):
-        children = [(f.name, getattr(node, f.name)) for f in fields(node)]
     else:
-        return []
+        children = [(f.name, getattr(node, f.name)) for f in fields(node)]
     named = []
     for key, child in children:
         named += named_tensors(child, f"{prefix}.{key}")

@@ -5,7 +5,7 @@ ROC AUC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class EvalReport:
     auc: float | None
     confusion: ConfusionMatrix
     averaging: str = "positive"
-    zero_division_flags: list[str] = field(default_factory=list)
+    zero_division: list[str] = field(default_factory=list)
     loss: float | None = None
 
     def table_lines(self) -> list[str]:
@@ -71,23 +71,12 @@ class EvalReport:
         ]
         if self.loss is not None:
             lines.insert(1, f"loss\t{self.loss:.6f}")
-        if self.zero_division_flags:
-            lines.append("zero_division\t" + ",".join(self.zero_division_flags))
+        if self.zero_division:
+            lines.append("zero_division\t" + ",".join(self.zero_division))
         return lines
 
     def to_dict(self) -> dict:
-        cm = self.confusion
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc": self.auc,
-            "loss": self.loss,
-            "confusion": {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn},
-            "averaging": self.averaging,
-            "zero_division": self.zero_division_flags,
-        }
+        return asdict(self)
 
 
 def _safe_ratio(num: int, den: int, name: str, flags: list[str]) -> float:
@@ -128,7 +117,7 @@ def classification_metrics(cm: ConfusionMatrix, averaging: str = "positive",
         f1 = 0.0
     return EvalReport(
         accuracy=accuracy, precision=precision, recall=recall, f1=f1,
-        auc=auc, confusion=cm, averaging=averaging, zero_division_flags=flags,
+        auc=auc, confusion=cm, averaging=averaging, zero_division=flags,
     )
 
 

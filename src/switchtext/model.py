@@ -8,9 +8,12 @@ packed ``[N, d_model]`` rows, sequence i the next ``lengths[i]`` rows, and
 no layer reads a padded position.  The forward builds no loss term:
 ``training.total_loss`` builds the whole objective.
 
-Also home to the closed-form parameter count, pooled hidden-state export,
-and the deterministic checkpoint container, which ends with the sha256 of
-every byte before it, so a load rejects a flipped byte.
+A model is its ``ModelConfig`` plus a tree of tensors, which
+``parameters()`` walks in one fixed order; the forward passes each layer
+the settings it needs.  Also home to the closed-form parameter count,
+pooled hidden-state export, and the deterministic checkpoint container,
+the tensors in walk order then the sha256 of every byte before them, so a
+load rejects a flipped byte.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
+from itertools import zip_longest
 
 import numpy as np
 
@@ -40,8 +44,10 @@ EXPORT_BATCH_SIZE = 32  # notes per forward in export_hidden_embeddings
 
 
 @dataclass
-class ModelConfig:
-    """Architectural and regularization hyperparameters."""
+class ModelSettings:
+    """The architectural and regularization settings ``ModelConfig`` and
+    ``training.RunConfig`` share, with their defaults, range rules and
+    config-file parsing."""
 
     variant: str = "switch"  # {"dense", "switch"}
     num_layers: int = 4
@@ -49,7 +55,6 @@ class ModelConfig:
     num_experts: int = 4
     d_model: int = 200
     d_ff: int = 800
-    vocab_size: int = 2
     max_len: int = 256
     dropout: float = 0.35
     capacity_factor: float = 1.25
@@ -70,8 +75,6 @@ class ModelConfig:
             problems.append(f"d_ff ({self.d_ff}) must be >= d_model ({self.d_model})")
         if self.num_experts < 1:
             problems.append(f"num_experts must be >= 1, got {self.num_experts}")
-        if self.vocab_size < 2:
-            problems.append(f"vocab_size must be >= 2, got {self.vocab_size}")
         if self.max_len < 1:
             problems.append(f"max_len must be >= 1, got {self.max_len}")
         if not 0.0 <= self.dropout < 1.0:
@@ -84,32 +87,46 @@ class ModelConfig:
             problems.append(f"seed must be >= 0, got {self.seed}")
         return problems
 
-    def validate(self) -> "ModelConfig":
+    def validate(self):
         problems = self.violations()
         if problems:
-            raise ConfigError("invalid model config: " + "; ".join(problems))
+            kind = type(self).__name__.removesuffix("Config").lower()
+            raise ConfigError(f"invalid {kind} config: " + "; ".join(problems))
         return self
 
+    @classmethod
+    def from_dict(cls, d):
+        """``cls(**d)`` from config-file keys; each value must have its field's
+        default type, except that an int is taken where a float is due."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"a {cls.__name__} must be a JSON object, got {d!r}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(d) - set(defaults)
+        if unknown:
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        values = {}
+        for key, value in d.items():
+            want = type(defaults[key])
+            if want is float and type(value) is int:
+                value = float(value)
+            if type(value) is not want:
+                raise ConfigError(f"config key {key!r} must be of type {want.__name__}, "
+                                  f"got {value!r}")
+            values[key] = value
+        return cls(**values)
 
-def config_from_dict(cls, d):
-    """``cls(**d)`` for a config dataclass; each value must have its field's
-    default type, except that an int is taken where a float is due."""
-    if not isinstance(d, dict):
-        raise ConfigError(f"a {cls.__name__} must be a JSON object, got {d!r}")
-    defaults = {f.name: f.default for f in fields(cls)}
-    unknown = set(d) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    values = {}
-    for key, value in d.items():
-        want = type(defaults[key])
-        if want is float and type(value) is int:
-            value = float(value)
-        if type(value) is not want:
-            raise ConfigError(f"config key {key!r} must be of type {want.__name__}, "
-                              f"got {value!r}")
-        values[key] = value
-    return cls(**values)
+
+@dataclass
+class ModelConfig(ModelSettings):
+    """The model settings plus the embedding table's row count."""
+
+    vocab_size: int = 2
+
+    def violations(self) -> list[str]:
+        problems = super().violations()
+        if self.vocab_size < 2:
+            problems.append(f"vocab_size must be >= 2, got {self.vocab_size}")
+        return problems
 
 
 @dataclass
@@ -140,7 +157,8 @@ class EncoderModel:
         self.embeddings = embeddings
         self.blocks = blocks
         self.head = head
-        self.reset_dropout_rng(config.seed)
+        self._dropout_rng = np.random.default_rng(
+            np.random.SeedSequence((config.seed, 0xD0)).generate_state(4))
 
     @staticmethod
     def build(config: ModelConfig, init: bool = True) -> "EncoderModel":
@@ -153,8 +171,7 @@ class EncoderModel:
         for _ in range(config.num_layers):
             mha = MultiHeadParams.create(config.d_model, config.num_heads, rng)
             mixer = (FfnParams.create(config.d_model, config.d_ff, rng) if config.variant == "dense"
-                     else SwitchParams.create(config.d_model, config.d_ff, config.num_experts, rng,
-                                              config.capacity_factor))
+                     else SwitchParams.create(config.d_model, config.d_ff, config.num_experts, rng))
             blocks.append(EncoderBlock(
                 mha=mha,
                 norm1=LayerNormParams.create(config.d_model),
@@ -163,9 +180,6 @@ class EncoderModel:
             ))
         head = LinearParams.create(config.d_model, NUM_CLASSES, rng)
         return EncoderModel(config, embeddings, blocks, head)
-
-    def reset_dropout_rng(self, seed: int) -> None:
-        self._dropout_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD0)).generate_state(4))
 
     # ------------------------------------------------------------------
     # forward
@@ -199,10 +213,10 @@ class EncoderModel:
         routing: list[RoutingRecord] = []
 
         for block in self.blocks:
-            attended = multi_head_attention(h, block.mha, lengths)
+            attended = multi_head_attention(h, block.mha, lengths, cfg.num_heads)
             h = layer_norm(T.add(h, dropout(attended, cfg.dropout, training, rng)), block.norm1)
             if isinstance(block.mixer, SwitchParams):
-                mixed, record = switch_forward(h, block.mixer, training)
+                mixed, record = switch_forward(h, block.mixer, training, cfg.capacity_factor)
                 routing.append(record)
             else:
                 mixed = position_wise_ffn(h, block.mixer)
@@ -303,13 +317,14 @@ def load_checkpoint(path):
     All or nothing: a missing or unreadable path, a foreign or older-format
     file, a truncated or malformed header (config values of the wrong type,
     a vocabulary that is not 2 to ``vocab_size`` tokens, an ``extra`` that is
-    not an object) or payload, trailing bytes, a parameter set that differs
-    from the model's, or bytes that do not match the sha256 trailer raises
-    CompatibilityError.  The parameter specs must account for the file's
-    length and for the config's closed-form parameter count before the
-    model is built, so a header cannot ask for a model its file does not
-    hold.  Tensors are read one at a time; the trailer is checked after the
-    version and shape checks.
+    not an object) or payload, trailing bytes, parameter specs (name, shape)
+    other than the model's ``parameters()`` walk in order, or bytes that do
+    not match the sha256 trailer raises CompatibilityError.  The parameter
+    specs must account for the file's length and for the config's
+    closed-form parameter count before the model is built, so a header
+    cannot ask for a model its file does not hold.  The payload is one read
+    into one buffer, each parameter a view of it; the trailer is checked
+    after the version and spec checks.
     """
     try:
         fh = open(path, "rb")
@@ -346,8 +361,7 @@ def load_checkpoint(path):
             specs = [(spec["name"], tuple(spec["shape"])) for spec in header["params"]]
             if not all(type(n) is int and n >= 0 for _, shape in specs for n in shape):
                 raise TypeError(f"parameter shapes must be lists of counts, got {specs!r}")
-            names = {name for name, _ in specs}
-            config = config_from_dict(ModelConfig, header["config"]).validate()
+            config = ModelConfig.from_dict(header["config"]).validate()
             vocab = Vocabulary.from_dict(header["vocab"]) if header.get("vocab") else None
             extra = header.get("extra", {})
             if not isinstance(extra, dict):
@@ -373,20 +387,20 @@ def load_checkpoint(path):
         if vocab is not None and not 2 <= len(vocab) <= config.vocab_size:
             raise CompatibilityError(f"checkpoint {path} holds {len(vocab)} vocabulary tokens for "
                                      f"an embedding table of {config.vocab_size} rows")
-        by_name = dict(model.parameters())
-        missing = sorted(by_name.keys() - names)
-        if missing:
-            raise CompatibilityError(f"checkpoint {path} lacks model parameters {missing}")
-        for name, shape in specs:
-            if name not in by_name:
-                raise CompatibilityError(f"checkpoint parameter {name!r} not in model")
-            param = by_name[name]
-            if param.shape != shape:
-                raise CompatibilityError(
-                    f"checkpoint parameter {name!r} has shape {shape}, model expects {param.shape}"
-                )
-            raw = read(param.size * 8, f"parameter {name!r}")
-            param.data = np.frombuffer(raw, dtype="<f8").reshape(param.shape).copy()
+        params = model.parameters()
+        walk = [(name, p.shape) for name, p in params]
+        if specs != walk:
+            have, need = next(pair for pair in zip_longest(specs, walk) if pair[0] != pair[1])
+            raise CompatibilityError(f"checkpoint {path} parameters do not follow the model's "
+                                     f"walk: it has {have} where the model has {need}")
+        payload = np.empty(total, dtype="<f8")
+        if fh.readinto(payload) != payload.nbytes:
+            raise CompatibilityError(f"truncated checkpoint {path}: its parameters end early")
+        h.update(payload)
+        offset = 0
+        for _, param in params:
+            param.data = payload[offset:offset + param.size].reshape(param.shape)
+            offset += param.size
         digest = h.digest()
         if read(h.digest_size, "sha256 trailer") != digest:
             raise CompatibilityError(f"corrupted checkpoint {path}: its bytes do not match "

@@ -9,7 +9,8 @@ record stores the routing decisions and derives the rest: the overflow is
 Routing decisions (argmax, capacity cuts) are taken on raw values and held
 fixed; gradients flow through the chosen gate probability and through the
 expert computation.  Capacity cuts apply in training only; outside it
-no token is ranked against a capacity.  The gate is a ``T.linear`` and a
+no token is ranked against a capacity, and the capacity factor is an
+argument, not a field of the parameters.  The gate is a ``T.linear`` and a
 ``T.softmax`` node, and dispatch, the stacked experts and combine are one
 ``T.routed_ffn`` node, with one row group per expert.
 """
@@ -35,33 +36,25 @@ class SwitchParams:
 
     gate: LinearParams
     experts: FfnParams
-    capacity_factor: float
 
     @property
     def num_experts(self) -> int:
         return self.experts.lin1.weight.shape[0]
 
     @staticmethod
-    def create(
-        d_model: int,
-        d_ff: int,
-        num_experts: int,
-        rng: np.random.Generator | None,
-        capacity_factor: float,
-    ) -> "SwitchParams":
+    def create(d_model: int, d_ff: int, num_experts: int,
+               rng: np.random.Generator | None) -> "SwitchParams":
         if num_experts < 1:
             raise ConfigError(f"num_experts must be >= 1, got {num_experts}")
-        if not 1.0 <= capacity_factor < math.inf:
-            raise ConfigError(f"capacity_factor must be finite and >= 1, got {capacity_factor}")
         gate = LinearParams.create(d_model, num_experts, rng)
-        experts = FfnParams(*(LinearParams(Tensor(np.empty((num_experts, fan_in, fan_out)), True),
-                                           Tensor(np.zeros((num_experts, fan_out)), True))
-                              for fan_in, fan_out in ((d_model, d_ff), (d_ff, d_model))))
-        if rng is not None:  # expert by expert, as E separate FFNs would be drawn
-            for j in range(num_experts):
-                experts.lin1.weight.data[j] = init_weight(d_model, d_ff, rng).data
-                experts.lin2.weight.data[j] = init_weight(d_ff, d_model, rng).data
-        return SwitchParams(gate=gate, experts=experts, capacity_factor=capacity_factor)
+        # One draw, as E separate FFNs would be drawn, expert by expert: the
+        # [d_model, d_ff] and [d_ff, d_model] maps share scale and size.
+        w1, w2 = init_weight((num_experts, 2, d_model, d_ff), rng).data.swapaxes(0, 1).copy()
+        experts = FfnParams(
+            LinearParams(Tensor(w1, True), Tensor(np.zeros((num_experts, d_ff)), True)),
+            LinearParams(Tensor(w2.reshape(num_experts, d_ff, d_model), True),
+                         Tensor(np.zeros((num_experts, d_model)), True)))
+        return SwitchParams(gate=gate, experts=experts)
 
 
 @dataclass
@@ -106,10 +99,11 @@ def load_balance_loss(mean_probs: Tensor, dispatched: np.ndarray) -> Tensor:
     return T.mul(T.sum_(T.mul(mean_probs, Tensor(frac))), float(len(dispatched)))
 
 
-def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
+def switch_forward(x: Tensor, p: SwitchParams, training: bool, capacity_factor: float):
     """Route each of the T tokens in ``x`` [T, d] to its top-1 expert.
 
-    Returns ``(output, RoutingRecord)``.  Each token's output is its chosen
+    Returns ``(output, RoutingRecord)``; a ``capacity_factor`` that is not
+    finite and >= 1 raises ConfigError.  Each token's output is its chosen
     gate probability times that expert's FFN.  In training an expert serves
     at most floor(capacity_factor*T/E) tokens, and never more than T, its
     first in token order; the rest contribute zero (the caller's residual
@@ -124,6 +118,8 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
     """
     if x.ndim != 2:
         raise ContractError(f"switch_forward expects [T, d] input, got shape {x.shape}")
+    if not 1.0 <= capacity_factor < math.inf:
+        raise ConfigError(f"capacity_factor must be finite and >= 1, got {capacity_factor}")
     num_tokens = x.shape[0]
     E = p.num_experts
     probs = gate_probs(x, p.gate)
@@ -133,7 +129,7 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool = True):
     order = np.argsort(chosen, kind="stable")
     if training:  # each expert keeps its first ``capacity`` tokens
         # A factor of E or more serves every token, and a huge one would overflow.
-        capacity = int(np.floor(min(p.capacity_factor, E) * num_tokens / E))
+        capacity = int(np.floor(min(capacity_factor, E) * num_tokens / E))
         rank = np.arange(num_tokens) - (np.cumsum(dispatched) - dispatched)[chosen[order]]
         kept = order[rank < capacity]
         counts = np.minimum(dispatched, capacity)

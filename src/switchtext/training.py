@@ -36,7 +36,7 @@ from .data import (LabeledDataset, Vocabulary, build_vocab, class_weights,
                    encode, pad_batch, split_dataset, write_artifact, FRENCH_STOPWORDS)
 from .errors import ConfigError, DataError
 from .metrics import EvalReport, classification_metrics, confusion, roc_auc
-from .model import (EncoderModel, ForwardResult, ModelConfig, config_from_dict, load_checkpoint,
+from .model import (EncoderModel, ForwardResult, ModelConfig, ModelSettings, load_checkpoint,
                     save_checkpoint)
 from .moe import load_balance_loss
 from .optim import AdamW, EarlyStopping, ScheduleConfig, clip_grad_norm, cosine_warmup_lr
@@ -44,22 +44,13 @@ from .tensor import Tape, Tensor
 
 
 @dataclass
-class RunConfig:
-    """Everything a reproducible run needs; field names double as config-file
-    keys and CLI flags."""
+class RunConfig(ModelSettings):
+    """Everything a reproducible run needs: the model settings (every
+    ``ModelConfig`` field but ``vocab_size``, which the vocabulary gives) and
+    the fields below; field names double as config-file keys and CLI flags."""
 
-    # model
-    variant: str = "switch"
-    num_layers: int = 4
-    num_heads: int = 4
-    num_experts: int = 4
-    d_model: int = 200
-    d_ff: int = 800
-    max_len: int = 256
-    dropout: float = 0.35
-    capacity_factor: float = 1.25
+    # objective
     aux_loss_weight: float = 0.01
-    pooling: str = "mean"
     # data
     data_path: str = ""
     min_frequency: int = 2
@@ -85,22 +76,18 @@ class RunConfig:
     patience: int = 10
     min_delta: float = 1e-4
     # run
-    seed: int = 0
     output_dir: str = "runs/default"
     eval_batch_size: int = 64
     # optional run-control target: stop once validation accuracy reaches it
     stop_at_val_accuracy: float = 0.0
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        """The ModelConfig holding every field this config shares with it by
-        name, which is every ModelConfig field but ``vocab_size``, plus
-        ``vocab_size``."""
-        own = {f.name for f in fields(self)}
-        shared = {f.name: getattr(self, f.name) for f in fields(ModelConfig) if f.name in own}
-        return ModelConfig(vocab_size=vocab_size, **shared)
+        """The ModelConfig of these model settings and ``vocab_size``."""
+        return ModelConfig(vocab_size=vocab_size,
+                           **{f.name: getattr(self, f.name) for f in fields(ModelSettings)})
 
     def violations(self) -> list[str]:
-        problems = self.model_config(vocab_size=2).violations()
+        problems = super().violations()
         problems += [f"{f.name} must be finite, got {getattr(self, f.name)}" for f in fields(self)
                      if type(f.default) is float and not math.isfinite(getattr(self, f.name))]
         problems += [f"{name} must be >= 0, got {getattr(self, name)}" for name in
@@ -132,17 +119,6 @@ class RunConfig:
             problems.append(f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
         return problems
 
-    def validate(self) -> "RunConfig":
-        problems = self.violations()
-        if problems:
-            raise ConfigError("invalid run config: " + "; ".join(problems))
-        return self
-
-    @staticmethod
-    def from_dict(d: dict) -> "RunConfig":
-        """Build from config-file keys (``config_from_dict``)."""
-        return config_from_dict(RunConfig, d)
-
 
 # ---------------------------------------------------------------------------
 # encoding and batching
@@ -153,12 +129,11 @@ class EncodedExample:
     example_id: int
     ids: np.ndarray
     label: int
-    text: str
 
 
 def encode_examples(examples, vocab: Vocabulary, max_len: int) -> list[EncodedExample]:
     return [EncodedExample(example_id=e.example_id, ids=encode(e.text, vocab, max_len),
-                           label=e.label, text=e.text) for e in examples]
+                           label=e.label) for e in examples]
 
 
 def make_batch(chunk: list[EncodedExample]):

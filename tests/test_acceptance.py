@@ -79,7 +79,7 @@ class TestCriterion1GradientCorrectness:
         lengths = np.array([3, 1])
         mha_coeffs = Tensor(gen.standard_normal((4, 8)))
         worst = max(worst, check_many_params(
-            lambda: T.sum_(T.mul(multi_head_attention(xa, mha, lengths), mha_coeffs)),
+            lambda: T.sum_(T.mul(multi_head_attention(xa, mha, lengths, 2), mha_coeffs)),
             [(mha, "wq"), (mha, "wk"), (mha, "wv"), (mha.wo, "weight"), (mha.wo, "bias")]))
 
         ffn = FfnParams.create(8, 16, gen)
@@ -88,14 +88,14 @@ class TestCriterion1GradientCorrectness:
             [(ffn.lin1, "weight"), (ffn.lin1, "bias"), (ffn.lin2, "weight"), (ffn.lin2, "bias")]))
 
         # switch layer with routing fixed (large capacity, clear margins)
-        sw = SwitchParams.create(8, 16, 2, gen, capacity_factor=8.0)
+        sw = SwitchParams.create(8, 16, 2, gen)
         xs = Tensor(gen.standard_normal((4, 8)))
         probs = gate_probs(xs, sw.gate).data
         assert np.abs(probs[:, 0] - probs[:, 1]).min() > 1e-3
         sw_coeffs = Tensor(gen.standard_normal((4, 8)))
 
         def switch_loss():
-            out, record = switch_forward(xs, sw, training=True)
+            out, record = switch_forward(xs, sw, True, 8.0)
             return T.add(T.sum_(T.mul(out, sw_coeffs)), T.mul(penalty(record), 0.01))
 
         worst = max(worst, check_many_params(switch_loss, [
@@ -152,11 +152,11 @@ class TestCriterion2MoeEquivalences:
         assert diff <= 1e-10
 
         # Top-1 routing at inference with one gate forced to probability exactly 1.
-        sw = SwitchParams.create(6, 12, 3, np.random.default_rng(5), 1.25)
+        sw = SwitchParams.create(6, 12, 3, np.random.default_rng(5))
         sw.gate.weight.data = np.zeros_like(sw.gate.weight.data)
         sw.gate.bias.data = np.array([0.0, -1e30, -1e30])
         x = rng.standard_normal((5, 6))
-        out, _ = switch_forward(Tensor(x), sw, training=False)
+        out, _ = switch_forward(Tensor(x), sw, False, 1.25)
         expert_out = position_wise_ffn(Tensor(x), expert(sw, 0)).data
         np.testing.assert_array_equal(out.data, expert_out)
         report(2, "mixture equivalences",
@@ -171,8 +171,8 @@ class TestCriterion3RoutingInvariants:
         sum_err = np.abs(probs.data.sum(axis=1) - 1.0).max()
         assert sum_err <= 1e-12
 
-        sw = SwitchParams.create(8, 16, 4, np.random.default_rng(2), capacity_factor=16.0)
-        out, record = switch_forward(Tensor(rng.standard_normal((32, 8))), sw)
+        sw = SwitchParams.create(8, 16, 4, np.random.default_rng(2))
+        out, record = switch_forward(Tensor(rng.standard_normal((32, 8))), sw, True, 16.0)
         assert record.counts.sum() + record.overflow == 32  # exactly one expert per token
         assert len(record.chosen) == 32
 

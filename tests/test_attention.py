@@ -90,31 +90,31 @@ class TestMultiHeadAttention:
         identity = lambda: Tensor(np.eye(d), requires_grad=True)
         wo = LinearParams(weight=Tensor(np.eye(d), requires_grad=True),
                           bias=Tensor(np.zeros(d), requires_grad=True))
-        p = MultiHeadParams(wq=identity(), wk=identity(), wv=identity(), wo=wo, num_heads=1)
+        p = MultiHeadParams(wq=identity(), wk=identity(), wv=identity(), wo=wo)
         x = Tensor(rng.standard_normal((3, d)))
-        out = multi_head_attention(x, p, np.array([3]))
+        out = multi_head_attention(x, p, np.array([3]), 1)
         direct = attention_weights_oracle(x.data, x.data) @ x.data
         np.testing.assert_allclose(out.data, direct, atol=1e-12)
 
     def test_output_shape_contract(self):
         p = MultiHeadParams.create(8, 4, np.random.default_rng(0))
         x = Tensor(rng.standard_normal((5, 8)))
-        assert multi_head_attention(x, p, np.array([5])).shape == (5, 8)
+        assert multi_head_attention(x, p, np.array([5]), 4).shape == (5, 8)
         # Packed rows: 7 real tokens of sequences of lengths 3 and 4.
         lengths = np.array([3, 4])
         xb = Tensor(rng.standard_normal((7, 8)))
-        assert multi_head_attention(xb, p, lengths).shape == (7, 8)
+        assert multi_head_attention(xb, p, lengths, 4).shape == (7, 8)
         with pytest.raises(ContractError, match="one per real token"):
-            multi_head_attention(x, p, lengths)
+            multi_head_attention(x, p, lengths, 4)
         with pytest.raises(ContractError, match="must be ints"):
-            multi_head_attention(x, p, np.ones((1, 5), bool))  # a mask, not lengths
+            multi_head_attention(x, p, np.ones((1, 5), bool), 4)  # a mask, not lengths
 
     def test_padded_batch_is_five_tape_nodes(self):
         # Three projections, one attention node and one for the output map.
         p = MultiHeadParams.create(8, 2, np.random.default_rng(0))
         x = Tensor(rng.standard_normal((4, 8)), requires_grad=True)
         with Tape() as tape:
-            multi_head_attention(x, p, np.array([3, 1]))
+            multi_head_attention(x, p, np.array([3, 1]), 2)
         assert len(tape._nodes) == 5
 
     def test_divisibility_enforced(self):
@@ -125,16 +125,16 @@ class TestMultiHeadAttention:
         p = MultiHeadParams.create(8, 2, np.random.default_rng(5))
         lengths = np.array([3, 5, 1])
         seqs = [rng.standard_normal((n, 8)) for n in lengths]
-        packed = multi_head_attention(Tensor(np.concatenate(seqs)), p, lengths).data
-        alone = [multi_head_attention(Tensor(x), p, np.array([len(x)])).data for x in seqs]
+        packed = multi_head_attention(Tensor(np.concatenate(seqs)), p, lengths, 2).data
+        alone = [multi_head_attention(Tensor(x), p, np.array([len(x)]), 2).data for x in seqs]
         np.testing.assert_allclose(packed, np.concatenate(alone), atol=1e-12)
 
     def test_permutation_equivariance(self):
         p = MultiHeadParams.create(8, 2, np.random.default_rng(3))
         x = rng.standard_normal((6, 8))
         perm = np.array([3, 0, 5, 1, 4, 2])
-        out = multi_head_attention(Tensor(x), p, np.array([6])).data
-        out_permuted = multi_head_attention(Tensor(x[perm]), p, np.array([6])).data
+        out = multi_head_attention(Tensor(x), p, np.array([6]), 2).data
+        out_permuted = multi_head_attention(Tensor(x[perm]), p, np.array([6]), 2).data
         np.testing.assert_allclose(out_permuted, out[perm], atol=1e-12)
 
     def test_gradients_all_parameters(self):
@@ -146,7 +146,7 @@ class TestMultiHeadAttention:
         coeffs = Tensor(rng.standard_normal((4, 8)))
 
         def make_loss():
-            return T.sum_(T.mul(multi_head_attention(Tensor(x), p, lengths), coeffs))
+            return T.sum_(T.mul(multi_head_attention(Tensor(x), p, lengths, 2), coeffs))
 
         check_many_params(make_loss, [
             (p, "wq"), (p, "wk"), (p, "wv"),
@@ -154,7 +154,7 @@ class TestMultiHeadAttention:
         ])
 
         def against_x(t):
-            return T.sum_(T.mul(multi_head_attention(t, p, lengths), coeffs))
+            return T.sum_(T.mul(multi_head_attention(t, p, lengths, 2), coeffs))
 
         assert finite_difference_check(against_x, Tensor(x), h=1e-6) < 1e-4
 

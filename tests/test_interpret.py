@@ -89,7 +89,7 @@ class TestModelAttribution:
                 calls.append(_name)
                 return _method(self, *args, **kwargs)
             monkeypatch.setattr(EncoderModel, name, counted)
-        example = EncodedExample(example_id=3, ids=ids, label=0, text="")
+        example = EncodedExample(example_id=3, ids=ids, label=0)
         [(_, report)] = attribution_for_ids(model, [example], [3], target=target, num_steps=8)
         assert calls == ["forward_from_embeddings"] * 10
         assert report.target_class == (report.predicted_class if target == "predicted" else 0)
@@ -228,7 +228,7 @@ class TestTrainedModelProperties:
         encoded = toy_run.encoded["val"][:6]
         outcome = evaluate(toy_run.model, encoded)
         outcome.predictions = np.array([1 - e.label for e in encoded])
-        monkeypatch.setattr("switchtext.training.evaluate", lambda *args, **kwargs: outcome)
+        monkeypatch.setattr("switchtext.interpret.evaluate", lambda *args, **kwargs: outcome)
         reports = rank_misclassified(toy_run.model, encoded, target="predicted", num_steps=8)
         assert len(reports) == len(encoded)
         assert all(report.target_class == report.predicted_class for _, report in reports)

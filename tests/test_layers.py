@@ -95,26 +95,26 @@ class TestGlorot:
     """``init_weight`` draws from the Glorot-normal law N(0, 2/(fan_in+fan_out))."""
 
     def test_variance_within_ten_percent(self):
-        draws = init_weight(200, 200, np.random.default_rng(9)).data  # 40_000 samples
+        draws = init_weight((200, 200), np.random.default_rng(9)).data  # 40_000 samples
         target = 2.0 / 400
         assert abs(draws.var() - target) <= 0.1 * target
 
     def test_same_seed_bit_identical(self):
-        a = init_weight(7, 5, np.random.default_rng(123)).data
-        b = init_weight(7, 5, np.random.default_rng(123)).data
+        a = init_weight((7, 5), np.random.default_rng(123)).data
+        b = init_weight((7, 5), np.random.default_rng(123)).data
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(
             a, np.random.default_rng(123).normal(0.0, np.sqrt(2.0 / 12), size=(7, 5)))
 
     def test_degenerate_fans_target_variance_one(self):
         gen = np.random.default_rng(0)
-        draws = np.array([init_weight(1, 1, gen).data[0, 0] for _ in range(4000)])
+        draws = np.array([init_weight((1, 1), gen).data[0, 0] for _ in range(4000)])
         assert abs(draws.var() - 1.0) <= 0.1
 
     def test_invalid_fans(self):
         for rng_ in (np.random.default_rng(0), None):
             with pytest.raises(ConfigError):
-                init_weight(0, 3, rng_)
+                init_weight((0, 3), rng_)
 
 
 class TestEmbedding:

@@ -104,8 +104,8 @@ class TestClassificationMetrics:
     def test_zero_denominator_flagged(self):
         report = classification_metrics(ConfusionMatrix(tp=0, fp=0, fn=3, tn=7))
         assert report.precision == 0.0
-        assert "precision" in report.zero_division_flags
-        assert "f1" in report.zero_division_flags
+        assert "precision" in report.zero_division
+        assert "f1" in report.zero_division
 
     def test_f1_harmonic_mean_invariant(self):
         for _ in range(20):

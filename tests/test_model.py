@@ -7,6 +7,7 @@ import hashlib
 import json
 import struct
 import tracemalloc
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,17 @@ class TestForward:
         pooled = model._pool(result.hidden[-1], np.array([3, 2]))
         np.testing.assert_array_equal(pooled.data, result.hidden[-1].data[[0, 3]])
 
+    def test_forward_reads_its_settings_from_the_config(self):
+        # The containers hold no copy of a setting, so an edit to the config
+        # is what the next forward uses.
+        model = EncoderModel.build(tiny_config("switch", capacity_factor=1.0))
+        ids = rng.integers(2, 12, size=(3, 8))
+        halved = model.forward(ids, ids != 0, training=True).routing
+        assert all(r.capacity == r.num_tokens // 2 for r in halved)
+        model.config.capacity_factor = 2.0  # = num_experts: every token is served
+        served = model.forward(ids, ids != 0, training=True).routing
+        assert all(r.capacity == r.num_tokens for r in served)
+
     def test_config_validation_lists_violations(self):
         bad = ModelConfig(variant="both", d_model=7, num_heads=2, dropout=1.5,
                           d_ff=4, vocab_size=1)
@@ -242,6 +254,22 @@ def test_only_the_entry_points_take_a_mask():
                       ("model.py", "EncoderModel.forward")]
 
 
+def test_settable_values_are_pinned():
+    """Every annotated dataclass field and every defaulted parameter in the
+    package is a value a caller can set.  A change that adds one raises this
+    pin and says why."""
+    count = 0
+    for path in sorted(Path(switchtext.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+    assert count == 170
+
+
 class TestParameterCount:
     @pytest.mark.parametrize("variant", ["dense", "switch"])
     def test_matches_closed_form_exactly(self, variant):
@@ -273,6 +301,20 @@ class TestParameterCount:
         ]
         shapes = {name: p.shape for name, p in model.parameters()}
         assert [shapes[name] for name in experts] == [(2, 8, 16), (2, 16), (2, 16, 8), (2, 8)]
+
+    @pytest.mark.parametrize("variant", ["dense", "switch"])
+    def test_containers_hold_tensors_lists_and_containers_only(self, variant):
+        def check(node, name):
+            items = (enumerate(node) if isinstance(node, list)
+                     else [(f.name, getattr(node, f.name)) for f in fields(node)])
+            for key, child in items:
+                assert isinstance(child, (Tensor, list)) or is_dataclass(child), f"{name}.{key}"
+                if not isinstance(child, Tensor):
+                    check(child, f"{name}.{key}")
+
+        model = EncoderModel.build(tiny_config(variant))
+        for name in ("embeddings", "blocks", "head"):
+            check(getattr(model, name), name)
 
     def test_switch_minus_dense_identity(self):
         common = dict(num_layers=4, num_heads=4, d_model=16, d_ff=64,
@@ -398,8 +440,7 @@ class TestHiddenExport:
         for i in range(n):
             length = int(gen.integers(2, 6))
             ids = gen.integers(2, model.config.vocab_size, size=length)
-            rows.append(EncodedExample(example_id=i, ids=ids, label=int(gen.integers(0, 2)),
-                                       text=""))
+            rows.append(EncodedExample(example_id=i, ids=ids, label=int(gen.integers(0, 2))))
         return rows
 
     def test_layer_out_of_range_names_limit(self, tmp_path):
@@ -528,6 +569,21 @@ class TestCheckpoint:
         with pytest.raises(CompatibilityError, match="config describes") as caught:
             load_checkpoint(path)
         assert EXIT_CODES[caught.value.category] == 5
+
+    def test_permuted_parameters_rejected(self, tmp_path):
+        # Re-signed with the wq and wk entries swapped: every name and shape
+        # is the model's, but the payload follows the walk order, so a load
+        # by name would give each projection the other's values.
+        path, raw, blob_len = self.saved(tmp_path)
+
+        def swap(header):
+            specs = header["params"]
+            assert [s["name"] for s in specs[2:4]] == ["blocks.0.mha.wq", "blocks.0.mha.wk"]
+            specs[2], specs[3] = specs[3], specs[2]
+
+        self.rewrite(path, raw, blob_len, swap, payload_end=-32, sign=True)
+        with pytest.raises(CompatibilityError, match="walk: it has .'blocks.0.mha.wk'"):
+            load_checkpoint(path)
 
     def test_invalid_config_in_header_is_a_compatibility_error(self, tmp_path):
         path, raw, blob_len = self.saved(tmp_path)

@@ -2,6 +2,7 @@
 dispatch, capacity overflow semantics, balance-loss identities, gradient
 checks with fixed routing, and the collapse-vs-balance training property."""
 
+import inspect
 import math
 
 import numpy as np
@@ -24,8 +25,8 @@ def ffn_numpy(x, p: FfnParams):
     return h @ p.lin2.weight.data + p.lin2.bias.data
 
 
-def make_params(d=4, d_ff=8, n_experts=2, seed=0, capacity_factor=1.25):
-    return SwitchParams.create(d, d_ff, n_experts, np.random.default_rng(seed), capacity_factor)
+def make_params(d=4, d_ff=8, n_experts=2, seed=0):
+    return SwitchParams.create(d, d_ff, n_experts, np.random.default_rng(seed))
 
 
 class TestGateProbs:
@@ -54,30 +55,30 @@ class TestSwitchForward:
     def test_single_expert_identity_gate(self):
         p = make_params(n_experts=1)
         x = Tensor(rng.standard_normal((5, 4)))
-        out, record = switch_forward(x, p)
+        out, record = switch_forward(x, p, True, 1.25)
         np.testing.assert_allclose(out.data, ffn_numpy(x.data, expert(p, 0)), atol=1e-12)
         np.testing.assert_array_equal(chosen_prob(record), np.ones(5))
         assert penalty(record).item() == 1.0
 
     def test_identical_experts_routing_independent(self):
-        p = make_params(n_experts=3, capacity_factor=10.0)
+        p = make_params(n_experts=3)
         for lin in (p.experts.lin1, p.experts.lin2):
             lin.weight.data[1:] = lin.weight.data[0]
             lin.bias.data[1:] = lin.bias.data[0]
         x = rng.standard_normal((6, 4))
-        out, record = switch_forward(Tensor(x), p)
+        out, record = switch_forward(Tensor(x), p, True, 10.0)
         expected = chosen_prob(record)[:, None] * ffn_numpy(x, expert(p, 0))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_hand_evaluated_two_token_dispatch(self):
-        p = make_params(d=2, d_ff=4, n_experts=2, capacity_factor=1.25)
+        p = make_params(d=2, d_ff=4, n_experts=2)
         # Gate logits are log-probabilities, so softmax recovers them exactly:
         # token 1 -> expert 0 at 0.9, token 2 -> expert 1 at 0.8.
         p.gate.weight.data = np.array([[math.log(0.9), math.log(0.1)],
                                        [math.log(0.2), math.log(0.8)]])
         p.gate.bias.data = np.zeros(2)
         x = np.eye(2)
-        out, record = switch_forward(Tensor(x), p)
+        out, record = switch_forward(Tensor(x), p, True, 1.25)
         assert record.capacity == 1  # floor(1.25 * 2 / 2)
         np.testing.assert_array_equal(record.chosen, [0, 1])
         np.testing.assert_allclose(chosen_prob(record), [0.9, 0.8], atol=1e-12)
@@ -90,16 +91,16 @@ class TestSwitchForward:
         p = make_params(n_experts=3)
         p.gate.weight.data = np.zeros_like(p.gate.weight.data)
         p.gate.bias.data = np.zeros_like(p.gate.bias.data)
-        _, record = switch_forward(Tensor(rng.standard_normal((4, 4))), p)
+        _, record = switch_forward(Tensor(rng.standard_normal((4, 4))), p, True, 1.25)
         np.testing.assert_array_equal(record.chosen, np.zeros(4, dtype=int))
 
     def test_capacity_overflow_zero_contribution(self):
-        p = make_params(n_experts=2, capacity_factor=1.0)
+        p = make_params(n_experts=2)
         # Force every token to expert 0.
         p.gate.weight.data = np.zeros_like(p.gate.weight.data)
         p.gate.bias.data = np.array([5.0, -5.0])
         x = rng.standard_normal((6, 4))
-        out, record = switch_forward(Tensor(x), p)
+        out, record = switch_forward(Tensor(x), p, True, 1.0)
         assert record.capacity == 3  # floor(1.0 * 6 / 2)
         assert record.overflow == 3
         np.testing.assert_array_equal(record.counts, [3, 0])
@@ -109,13 +110,13 @@ class TestSwitchForward:
         assert record.counts.sum() + record.overflow == 6
 
     def test_inference_serves_every_token(self):
-        p = make_params(n_experts=2, capacity_factor=1.0)
+        p = make_params(n_experts=2)
         # The gate rigged as in the overflow case: every token to expert 0.
         p.gate.weight.data = np.zeros_like(p.gate.weight.data)
         p.gate.bias.data = np.array([5.0, -5.0])
         p.experts.lin2.bias.data[0] = 1.0  # a served row is never zero
         x = rng.standard_normal((6, 4))
-        out, record = switch_forward(Tensor(x), p, training=False)
+        out, record = switch_forward(Tensor(x), p, False, 1.0)
         assert record.capacity == 6
         assert record.overflow == 0
         np.testing.assert_array_equal(record.counts, [6, 0])
@@ -125,17 +126,17 @@ class TestSwitchForward:
 
     def test_huge_capacity_factor_serves_every_token(self):
         # 1e308 * T overflows a float; the capacity stops at the token count.
-        p = make_params(n_experts=2, capacity_factor=1e308)
+        p = make_params(n_experts=2)
         p.gate.bias.data = np.array([5.0, -5.0])
-        _, record = switch_forward(Tensor(rng.standard_normal((6, 4))), p, training=True)
+        _, record = switch_forward(Tensor(rng.standard_normal((6, 4))), p, True, 1e308)
         assert record.capacity == 6 and record.overflow == 0
 
     def test_capacity_zero_serves_no_token(self):
         # floor(1.25 * 2 / 4) = 0: no expert serves anything in training.
-        p = make_params(n_experts=4, capacity_factor=1.25)
+        p = make_params(n_experts=4)
         x = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
         with Tape() as tape:
-            out, record = switch_forward(x, p, training=True)
+            out, record = switch_forward(x, p, True, 1.25)
             loss = T.add(T.sum_(out), penalty(record))
         tape.backward(loss)
         assert record.capacity == 0
@@ -146,7 +147,15 @@ class TestSwitchForward:
 
     def test_input_rank_enforced(self):
         with pytest.raises(ContractError):
-            switch_forward(Tensor(np.ones(4)), make_params())
+            switch_forward(Tensor(np.ones(4)), make_params(), True, 1.25)
+
+    def test_training_is_the_third_positional_parameter(self):
+        # A tracer reads a call's training flag as args[2]; the capacity
+        # factor follows it, and neither has a default.
+        params = inspect.signature(switch_forward).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in params] == [
+            (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty)
+            for name in ("x", "p", "training", "capacity_factor")]
 
 
 class TestAuxLoss:
@@ -178,7 +187,7 @@ class TestAuxLoss:
 
 class TestGradients:
     def test_gradients_with_fixed_routing(self):
-        p = make_params(d=4, d_ff=6, n_experts=2, seed=3, capacity_factor=10.0)
+        p = make_params(d=4, d_ff=6, n_experts=2, seed=3)
         x = rng.standard_normal((3, 4))
         probs = gate_probs(Tensor(x), p.gate).data
         margins = np.abs(probs[:, 0] - probs[:, 1])
@@ -186,7 +195,7 @@ class TestGradients:
         coeffs = Tensor(rng.standard_normal((3, 4)))
 
         def make_loss():
-            out, record = switch_forward(Tensor(x), p, training=True)
+            out, record = switch_forward(Tensor(x), p, True, 10.0)
             return T.add(T.sum_(T.mul(out, coeffs)), T.mul(penalty(record), 0.01))
 
         check_many_params(make_loss, [
@@ -196,7 +205,7 @@ class TestGradients:
         ])
 
 
-def switch_reference(x, p: SwitchParams, coeffs, aux_weight):
+def switch_reference(x, p: SwitchParams, capacity_factor, coeffs, aux_weight):
     """Training-mode switch output and the gradients of
     sum(out * coeffs) + aux_weight * aux, by a per-expert numpy loop with
     hand-written backward rules."""
@@ -207,7 +216,7 @@ def switch_reference(x, p: SwitchParams, coeffs, aux_weight):
     probs = np.exp(z - z.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
     chosen = probs.argmax(axis=1)
-    capacity = int(np.floor(p.capacity_factor * num_tokens / E))
+    capacity = int(np.floor(capacity_factor * num_tokens / E))
     out = np.zeros_like(x)
     grads = {"x": np.zeros_like(x), "w1": np.zeros_like(w1), "b1": np.zeros_like(b1),
              "w2": np.zeros_like(w2), "b2": np.zeros_like(b2)}
@@ -235,16 +244,16 @@ def switch_reference(x, p: SwitchParams, coeffs, aux_weight):
 
 class TestStackedDispatch:
     def test_training_matches_per_expert_loop(self):
-        p = make_params(d=6, d_ff=10, n_experts=3, seed=4, capacity_factor=1.0)
+        p = make_params(d=6, d_ff=10, n_experts=3, seed=4)
         p.gate.bias.data = np.array([1.5, 0.0, -0.5])  # expert 0 overflows
         x = Tensor(rng.standard_normal((12, 6)), requires_grad=True)
         coeffs = rng.standard_normal((12, 6))
         with Tape() as tape:
-            out, record = switch_forward(x, p, training=True)
+            out, record = switch_forward(x, p, True, 1.0)
             loss = T.add(T.sum_(T.mul(out, Tensor(coeffs))), T.mul(penalty(record), 0.01))
         tape.backward(loss)
         assert record.overflow > 0 and record.counts.min() > 0
-        expected, grads = switch_reference(x.data, p, coeffs, 0.01)
+        expected, grads = switch_reference(x.data, p, 1.0, coeffs, 0.01)
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
         got = {"x": x.grad, "w1": p.experts.lin1.weight.grad, "b1": p.experts.lin1.bias.grad,
                "w2": p.experts.lin2.weight.grad, "b2": p.experts.lin2.bias.grad,
@@ -255,7 +264,7 @@ class TestStackedDispatch:
     def test_fresh_draw_is_expert_by_expert(self):
         # Expert j's weights are the draws E separate FFNs would get, in turn.
         gen = np.random.default_rng(2)
-        p = SwitchParams.create(4, 6, 3, np.random.default_rng(2), 1.25)
+        p = SwitchParams.create(4, 6, 3, np.random.default_rng(2))
         gen.normal(size=(4, 3))  # the gate
         for j in range(3):
             np.testing.assert_array_equal(p.experts.lin1.weight.data[j],
@@ -408,7 +417,7 @@ class TestForcedGate:
         p.gate.weight.data = np.zeros_like(p.gate.weight.data)
         p.gate.bias.data = np.array([0.0, -1e30])
         x = rng.standard_normal((5, 3))
-        out, _ = switch_forward(Tensor(x), p, training=False)
+        out, _ = switch_forward(Tensor(x), p, False, 1.25)
         np.testing.assert_array_equal(out.data, ffn_numpy(x, expert(p, 0)))
 
 
@@ -442,13 +451,14 @@ class TestExpertUtilization:
 
 class TestConfigValidation:
     def test_bad_capacity_factor(self):
-        with pytest.raises(ConfigError):
-            make_params(capacity_factor=0.5)
+        for training in (True, False):
+            with pytest.raises(ConfigError):
+                switch_forward(Tensor(np.ones((3, 4))), make_params(), training, 0.5)
 
     @pytest.mark.parametrize("factor", [math.nan, math.inf])
     def test_non_finite_capacity_factor(self, factor):
         with pytest.raises(ConfigError, match="finite"):
-            make_params(capacity_factor=factor)
+            switch_forward(Tensor(np.ones((3, 4))), make_params(), True, factor)
 
     def test_bad_expert_count(self):
         with pytest.raises(ConfigError):
@@ -472,12 +482,12 @@ class TestBalanceTraining:
         gen.shuffle(x)
         w_star = gen.standard_normal((d, d)) * 0.5
         y = Tensor(np.maximum(0.0, x @ w_star))
-        p = SwitchParams.create(d, 16, 2, gen, capacity_factor=4.0)
+        p = SwitchParams.create(d, 16, 2, gen)
         opt = AdamW(named_tensors(p, "switch"))
         record = None
         for _ in range(steps):
             with Tape() as tape:
-                out, record = switch_forward(Tensor(x), p, training=True)
+                out, record = switch_forward(Tensor(x), p, True, 4.0)
                 diff = T.add(out, T.mul(y, -1.0))
                 loss = T.mean(T.mul(diff, diff))
                 if aux_weight:

@@ -169,8 +169,8 @@ class TestEvaluate:
 
     def test_make_batch_pads_to_chunk_max(self):
         chunk = [
-            EncodedExample(0, np.array([2, 3]), 1, "a b"),
-            EncodedExample(1, np.array([4]), 0, "c"),
+            EncodedExample(0, np.array([2, 3]), 1),
+            EncodedExample(1, np.array([4]), 0),
         ]
         ids, mask, labels = make_batch(chunk)
         assert ids.shape == (2, 2)
