@@ -6,7 +6,7 @@ each run of consecutive equal-length sequences as an unpadded grid for the
 scores, reads no padded key, and returns packed rows again.  The output map is
 one ``T.linear`` node and the feed-forward block one ``T.ffn`` node, or, for
 routed experts, one ``T.routed_ffn`` node that also dispatches and combines.
-The parameters are tensors only; the head count is an argument.
+The parameters are tensors only; sizes and the head count are arguments the config validated.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError
 from .layers import LinearParams, init_weight, linear
 from .tensor import Tensor
 
@@ -34,8 +33,6 @@ class MultiHeadParams:
 
     @staticmethod
     def create(d_model: int, num_heads: int, rng: np.random.Generator | None) -> "MultiHeadParams":
-        if d_model % num_heads != 0:
-            raise ConfigError(f"d_model {d_model} not divisible by num_heads {num_heads}")
         # One draw, head by head and within a head q, k, v, each block at the
         # Glorot scale for fan_out d_k; this order fixes the values a seed gives.
         qkv = init_weight((num_heads, 3, d_model, d_model // num_heads), rng).data

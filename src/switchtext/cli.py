@@ -2,9 +2,10 @@
 export-embeddings, gen-data.
 
 Runs are driven by a JSON config file whose keys are RunConfig field names;
-command-line flags override file values.  Every command writes a manifest
-(config digest, seed, code version, dataset digest) into its output
-directory.  Exit code 0 on success; failures print a machine-readable
+command-line flags override file values.  BLAS runs on one thread, so the
+artifacts' bits do not depend on the core count.  Every command writes a
+manifest (config digest, seed, code version, dataset digest, BLAS) into its
+output directory.  Exit code 0 on success; failures print a machine-readable
 ``error: category=<name>`` line on stderr and use a per-category code.
 """
 
@@ -24,7 +25,7 @@ from .errors import CompatibilityError, ConfigError, SwitchTextError
 from .interpret import attribution_for_ids, rank_misclassified
 from .model import export_hidden_embeddings, load_checkpoint
 from .training import (RunConfig, clear_manifest, dataset_digest, encode_examples, evaluate,
-                       split_dataset, train, write_manifest, _write_report)
+                       pin_blas_threads, split_dataset, train, write_manifest, _write_report)
 
 EXIT_CODES = {
     "config": 2, "data": 3, "vocabulary": 4, "compatibility": 5,
@@ -241,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    pin_blas_threads()
     try:
         with np.errstate(all="ignore"):  # non-finite values surface as NumericError
             return args.run(args)

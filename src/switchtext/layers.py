@@ -7,7 +7,7 @@ Parameter containers are dataclasses of tensors and lists only, which
 ``named_tensors`` walks to name every parameter.  The functional ops below
 apply tape primitives to a container's tensors; an affine map and layer
 normalization are single primitives whose backward rules are closed forms,
-not composites.
+not composites.  Sizes arrive validated: ``ModelConfig.violations`` owns their rules.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ def init_weight(shape: tuple[int, ...], rng: np.random.Generator | None) -> Tens
     """A weight of ``shape``, a stack of ``fan_in x fan_out`` maps, drawn from
     the Glorot-normal law N(0, 2/(fan_in+fan_out)) with ``rng``, or with
     ``rng`` None an unfilled one that draws nothing, for a checkpoint load to
-    overwrite.  One draw gives the stack the maps drawn one by one would get."""
+    overwrite.  One draw gives the stack the maps drawn one by one would get.
+    The fan check stays: public callers reach it without a config."""
     fan_in, fan_out = shape[-2:]
     if fan_in < 1 or fan_out < 1:
         raise ConfigError(f"fan extents must be >= 1, got {fan_in}, {fan_out}")
@@ -83,8 +84,6 @@ class EmbeddingTable:
     @staticmethod
     def create(vocab_size: int, dim: int, max_len: int,
                rng: np.random.Generator | None) -> "EmbeddingTable":
-        if vocab_size < 2:
-            raise ConfigError(f"vocab_size must be >= 2 (PAD and UNK), got {vocab_size}")
         return EmbeddingTable(
             table=init_weight((vocab_size, dim), rng),
             positional=init_weight((max_len, dim), rng),

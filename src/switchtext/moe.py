@@ -12,7 +12,7 @@ expert computation.  Capacity cuts apply in training only; outside it
 no token is ranked against a capacity, and the capacity factor is an
 argument, not a field of the parameters.  The gate is a ``T.linear`` and a
 ``T.softmax`` node, and dispatch, the stacked experts and combine are one
-``T.routed_ffn`` node, with one row group per expert.
+``T.routed_ffn`` node, with one row group per expert.  Sizes arrive validated by the config.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ class SwitchParams:
     @staticmethod
     def create(d_model: int, d_ff: int, num_experts: int,
                rng: np.random.Generator | None) -> "SwitchParams":
-        if num_experts < 1:
-            raise ConfigError(f"num_experts must be >= 1, got {num_experts}")
         gate = LinearParams.create(d_model, num_experts, rng)
         # One draw, as E separate FFNs would be drawn, expert by expert: the
         # [d_model, d_ff] and [d_ff, d_model] maps share scale and size.
@@ -103,8 +101,9 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool, capacity_factor: 
     """Route each of the T tokens in ``x`` [T, d] to its top-1 expert.
 
     Returns ``(output, RoutingRecord)``; a ``capacity_factor`` that is not
-    finite and >= 1 raises ConfigError.  Each token's output is its chosen
-    gate probability times that expert's FFN.  In training an expert serves
+    finite and >= 1 raises ConfigError (an edited ``model.config`` gets here
+    unvalidated).  Each token's output is its chosen gate probability times
+    that expert's FFN.  In training an expert serves
     at most floor(capacity_factor*T/E) tokens, and never more than T, its
     first in token order; the rest contribute zero (the caller's residual
     connection carries them) and are recorded as overflow, never an error.  Outside

@@ -1,12 +1,11 @@
 """Adam/AdamW with decoupled weight decay, a cosine-annealed learning-rate
 schedule with linear warmup, global-norm gradient clipping, and early
-stopping on a falling loss with best-checkpoint bookkeeping.
+stopping on a falling loss with best-checkpoint bookkeeping; ``RunConfig`` validated the settings.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,10 +37,6 @@ class AdamW:
 
     def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 5e-6, weight_decay: float = 0.0):
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ConfigError(f"betas must be in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0:
-            raise ConfigError(f"eps must be positive, got {eps}")
         self.params: list[tuple[str, Tensor]] = list(params)
         self.beta1 = beta1
         self.beta2 = beta2
@@ -122,33 +117,17 @@ def clip_grad_norm(params, max_norm: float) -> float:
     return norm
 
 
-@dataclass
-class ScheduleConfig:
-    peak_lr: float = 3e-4
-    min_lr: float = 1e-6
-    warmup_steps: int = 0
-    total_steps: int = 1
-
-    def __post_init__(self):
-        if not 0.0 <= self.min_lr <= self.peak_lr:
-            raise ConfigError(f"need 0 <= min_lr <= peak_lr, got {self.min_lr}, {self.peak_lr}")
-        if not 0 <= self.warmup_steps < self.total_steps:
-            raise ConfigError(
-                f"need 0 <= warmup_steps < total_steps, got {self.warmup_steps}, {self.total_steps}"
-            )
-
-
-def cosine_warmup_lr(step: int, cfg: ScheduleConfig) -> float:
-    """Linear ramp 0 -> peak over the warmup, then a half-cosine from peak to
-    min over the remaining steps; clamps to min beyond the horizon."""
+def cosine_warmup_lr(step: int, peak_lr: float, min_lr: float, warmup_steps: int,
+                     total_steps: int) -> float:
+    """Linear warmup 0 -> peak_lr, a half-cosine to min_lr at total_steps, then min_lr."""
     if step < 0:
         raise ConfigError(f"step must be >= 0, got {step}")
-    if step < cfg.warmup_steps:
-        return cfg.peak_lr * step / cfg.warmup_steps
-    if step >= cfg.total_steps:
-        return cfg.min_lr
-    progress = (step - cfg.warmup_steps) / (cfg.total_steps - cfg.warmup_steps)
-    return cfg.min_lr + (cfg.peak_lr - cfg.min_lr) * 0.5 * (1.0 + math.cos(math.pi * progress))
+    if step < warmup_steps:
+        return peak_lr * step / warmup_steps
+    if step >= total_steps:
+        return min_lr
+    progress = (step - warmup_steps) / (total_steps - warmup_steps)
+    return min_lr + (peak_lr - min_lr) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
 class EarlyStopping:
@@ -157,8 +136,6 @@ class EarlyStopping:
     caller can restore its checkpoint."""
 
     def __init__(self, patience: int = 10, min_delta: float = 1e-4):
-        if patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {patience}")
         self.patience = patience
         self.min_delta = min_delta
         self.best_metric: float | None = None

@@ -694,8 +694,8 @@ def dropout(x, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
 
     Identity (the same object) at rate 0 or outside training.  Masks come
     from the caller's generator, one uniform per element of ``x`` in
-    row-major order, so a seeded run is reproducible.
-    """
+    row-major order, so a seeded run is reproducible.  The rate check stays:
+    a ``model.config`` edited after the build reaches it unvalidated."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     x = _as_tensor(x)

@@ -17,6 +17,7 @@ the single artifact excluded from that guarantee.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import hashlib
 import json
@@ -39,7 +40,7 @@ from .metrics import EvalReport, classification_metrics, confusion, roc_auc
 from .model import (EncoderModel, ForwardResult, ModelConfig, ModelSettings, load_checkpoint,
                     save_checkpoint)
 from .moe import load_balance_loss
-from .optim import AdamW, EarlyStopping, ScheduleConfig, clip_grad_norm, cosine_warmup_lr
+from .optim import AdamW, EarlyStopping, clip_grad_norm, cosine_warmup_lr
 from .tensor import Tape, Tensor
 
 
@@ -242,7 +243,7 @@ def evaluate(model: EncoderModel, encoded: list[EncodedExample], batch_size: int
 
     Batches are taken in a stable length-sorted order, so each holds few
     lengths and little padding; ``predictions`` and ``scores`` come back in
-    the order of ``encoded``."""
+    the order of ``encoded``.  ``eval --batch-size`` reaches the size check unvalidated."""
     if not encoded:
         raise DataError("evaluate needs at least one example, got an empty split")
     if batch_size < 1:
@@ -297,11 +298,40 @@ def portable_config(config_dict: dict) -> dict:
     return {k: v for k, v in config_dict.items() if k not in ("data_path", "output_dir")}
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS through ctypes, or None for another BLAS build."""
+    try:
+        lib = ctypes.CDLL(sys.modules["numpy._core._multiarray_umath"].__file__)
+        lib.scipy_openblas_get_config64_.restype = ctypes.c_char_p
+        lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        return lib
+    except (KeyError, AttributeError, OSError):
+        return None
+
+
+def pin_blas_threads() -> None:
+    """Run BLAS on one thread, as a GEMM's last bits depend on the thread count."""
+    if lib := _openblas():
+        lib.scipy_openblas_set_num_threads64_(1)
+    else:  # a stderr line, not warnings.warn: the run goes on
+        print("warning: cannot pin BLAS to one thread; bits may vary with the thread count",
+              file=sys.stderr)
+
+
+def _blas_platform() -> dict:
+    """The BLAS build and core, else its name and version, and the thread count in force."""
+    if lib := _openblas():
+        return {"blas": lib.scipy_openblas_get_config64_().decode(),
+                "blas_threads": lib.scipy_openblas_get_num_threads64_()}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"blas": f"{blas['name']} {blas['version']}", "blas_threads": None}
+
+
 def write_manifest(path, command: str, config_dict: dict, data_digest: str,
                    artifacts: list[str]) -> None:
     """The manifest at ``path``: the command, its portable config and that
-    config's digest, the seed, code version, dataset digest, platform and
-    the artifact names."""
+    config's digest, the seed, code version, dataset digest, platform (BLAS
+    included) and the artifact names."""
     config_dict = portable_config(config_dict)
     canonical = json.dumps(config_dict, sort_keys=True, ensure_ascii=False)
     manifest = {
@@ -311,11 +341,8 @@ def write_manifest(path, command: str, config_dict: dict, data_digest: str,
         "seed": config_dict["seed"],
         "code_version": __version__,
         "dataset_digest": data_digest,
-        "platform": {
-            "python": sys.version.split()[0],
-            "machine": platform.machine(),
-            "system": platform.system(),
-        },
+        "platform": dict(python=sys.version.split()[0], machine=platform.machine(),
+                         system=platform.system(), **_blas_platform()),
         "artifacts": sorted(artifacts),
     }
     write_artifact(path, [json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False), "\n"])
@@ -381,11 +408,9 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
     group_size = config.batch_size * config.grad_accumulation
     steps_per_epoch = math.ceil(n_train / group_size)
     total_steps = max(1, steps_per_epoch * config.epochs)
-    schedule = ScheduleConfig(
-        peak_lr=config.peak_lr, min_lr=config.min_lr,
-        warmup_steps=min(int(config.warmup_frac * total_steps), total_steps - 1),
-        total_steps=total_steps,
-    )
+    warmup_steps = min(int(config.warmup_frac * total_steps), total_steps - 1)  # < total_steps
+    lr_at = functools.partial(cosine_warmup_lr, peak_lr=config.peak_lr, min_lr=config.min_lr,
+                              warmup_steps=warmup_steps, total_steps=total_steps)
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5F)))
     stopper = EarlyStopping(patience=config.patience, min_delta=config.min_delta)
@@ -433,14 +458,14 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
                     opt.grad *= 1.0 / len(chunks)
                 if config.grad_clip > 0:
                     clip_grad_norm(params, config.grad_clip)
-                opt.step(cosine_warmup_lr(step, schedule))
+                opt.step(lr_at(step))
                 opt.zero_grad()
 
             # Train-split metrics come from the training pass itself.
             train_out = tally.outcome()
             val_out = evaluate(model, encoded["val"], config.eval_batch_size, weights)
             train_report, val_report = train_out.report, val_out.report
-            lr_now = cosine_warmup_lr(min(epoch * steps_per_epoch, total_steps), schedule)
+            lr_now = lr_at(min(epoch * steps_per_epoch, total_steps))
             history.append({"train": train_report, "val": val_report})
             for split, out in (("train", train_out), ("val", val_out)):
                 r = out.report

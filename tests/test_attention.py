@@ -12,6 +12,7 @@ from switchtext.attention import (FfnParams, MultiHeadParams,
                                   multi_head_attention, position_wise_ffn)
 from switchtext.errors import ConfigError, ContractError
 from switchtext.layers import LinearParams
+from switchtext.model import EncoderModel, ModelConfig
 
 rng = np.random.default_rng(4242)
 
@@ -118,8 +119,8 @@ class TestMultiHeadAttention:
         assert len(tape._nodes) == 5
 
     def test_divisibility_enforced(self):
-        with pytest.raises(ConfigError):
-            MultiHeadParams.create(10, 4, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="multiple of num_heads"):
+            EncoderModel.build(ModelConfig(d_model=10, num_heads=4, d_ff=20))
 
     def test_packed_batch_matches_each_sequence_alone(self):
         p = MultiHeadParams.create(8, 2, np.random.default_rng(5))

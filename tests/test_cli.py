@@ -5,12 +5,17 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import switchtext
+from switchtext import generate_synthetic_corpus, training
 from switchtext.cli import EXIT_CODES, build_parser, main, resolve_train_config
-from switchtext.data import read_jsonl, write_artifact
+from switchtext.data import read_jsonl, write_artifact, write_jsonl
 from switchtext.errors import ConfigError
 from switchtext.training import train
 
@@ -67,6 +72,42 @@ class TestGenData:
         assert main(["gen-data", "--n", "20", "--seed", "2", "--out", str(data)]) == 2
         assert "category=config" in capsys.readouterr().err
         assert not manifest.exists()  # the seed-1 manifest no longer vouches for seed-2 data
+
+
+class TestBlasThreads:
+    """The CLI runs BLAS on one thread, so its artifacts do not depend on the
+    thread count the environment asks for."""
+
+    def test_train_bits_do_not_depend_on_the_thread_count(self, tmp_path):
+        # d64 with 16-note batches is large enough for OpenBLAS to split its
+        # GEMMs across two threads, which moves the checkpoint's last bits.
+        data = tmp_path / "notes.jsonl"
+        write_jsonl(str(data), generate_synthetic_corpus(60, seed=1))
+        runs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(switchtext.__file__).parents[1]))
+            subprocess.run([sys.executable, "-m", "switchtext.cli", "train", "--data-path",
+                            str(data), "--output-dir", str(out), "--epochs", "1", "--d-model", "64",
+                            "--d-ff", "256", "--num-layers", "2", "--num-heads", "2",
+                            "--num-experts", "2", "--max-len", "128", "--grad-accumulation", "1",
+                            "--min-frequency", "1"], env=env, check=True, capture_output=True)
+            runs[threads] = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "timings.tsv"}
+        assert "best.ckpt" in runs["1"]
+        assert runs["1"] == runs["2"]
+        blas = json.loads(runs["2"]["manifest.json"])["platform"]
+        assert blas["blas_threads"] == 1 and blas["blas"].startswith("OpenBLAS")
+
+    def test_a_blas_out_of_reach_still_runs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(training.ctypes, "CDLL", lambda path: object())  # no symbol found
+        assert main(["gen-data", "--n", "20", "--out", str(tmp_path / "g.jsonl")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["warning: cannot pin BLAS to one thread; bits may vary with the thread count"]
+        platform = json.loads((tmp_path / "g.jsonl.manifest.json").read_text())["platform"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert platform["blas"] == f"{blas['name']} {blas['version']}"
+        assert platform["blas_threads"] is None
 
 
 class TestTrain:

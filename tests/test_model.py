@@ -254,6 +254,43 @@ def test_only_the_entry_points_take_a_mask():
                       ("model.py", "EncoderModel.forward")]
 
 
+def _config_error_sites(node, scope=""):
+    """The qualified name of the function around each ``raise ConfigError``
+    under ``node``, once per raise."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                and ast.unparse(child.exc.func) == "ConfigError"):
+            yield scope
+        named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        yield from _config_error_sites(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+
+def test_each_range_rule_is_checked_at_one_boundary():
+    """The configs' ``violations()`` hold the range rules, and components take
+    validated arguments.  The sites left check input that reaches them
+    without a config: CLI arguments, files, public functions' own arguments,
+    and a ``model.config`` edited after the build (``switch_forward``,
+    ``dropout``).  A new site says why the configs cannot hold its rule."""
+    sites = sorted((path.stem, scope)
+                   for path in Path(switchtext.__file__).parent.glob("*.py")
+                   for scope in _config_error_sites(ast.parse(path.read_text(encoding="utf-8"))))
+    assert sites == [
+        ("cli", "_make_output_dir"), *[("cli", "_merged_config")] * 3, ("cli", "cmd_gen_data"),
+        ("cli", "resolve_train_config"),
+        ("data", "build_vocab"), ("data", "class_weights"), *[("data", "generate_synthetic_corpus")] * 3,
+        ("data", "write_artifact"),
+        ("interpret", "_attribute_each"), ("interpret", "_baseline_embedding"),
+        ("interpret", "path_integrated_gradients"), ("interpret", "rank_misclassified"),
+        ("layers", "init_weight"),
+        *[("model", "ModelSettings.from_dict")] * 3, ("model", "ModelSettings.validate"),
+        ("model", "export_hidden_embeddings"),
+        ("moe", "switch_forward"),
+        ("optim", "cosine_warmup_lr"),
+        ("tensor", "dropout"), ("tensor", "finite_difference_check"),
+        ("training", "clear_manifest"), ("training", "evaluate"),
+    ]
+
+
 def test_settable_values_are_pinned():
     """Every annotated dataclass field and every defaulted parameter in the
     package is a value a caller can set.  A change that adds one raises this
@@ -267,7 +304,7 @@ def test_settable_values_are_pinned():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 count += len(node.args.defaults) + sum(
                     d is not None for d in node.args.kw_defaults)
-    assert count == 170
+    assert count == 166
 
 
 class TestParameterCount:

@@ -14,6 +14,7 @@ from switchtext import tensor as T
 from switchtext.attention import FfnParams
 from switchtext.errors import ConfigError, ContractError
 from switchtext.layers import LinearParams, named_tensors
+from switchtext.model import EncoderModel, ModelConfig
 from switchtext.moe import (RoutingRecord, SwitchParams, gate_probs, load_balance_loss,
                             switch_forward)
 
@@ -461,8 +462,8 @@ class TestConfigValidation:
             switch_forward(Tensor(np.ones((3, 4))), make_params(), True, factor)
 
     def test_bad_expert_count(self):
-        with pytest.raises(ConfigError):
-            make_params(n_experts=0)
+        with pytest.raises(ConfigError, match="num_experts must be >= 1"):
+            EncoderModel.build(ModelConfig(num_experts=0, d_model=8, d_ff=16))
 
 
 class TestBalanceTraining:

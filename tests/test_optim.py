@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from switchtext import AdamW, EarlyStopping, ScheduleConfig, Tensor, cosine_warmup_lr
+from switchtext import AdamW, EarlyStopping, RunConfig, Tensor, cosine_warmup_lr
 from switchtext import tensor as T
 from switchtext.errors import ConfigError, ContractError, NumericError
 from switchtext.optim import CHUNK, clip_grad_norm
@@ -184,34 +184,37 @@ class TestClip:
 
 class TestSchedule:
     def cfg(self, peak=1e-3, floor=1e-5, warmup=10, total=100):
-        return ScheduleConfig(peak_lr=peak, min_lr=floor, warmup_steps=warmup, total_steps=total)
+        return dict(peak_lr=peak, min_lr=floor, warmup_steps=warmup, total_steps=total)
 
     def test_endpoints(self):
         cfg = self.cfg()
-        assert cosine_warmup_lr(0, cfg) == 0.0
-        assert cosine_warmup_lr(10, cfg) == cfg.peak_lr
-        np.testing.assert_allclose(cosine_warmup_lr(100, cfg), cfg.min_lr, atol=1e-20)
+        assert cosine_warmup_lr(0, **cfg) == 0.0
+        assert cosine_warmup_lr(10, **cfg) == cfg["peak_lr"]
+        np.testing.assert_allclose(cosine_warmup_lr(100, **cfg), cfg["min_lr"], atol=1e-20)
 
     def test_clamps_beyond_horizon(self):
         cfg = self.cfg()
-        assert cosine_warmup_lr(1000, cfg) == cfg.min_lr
+        assert cosine_warmup_lr(1000, **cfg) == cfg["min_lr"]
 
     def test_continuous_at_warmup_boundary(self):
         cfg = self.cfg(warmup=50, total=200)
-        before = cosine_warmup_lr(49, cfg)
-        at = cosine_warmup_lr(50, cfg)
-        assert abs(at - before) < cfg.peak_lr / 40
+        before = cosine_warmup_lr(49, **cfg)
+        at = cosine_warmup_lr(50, **cfg)
+        assert abs(at - before) < cfg["peak_lr"] / 40
 
     def test_nonnegative_everywhere(self):
         cfg = self.cfg(floor=0.0)
-        values = [cosine_warmup_lr(s, cfg) for s in range(0, 120)]
+        values = [cosine_warmup_lr(s, **cfg) for s in range(0, 120)]
         assert min(values) >= 0.0
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            ScheduleConfig(peak_lr=1e-3, min_lr=1e-2, warmup_steps=0, total_steps=10)
-        with pytest.raises(ConfigError):
-            ScheduleConfig(peak_lr=1e-3, min_lr=0, warmup_steps=10, total_steps=10)
+        """The schedule's rule, 0 <= min_lr <= peak_lr, is the run config's:
+        ``train`` derives warmup_steps < total_steps itself."""
+        problems = RunConfig(peak_lr=1e-3, min_lr=1e-2).violations()
+        assert problems == ["need 0 <= min_lr <= peak_lr, got 0.01, 0.001"]
+        with pytest.raises(ConfigError, match="invalid run config: need 0 <= min_lr"):
+            RunConfig(peak_lr=1e-3, min_lr=-1e-6).validate()
+        assert RunConfig(peak_lr=1e-3, min_lr=1e-3).violations() == []
 
 
 class TestAccumulationEquivalence:

@@ -333,7 +333,7 @@ class TestTrainRuns:
         # Manual loop: identical schedule and shuffling, loss = plain CE.
         from switchtext.data import build_vocab, split_dataset
         from switchtext.model import EncoderModel
-        from switchtext.optim import AdamW, ScheduleConfig, cosine_warmup_lr
+        from switchtext.optim import AdamW, cosine_warmup_lr
         import math
 
         splits = split_dataset(corpus, seed=config.split_seed, stratify=config.stratify)
@@ -345,10 +345,9 @@ class TestTrainRuns:
         params = model.parameters()
         opt = AdamW(params, eps=config.adam_eps, weight_decay=config.weight_decay)
         steps_per_epoch = math.ceil(len(encoded) / config.batch_size)
-        schedule = ScheduleConfig(peak_lr=config.peak_lr, min_lr=config.min_lr,
-                                  warmup_steps=min(int(0.1 * steps_per_epoch * 2),
-                                                   steps_per_epoch * 2 - 1),
-                                  total_steps=steps_per_epoch * 2)
+        schedule = dict(peak_lr=config.peak_lr, min_lr=config.min_lr,
+                        warmup_steps=min(int(0.1 * steps_per_epoch * 2), steps_per_epoch * 2 - 1),
+                        total_steps=steps_per_epoch * 2)
         shuffle_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5F)))
         step = 0
         for _ in range(2):
@@ -360,7 +359,7 @@ class TestTrainRuns:
                     res = model.forward(ids, mask, training=True)
                     loss = weighted_cross_entropy(res.logits, labels, None)
                 tape.backward(loss)
-                opt.step(cosine_warmup_lr(step, schedule))
+                opt.step(cosine_warmup_lr(step, **schedule))
                 opt.zero_grad()
                 step += 1
         for (name, p), (_, q) in zip(result.model.parameters(), model.parameters()):
