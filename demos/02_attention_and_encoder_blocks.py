@@ -1,6 +1,6 @@
 """What the attention stack computes: scaled dot-product weights, packed
-rows with sequence lengths, multi-head projections, and a full encoder
-forward pass.
+rows with sequence lengths, the one query-key-value projection of
+multi-head attention, and a full encoder forward pass.
 
 Run:  python demos/02_attention_and_encoder_blocks.py
 """
@@ -14,23 +14,23 @@ from switchtext.attention import MultiHeadParams, multi_head_attention
 rng = np.random.default_rng(1)
 
 # --- scaled dot-product attention on a 3-token sequence ------------------
-# T.attention takes packed [N, d] rows and a lengths vector (sequence i is
-# the next lengths[i] rows), and returns packed rows.
-q = Tensor(rng.standard_normal((3, 3)))
-k = Tensor(rng.standard_normal((3, 3)))
-v = Tensor(np.eye(3))
+# T.attention takes packed [N, 3d] rows, each a token's query, key and
+# value side by side, and a lengths vector (sequence i is the next
+# lengths[i] rows); it returns packed [N, d] rows.
+q = rng.standard_normal((3, 3))
+k = rng.standard_normal((3, 3))
+v = np.eye(3)
 
 # With v = I and one head the output rows ARE the attention weights.
-weights = T.attention(q, k, v, np.array([3]), num_heads=1)
+weights = T.attention(Tensor(np.hstack([q, k, v])), np.array([3]), num_heads=1)
 print("attention weights (rows sum to 1):\n", np.round(weights.data, 4))
 print("row sums:", weights.data.sum(axis=1))
 
 # A second sequence of 2 real tokens: 5 packed rows in all.  Each sequence
 # attends over its own rows only, so the other sequence's keys get exactly
 # zero weight.
-q2 = Tensor(rng.standard_normal((5, 5)))
-k2 = Tensor(rng.standard_normal((5, 5)))
-two = T.attention(q2, k2, Tensor(np.eye(5)), np.array([3, 2]), num_heads=1)
+qk2 = rng.standard_normal((5, 10))
+two = T.attention(Tensor(np.hstack([qk2, np.eye(5)])), np.array([3, 2]), num_heads=1)
 print("\nweights over the 5 packed keys, lengths 3 and 2:\n", np.round(two.data, 4))
 
 # --- multi-head attention over a packed batch ----------------------------
@@ -38,9 +38,11 @@ print("\nweights over the 5 packed keys, lengths 3 and 2:\n", np.round(two.data,
 # once; below it the encoder carries only real tokens, as [N, d] rows.
 # Inside, attention views each run of consecutive sequences of equal
 # length as an unpadded [n, heads, len, d_k] grid.  The parameters are
-# tensors only: the head count is a setting (ModelConfig.num_heads), passed
-# to the forward, and fixes only the Glorot scale of the one q/k/v draw.
+# tensors only: one [d, 3d] query-key-value map (p.wqkv) and the output
+# map.  The head count is a setting (ModelConfig.num_heads), passed to the
+# forward, and fixes only the Glorot scale of the one q/k/v draw.
 p = MultiHeadParams.create(d_model=8, num_heads=2, rng=np.random.default_rng(2))
+print("\nquery-key-value map", p.wqkv.shape, "output map", p.wo.weight.shape)
 grid = rng.standard_normal((2, 5, 8))
 mask = np.array([[True] * 5, [True, True, True, False, False]])
 x = Tensor(grid[mask])

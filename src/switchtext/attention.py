@@ -1,9 +1,10 @@
 """Multi-head self-attention and the position-wise feed-forward block.
 
 Tokens arrive packed as ``[N, d]`` rows with a ``lengths`` vector:
-sequence i is the next ``lengths[i]`` rows.  The ``T.attention`` node views
-each run of consecutive equal-length sequences as an unpadded grid for the
-scores, reads no padded key, and returns packed rows again.  The output map is
+sequence i is the next ``lengths[i]`` rows.  One product maps them to
+``[N, 3d]`` query-key-value rows; the ``T.attention`` node views each run of
+consecutive equal-length sequences as an unpadded grid for the scores, reads
+no padded key, and returns packed ``[N, d]`` rows again.  The output map is
 one ``T.linear`` node and the feed-forward block one ``T.ffn`` node, or, for
 routed experts, one ``T.routed_ffn`` node that also dispatches and combines.
 The parameters are tensors only; sizes and the head count are arguments the config validated.
@@ -22,13 +23,11 @@ from .tensor import Tensor
 
 @dataclass
 class MultiHeadParams:
-    """Query, key and value projections, each [d_model, d_model] with head h
-    in columns h*d_k:(h+1)*d_k (d_k = d_model / num_heads), and the output
-    map."""
+    """The query, key and value projections as one [d_model, 3 * d_model]
+    map, q in columns 0:d, k in d:2d and v in 2d:3d with head h in columns
+    h*d_k:(h+1)*d_k of each (d_k = d_model / num_heads), and the output map."""
 
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
+    wqkv: Tensor
     wo: LinearParams
 
     @staticmethod
@@ -36,9 +35,8 @@ class MultiHeadParams:
         # One draw, head by head and within a head q, k, v, each block at the
         # Glorot scale for fan_out d_k; this order fixes the values a seed gives.
         qkv = init_weight((num_heads, 3, d_model, d_model // num_heads), rng).data
-        wq, wk, wv = (Tensor(w, requires_grad=True)
-                      for w in qkv.transpose(1, 2, 0, 3).reshape(3, d_model, d_model))
-        return MultiHeadParams(wq=wq, wk=wk, wv=wv, wo=LinearParams.create(d_model, d_model, rng))
+        wqkv = Tensor(qkv.transpose(2, 1, 0, 3).reshape(d_model, 3 * d_model), requires_grad=True)
+        return MultiHeadParams(wqkv=wqkv, wo=LinearParams.create(d_model, d_model, rng))
 
 
 @dataclass
@@ -59,10 +57,9 @@ class FfnParams:
 def multi_head_attention(h: Tensor, p: MultiHeadParams, lengths: np.ndarray,
                          num_heads: int) -> Tensor:
     """Self-attention over packed rows ``h`` [N, d_model], sequence i the next
-    ``lengths[i]`` rows, in ``num_heads`` heads; returns [N, d_model]: the q,
-    k and v projections, one ``T.attention`` node and the output map."""
-    return linear(T.attention(T.matmul(h, p.wq), T.matmul(h, p.wk), T.matmul(h, p.wv),
-                              lengths, num_heads), p.wo)
+    ``lengths[i]`` rows, in ``num_heads`` heads; returns [N, d_model]: the
+    query-key-value projection, one ``T.attention`` node and the output map."""
+    return linear(T.attention(T.matmul(h, p.wqkv), lengths, num_heads), p.wo)
 
 
 def position_wise_ffn(x: Tensor, p: FfnParams, route=()) -> Tensor:

@@ -1,6 +1,6 @@
 """Encoder model assembly: embeddings, a stack of encoder blocks (dense FFN
-or routed expert mixture), pooling over each sequence's real tokens, and a
-two-logit classifier head.
+or routed expert mixture), mean pooling over each sequence's real tokens,
+and a two-logit classifier head.
 
 ``EncoderModel.forward`` turns its ``[batch, len]`` padding mask into
 lengths once (``data.mask_lengths``); below it, the real tokens travel as
@@ -38,7 +38,7 @@ from .moe import RoutingRecord, SwitchParams, switch_forward
 from .tensor import Tensor
 
 CHECKPOINT_MAGIC = b"SWTCKPT1"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 NUM_CLASSES = 2  # binary labels: the loss, class weights and metrics assume two
 EXPORT_BATCH_SIZE = 32  # notes per forward in export_hidden_embeddings
 
@@ -58,7 +58,6 @@ class ModelSettings:
     max_len: int = 256
     dropout: float = 0.35
     capacity_factor: float = 1.25
-    pooling: str = "mean"  # {"mean", "first"}
     seed: int = 0
 
     def violations(self) -> list[str]:
@@ -81,8 +80,6 @@ class ModelSettings:
             problems.append(f"dropout must be in [0, 1), got {self.dropout}")
         if not 1.0 <= self.capacity_factor < math.inf:
             problems.append(f"capacity_factor must be finite and >= 1, got {self.capacity_factor}")
-        if self.pooling not in ("mean", "first"):
-            problems.append(f"pooling must be 'mean' or 'first', got {self.pooling!r}")
         if self.seed < 0:
             problems.append(f"seed must be >= 0, got {self.seed}")
         return problems
@@ -148,8 +145,8 @@ class ForwardResult:
 
 
 class EncoderModel:
-    """Embeddings, ``num_layers`` post-norm encoder blocks, pooling over each
-    sequence's real tokens, and a linear classifier head."""
+    """Embeddings, ``num_layers`` post-norm encoder blocks, mean pooling over
+    each sequence's real tokens, and a linear classifier head."""
 
     def __init__(self, config: ModelConfig, embeddings: EmbeddingTable,
                  blocks: list[EncoderBlock], head: LinearParams):
@@ -227,9 +224,7 @@ class EncoderModel:
         return ForwardResult(logits=logits, hidden=hidden, routing=routing)
 
     def _pool(self, h: Tensor, lengths: np.ndarray) -> Tensor:
-        """[batch, d_model]: each sequence's first packed row, or their mean."""
-        if self.config.pooling == "first":
-            return T.take_rows(h, np.cumsum(lengths) - lengths)
+        """[batch, d_model]: the mean of each sequence's packed rows."""
         return T.mul(T.segment_sum(h, lengths), Tensor(1.0 / lengths[:, None]))
 
     # ------------------------------------------------------------------
@@ -248,7 +243,7 @@ def parameter_count(config: ModelConfig) -> int:
     d, f, experts = config.d_model, config.d_ff, config.num_experts
     ffn = 2 * d * f + f + d
     mixer = ffn if config.variant == "dense" else d * experts + experts + experts * ffn
-    block = 4 * d * d + d + 4 * d + mixer  # q, k, v and output maps, output bias, two norms
+    block = 4 * d * d + d + 4 * d + mixer  # qkv and output maps, output bias, two norms
     head = (d + 1) * NUM_CLASSES
     return (config.vocab_size + config.max_len) * d + config.num_layers * block + head
 

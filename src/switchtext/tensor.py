@@ -10,12 +10,12 @@ the tape: it drops each node's backward rules, and the arrays they saved,
 as soon as they have run, and adds leaf gradients into ``.grad`` in place.
 
 Sequences travel as packed [N, d] rows plus a ``lengths`` vector: sequence
-i is the next ``lengths[i]`` rows.  ``attention`` (through head-major
-[heads, N, d_k] views) and ``segment_sum`` view each run of consecutive
-equal-length sequences as one unpadded block of its rows, so no padded
-position is read.  ``linear`` records an affine map and ``ffn`` a
-position-wise feed-forward block as one node each, with bias and ReLU
-applied in place.  ``routed_ffn`` is top-1 routed
+i is the next ``lengths[i]`` rows.  ``attention`` (from [N, 3d]
+query-key-value rows, through head-major [heads, N, d_k] views) and
+``segment_sum`` view each run of consecutive equal-length sequences as one
+unpadded block of its rows, so no padded position is read.  ``linear``
+records an affine map and ``ffn`` a position-wise feed-forward block as one
+node each, with bias and ReLU applied in place.  ``routed_ffn`` is top-1 routed
 experts as one node: it gathers the served rows, runs the stacked experts
 as row groups, scales each row by its gate probability and writes it back
 in token order.  ``take_rows`` is the one gather: embedding lookup and
@@ -555,79 +555,63 @@ def _runs(lengths, rows: int) -> list[tuple[slice, int, int]]:
     return runs
 
 
-def attention(q, k, v, lengths, num_heads: int) -> Tensor:
-    """Multi-head self-attention from packed [N, d] rows to packed rows, one node.
+def attention(qkv, lengths, num_heads: int) -> Tensor:
+    """Multi-head self-attention from packed [N, 3d] query-key-value rows to
+    packed [N, d] rows, one node.
 
-    Sequence i is the next ``lengths[i]`` rows, head h in columns
-    h*d_k:(h+1)*d_k.  Packed rows are viewed head-major, [heads, N, d_k]:
-    a run of one sequence of length L is one [heads, L, d_k] slice, and a
-    run of n equal-length sequences an [n, heads, L, d_k] grid, for ``P v``
-    with ``P = softmax(q kᵀ / sqrt(d_k))``.  No padded key is read, a
-    sequence's output and gradients are bit for bit those it has alone, and
-    products go straight into such views of their packed output.
-    Closed-form backward: with ``dP = g vᵀ``,
+    Sequence i is the next ``lengths[i]`` rows.  Columns 0:d of a row hold
+    its query, d:2d its key and 2d:3d its value, head h in columns
+    h*d_k:(h+1)*d_k of each part.  Each part is viewed head-major,
+    [heads, N, d_k]: a run of one sequence of length L is one
+    [heads, L, d_k] slice, and a run of n equal-length sequences an
+    [n, heads, L, d_k] grid, for ``P v`` with ``P = softmax(q kᵀ / sqrt(d_k))``.
+    No padded key is read, a sequence's output and gradients are bit for bit
+    those it has alone, and products go straight into such views of their
+    packed output.  Closed-form backward: with ``dP = g vᵀ``,
     ``dS = (dP - sum(dP * P)) * P / sqrt(d_k)`` gives ``dq = dS k``,
-    ``dk = (qᵀ dS)ᵀ`` and ``dv = Pᵀ g``.
+    ``dk = dSᵀ q`` and ``dv = Pᵀ g``, written into the parts of one
+    [N, 3d] gradient.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    shape = q.data.shape
-    if (len(shape) != 2 or k.data.shape != shape or v.data.shape != shape or num_heads < 1
-            or shape[1] % num_heads):
-        raise DimensionError(f"attention needs [N, d] q, k and v with d divisible by "
-                             f"{num_heads} heads, got q {q.shape}, k {k.shape}, v {v.shape}")
-    rows, width = shape
+    qkv = _as_tensor(qkv)
+    shape = qkv.data.shape
+    if len(shape) != 2 or num_heads < 1 or shape[1] % (3 * num_heads):
+        raise DimensionError(f"attention needs [N, 3d] query-key-value rows with d divisible by "
+                             f"{num_heads} heads, got {qkv.shape}")
+    rows, width = shape[0], shape[1] // 3
     d_k = width // num_heads
     scale = 1.0 / np.sqrt(d_k)
     spans = _runs(lengths, rows)
 
-    def heads(a):  # packed [N, d] rows -> their [heads, N, d_k] view, sliced per run
-        a = a.reshape(rows, num_heads, d_k).transpose(1, 0, 2)
-        return [a[:, r] if n == 1 else a[:, r].reshape(num_heads, n, length, d_k).swapaxes(0, 1)
-                for r, n, length in spans]
+    def heads(a):  # packed [N, parts * d] rows -> per part, its [heads, N, d_k] view per run
+        return [[p[:, r] if n == 1 else p[:, r].reshape(num_heads, n, length, d_k).swapaxes(0, 1)
+                 for r, n, length in spans]
+                for p in a.reshape(rows, -1, num_heads, d_k).transpose(1, 2, 0, 3)]
 
-    def packed(product):  # new packed rows, ``product(i, view)`` writing run i into its view
-        out = np.empty(shape)
-        for i, view in enumerate(heads(out)):
-            product(i, view)
-        return out
-
-    qs, ks, vs = heads(q.data), heads(k.data), heads(v.data)
+    qs, ks, vs = heads(qkv.data)
     ps = []  # per run: P
     for qd, kd in zip(qs, ks):
         probs = np.matmul(qd, kd.swapaxes(-1, -2))
         probs *= scale
         ps.append(_softmax_in_place(probs, -1))
-    out = packed(lambda i, o: np.matmul(ps[i], vs[i], out=o))
+    out = np.empty((rows, width))
+    for o, probs, vd in zip(heads(out)[0], ps, vs):
+        np.matmul(probs, vd, out=o)
     if not _ACTIVE_TAPES:
         return Tensor(out)
-    last = [None, None, None]  # the incoming gradient, and per run its g and dS
 
-    def grads(g):  # shared by the three vjps
-        if last[0] is not g:
-            gs, d_scores = heads(g), []
-            for g_run, vd, probs in zip(gs, vs, ps):
-                ds = np.matmul(g_run, vd.swapaxes(-1, -2))
-                ds -= (ds * probs).sum(axis=-1, keepdims=True)
-                ds *= probs
-                ds *= scale
-                d_scores.append(ds)
-            last[:] = g, gs, d_scores
-        return last
+    def vjp(g):
+        grad = np.empty(shape)
+        for g_run, qd, kd, vd, probs, dq, dk, dv in zip(heads(g)[0], qs, ks, vs, ps, *heads(grad)):
+            ds = np.matmul(g_run, vd.swapaxes(-1, -2))
+            ds -= (ds * probs).sum(axis=-1, keepdims=True)
+            ds *= probs
+            ds *= scale
+            np.matmul(ds, kd, out=dq)
+            np.matmul(ds.swapaxes(-1, -2), qd, out=dk)
+            np.matmul(probs.swapaxes(-1, -2), g_run, out=dv)
+        return grad
 
-    def k_grad(g):
-        products = [np.matmul(qd.swapaxes(-1, -2), ds) for qd, ds in zip(qs, grads(g)[2])]
-        if len(spans) == 1 and spans[0][1] == 1:
-            # Left in the layout of its [heads, d_k, L] product: a copy into
-            # C order would change the rounding of the products that follow.
-            return products[0].transpose(2, 0, 1).reshape(shape)
-        return packed(lambda i, o: np.copyto(o, products[i].swapaxes(-1, -2)))
-
-    return _maybe_record(out, [
-        (q, lambda g: packed(lambda i, o: np.matmul(grads(g)[2][i], ks[i], out=o))),
-        (k, k_grad),
-        (v, lambda g: packed(lambda i, o: np.matmul(ps[i].swapaxes(-1, -2), grads(g)[1][i],
-                                                    out=o))),
-    ])
+    return _maybe_record(out, [(qkv, vjp)])
 
 
 # ---------------------------------------------------------------------------

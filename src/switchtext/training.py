@@ -88,12 +88,12 @@ class RunConfig(ModelSettings):
                            **{f.name: getattr(self, f.name) for f in fields(ModelSettings)})
 
     def violations(self) -> list[str]:
+        # Each rule of a float field rejects NaN and inf itself, so a bad
+        # field is reported once.
         problems = super().violations()
-        problems += [f"{f.name} must be finite, got {getattr(self, f.name)}" for f in fields(self)
-                     if type(f.default) is float and not math.isfinite(getattr(self, f.name))]
-        problems += [f"{name} must be >= 0, got {getattr(self, name)}" for name in
+        problems += [f"{name} must be finite and >= 0, got {getattr(self, name)}" for name in
                      ("aux_loss_weight", "weight_decay", "grad_clip", "min_delta")
-                     if getattr(self, name) < 0.0]
+                     if not 0.0 <= getattr(self, name) < math.inf]
         if not 0.0 <= self.stop_at_val_accuracy <= 1.0:
             problems.append(f"stop_at_val_accuracy must be in [0, 1], got {self.stop_at_val_accuracy}")
         if self.split_seed < 0:
@@ -108,10 +108,10 @@ class RunConfig(ModelSettings):
             problems.append(f"warmup_frac must be in [0, 1), got {self.warmup_frac}")
         problems += [f"{name} must be in [0, 1), got {getattr(self, name)}"
                      for name in ("adam_beta1", "adam_beta2") if not 0.0 <= getattr(self, name) < 1.0]
-        if not self.adam_eps > 0.0:
-            problems.append(f"adam_eps must be > 0, got {self.adam_eps}")
-        if not 0.0 <= self.min_lr <= self.peak_lr:
-            problems.append(f"need 0 <= min_lr <= peak_lr, got {self.min_lr}, {self.peak_lr}")
+        if not 0.0 < self.adam_eps < math.inf:
+            problems.append(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+        if not 0.0 <= self.min_lr <= self.peak_lr < math.inf:
+            problems.append(f"need 0 <= min_lr <= peak_lr < inf, got {self.min_lr}, {self.peak_lr}")
         if self.patience < 1:
             problems.append(f"patience must be >= 1, got {self.patience}")
         if self.min_frequency < 1:

@@ -56,21 +56,13 @@ class TestCriterion1GradientCorrectness:
             lambda t: T.sum_(T.mul(layer_norm(t, ln), ln_coeffs)),
             Tensor(gen.standard_normal((3, 6)))))
 
-        # standalone attention head: gradients through q, k, v, 4 packed
-        # rows of sequences of lengths 3 and 1
-        kv = Tensor(gen.standard_normal((4, 4)))
-        vv = Tensor(gen.standard_normal((4, 4)))
+        # standalone attention head: gradients through the packed q, k and v
+        # columns of 4 rows of sequences of lengths 3 and 1
         head_lengths = np.array([3, 1])
         head_coeffs = Tensor(gen.standard_normal((4, 4)))
         worst = max(worst, finite_difference_check(
-            lambda t: T.sum_(T.mul(T.attention(t, kv, vv, head_lengths, 1), head_coeffs)),
-            Tensor(gen.standard_normal((4, 4)))))
-        worst = max(worst, finite_difference_check(
-            lambda t: T.sum_(T.mul(T.attention(kv, t, vv, head_lengths, 1), head_coeffs)),
-            Tensor(gen.standard_normal((4, 4)))))
-        worst = max(worst, finite_difference_check(
-            lambda t: T.sum_(T.mul(T.attention(kv, vv, t, head_lengths, 1), head_coeffs)),
-            Tensor(gen.standard_normal((4, 4)))))
+            lambda t: T.sum_(T.mul(T.attention(t, head_lengths, 1), head_coeffs)),
+            Tensor(gen.standard_normal((4, 12)))))
 
         # multi-head + FFN (d_model <= 8, len <= 4); attention takes 4 packed
         # rows of sequences of lengths 3 and 1
@@ -80,7 +72,7 @@ class TestCriterion1GradientCorrectness:
         mha_coeffs = Tensor(gen.standard_normal((4, 8)))
         worst = max(worst, check_many_params(
             lambda: T.sum_(T.mul(multi_head_attention(xa, mha, lengths, 2), mha_coeffs)),
-            [(mha, "wq"), (mha, "wk"), (mha, "wv"), (mha.wo, "weight"), (mha.wo, "bias")]))
+            [(mha, "wqkv"), (mha.wo, "weight"), (mha.wo, "bias")]))
 
         ffn = FfnParams.create(8, 16, gen)
         worst = max(worst, check_many_params(
@@ -117,7 +109,7 @@ class TestCriterion1GradientCorrectness:
                 return total_loss(result, labels, 0.01)[0]
 
             targets = [
-                (model.embeddings, "table"), (model.blocks[0].mha, "wq"),
+                (model.embeddings, "table"), (model.blocks[0].mha, "wqkv"),
                 (model.blocks[1].mha.wo, "weight"), (model.blocks[0].norm1, "gamma"),
                 (model.head, "weight"),
             ]

@@ -27,9 +27,9 @@ def attention_weights_oracle(q, k, mask=None):
 
 
 def one_head(q, k, v, lengths):
-    """``T.attention`` with one head on packed rows, sequence i the next
-    ``lengths[i]`` rows."""
-    return T.attention(Tensor(q), Tensor(k), Tensor(v), np.array(lengths), 1)
+    """``T.attention`` with one head on packed q, k and v rows, sequence i
+    the next ``lengths[i]`` rows."""
+    return T.attention(Tensor(np.concatenate([q, k, v], axis=1)), np.array(lengths), 1)
 
 
 class TestScaledDotProductAttention:
@@ -88,10 +88,9 @@ class TestScaledDotProductAttention:
 class TestMultiHeadAttention:
     def test_single_head_reduces_to_sdpa(self):
         d = 4
-        identity = lambda: Tensor(np.eye(d), requires_grad=True)
         wo = LinearParams(weight=Tensor(np.eye(d), requires_grad=True),
                           bias=Tensor(np.zeros(d), requires_grad=True))
-        p = MultiHeadParams(wq=identity(), wk=identity(), wv=identity(), wo=wo)
+        p = MultiHeadParams(wqkv=Tensor(np.tile(np.eye(d), 3), requires_grad=True), wo=wo)
         x = Tensor(rng.standard_normal((3, d)))
         out = multi_head_attention(x, p, np.array([3]), 1)
         direct = attention_weights_oracle(x.data, x.data) @ x.data
@@ -110,13 +109,14 @@ class TestMultiHeadAttention:
         with pytest.raises(ContractError, match="must be ints"):
             multi_head_attention(x, p, np.ones((1, 5), bool), 4)  # a mask, not lengths
 
-    def test_padded_batch_is_five_tape_nodes(self):
-        # Three projections, one attention node and one for the output map.
+    def test_padded_batch_is_three_tape_nodes(self):
+        # The query-key-value projection, one attention node and one for the
+        # output map.
         p = MultiHeadParams.create(8, 2, np.random.default_rng(0))
         x = Tensor(rng.standard_normal((4, 8)), requires_grad=True)
         with Tape() as tape:
             multi_head_attention(x, p, np.array([3, 1]), 2)
-        assert len(tape._nodes) == 5
+        assert len(tape._nodes) == 3
 
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError, match="multiple of num_heads"):
@@ -150,8 +150,7 @@ class TestMultiHeadAttention:
             return T.sum_(T.mul(multi_head_attention(Tensor(x), p, lengths, 2), coeffs))
 
         check_many_params(make_loss, [
-            (p, "wq"), (p, "wk"), (p, "wv"),
-            (p.wo, "weight"), (p.wo, "bias"),
+            (p, "wqkv"), (p.wo, "weight"), (p.wo, "bias"),
         ])
 
         def against_x(t):

@@ -17,6 +17,7 @@ from switchtext import generate_synthetic_corpus, training
 from switchtext.cli import EXIT_CODES, build_parser, main, resolve_train_config
 from switchtext.data import read_jsonl, write_artifact, write_jsonl
 from switchtext.errors import ConfigError
+from switchtext.model import CHECKPOINT_VERSION
 from switchtext.training import train
 
 
@@ -374,6 +375,7 @@ BAD_INPUT = [
     ("checkpoint-directory", "eval", ["--checkpoint", "{tmp}"], "compatibility"),
     ("checkpoint-format-3", "eval", ["--checkpoint", "{tmp}/v3.ckpt"], "compatibility"),
     ("checkpoint-format-4", "eval", ["--checkpoint", "{tmp}/v4.ckpt"], "compatibility"),
+    ("checkpoint-format-5", "eval", ["--checkpoint", "{tmp}/v5.ckpt"], "compatibility"),
     ("checkpoint-flipped-byte", "eval", ["--checkpoint", "{tmp}/flipped.ckpt"], "compatibility"),
     # Header edits behind a recomputed sha256 trailer, as a faulty writer would make them.
     ("checkpoint-vocab-not-strings", "eval", ["--checkpoint", "{tmp}/vocab_lists.ckpt"],
@@ -473,10 +475,10 @@ def test_bad_input_exits_with_its_category(workdir, tmp_path, capsys, command, f
     (tmp_path / "non_finite.json").write_text('{"aux_loss_weight": NaN, "grad_clip": Infinity}')
     for name in ("report_val.tsv", "attributions.txt", "embeddings_layer0_val.tsv"):
         (tmp_path / "blocked" / name).mkdir(parents=True)
-    raw = workdir["ckpt"].read_bytes()  # the same checkpoint, labelled format 3 and 4
+    raw = workdir["ckpt"].read_bytes()  # the same checkpoint, labelled format 3, 4 and 5
     (blob_len,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16:16 + blob_len])
-    for version in (3, 4):
+    for version in (3, 4, 5):
         header["format_version"] = version
         blob = json.dumps(header).encode("utf-8")
         (tmp_path / f"v{version}.ckpt").write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
@@ -484,7 +486,7 @@ def test_bad_input_exits_with_its_category(workdir, tmp_path, capsys, command, f
     flipped = bytearray(raw)  # one payload bit
     flipped[16 + blob_len + 100] ^= 0x01
     (tmp_path / "flipped.ckpt").write_bytes(bytes(flipped))
-    header["format_version"] = 5
+    header["format_version"] = CHECKPOINT_VERSION
     payload = raw[16 + blob_len:-32]
     for name, edit in {
         "vocab_lists": lambda h: h["vocab"].update(id_to_token=[[1]] * 3),

@@ -196,18 +196,6 @@ class TestForward:
             for name, g in grads[0].items():
                 np.testing.assert_allclose(grads[1][name], g, rtol=0, atol=1e-12, err_msg=name)
 
-    def test_first_token_pooling(self):
-        model = EncoderModel.build(tiny_config(pooling="first"))
-        ids = np.array([[2, 3, 4]])
-        result = model.forward(ids, np.ones((1, 3), bool))
-        pooled = model._pool(result.hidden[-1], np.array([3]))
-        np.testing.assert_array_equal(pooled.data, result.hidden[-1].data[[0]])
-        # Packed rows of a padded batch: the sequences start at rows 0 and 3.
-        ids = np.array([[2, 3, 4], [5, 6, 0]])
-        result = model.forward(ids, ids != 0)
-        pooled = model._pool(result.hidden[-1], np.array([3, 2]))
-        np.testing.assert_array_equal(pooled.data, result.hidden[-1].data[[0, 3]])
-
     def test_forward_reads_its_settings_from_the_config(self):
         # The containers hold no copy of a setting, so an edit to the config
         # is what the next forward uses.
@@ -304,7 +292,7 @@ def test_settable_values_are_pinned():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 count += len(node.args.defaults) + sum(
                     d is not None for d in node.args.kw_defaults)
-    assert count == 166
+    assert count == 163
 
 
 class TestParameterCount:
@@ -329,8 +317,7 @@ class TestParameterCount:
         experts = [f"blocks.0.mixer.experts.lin{i}.{k}" for i in (1, 2) for k in ("weight", "bias")]
         assert [name for name, _ in model.parameters()] == [
             "embeddings.table", "embeddings.positional",
-            "blocks.0.mha.wq", "blocks.0.mha.wk", "blocks.0.mha.wv",
-            "blocks.0.mha.wo.weight", "blocks.0.mha.wo.bias",
+            "blocks.0.mha.wqkv", "blocks.0.mha.wo.weight", "blocks.0.mha.wo.bias",
             "blocks.0.norm1.gamma", "blocks.0.norm1.beta",
             "blocks.0.mixer.gate.weight", "blocks.0.mixer.gate.bias", *experts,
             "blocks.0.norm2.gamma", "blocks.0.norm2.beta",
@@ -381,7 +368,7 @@ class TestEndToEndGradients:
 
         targets = [
             (model.embeddings, "table"), (model.embeddings, "positional"),
-            (model.blocks[0].mha, "wq"), (model.blocks[1].mha.wo, "weight"),
+            (model.blocks[0].mha, "wqkv"), (model.blocks[1].mha.wo, "weight"),
             (model.blocks[0].norm1, "gamma"), (model.blocks[1].norm2, "beta"),
             (model.head, "weight"), (model.head, "bias"),
         ]
@@ -438,7 +425,7 @@ class TestTapeNodes:
     """Nodes a d32 training forward plus its loss records: one per affine map
     and one per FFN, dense or routed (dispatch, experts and combine)."""
 
-    @pytest.mark.parametrize("variant,nodes", [("dense", (37, 37)), ("switch", (52, 52))])
+    @pytest.mark.parametrize("variant,nodes", [("dense", (33, 33)), ("switch", (48, 48))])
     def test_training_pass_node_count(self, variant, nodes):
         model = EncoderModel.build(tiny_config(variant, num_experts=4, d_model=32, d_ff=64,
                                                vocab_size=50, max_len=16, dropout=0.2, seed=5))
@@ -457,7 +444,7 @@ class TestTapeNodes:
 
     def test_inference_pass_records_no_loss_term(self):
         # The batch-1 pass integrated gradients records at each path point.
-        # The forward builds no loss term: 12 nodes per switch block and 5
+        # The forward builds no loss term: 10 nodes per switch block and 5
         # outside the blocks, the logit pick included.
         model = EncoderModel.build(tiny_config("switch", num_experts=4, d_model=32, d_ff=64,
                                                vocab_size=50, max_len=16, dropout=0.2, seed=5))
@@ -467,7 +454,7 @@ class TestTapeNodes:
         with Tape(wrt=[probe]) as tape:
             result = model.forward_from_embeddings(probe, lengths)
             T.sum_(T.take_rows(result.logits, (np.array([0]), np.array([1]))))
-        assert len(tape._nodes) == 29
+        assert len(tape._nodes) == 25
 
 
 class TestHiddenExport:
@@ -608,18 +595,19 @@ class TestCheckpoint:
         assert EXIT_CODES[caught.value.category] == 5
 
     def test_permuted_parameters_rejected(self, tmp_path):
-        # Re-signed with the wq and wk entries swapped: every name and shape
-        # is the model's, but the payload follows the walk order, so a load
-        # by name would give each projection the other's values.
+        # Re-signed with the gamma and beta entries of a norm swapped: every
+        # name and shape is the model's, but the payload follows the walk
+        # order, so a load by name would give each the other's values.
         path, raw, blob_len = self.saved(tmp_path)
 
         def swap(header):
             specs = header["params"]
-            assert [s["name"] for s in specs[2:4]] == ["blocks.0.mha.wq", "blocks.0.mha.wk"]
-            specs[2], specs[3] = specs[3], specs[2]
+            assert [s["name"] for s in specs[5:7]] == ["blocks.0.norm1.gamma",
+                                                       "blocks.0.norm1.beta"]
+            specs[5], specs[6] = specs[6], specs[5]
 
         self.rewrite(path, raw, blob_len, swap, payload_end=-32, sign=True)
-        with pytest.raises(CompatibilityError, match="walk: it has .'blocks.0.mha.wk'"):
+        with pytest.raises(CompatibilityError, match="walk: it has .'blocks.0.norm1.beta'"):
             load_checkpoint(path)
 
     def test_invalid_config_in_header_is_a_compatibility_error(self, tmp_path):
@@ -630,13 +618,14 @@ class TestCheckpoint:
 
     def test_version_1_rejected(self, tmp_path):
         # Versions 1 (per-head attention names), 2 (a dense_moe config key),
-        # 3 (one set of tensors per expert) and 4 (no sha256 trailer; config
-        # keys num_classes, layer_norm_eps and aux_loss_weight) predate the
+        # 3 (one set of tensors per expert), 4 (no sha256 trailer; config
+        # keys num_classes, layer_norm_eps and aux_loss_weight) and 5
+        # (separate wq, wk and wv maps; a pooling config key) predate the
         # current format.
         path, raw, blob_len = self.saved(tmp_path)
-        for version in (1, 2, 3, 4):
+        for version in (1, 2, 3, 4, 5):
             self.rewrite(path, raw, blob_len, lambda h: h.update(format_version=version))
-            with pytest.raises(CompatibilityError, match=f"format version {version} in"):
+            with pytest.raises(CompatibilityError, match=f"format version {version} in .*retrain"):
                 load_checkpoint(path)
 
     def test_trailer_is_the_sha256_of_every_byte_before_it(self, tmp_path):

@@ -38,19 +38,19 @@ BATCHES = {
 
 EXPECTED = {
     ("dense", "padded"):
-        "131004f7dcbf18289d722a9e199eb11824d049cb0966fe1ea3161f02528f8cfd",
+        "30f447abe0619c77fc7dbea69f2fbf270d46238fd14b6d05a11d6ec2a6a6ad31",
     ("dense", "batch1"):
-        "79a5efc588bae91aa9e4a09a8e5ea80cc93227e0bd15c2321b9c638f23d0ea96",
+        "2eba79eb06c9930c8a65afdc2d438df25f8a77f20f4eee1f2d6108acf9924493",
     ("switch", "padded"):
-        "9c621c59dc424b170ddbc74799fc037277713d8aad58adc327aa9fa43963f23e",
+        "ecb5bb824b9dbed7748a8011d840cc15af38c877712ade693d796280d946dacc",
     ("switch", "batch1"):
-        "1db960f11af97594bb11085ad0628d336c61053eeeedfb443162daabe6a5d5d2",
+        "efb8a0e2d9d2934b09171925ce1a454c4df7b02d300a6d9f2d02c8503ad59f61",
 }
 EXPECTED_PADDED_INFERENCE = {
     "dense": "81e49e999af1de89a43434ddc6aa972de0b4295b96675c99a56be606c39bcfcc",
     "switch": "cf5d1aa8c425bd3798294891edbf4466137a293181ce0092b844762479df7075",
 }
-EXPECTED_IG = "fc7264948c34429dd98c9c9472488f335fff52120b68b934f98b0f2ccda17310"
+EXPECTED_IG = "ca9191f45bea11641b6eefc6fd0f64270e1da12c8864fa4f3b4c6910c1bcd6f2"
 
 # An inference batch whose second layer routes every token to expert 0, so
 # expert 1 serves an empty row group.
@@ -59,7 +59,7 @@ EXPECTED_EMPTY_EXPERT = "95d4cd7da1bccfc2bb67c4b09c63b15db68a4fc2226374ff70ffc6a
 
 # Two epochs of ten steps, two micro-batches a step; the gradient norm is
 # clipped on 7 of the 10 steps, and epoch 2 is the best epoch restored.
-EXPECTED_TRAINED_CHECKPOINT = "58e2ae6f7ebf620332614f2f8b2a35ce1a52db1692a5ce040d1c5e95fde64293"
+EXPECTED_TRAINED_CHECKPOINT = "e0a2e48b0615082f23c63a639f51f9b07ccf9befa3b7317cdee26d230708f556"
 
 
 def d32_model(variant: str) -> EncoderModel:

@@ -211,7 +211,7 @@ class TestSchedule:
         """The schedule's rule, 0 <= min_lr <= peak_lr, is the run config's:
         ``train`` derives warmup_steps < total_steps itself."""
         problems = RunConfig(peak_lr=1e-3, min_lr=1e-2).violations()
-        assert problems == ["need 0 <= min_lr <= peak_lr, got 0.01, 0.001"]
+        assert problems == ["need 0 <= min_lr <= peak_lr < inf, got 0.01, 0.001"]
         with pytest.raises(ConfigError, match="invalid run config: need 0 <= min_lr"):
             RunConfig(peak_lr=1e-3, min_lr=-1e-6).validate()
         assert RunConfig(peak_lr=1e-3, min_lr=1e-3).violations() == []

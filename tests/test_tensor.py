@@ -529,8 +529,9 @@ class TestFfn:
 
 
 class TestAttention:
-    """One node for multi-head softmax(q kᵀ / sqrt(d_k)) v from packed [N, d]
-    rows to packed rows, each sequence attending over its own rows."""
+    """One node for multi-head softmax(q kᵀ / sqrt(d_k)) v from packed
+    [N, 3d] query-key-value rows to packed [N, d] rows, each sequence
+    attending over its own rows."""
 
     lengths = {
         "unequal": np.array([3, 5]),
@@ -540,19 +541,21 @@ class TestAttention:
     }
     num_heads = 2
 
-    def operands(self, lengths, width=6):
-        return tuple(rng.standard_normal((int(lengths.sum()), width)) for _ in range(3))
+    def operand(self, lengths, width=6):
+        """Packed [N, 3 * width] rows: q, k and v side by side."""
+        return rng.standard_normal((int(lengths.sum()), 3 * width))
 
     @staticmethod
-    def composite(q, k, v, lengths, num_heads):
+    def composite(qkv, lengths, num_heads):
         """The same attention composed with numpy, one sequence at a time: the rows of
-        sequence i are the next ``lengths[i]`` packed rows."""
+        sequence i are the next ``lengths[i]`` packed rows, q, k and v their
+        first, second and third column thirds."""
         out, start = [], 0
         for length in lengths:
             def heads(x):  # [L, d] -> [heads, L, d_k]
                 return x[start:start + length].reshape(length, num_heads, -1).transpose(1, 0, 2)
 
-            qh, kh, vh = heads(q), heads(k), heads(v)
+            qh, kh, vh = (heads(x) for x in np.split(qkv, 3, axis=1))
             scores = np.matmul(qh, np.swapaxes(kh, -1, -2))
             scores *= 1.0 / np.sqrt(qh.shape[-1])
             scores -= scores.max(axis=-1, keepdims=True)
@@ -564,69 +567,67 @@ class TestAttention:
 
     def test_matches_the_composite(self):
         for layout, lengths in self.lengths.items():
-            q, k, v = self.operands(lengths)
-            fused = T.attention(Tensor(q), Tensor(k), Tensor(v), lengths, self.num_heads).data
+            qkv = self.operand(lengths)
+            fused = T.attention(Tensor(qkv), lengths, self.num_heads).data
             np.testing.assert_array_equal(
-                fused, self.composite(q, k, v, lengths, self.num_heads), err_msg=layout)
+                fused, self.composite(qkv, lengths, self.num_heads), err_msg=layout)
 
     @pytest.mark.parametrize("num_heads", [1, 2, 4])
     def test_each_sequence_gets_the_bits_it_gets_alone(self, num_heads):
         # Lengths up to 45: a run of two, a length-1 sequence, and a length
         # equal to the run's but not next to it.
         lengths = np.array([12, 30, 30, 1, 45, 30])
-        operands = self.operands(lengths, width=8)
-        coeffs = rng.standard_normal(operands[0].shape)
+        operand = self.operand(lengths, width=8)
+        coeffs = rng.standard_normal((len(operand), 8))
 
         def run(rows, seq_lengths):
-            q, k, v = (Tensor(x[rows], requires_grad=True) for x in operands)
+            qkv = Tensor(operand[rows], requires_grad=True)
             with Tape() as tape:
-                out = T.attention(q, k, v, seq_lengths, num_heads)
+                out = T.attention(qkv, seq_lengths, num_heads)
                 loss = T.sum_(T.mul(out, Tensor(coeffs[rows])))
             tape.backward(loss)
-            return [out.data, q.grad, k.grad, v.grad]
+            return [out.data, qkv.grad]
 
         batch = run(slice(None), lengths)
         for end, length in zip(np.cumsum(lengths), lengths):
             rows = slice(end - length, end)
             alone = run(rows, np.array([length]))
-            for what, got, want in zip(("output", "dq", "dk", "dv"), batch, alone):
+            for what, got, want in zip(("output", "d(q, k, v)"), batch, alone):
                 np.testing.assert_array_equal(got[rows], want, err_msg=f"{what}, rows {rows}")
 
     def test_finite_difference(self):
         for layout, lengths in self.lengths.items():
-            operands = dict(zip("qkv", self.operands(lengths)))
-            coeffs = Tensor(rng.standard_normal(operands["q"].shape))
-            for name in operands:
-                def f(t, name=name, lengths=lengths, operands=operands, coeffs=coeffs):
-                    args = {key: Tensor(val) for key, val in operands.items()}
-                    args[name] = t
-                    out = T.attention(args["q"], args["k"], args["v"], lengths, self.num_heads)
-                    return T.sum_(T.mul(out, coeffs))
-                err = finite_difference_check(f, Tensor(operands[name]), h=1e-6)
-                assert err < 1e-4, (layout, name)
+            qkv = self.operand(lengths)
+            coeffs = Tensor(rng.standard_normal((len(qkv), 6)))
+
+            def f(t, lengths=lengths, coeffs=coeffs):
+                return T.sum_(T.mul(T.attention(t, lengths, self.num_heads), coeffs))
+            err = finite_difference_check(f, Tensor(qkv), h=1e-6)
+            assert err < 1e-4, layout
 
     def test_one_node_and_non_finite_scores(self):
         lengths = self.lengths["unequal"]
-        q, k, v = (Tensor(a, requires_grad=True) for a in self.operands(lengths))
+        qkv = Tensor(self.operand(lengths), requires_grad=True)
         with Tape() as tape:
-            out = T.attention(q, k, v, lengths, self.num_heads)
-        assert len(tape._nodes) == 1 and out.shape == q.shape
-        q.data[0, 0] = np.nan
+            out = T.attention(qkv, lengths, self.num_heads)
+        assert len(tape._nodes) == 1 and out.shape == (8, 6)
+        qkv.data[0, 0] = np.nan
         with pytest.raises(NumericError):
-            T.attention(q, k, v, lengths, self.num_heads)
+            T.attention(qkv, lengths, self.num_heads)
 
     def test_shape_and_mask_checks(self):
         lengths = self.lengths["unequal"]  # 8 rows
-        q, k, v = (Tensor(a) for a in self.operands(lengths))
-        short = Tensor(q.data[:-1])
-        narrow = Tensor(q.data[:, :4])
-        for args in ((q, k, short, lengths, 2),  # rows differ
-                     (q, narrow, v, lengths, 2),  # widths differ
-                     (q, k, v, lengths, 4)):  # 6 not divisible by 4 heads
+        qkv = Tensor(self.operand(lengths))  # 18 columns: d = 6
+        for args in ((Tensor(qkv.data[:, 0]), lengths, 2),  # not [N, 3d] rows
+                     (Tensor(qkv.data[None]), lengths, 2),
+                     (qkv, lengths, 4),  # d = 6 not divisible by 4 heads
+                     (qkv, lengths, 0),
+                     (Tensor(qkv.data[:, :16]), lengths, 2),  # 16 columns: not 3 * 2 heads * d_k
+                     (Tensor(qkv.data[:, :8]), lengths, 1)):  # 8 columns: not 3 * d
             with pytest.raises(DimensionError):
                 T.attention(*args)
         # The one check of a lengths vector, which T.segment_sum shares.
-        ops = {"attention": lambda x, n: T.attention(x, x, x, n, 2), "segment_sum": T.segment_sum}
+        ops = {"attention": lambda x, n: T.attention(x, n, 2), "segment_sum": T.segment_sum}
         for bad, match in ((np.array([3, 0, 5]), "at least one real token"),  # a zero length
                            (np.array([9, -1]), "at least one real token"),  # a negative length
                            (np.array([], dtype=int), "at least one real token"),  # no sequence
@@ -636,7 +637,7 @@ class TestAttention:
                            (np.array([3.0, 5.0]), "must be ints")):
             for name, op in ops.items():
                 with pytest.raises(ContractError, match=match):
-                    op(q, bad)
+                    op(qkv, bad)
                     pytest.fail(f"{name} took lengths {bad}")
 
 

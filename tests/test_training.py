@@ -193,9 +193,31 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_every_non_finite_float_rejected(self, value):
+        # Once: one message, naming the field and its value.
         for name in [f.name for f in fields(RunConfig) if type(f.default) is float]:
             problems = quick_config(**{name: value}).violations()
-            assert f"{name} must be finite" in " ".join(problems), name
+            assert len(problems) == 1 and name in problems[0], (name, problems)
+            assert str(value) in problems[0].rsplit("got ", 1)[1].split(", "), problems
+            with pytest.raises(ConfigError, match=f"invalid run config: .*{name}"):
+                quick_config(**{name: value}).validate()
+
+    def test_a_non_finite_float_is_reported_once(self):
+        nan, inf = float("nan"), float("inf")
+        cases = {
+            ("dropout", nan): ["dropout must be in [0, 1), got nan"],
+            ("capacity_factor", inf): ["capacity_factor must be finite and >= 1, got inf"],
+            ("warmup_frac", nan): ["warmup_frac must be in [0, 1), got nan"],
+            ("adam_beta1", nan): ["adam_beta1 must be in [0, 1), got nan"],
+            ("stop_at_val_accuracy", nan): ["stop_at_val_accuracy must be in [0, 1], got nan"],
+            ("peak_lr", nan): ["need 0 <= min_lr <= peak_lr < inf, got 1e-06, nan"],
+            # The rules a NaN or inf would pass unless they say finite.
+            ("peak_lr", inf): ["need 0 <= min_lr <= peak_lr < inf, got 1e-06, inf"],
+            ("adam_eps", inf): ["adam_eps must be finite and > 0, got inf"],
+            ("aux_loss_weight", -inf): ["aux_loss_weight must be finite and >= 0, got -inf"],
+            ("min_delta", nan): ["min_delta must be finite and >= 0, got nan"],
+        }
+        for (name, value), want in cases.items():
+            assert RunConfig(**{name: value}).violations() == want, (name, value)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
@@ -204,9 +226,9 @@ class TestRunConfig:
     def test_model_config_carries_every_shared_field(self):
         run_fields = {f.name for f in fields(RunConfig)}
         changed = {f.name: f.default + 1 for f in fields(ModelConfig)
-                   if f.name in run_fields and f.name not in ("variant", "pooling")}
-        changed.update(variant="dense", pooling="first")
-        assert len(changed) >= 11
+                   if f.name in run_fields and f.name != "variant"}
+        changed.update(variant="dense")
+        assert len(changed) >= 10
         built = RunConfig(**changed).model_config(vocab_size=37)
         assert built.vocab_size == 37
         for name, value in changed.items():
@@ -215,7 +237,8 @@ class TestRunConfig:
     def test_adam_settings_checked_with_the_run_config(self):
         problems = RunConfig(adam_beta1=1.5, adam_beta2=-0.1, adam_eps=0.0).violations()
         assert problems == ["adam_beta1 must be in [0, 1), got 1.5",
-                            "adam_beta2 must be in [0, 1), got -0.1", "adam_eps must be > 0, got 0.0"]
+                            "adam_beta2 must be in [0, 1), got -0.1",
+                            "adam_eps must be finite and > 0, got 0.0"]
         for name, value in (("adam_beta1", 1.0), ("adam_beta1", -0.5), ("adam_beta2", 1.0),
                             ("adam_beta2", -0.1), ("adam_eps", 0.0), ("adam_eps", -1e-8)):
             with pytest.raises(ConfigError, match=f"invalid run config: {name} must be"):
