@@ -25,7 +25,7 @@ from .model import (  # noqa: F401
     EncoderModel, ModelConfig, export_hidden_embeddings, load_checkpoint, parameter_count,
     save_checkpoint,
 )
-from .optim import AdamW, EarlyStopping, cosine_warmup_lr  # noqa: F401
+from .optim import AdamW, cosine_warmup_lr  # noqa: F401
 from .data import (  # noqa: F401
     LabeledDataset, Vocabulary, build_vocab, class_weights, encode,
     generate_synthetic_corpus, read_jsonl, split_dataset, write_jsonl,

@@ -6,7 +6,8 @@ sequence i is the next ``lengths[i]`` rows.  One product maps them to
 consecutive equal-length sequences as an unpadded grid for the scores, reads
 no padded key, and returns packed ``[N, d]`` rows again.  The output map is
 one ``T.linear`` node and the feed-forward block one ``T.ffn`` node, or, for
-routed experts, one ``T.routed_ffn`` node that also dispatches and combines.
+routed experts, one ``T.routed_ffn`` node that also routes, dispatches and
+combines.
 The parameters are tensors only; sizes and the head count are arguments the config validated.
 """
 
@@ -64,8 +65,7 @@ def multi_head_attention(h: Tensor, p: MultiHeadParams, lengths: np.ndarray,
 
 def position_wise_ffn(x: Tensor, p: FfnParams, route=()) -> Tensor:
     """ReLU(x W1 + b1) W2 + b2, independently at every position, one
-    ``T.ffn`` node.  With ``route`` = (gate probabilities, chosen experts,
-    kept tokens) the maps are stacked experts and the node is
-    ``T.routed_ffn``."""
+    ``T.ffn`` node.  With ``route`` = (gate probabilities, capacity) the
+    maps are stacked experts and the node is ``T.routed_ffn``."""
     maps = (p.lin1.weight, p.lin1.bias, p.lin2.weight, p.lin2.bias)
     return T.routed_ffn(x, *maps, *route) if route else T.ffn(x, *maps)

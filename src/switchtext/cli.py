@@ -119,17 +119,19 @@ def cmd_train(args) -> int:
 
 
 def _on_checkpoint(args) -> int:
-    """The one path of the commands that read a checkpoint: load it, reread
-    the dataset and rebuild the stored split ("all" takes every example),
-    open the output directory, run the command's ``args.body(args, model,
-    vocab, encoded)``, which writes its artifacts and returns their names
-    and a summary, and write the manifest last."""
+    """The one path of the commands that read a checkpoint: load it (one
+    without a vocabulary or a run config is refused), reread the dataset
+    and rebuild the stored split ("all" takes every example), open the
+    output directory, run the command's ``args.body(args, model, vocab,
+    encoded)``, which writes its artifacts and returns their names and a
+    summary, and write the manifest last."""
     model, vocab, extra = load_checkpoint(args.checkpoint)
-    if vocab is None:
-        raise CompatibilityError(f"checkpoint {args.checkpoint} carries no vocabulary")
+    for what, value in (("vocabulary", vocab), ("run config", extra.get("run_config"))):
+        if not value:  # without its run config the stored split cannot be rebuilt
+            raise CompatibilityError(f"checkpoint {args.checkpoint} carries no {what}")
     dataset = read_jsonl(args.data)
     try:
-        run_cfg = RunConfig.from_dict(extra.get("run_config") or {}).validate()
+        run_cfg = RunConfig.from_dict(extra["run_config"]).validate()
     except ConfigError as e:
         raise CompatibilityError(f"checkpoint {args.checkpoint} holds an invalid run config: "
                                  f"{e}") from e

@@ -84,11 +84,17 @@ class Vocabulary:
 
     @staticmethod
     def from_dict(d: dict) -> "Vocabulary":
-        return Vocabulary(
-            id_to_token=list(d["id_to_token"]),
-            merge_negations=bool(d.get("merge_negations", False)),
-            stopwords=frozenset(d["stopwords"]) if d.get("stopwords") else None,
-        )
+        """The inverse of ``to_dict``; a dict it cannot have written raises TypeError."""
+        tokens, merge, stopwords = d["id_to_token"], d.get("merge_negations", False), d.get("stopwords")
+        if not (_strings(tokens) and tokens[:2] == ["<pad>", "<unk>"] and len(set(tokens)) == len(tokens)
+                and type(merge) is bool and (stopwords is None or _strings(stopwords))):
+            raise TypeError("a vocabulary needs distinct string tokens from <pad>, <unk>, a bool "
+                            "merge_negations, and null or a list of strings as stopwords")
+        return Vocabulary(tokens, merge, frozenset(stopwords) if stopwords else None)
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(type(t) is str for t in value)
 
 
 def build_vocab(corpus, min_frequency: int = 1, stopwords=None,

@@ -2,21 +2,24 @@
 dispatch and per-expert capacity, and the load-balancing penalty, the one
 E * sum_j f_j * P_j: ``training.total_loss`` builds it from each layer's
 ``RoutingRecord`` and ``training.BatchTally`` from pooled counts.  A
-record stores the routing decisions and derives the rest: the overflow is
-``num_tokens - counts.sum()``, and the expert utilization
+record stores the gate probabilities and the capacity and derives the
+rest: the chosen experts, the served counts, the overflow
+``num_tokens - counts.sum()`` and the expert utilization
 ``dispatched_counts() / num_tokens``.
 
-Routing decisions (argmax, capacity cuts) are taken on raw values and held
-fixed; gradients flow through the chosen gate probability and through the
-expert computation.  Capacity cuts apply in training only; outside it
-no token is ranked against a capacity, and the capacity factor is an
-argument, not a field of the parameters.  The gate is a ``T.linear`` and a
-``T.softmax`` node, and dispatch, the stacked experts and combine are one
-``T.routed_ffn`` node, with one row group per expert.  Sizes arrive validated by the config.
+The gate is a ``T.linear`` and a ``T.softmax`` node.  One ``T.routed_ffn``
+node takes the routing decisions (argmax, capacity cuts) on raw values and
+holds them fixed, then dispatches, runs the stacked experts with one row
+group per expert, and combines; gradients flow through the chosen gate
+probability and through the expert computation.  Capacity cuts apply in
+training only; outside it the capacity is T and no token is ranked.  The
+capacity factor is an argument, not a field of the parameters.  Sizes
+arrive validated by the config.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,22 +60,25 @@ class SwitchParams:
 
 @dataclass
 class RoutingRecord:
-    """Bookkeeping for one routed batch of tokens.
+    """One routed batch of tokens: the [T, E] gate probabilities ``probs``
+    the penalty differentiates and each expert's ``capacity``, from which
+    the node's routing is derived: ``chosen``, every token's argmax expert,
+    overflowed or not, and ``counts``, the tokens served per expert."""
 
-    ``probs`` holds the [T, E] gate probabilities the penalty differentiates.
-    ``counts`` holds tokens actually served per expert (within capacity);
-    overflowed tokens bypassed their expert.  ``chosen`` keeps the argmax
-    expert of every token, overflowed or not.
-    """
-
-    chosen: np.ndarray
     probs: Tensor
-    counts: np.ndarray
     capacity: int
+
+    @functools.cached_property
+    def chosen(self) -> np.ndarray:
+        return np.argmax(self.probs.data, axis=1)  # ties resolve to the lowest index
 
     @property
     def num_tokens(self) -> int:
         return len(self.chosen)
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.minimum(self.dispatched_counts(), self.capacity)
 
     @property
     def overflow(self) -> int:
@@ -81,7 +87,7 @@ class RoutingRecord:
 
     def dispatched_counts(self) -> np.ndarray:
         """Tokens per expert by routing decision, overflow included."""
-        return np.bincount(self.chosen, minlength=len(self.counts))
+        return np.bincount(self.chosen, minlength=self.probs.shape[1])
 
 
 def gate_probs(x: Tensor, gate: LinearParams) -> Tensor:
@@ -103,36 +109,23 @@ def switch_forward(x: Tensor, p: SwitchParams, training: bool, capacity_factor: 
     Returns ``(output, RoutingRecord)``; a ``capacity_factor`` that is not
     finite and >= 1 raises ConfigError (an edited ``model.config`` gets here
     unvalidated).  Each token's output is its chosen gate probability times
-    that expert's FFN.  In training an expert serves
-    at most floor(capacity_factor*T/E) tokens, and never more than T, its
-    first in token order; the rest contribute zero (the caller's residual
-    connection carries them) and are recorded as overflow, never an error.  Outside
+    that expert's FFN.  In training an expert serves at most
+    floor(capacity_factor*T/E) tokens, and never more than T, its first in
+    token order; the rest contribute zero (the caller's residual connection
+    carries them) and are recorded as overflow, never an error.  Outside
     training every token is served and none is ranked, so batch mates act on
     an output only through GEMM row counts: BLAS picks its kernel by row
     count (one row goes to GEMV), so an output can differ from a batch-1
-    forward in its last bits.
-    Gathering the served tokens in stable expert order, running the stacked
-    experts as row groups, scaling by the chosen probability and writing
-    back in token order is one ``T.routed_ffn`` node (Gale et al. 2022).
+    forward in its last bits.  Routing, dispatch, the experts and combine
+    are one ``T.routed_ffn`` node (Gale et al. 2022).
     """
     if x.ndim != 2:
         raise ContractError(f"switch_forward expects [T, d] input, got shape {x.shape}")
     if not 1.0 <= capacity_factor < math.inf:
         raise ConfigError(f"capacity_factor must be finite and >= 1, got {capacity_factor}")
-    num_tokens = x.shape[0]
-    E = p.num_experts
     probs = gate_probs(x, p.gate)
-    chosen = np.argmax(probs.data, axis=1)  # ties resolve to the lowest index
-
-    dispatched = np.bincount(chosen, minlength=E)
-    order = np.argsort(chosen, kind="stable")
-    if training:  # each expert keeps its first ``capacity`` tokens
-        # A factor of E or more serves every token, and a huge one would overflow.
-        capacity = int(np.floor(min(capacity_factor, E) * num_tokens / E))
-        rank = np.arange(num_tokens) - (np.cumsum(dispatched) - dispatched)[chosen[order]]
-        kept = order[rank < capacity]
-        counts = np.minimum(dispatched, capacity)
-    else:  # every token is served
-        capacity, kept, counts = num_tokens, order, dispatched
-    out = position_wise_ffn(x, p.experts, (probs, chosen, kept))
-    return out, RoutingRecord(chosen=chosen, probs=probs, counts=counts, capacity=capacity)
+    num_tokens, E = x.shape[0], p.num_experts
+    # In training a factor of E or more serves every token, and a huge one would overflow.
+    capacity = int(np.floor(min(capacity_factor, E) * num_tokens / E)) if training else num_tokens
+    out = position_wise_ffn(x, p.experts, (probs, capacity))
+    return out, RoutingRecord(probs=probs, capacity=capacity)

@@ -1,6 +1,6 @@
 """Adam/AdamW with decoupled weight decay, a cosine-annealed learning-rate
-schedule with linear warmup, global-norm gradient clipping, and early
-stopping on a falling loss with best-checkpoint bookkeeping; ``RunConfig`` validated the settings.
+schedule with linear warmup, and global-norm gradient clipping;
+``RunConfig`` validated the settings.
 """
 
 from __future__ import annotations
@@ -129,28 +129,3 @@ def cosine_warmup_lr(step: int, peak_lr: float, min_lr: float, warmup_steps: int
     progress = (step - warmup_steps) / (total_steps - warmup_steps)
     return min_lr + (peak_lr - min_lr) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
-
-class EarlyStopping:
-    """Stop when the monitored metric, a loss, fails to fall by ``min_delta``
-    for ``patience`` consecutive epochs; remembers the best epoch so the
-    caller can restore its checkpoint."""
-
-    def __init__(self, patience: int = 10, min_delta: float = 1e-4):
-        self.patience = patience
-        self.min_delta = min_delta
-        self.best_metric: float | None = None
-        self.best_epoch: int | None = None
-        self.epochs_since_best = 0
-
-    def update(self, metric: float, epoch: int) -> bool:
-        """Record an epoch's metric; returns True when training should stop.
-        Improvement resets the counter and marks the epoch as best."""
-        if not math.isfinite(metric):
-            raise NumericError(f"early-stopping metric is not finite: {metric}")
-        if self.best_metric is None or metric < self.best_metric - self.min_delta:
-            self.best_metric = metric
-            self.best_epoch = epoch
-            self.epochs_since_best = 0
-            return False
-        self.epochs_since_best += 1
-        return self.epochs_since_best >= self.patience

@@ -15,8 +15,9 @@ query-key-value rows, through head-major [heads, N, d_k] views) and
 ``segment_sum`` view each run of consecutive equal-length sequences as one
 unpadded block of its rows, so no padded position is read.  ``linear``
 records an affine map and ``ffn`` a position-wise feed-forward block as one
-node each, with bias and ReLU applied in place.  ``routed_ffn`` is top-1 routed
-experts as one node: it gathers the served rows, runs the stacked experts
+node each, with bias and ReLU applied in place.  ``routed_ffn`` is top-1
+routed experts as one node: from the gate probabilities and a capacity it
+picks each token's expert and the served tokens, runs the stacked experts
 as row groups, scales each row by its gate probability and writes it back
 in token order.  ``take_rows`` is the one gather: embedding lookup and
 picking entries; its backward is one flat ``np.add.at``.
@@ -371,22 +372,23 @@ def ffn(x, w1, b1, w2, b2) -> Tensor:
     return _maybe_record(out, list(zip([x, *maps], vjps)))
 
 
-def routed_ffn(x, w1, b1, w2, b2, probs, chosen, kept) -> Tensor:
-    """Top-1 routed experts, one node: output row t is ``probs[t, j]`` times
-    expert j's ``relu(x[t] @ w1[j] + b1[j]) @ w2[j] + b2[j]``, with
-    ``j = chosen[t]``, for each token ``kept`` lists, and zero for the rest.
+def routed_ffn(x, w1, b1, w2, b2, probs, capacity) -> Tensor:
+    """Top-1 routed experts, one node: token t goes to expert ``j = argmax
+    probs[t]`` (ties to the lowest index), and output row t is ``probs[t, j]``
+    times expert j's ``relu(x[t] @ w1[j] + b1[j]) @ w2[j] + b2[j]`` if t is
+    among expert j's first ``capacity`` tokens, and zero otherwise.
 
     The maps are stacked, one slice per expert: ``w1`` [E, d, f], ``b1``
     [E, f], ``w2`` [E, f, d] and ``b2`` [E, d]; ``probs`` holds the [T, E]
-    gate probabilities and ``chosen`` the [T] expert indices.  ``kept``
-    lists distinct token indices in stable expert order: by chosen expert,
-    then by position.  Their rows are gathered in that order, each expert
-    runs on its run of them with bias and ReLU in place (an empty expert
-    costs nothing and gets zero map gradients), and each result is scaled by
-    its chosen probability and written back in token order.  Output and
+    gate probabilities, and the routing taken on them is held fixed.  The
+    served rows are gathered in stable expert order (by expert, then by
+    position), each expert runs on its run of them with bias and ReLU in
+    place (an empty expert costs nothing and gets zero map gradients), and
+    each result is scaled by its chosen probability and written back in
+    token order; a ``capacity`` of T or more ranks no token.  Output and
     gradients are bit for bit those of the gather, the grouped FFN, a
     scatter into zeros and the product with the picked probabilities
-    recorded as separate nodes.  With no token kept, only ``probs`` is
+    recorded as separate nodes.  With no token served, only ``probs`` is
     differentiated.
     """
     x, probs, *maps = (_as_tensor(t) for t in (x, probs, w1, b1, w2, b2))
@@ -397,21 +399,17 @@ def routed_ffn(x, w1, b1, w2, b2, probs, chosen, kept) -> Tensor:
             or shapes != [(E, d, f), (E, f), (E, f, d), (E, d)]):
         raise DimensionError(f"routed_ffn: rows {x.shape}, gate probabilities {probs.shape} and "
                              f"maps {' '.join(map(str, shapes))} do not fit")
-    chosen, kept = np.asarray(chosen), np.asarray(kept)
-    try:  # the (expert, token) slots of the kept rows; raises outside [0, E) x [0, T)
-        experts = chosen[kept]
-        slots = np.ravel_multi_index((experts, kept), (E, n))
-        pick = probs.data[np.arange(n), chosen][:, None]
-    except (IndexError, TypeError, ValueError):
-        slots = None
-    if (slots is None or chosen.shape != (n,) or kept.ndim != 1 or chosen.min() < 0
-            or (slots[1:] <= slots[:-1]).any()):
-        raise ContractError(f"routed_ffn: chosen experts {chosen.tolist()} must be ints in "
-                            f"[0, {E}) and kept tokens {kept.tolist()} distinct ints in "
-                            f"[0, {n}) in stable expert order")
-    sizes = np.bincount(experts, minlength=E).tolist()
-    groups = [(j, slice(end - size, end))
-              for j, (size, end) in enumerate(zip(sizes, itertools.accumulate(sizes))) if size]
+    if type(capacity) is not int or capacity < 0:
+        raise ContractError(f"routed_ffn: capacity must be an int >= 0, got {capacity!r}")
+    chosen = probs.data.argmax(axis=1)
+    kept = np.argsort(chosen, kind="stable")
+    sizes = np.bincount(chosen, minlength=E)
+    if capacity < n:  # each expert keeps its first ``capacity`` tokens
+        rank = np.arange(n) - (np.cumsum(sizes) - sizes)[chosen[kept]]
+        kept, sizes = kept[rank < capacity], np.minimum(sizes, capacity)
+    pick = probs.data[np.arange(n), chosen][:, None]
+    groups = [(j, slice(end - size, end)) for j, (size, end)
+              in enumerate(zip(sizes.tolist(), itertools.accumulate(sizes.tolist()))) if size]
     stacks = [m.data for m in maps]
     combined = np.zeros((n, d))
     if groups:

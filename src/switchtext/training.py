@@ -1,12 +1,12 @@
 """Training engine: run configuration, the one training objective (weighted
 cross-entropy plus the routing load-balancing penalty), gradient
-accumulation, per-epoch evaluation and logging, early stopping with
-best-checkpoint restore, and reproducibility manifests.  ``TrainResult``
-and ``EvalOutcome`` keep what their callers read; the artifacts hold the
-rest (learning rate and aux losses per epoch in train_log.tsv).  The
-objective and the logged aux loss form the penalty with the one
-``moe.load_balance_loss``: per batch, and over a whole pass's pooled
-counts.
+accumulation, per-epoch evaluation and logging, early stopping (``train``
+holds its rule) with best-checkpoint restore, and reproducibility
+manifests.  ``TrainResult`` and ``EvalOutcome`` keep what their callers
+read; the artifacts hold the rest (learning rate and aux losses per epoch
+in train_log.tsv).  The objective and the logged aux loss form the
+penalty with the one ``moe.load_balance_loss``: per batch, and over a
+whole pass's pooled counts.
 
 All artifacts are plain UTF-8 delimited text or JSON, written with fixed
 float formatting so two runs with the same config and seed are
@@ -35,12 +35,12 @@ from . import __version__
 from . import tensor as T
 from .data import (LabeledDataset, Vocabulary, build_vocab, class_weights,
                    encode, pad_batch, split_dataset, write_artifact, FRENCH_STOPWORDS)
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .metrics import EvalReport, classification_metrics, confusion, roc_auc
 from .model import (EncoderModel, ForwardResult, ModelConfig, ModelSettings, load_checkpoint,
                     save_checkpoint)
 from .moe import load_balance_loss
-from .optim import AdamW, EarlyStopping, clip_grad_norm, cosine_warmup_lr
+from .optim import AdamW, clip_grad_norm, cosine_warmup_lr
 from .tensor import Tape, Tensor
 
 
@@ -363,10 +363,12 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
           command: str = "train", quiet: bool = False) -> TrainResult:
     """Full training run per ``config`` on ``dataset``.
 
-    The restored epoch is the best validation epoch under early stopping,
-    otherwise the last epoch run.  Early stopping restores it by loading its
-    checkpoint back, with or without ``out_dir`` (a temporary directory
-    stands in for a missing one).
+    Under early stopping an epoch whose validation loss falls more than
+    ``min_delta`` below the best so far is the new best and is saved; the
+    run stops ``patience`` epochs after the best, restoring it by loading
+    its checkpoint back, with or without ``out_dir`` (a temporary directory
+    stands in for a missing one), and a non-finite validation loss raises
+    NumericError.  Otherwise the last epoch run is the restored one.
 
     Writes, under ``out_dir``: train_log.tsv (epoch/split metric rows),
     gap.tsv (per-epoch val-train loss gap), routing.tsv (per-layer expert
@@ -413,7 +415,6 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
                               warmup_steps=warmup_steps, total_steps=total_steps)
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0x5F)))
-    stopper = EarlyStopping(patience=config.patience, min_delta=config.min_delta)
 
     history: list[dict[str, EvalReport]] = []
     tables = {  # artifact name -> header and rows
@@ -423,6 +424,7 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
         "timings.tsv": ["epoch\twall_clock_s"],
     }
     stopped_early = False
+    best_loss, best_epoch = math.inf, 0  # the best epoch under early stopping
 
     if config.epochs == 0:
         say("warning: epochs=0, writing the initialized checkpoint and exiting")
@@ -481,12 +483,14 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
                 f"  val loss {val_report.loss:.4f} acc {val_report.accuracy:.4f}")
 
             if config.early_stopping:
-                should_stop = stopper.update(val_report.loss, epoch)
-                if stopper.best_epoch == epoch:
+                if not math.isfinite(val_report.loss):
+                    raise NumericError(f"early-stopping metric is not finite: {val_report.loss}")
+                if val_report.loss < best_loss - config.min_delta:
+                    best_loss, best_epoch = val_report.loss, epoch
                     save(epoch)
-                if should_stop:
+                elif epoch - best_epoch >= config.patience:
                     stopped_early = True
-                    say(f"early stop at epoch {epoch}; best epoch {stopper.best_epoch}")
+                    say(f"early stop at epoch {epoch}; best epoch {best_epoch}")
                     break
             if config.stop_at_val_accuracy and val_report.accuracy >= config.stop_at_val_accuracy:
                 say(f"validation accuracy target {config.stop_at_val_accuracy} reached at epoch {epoch}")
@@ -495,12 +499,12 @@ def train(config: RunConfig, dataset: LabeledDataset, out_dir: str | None = None
         for _, p in params:  # free the gradient and moment arenas before the restore allocates
             p.grad = None
         del opt
-        best_epoch = len(history)
         if config.early_stopping and history:
-            model, vocab, extra = load_checkpoint(ckpt_path)
-            best_epoch = extra["epoch"]
-        elif out_dir:
-            save(best_epoch)
+            model = load_checkpoint(ckpt_path)[0]
+        else:
+            best_epoch = len(history)
+            if out_dir:
+                save(best_epoch)
 
     final_val = (history[best_epoch - 1]["val"] if history
                  else evaluate(model, encoded["val"], config.eval_batch_size, weights).report)

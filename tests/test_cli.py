@@ -382,12 +382,28 @@ BAD_INPUT = [
      "compatibility"),
     ("checkpoint-vocab-one-token", "attribute", ["--checkpoint", "{tmp}/vocab_short.ckpt"],
      "compatibility"),
+    # A string of tokens would read as one token per character.
+    ("checkpoint-vocab-tokens-string", "eval", ["--checkpoint", "{tmp}/vocab_string.ckpt"],
+     "compatibility"),
+    ("checkpoint-vocab-token-twice", "eval", ["--checkpoint", "{tmp}/vocab_twice.ckpt"],
+     "compatibility"),
+    ("checkpoint-vocab-tokens-int", "eval", ["--checkpoint", "{tmp}/vocab_ints.ckpt"],
+     "compatibility"),
+    ("checkpoint-vocab-no-pad-first", "eval", ["--checkpoint", "{tmp}/vocab_no_pad.ckpt"],
+     "compatibility"),
+    ("checkpoint-vocab-merge-negations-string", "eval",
+     ["--checkpoint", "{tmp}/vocab_merge_no.ckpt"], "compatibility"),
+    ("checkpoint-vocab-stopwords-string", "eval", ["--checkpoint", "{tmp}/vocab_stop_str.ckpt"],
+     "compatibility"),
     ("checkpoint-extra-not-object", "eval", ["--checkpoint", "{tmp}/extra_int.ckpt"],
      "compatibility"),
     ("checkpoint-config-heads-bool", "eval", ["--checkpoint", "{tmp}/heads_bool.ckpt"],
      "compatibility"),
     ("checkpoint-run-config-split-seed-negative", "eval",
      ["--checkpoint", "{tmp}/split_seed.ckpt"], "compatibility"),
+    # Without its run config the stored split cannot be rebuilt.
+    ("checkpoint-run-config-missing", "eval",
+     ["--checkpoint", "{tmp}/no_run_config.ckpt", "--split", "test"], "compatibility"),
     ("eval-batch-size-0", "eval", ["--batch-size", "0"], "config"),
     ("eval-batch-size-negative", "eval", ["--batch-size", "-3"], "config"),
     # An id is named by its text, so "x" is an id the split lacks.
@@ -491,9 +507,16 @@ def test_bad_input_exits_with_its_category(workdir, tmp_path, capsys, command, f
     for name, edit in {
         "vocab_lists": lambda h: h["vocab"].update(id_to_token=[[1]] * 3),
         "vocab_short": lambda h: h["vocab"].update(id_to_token=["<pad>"]),
+        "vocab_string": lambda h: h["vocab"].update(id_to_token="abcdefgh"),
+        "vocab_twice": lambda h: h["vocab"]["id_to_token"].__setitem__(3, "<unk>"),
+        "vocab_ints": lambda h: h["vocab"].update(id_to_token=[0, 1, 2]),
+        "vocab_no_pad": lambda h: h["vocab"]["id_to_token"].reverse(),
+        "vocab_merge_no": lambda h: h["vocab"].update(merge_negations="no"),
+        "vocab_stop_str": lambda h: h["vocab"].update(stopwords="le la"),
         "extra_int": lambda h: h.update(extra=-1),
         "heads_bool": lambda h: h["config"].update(num_heads=True),
         "split_seed": lambda h: h["extra"]["run_config"].update(split_seed=-1),
+        "no_run_config": lambda h: h["extra"].pop("run_config"),
     }.items():
         edited = json.loads(json.dumps(header))
         edit(edited)

@@ -292,7 +292,7 @@ def test_settable_values_are_pinned():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 count += len(node.args.defaults) + sum(
                     d is not None for d in node.args.kw_defaults)
-    assert count == 163
+    assert count == 159
 
 
 class TestParameterCount:

@@ -7,6 +7,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st_
+from hypothesis.extra.numpy import arrays
 
 from helpers import check_many_params, chosen_prob, expert, penalty
 from switchtext import AdamW, Tape, Tensor, finite_difference_check
@@ -274,13 +277,21 @@ class TestStackedDispatch:
                                           gen.normal(0.0, np.sqrt(2 / 10), size=(6, 4)))
 
 
-def routed_oracle(x, w1, b1, w2, b2, probs, chosen, kept, g):
+def served_tokens(chosen, E, capacity):
+    """The tokens served, in stable expert order: expert j's first
+    ``capacity`` tokens in token order, expert after expert."""
+    return np.concatenate([np.flatnonzero(chosen == j)[:capacity] for j in range(E)])
+
+
+def routed_oracle(x, w1, b1, w2, b2, probs, chosen, capacity, g):
     """The routed node's output and its six gradients for the incoming
     gradient ``g``, replaying in numpy the order of the separate nodes it
-    replaces: gather the kept rows, run each expert's group (GEMM and bias,
-    ReLU, GEMM and bias), scatter into zeros, multiply by the picked gate
-    probabilities; and their backward rules in reverse."""
+    replaces: gather the served rows of the ``chosen`` experts, run each
+    expert's group (GEMM and bias, ReLU, GEMM and bias), scatter into zeros,
+    multiply by the picked gate probabilities; and their backward rules in
+    reverse."""
     n, E = probs.shape
+    kept = served_tokens(chosen, E, capacity)
     sizes = np.bincount(chosen[kept], minlength=E)
     ends = np.cumsum(sizes)
     groups = [(j, slice(end - size, end)) for j, (size, end) in enumerate(zip(sizes, ends)) if size]
@@ -345,6 +356,9 @@ class TestRoutedFfn:
 
     @classmethod
     def draw(cls, case, d=4, f=6, seed=0):
+        """Operands whose gate probabilities pick the wanted ``chosen``
+        experts by a margin above 1/(1.1 E + 2), far wider than a finite
+        difference step; the capacity; and the incoming gradient."""
         n, E, how, capacity = cls.CASES[case]
         gen = np.random.default_rng(seed + sorted(cls.CASES).index(case))
         if how == "random":
@@ -353,14 +367,8 @@ class TestRoutedFfn:
             chosen = gen.choice(np.delete(np.arange(E), 1), n)
         else:
             chosen = np.full(n, E - 1)
-        order = np.argsort(chosen, kind="stable")
-        if capacity is None:
-            kept = order
-        else:  # each expert keeps its first ``capacity`` tokens
-            counts = np.bincount(chosen, minlength=E)
-            rank = np.arange(n) - (np.cumsum(counts) - counts)[chosen[order]]
-            kept = order[rank < capacity]
         probs = gen.random((n, E)) + 0.1
+        probs[np.arange(n), chosen] += 2.0
         probs /= probs.sum(axis=1, keepdims=True)
         ops = {"x": gen.standard_normal((n, d)), "w1": gen.standard_normal((E, d, f)),
                "b1": gen.standard_normal((E, f)), "w2": gen.standard_normal((E, f, d)),
@@ -370,25 +378,25 @@ class TestRoutedFfn:
         coeffs = gen.standard_normal((n, d)) * 10.0 ** gen.integers(-3, 3, (n, d))
         coeffs[gen.random((n, d)) < 0.2] = 0.0
         coeffs[0, 0] = -0.0
-        return ops, chosen, kept, coeffs
+        return ops, chosen, n if capacity is None else capacity, coeffs
 
     @staticmethod
-    def apply(args, chosen, kept):
+    def apply(args, capacity):
         return T.routed_ffn(args["x"], args["w1"], args["b1"], args["w2"], args["b2"],
-                            args["probs"], chosen, kept)
+                            args["probs"], capacity)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_output_and_gradients_match_the_composite_bit_for_bit(self, case):
-        ops, chosen, kept, coeffs = self.draw(case)
+        ops, chosen, capacity, coeffs = self.draw(case)
         args = {k: Tensor(v, requires_grad=True) for k, v in ops.items()}
         with Tape() as tape:
-            out = self.apply(args, chosen, kept)
+            out = self.apply(args, capacity)
             loss = T.sum_(T.mul(out, Tensor(coeffs)))
         assert len(tape._nodes) == 3
         tape.backward(loss)
-        want, grads = routed_oracle(*(ops[k] for k in self.NAMES), chosen, kept, coeffs)
+        want, grads = routed_oracle(*(ops[k] for k in self.NAMES), chosen, capacity, coeffs)
         assert_same_bits(out.data, want, "output")
-        untaped = self.apply({k: Tensor(v) for k, v in ops.items()}, chosen, kept)
+        untaped = self.apply({k: Tensor(v) for k, v in ops.items()}, capacity)
         assert_same_bits(untaped.data, want, "output without a tape")
         for name in self.NAMES:
             if name in grads:
@@ -398,7 +406,8 @@ class TestRoutedFfn:
 
     @pytest.mark.parametrize("case", ["capacity_cuts_with_an_empty_expert", "one_expert"])
     def test_finite_difference(self, case):
-        ops, chosen, kept, _ = self.draw(case, seed=7)
+        ops, chosen, capacity, _ = self.draw(case, seed=7)
+        kept = served_tokens(chosen, len(ops["w1"]), capacity)
         coeffs = np.random.default_rng(7).standard_normal(ops["x"].shape)
         hidden = np.einsum("td,tdf->tf", ops["x"][kept], ops["w1"][chosen[kept]])
         assert np.abs(hidden + ops["b1"][chosen[kept]]).min() > 1e-3  # away from the ReLU kink
@@ -406,8 +415,29 @@ class TestRoutedFfn:
             def f(t, name=name):
                 args = {k: Tensor(v) for k, v in ops.items()}
                 args[name] = t
-                return T.sum_(T.mul(self.apply(args, chosen, kept), Tensor(coeffs)))
+                return T.sum_(T.mul(self.apply(args, capacity), Tensor(coeffs)))
             assert finite_difference_check(f, Tensor(ops[name]), h=1e-6) < 1e-4, (case, name)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st_.integers(1, 12), st_.integers(1, 4), st_.data())
+    def test_record_derives_what_the_node_served(self, n, E, data):
+        # Small integer weights make exact ties in the gate probabilities.
+        weights = data.draw(arrays(np.int64, (n, E), elements=st_.integers(1, 3))).tolist()
+        capacity = data.draw(st_.integers(0, n + 1))
+        probs = np.asarray(weights, dtype=float)
+        probs /= probs.sum(axis=1, keepdims=True)
+        # Expert j adds e_j: the nonzero column of an output row names the
+        # expert that served it.
+        maps = (np.zeros((E, E, 1)), np.ones((E, 1)), np.zeros((E, 1, E)), np.eye(E))
+        out = T.routed_ffn(np.ones((n, E)), *maps, probs, capacity).data
+        served = np.flatnonzero(out.any(axis=1))
+        expert_of = out[served].argmax(axis=1)
+        record = RoutingRecord(probs=Tensor(probs), capacity=capacity)
+        np.testing.assert_array_equal(record.chosen, [row.index(max(row)) for row in weights])
+        np.testing.assert_array_equal(record.chosen[served], expert_of)
+        np.testing.assert_array_equal(record.counts, np.bincount(expert_of, minlength=E))
+        np.testing.assert_array_equal(np.sort(served), np.sort(served_tokens(record.chosen, E, capacity)))
+        assert record.overflow == n - len(served)
 
 
 class TestForcedGate:
@@ -423,29 +453,32 @@ class TestForcedGate:
 
 
 class TestExpertUtilization:
-    """Utilization is ``dispatched_counts() / num_tokens``; the overflow is
-    derived from the served counts."""
+    """Utilization is ``dispatched_counts() / num_tokens``; the served counts
+    and the overflow are derived from the probabilities and the capacity."""
 
-    def make_record(self, chosen, counts, overflow):
-        chosen = np.asarray(chosen)
-        record = RoutingRecord(chosen=chosen, probs=Tensor(np.full((len(chosen), len(counts)), 0.5)),
-                               counts=np.asarray(counts), capacity=99)
+    def make_record(self, chosen, num_experts, capacity, overflow):
+        probs = np.full((len(chosen), num_experts), 0.1)
+        probs[np.arange(len(chosen)), chosen] = 0.7
+        record = RoutingRecord(probs=Tensor(probs), capacity=capacity)
         assert record.overflow == overflow
         return record
 
     def test_all_one_expert(self):
-        record = self.make_record([0] * 5, [5, 0, 0], 0)
+        record = self.make_record([0] * 5, 3, 5, 0)
+        np.testing.assert_array_equal(record.counts, [5, 0, 0])
         np.testing.assert_array_equal(record.dispatched_counts() / record.num_tokens,
                                       [1.0, 0.0, 0.0])
 
     def test_perfectly_balanced(self):
-        record = self.make_record([0, 1, 2, 0, 1, 2], [2, 2, 2], 0)
+        record = self.make_record([0, 1, 2, 0, 1, 2], 3, 2, 0)
+        np.testing.assert_array_equal(record.counts, [2, 2, 2])
         np.testing.assert_allclose(record.dispatched_counts() / record.num_tokens, [1 / 3] * 3,
                                    atol=1e-15)
 
     def test_counts_arithmetic_with_overflow(self):
         # Overflowed tokens still count at their chosen expert.
-        record = self.make_record([0, 0, 0, 1], [2, 1], 1)
+        record = self.make_record([0, 0, 0, 1], 2, 2, 1)
+        np.testing.assert_array_equal(record.counts, [2, 1])
         np.testing.assert_array_equal(record.dispatched_counts() / record.num_tokens, [0.75, 0.25])
         np.testing.assert_array_equal(record.dispatched_counts() - record.counts, [1, 0])
 

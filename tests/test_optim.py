@@ -1,12 +1,12 @@
 """Optimizer tests: update-rule oracles, Adam/AdamW equivalence, schedule
-endpoints and continuity, accumulation equivalence, early-stop traces."""
+endpoints and continuity, accumulation equivalence."""
 
 import math
 
 import numpy as np
 import pytest
 
-from switchtext import AdamW, EarlyStopping, RunConfig, Tensor, cosine_warmup_lr
+from switchtext import AdamW, RunConfig, Tensor, cosine_warmup_lr
 from switchtext import tensor as T
 from switchtext.errors import ConfigError, ContractError, NumericError
 from switchtext.optim import CHUNK, clip_grad_norm
@@ -263,46 +263,3 @@ class TestAccumulationEquivalence:
         micro = self.run_steps([(xa, la), (xb, lb)])
         joint = self.run_steps([(np.concatenate([xa, xb]), np.concatenate([la, lb]))])
         np.testing.assert_allclose(micro, joint, atol=1e-9)
-
-
-class TestEarlyStopping:
-    # The first three cases track an accuracy-like rising metric through its
-    # negation, the loss-like falling metric the stopper watches.
-    def test_monotonic_improvement_never_stops(self):
-        stopper = EarlyStopping(patience=3, min_delta=1e-4)
-        for epoch, metric in enumerate([0.1, 0.2, 0.3, 0.4, 0.5], start=1):
-            assert not stopper.update(-metric, epoch)
-        assert stopper.best_epoch == 5
-
-    def test_flat_metric_counter_arithmetic(self):
-        stopper = EarlyStopping(patience=3, min_delta=1e-4)
-        decisions = [stopper.update(-0.5, epoch) for epoch in range(1, 6)]
-        assert decisions == [False, False, False, True, True]
-        assert stopper.best_epoch == 1  # stop fires after epoch 4
-
-    def test_trace_walkthrough(self):
-        stopper = EarlyStopping(patience=2, min_delta=1e-4)
-        trace = [0.5, 0.7, 0.6, 0.65, 0.6]
-        stops = [stopper.update(-m, epoch) for epoch, m in enumerate(trace, start=1)]
-        assert stops.index(True) == 3  # stop after epoch 4
-        assert stopper.best_epoch == 2  # restore the epoch-2 checkpoint
-
-    def test_min_mode_on_losses(self):
-        stopper = EarlyStopping(patience=2, min_delta=0.0)
-        assert not stopper.update(1.0, 1)
-        assert not stopper.update(0.5, 2)
-        assert not stopper.update(0.6, 3)
-        assert stopper.update(0.7, 4)
-        assert stopper.best_epoch == 2
-
-    def test_non_finite_metric_rejected(self):
-        with pytest.raises(NumericError):
-            EarlyStopping().update(float("nan"), 1)
-
-    def test_invariant_counter_bounded_by_patience(self):
-        stopper = EarlyStopping(patience=4)
-        for epoch in range(1, 20):
-            stopped = stopper.update(1.0, epoch)
-            assert stopper.epochs_since_best <= stopper.patience
-            if stopped:
-                break

@@ -421,7 +421,7 @@ class TestLinear:
 
 class TestFfn:
     """``T.ffn`` for dense rows, and ``T.routed_ffn`` with one stacked map per
-    group of rows, every row kept at gate probability 1."""
+    group of rows, every row served at gate probability 1."""
 
     layouts = {"dense": None, "empty_group": np.array([2, 0, 3]),  # the middle group is empty
                "one_group": np.array([0, 5, 0])}  # every row on one expert
@@ -436,18 +436,22 @@ class TestFfn:
                 "b2": gen.standard_normal(lead + (4,))}
 
     @staticmethod
-    def apply(args, sizes, route=None):
+    def route(sizes, capacity=None):
+        """One-hot gate probabilities that send ``sizes`` consecutive rows to
+        each group, and a capacity that serves them all unless given."""
+        chosen = np.repeat(np.arange(len(sizes)), sizes)
+        probs = np.zeros((len(chosen), len(sizes)))
+        probs[np.arange(len(chosen)), chosen] = 1.0
+        return probs, len(chosen) if capacity is None else capacity
+
+    @classmethod
+    def apply(cls, args, sizes, route=None):
         """The node for ``sizes`` consecutive rows per group; ``route`` =
-        (probs, chosen, kept) replaces the one that ``sizes`` implies."""
+        (probs, capacity) replaces the one that ``sizes`` implies."""
         maps = [args[k] for k in ("w1", "b1", "w2", "b2")]
         if sizes is None:
             return T.ffn(args["x"], *maps)
-        if route is None:
-            chosen = np.repeat(np.arange(len(sizes)), sizes)
-            probs = np.zeros((len(chosen), len(sizes)))
-            probs[np.arange(len(chosen)), chosen] = 1.0
-            route = (probs, chosen, np.arange(len(chosen)))
-        return T.routed_ffn(args["x"], *maps, *route)
+        return T.routed_ffn(args["x"], *maps, *(route or cls.route(sizes)))
 
     @pytest.mark.parametrize("layout", sorted(layouts))
     def test_each_group_maps_through_its_slice(self, layout):
@@ -497,31 +501,16 @@ class TestFfn:
         sizes = np.array([2, 0, 3])
         ops = self.operands(sizes)
 
-        def route(chosen, kept):
-            return np.full((5, 3), 1 / 3), np.array(chosen), np.array(kept)
-
         bad = {"unstacked maps for groups": (self.operands(None), sizes, None, DimensionError),
                "stacked maps without groups": (ops, None, None, DimensionError),
                "a bias of another width": ({**ops, "b2": ops["b2"][:, :3]}, sizes, None,
                                            DimensionError),
                "rows of rank 3": ({**ops, "x": ops["x"][None]}, sizes, None, DimensionError),
-               "gate probabilities for 2 experts": (
-                   ops, sizes, (np.full((5, 2), 0.5), np.zeros(5, int), np.arange(5)),
-                   DimensionError),
-               "an expert per row missing": (ops, sizes, route([0, 0, 2, 2], [0, 1, 2, 3]),
-                                             ContractError),
-               "a negative expert": (ops, sizes, route([0, 0, -1, 2, 2], [0, 1, 3, 4]),
-                                     ContractError),
-               "an expert beyond the stack": (ops, sizes, route([0, 0, 3, 2, 2], [0, 1, 2, 3, 4]),
-                                              ContractError),
-               "a kept row out of range": (ops, sizes, route([0, 0, 2, 2, 2], [0, 1, 2, 3, 5]),
-                                           ContractError),
-               "a row kept twice": (ops, sizes, route([0, 0, 2, 2, 2], [0, 1, 2, 2, 3]),
-                                    ContractError),
-               "kept rows out of expert order": (ops, sizes, route([0, 0, 2, 2, 2], [2, 0, 1, 3, 4]),
-                                                 ContractError),
-               "kept rows as floats": (ops, sizes, route([0, 0, 2, 2, 2], [0.0, 1.0]),
-                                       ContractError)}
+               "gate probabilities for 2 experts": (ops, sizes, (np.full((5, 2), 0.5), 5),
+                                                    DimensionError),
+               "a negative capacity": (ops, sizes, self.route(sizes, -1), ContractError),
+               "a float capacity": (ops, sizes, self.route(sizes, 5.0), ContractError),
+               "a bool capacity": (ops, sizes, self.route(sizes, True), ContractError)}
         for why, (args, sizes, route, error) in bad.items():
             with pytest.raises(error):
                 self.apply({k: Tensor(v) for k, v in args.items()}, sizes, route)

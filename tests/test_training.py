@@ -15,7 +15,7 @@ from switchtext import tensor as T
 from switchtext import training
 from switchtext.data import (FRENCH_STOPWORDS, Example, LabeledDataset, build_vocab,
                              class_weights)
-from switchtext.errors import ConfigError, ContractError, DataError
+from switchtext.errors import ConfigError, ContractError, DataError, NumericError
 from switchtext.model import EncoderModel, ForwardResult, ModelConfig, load_checkpoint
 from switchtext.moe import RoutingRecord
 from switchtext.tensor import Tape
@@ -70,8 +70,7 @@ class TestLoss:
         # Two routed layers with penalties 5 and 5 (E * f_0 * P_0 = 5 * 1 * 1).
         probs = np.zeros((3, 5))
         probs[:, 0] = 1.0
-        record = RoutingRecord(chosen=np.zeros(3, int), probs=Tensor(probs),
-                               counts=np.array([3, 0, 0, 0, 0]), capacity=3)
+        record = RoutingRecord(probs=Tensor(probs), capacity=3)
         result = ForwardResult(logits=logits, hidden=[], routing=[record, record])
         ce_only, ce_part, aux = total_loss(result, labels, aux_weight=0.0)
         with_aux, ce_term, _ = total_loss(result, labels, aux_weight=0.01)
@@ -109,9 +108,8 @@ class TestEvaluate:
             result = model.forward(ids, ids != 0)
             tally.add(result, labels, weighted_cross_entropy(result.logits, labels))
             routing.append(result.routing)
-        pooled = [RoutingRecord(chosen=np.concatenate([r[layer].chosen for r in routing]),
-                                probs=Tensor(np.concatenate([r[layer].probs.data for r in routing])),
-                                counts=sum(r[layer].counts for r in routing), capacity=0)
+        pooled = [RoutingRecord(probs=Tensor(np.concatenate([r[layer].probs.data for r in routing])),
+                                capacity=0)
                   for layer in range(2)]
         want = np.mean([penalty(record).item() for record in pooled])
         assert tally.outcome().aux_loss == pytest.approx(want, rel=0, abs=1e-15)
@@ -490,6 +488,69 @@ class TestRestoredEpoch:
         monkeypatch.setattr(training, "evaluate", lambda *a, **k: calls.append(1) or real(*a, **k))
         result = self.run(True, epochs=epochs)
         assert len(calls) == max(1, len(result.history))
+
+
+class TestEarlyStopping:
+    """``train()``'s early-stopping rule on scripted validation losses: a
+    loss more than ``min_delta`` under the best so far is the new best, and
+    the run stops ``patience`` epochs after the best."""
+
+    @staticmethod
+    def run(monkeypatch, losses, patience=3, min_delta=1e-4, out_dir=None):
+        script = iter(losses)
+
+        def scripted(*args, **kwargs):
+            outcome = evaluate(*args, **kwargs)
+            outcome.report.loss = next(script)
+            return outcome
+
+        monkeypatch.setattr(training, "evaluate", scripted)
+        corpus = generate_synthetic_corpus(40, seed=5, min_tokens=4, max_tokens=8)
+        config = quick_config(epochs=len(losses), early_stopping=True, patience=patience,
+                              min_delta=min_delta, d_model=8, d_ff=16)
+        return train(config, corpus, out_dir=out_dir, quiet=True)
+
+    def test_monotonic_improvement_never_stops(self, monkeypatch):
+        result = self.run(monkeypatch, [0.9, 0.8, 0.7, 0.6, 0.5])
+        assert not result.stopped_early
+        assert len(result.history) == result.best_epoch == 5
+
+    @pytest.mark.parametrize("patience", [1, 3])
+    def test_flat_loss_stops_after_exactly_patience_epochs(self, monkeypatch, patience):
+        result = self.run(monkeypatch, [0.5] * 6, patience=patience)
+        assert result.stopped_early
+        assert len(result.history) == 1 + patience and result.best_epoch == 1
+
+    def test_improvement_restarts_the_count(self, monkeypatch):
+        result = self.run(monkeypatch, [1.0, 1.0, 0.5, 0.6, 0.6, 0.6], patience=2)
+        assert result.stopped_early
+        assert len(result.history) == 5 and result.best_epoch == 3
+
+    def test_min_delta_threshold(self, monkeypatch):
+        # A fall of exactly min_delta is no improvement; 0.25 and its
+        # differences here are exact in binary.
+        result = self.run(monkeypatch, [1.0, 0.75, 0.5], patience=1, min_delta=0.25)
+        assert result.stopped_early and len(result.history) == 2 and result.best_epoch == 1
+        result = self.run(monkeypatch, [1.0, 0.95, 0.85, 0.8], patience=2, min_delta=0.1)
+        assert not result.stopped_early and result.best_epoch == 3
+        result = self.run(monkeypatch, [1.0, 0.95, 0.85, 0.8], patience=2, min_delta=0.0)
+        assert result.best_epoch == 4
+
+    def test_trace_restores_the_best_epoch(self, monkeypatch, tmp_path):
+        result = self.run(monkeypatch, [0.5, 0.3, 0.4, 0.35, 0.4], patience=2,
+                          out_dir=str(tmp_path))
+        assert result.stopped_early and len(result.history) == 4
+        assert result.best_epoch == 2 and result.final_val.loss == 0.3
+        model, _, extra = load_checkpoint(result.checkpoint_path)
+        assert extra["epoch"] == 2
+        for (name, p), (_, q) in zip(result.model.parameters(), model.parameters()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+
+    def test_nan_loss_raises_and_leaves_no_manifest(self, monkeypatch, tmp_path):
+        (tmp_path / "manifest.json").write_text("{}")  # an earlier run's
+        with pytest.raises(NumericError, match="not finite"):
+            self.run(monkeypatch, [0.5, float("nan"), 0.4], out_dir=str(tmp_path))
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestEmptySplits:
