@@ -15,7 +15,7 @@ x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
 w = Tensor([[0.5, -1.0], [2.0, 0.0]], requires_grad=True)
 
 with Tape() as tape:
-    y = T.sum_(T.softmax(x @ w, axis=1) * x)
+    y = T.sum_(T.mul(T.softmax(T.matmul(x, w), axis=1), x))
 tape.backward(y)
 
 print("forward value:", y.item())

@@ -8,7 +8,7 @@ import numpy as np
 
 from switchtext import RunConfig, generate_synthetic_corpus
 from switchtext.data import decode
-from switchtext.interpret import integrated_gradients, rank_misclassified
+from switchtext.interpret import attribute, integrated_gradients, misclassified
 from switchtext.training import train
 
 # Train a small dense model on noise-free data so attributions have a
@@ -38,9 +38,9 @@ for token, score in report.ranked_tokens()[:8]:
     bar = "+" * min(20, int(abs(score) * 10)) if score > 0 else "-" * min(20, int(abs(score) * 10))
     print(f"  {token:<16} {score:+7.3f} {bar}")
 
-# Misclassification triage: every wrong prediction, false negatives first,
-# each attributed against the true class.
-wrong = rank_misclassified(model, result.encoded["val"], vocab=vocab, num_steps=64)
+# Misclassification triage: pick every wrong prediction, false negatives
+# first, then attribute each against its true class.
+wrong = attribute(model, misclassified(model, result.encoded["val"]), vocab=vocab, num_steps=64)
 print(f"\nmisclassified validation examples: {len(wrong)}")
 for ex, rep in wrong[:2]:
     top = ", ".join(f"{t} ({s:+.2f})" for t, s in rep.ranked_tokens()[:3])

@@ -31,5 +31,5 @@ from .data import (  # noqa: F401
     generate_synthetic_corpus, read_jsonl, split_dataset, write_jsonl,
 )
 from .metrics import ConfusionMatrix, EvalReport, classification_metrics, confusion, roc_auc  # noqa: F401
-from .interpret import AttributionReport, integrated_gradients, rank_misclassified  # noqa: F401
+from .interpret import AttributionReport, attribute, integrated_gradients, misclassified  # noqa: F401
 from .training import RunConfig, evaluate, train  # noqa: F401

@@ -20,9 +20,9 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .data import generate_synthetic_corpus, read_jsonl, write_artifact, write_jsonl
+from .data import class_weights, generate_synthetic_corpus, read_jsonl, write_artifact, write_jsonl
 from .errors import CompatibilityError, ConfigError, SwitchTextError
-from .interpret import attribution_for_ids, rank_misclassified
+from .interpret import attribute, by_id, misclassified
 from .model import export_hidden_embeddings, load_checkpoint
 from .training import (RunConfig, clear_manifest, dataset_digest, encode_examples, evaluate,
                        pin_blas_threads, split_dataset, train, write_manifest, _write_report)
@@ -76,8 +76,6 @@ def _make_output_dir(path: str) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     config = {"n": args.n, "positive_fraction": args.positive_fraction, "noise": args.noise,
               "seed": args.seed}
     dataset = generate_synthetic_corpus(**config)
@@ -123,7 +121,8 @@ def _on_checkpoint(args) -> int:
     without a vocabulary or a run config is refused), reread the dataset
     and rebuild the stored split ("all" takes every example), open the
     output directory, run the command's ``args.body(args, model, vocab,
-    encoded)``, which writes its artifacts and returns their names and a
+    encoded, run_cfg, train_labels)`` (the labels of the rebuilt train
+    split), which writes its artifacts and returns their names and a
     summary, and write the manifest last."""
     model, vocab, extra = load_checkpoint(args.checkpoint)
     for what, value in (("vocabulary", vocab), ("run config", extra.get("run_config"))):
@@ -135,20 +134,23 @@ def _on_checkpoint(args) -> int:
     except ConfigError as e:
         raise CompatibilityError(f"checkpoint {args.checkpoint} holds an invalid run config: "
                                  f"{e}") from e
-    indices = (range(len(dataset)) if args.split == "all" else split_dataset(
-        dataset, seed=run_cfg.split_seed, stratify=run_cfg.stratify)[args.split])
+    splits = split_dataset(dataset, seed=run_cfg.split_seed, stratify=run_cfg.stratify)
+    indices = range(len(dataset)) if args.split == "all" else splits[args.split]
     encoded = encode_examples([dataset.examples[i] for i in indices], vocab, model.config.max_len)
     _make_output_dir(args.output_dir)
-    artifacts, summary = args.body(args, model, vocab, encoded)
+    artifacts, summary = args.body(args, model, vocab, encoded, run_cfg,
+                                   [dataset.examples[i].label for i in splits["train"]])
     write_manifest(f"{args.output_dir}/manifest.json", args.command, asdict(run_cfg),
                    dataset_digest(dataset), artifacts)
     print(summary)
     return 0
 
 
-def cmd_eval(args, model, vocab, encoded):
+def cmd_eval(args, model, vocab, encoded, run_cfg, train_labels):
     started = time.perf_counter()
-    outcome = evaluate(model, encoded, batch_size=args.batch_size)
+    weights = class_weights(train_labels) if run_cfg.class_weighting else None  # as in train()
+    batch_size = run_cfg.eval_batch_size if args.batch_size is None else args.batch_size
+    outcome = evaluate(model, encoded, batch_size, weights)
     name = f"report_{args.split}"
     _write_report(args.output_dir, name, outcome.report)
     write_artifact(f"{args.output_dir}/timings_eval.tsv",
@@ -156,14 +158,12 @@ def cmd_eval(args, model, vocab, encoded):
     return [f"{name}.tsv", f"{name}.json"], "\n".join(outcome.report.table_lines())
 
 
-def cmd_attribute(args, model, vocab, encoded):
-    options = dict(vocab=vocab, target=args.target, num_steps=args.num_steps,
-                   baseline=args.baseline)
-    if args.ids:
-        reports = attribution_for_ids(model, encoded, [s.strip() for s in args.ids.split(",")],
-                                      **options)
-    else:
-        reports = rank_misclassified(model, encoded, limit=args.limit, **options)
+def cmd_attribute(args, model, vocab, encoded, *_):
+    if args.limit is not None and args.limit < 0:
+        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
+    examples = (by_id(encoded, [s.strip() for s in args.ids.split(",")]) if args.ids
+                else misclassified(model, encoded)[:args.limit])
+    reports = attribute(model, examples, vocab, args.target, args.num_steps, args.baseline)
     write_artifact(f"{args.output_dir}/attributions.txt", (
         f"# example {example.example_id} (label {example.label})\n"
         + "\n".join(report.text_lines()) + "\n\n" for example, report in reports))
@@ -181,7 +181,7 @@ def cmd_attribute(args, model, vocab, encoded):
             f"wrote {len(reports)} attribution reports to {args.output_dir}")
 
 
-def cmd_export_embeddings(args, model, vocab, encoded):
+def cmd_export_embeddings(args, model, vocab, encoded, *_):
     name = f"embeddings_layer{args.layer}_{args.split}.tsv"
     count = export_hidden_embeddings(model, encoded, args.layer, f"{args.output_dir}/{name}")
     return [name], f"wrote {count} records to {args.output_dir}/{name}"
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate a checkpoint on a dataset split")
     p.set_defaults(run=_on_checkpoint, body=cmd_eval)
     p.add_argument("--split", default="test", choices=splits)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=int, help="default: the run's eval_batch_size")
 
     p = sub.add_parser("attribute", parents=[on_checkpoint],
                        help="integrated-gradients token attributions")

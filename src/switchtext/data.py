@@ -333,6 +333,10 @@ def generate_synthetic_corpus(n: int, positive_fraction: float = 0.36,
         raise ConfigError(f"positive_fraction must be in (0, 1), got {positive_fraction}")
     if not 0.0 <= noise <= 1.0:
         raise ConfigError(f"noise must be in [0, 1], got {noise}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    if min_tokens > max_tokens:
+        raise ConfigError(f"min_tokens must be <= max_tokens, got {min_tokens} > {max_tokens}")
     rng = np.random.default_rng(seed)
     examples = []
     for i in range(n):

@@ -8,6 +8,8 @@ which shrinks as the step count grows.  The input, the baseline and every
 point between are packed [N, d_model] embedding rows of the real tokens,
 as ``embed`` gives them, so each score belongs to one real token.  One
 forward at the input gives a report both F(input) and its predicted class.
+``misclassified`` and ``by_id`` choose examples; ``attribute``, the one
+function that takes the attribution options, reports on each it is given.
 """
 
 from __future__ import annotations
@@ -141,35 +143,18 @@ def integrated_gradients(model: EncoderModel, ids: np.ndarray, mask: np.ndarray,
     )
 
 
-def rank_misclassified(model: EncoderModel, encoded, vocab: Vocabulary | None = None,
-                       target: str = "true", num_steps: int = 128,
-                       baseline: str = "pad", limit: int | None = None):
-    """Attribution reports for every misclassified example of a split,
-    false negatives first.
-
-    ``encoded`` is a list of EncodedExample; ``evaluate``'s predictions
-    pick the misclassified ones.  ``target`` selects whether attributions
-    explain the true class (default) or the one each report's own pass at
-    the input predicts.  Returns a list of (EncodedExample,
-    AttributionReport).
-    """
-    if limit is not None and limit < 0:
-        raise ConfigError(f"limit must be >= 0, got {limit}")
+def misclassified(model: EncoderModel, encoded):
+    """The EncodedExamples of ``encoded`` that ``evaluate`` predicts wrongly,
+    false negatives first, each group in the order of ``encoded``."""
     predictions = evaluate(model, encoded).predictions
-    wrong = [i for i, e in enumerate(encoded) if predictions[i] != e.label]
-    # False negatives (true label 1) lead; stable by position within groups.
-    wrong.sort(key=lambda i: (encoded[i].label != 1, i))
-    if limit is not None:
-        wrong = wrong[:limit]
-    return _attribute_each(model, [encoded[i] for i in wrong], vocab, target, num_steps,
-                           baseline)
+    return sorted((e for e, p in zip(encoded, predictions) if p != e.label),
+                  key=lambda e: e.label != 1)
 
 
-def attribution_for_ids(model: EncoderModel, encoded, example_ids, vocab=None,
-                        target: str = "true", num_steps: int = 128, baseline: str = "pad"):
-    """Attribution reports for specific examples within a split, each named
-    by its id or the id's text (``5`` or ``"5"`` names the id 5 and the id
-    "5"); a name that matches no example, or two, is a lookup error."""
+def by_id(encoded, example_ids):
+    """The examples of ``encoded`` the ids name, in the order named.  Each is
+    named by its id or the id's text (``5`` or ``"5"`` names the id 5 and the
+    id "5"); a name that matches no example, or two, is a lookup error."""
     by_name: dict[str, list] = {}
     for e in encoded:
         by_name.setdefault(str(e.example_id), []).append(e)
@@ -179,15 +164,14 @@ def attribution_for_ids(model: EncoderModel, encoded, example_ids, vocab=None,
             raise LookupError_(f"example id {name} not found in the requested split" if not found
                                else f"example id {name} names {len(found)} examples: "
                                     + " and ".join(repr(e.example_id) for e in found))
-    return _attribute_each(model, [by_name[str(i)][0] for i in example_ids], vocab, target,
-                           num_steps, baseline)
+    return [by_name[str(i)][0] for i in example_ids]
 
 
-def _attribute_each(model: EncoderModel, examples, vocab, target: str, num_steps: int,
-                    baseline: str):
-    """Integrated gradients for each EncodedExample against its true class
-    or the class the report's own pass at the input predicts.  Returns
-    (example, report) pairs."""
+def attribute(model: EncoderModel, examples, vocab: Vocabulary | None = None,
+              target: str = "true", num_steps: int = 128, baseline: str = "pad"):
+    """Integrated gradients for each EncodedExample of ``examples`` against
+    its true class (``target="true"``) or the class the report's own pass at
+    the input predicts (``"predicted"``).  Returns (example, report) pairs."""
     if target not in ("true", "predicted"):
         raise ConfigError(f"target must be 'true' or 'predicted', got {target!r}")
     return [(example, integrated_gradients(

@@ -22,6 +22,9 @@ as row groups, scales each row by its gate probability and writes it back
 in token order.  ``take_rows`` is the one gather: embedding lookup and
 picking entries; its backward is one flat ``np.add.at``.
 
+Each operation is spelled once, as a module function (``add``, ``mul``,
+``matmul`` of [m, k] and [k, n]); a Tensor defines no arithmetic operators.
+
 With no tape active, operations compute plain numpy results and return
 before they build any backward rule or cache, which is the inference path.
 Tapes are single-threaded; a tensor that is not being recorded is immutable
@@ -85,22 +88,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # Arithmetic sugar; implementations live at module level.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Tape:
@@ -261,21 +248,17 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """``a @ b`` for an [m, k] and a [k, n] matrix; other shapes raise."""
     a, b = _as_tensor(a), _as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim < 2:
-        raise DimensionError(f"matmul needs rank >= 2 operands, got {a.shape} @ {b.shape}")
-    if ad.shape[-1] != bd.shape[-2]:
-        raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
-    try:
-        out = np.matmul(ad, bd)
-    except ValueError as e:
-        raise DimensionError(f"matmul shapes incompatible: {a.shape} @ {b.shape}") from e
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise DimensionError(f"matmul needs [m, k] @ [k, n] operands, got {a.shape} @ {b.shape}")
+    out = np.matmul(ad, bd)
     if not _ACTIVE_TAPES:
         return Tensor(out)
     return _maybe_record(out, [
-        (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)),
-        (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)),
+        (a, lambda g: np.matmul(g, bd.T)),
+        (b, lambda g: np.matmul(ad.T, g)),
     ])
 
 

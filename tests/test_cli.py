@@ -266,6 +266,19 @@ class TestEval:
             outs.append((out / "report_val.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_eval_val_reproduces_the_train_report(self, workdir, tmp_path):
+        # eval weights its loss by the run's class weights and batches by the
+        # run's eval_batch_size, as train() does for report_val.
+        run, out = tmp_path / "run", tmp_path / "eval"
+        assert main(["train", "--data-path", str(workdir["data"]), "--output-dir", str(run),
+                     "--d-model", "16", "--d-ff", "32", "--num-heads", "2", "--num-layers", "1",
+                     "--max-len", "32", "--epochs", "3", "--eval-batch-size", "5",
+                     "--min-frequency", "1"]) == 0
+        assert main(["eval", "--checkpoint", str(run / "best.ckpt"), "--data",
+                     str(workdir["data"]), "--split", "val", "--output-dir", str(out)]) == 0
+        for name in ("report_val.tsv", "report_val.json"):
+            assert (out / name).read_bytes() == (run / name).read_bytes(), name
+
     def test_bad_checkpoint_compatibility_error(self, workdir, tmp_path, capsys):
         junk = tmp_path / "junk.ckpt"
         junk.write_bytes(b"garbage!" * 16)

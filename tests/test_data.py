@@ -190,6 +190,15 @@ class TestSyntheticCorpus:
         with pytest.raises(ConfigError):
             generate_synthetic_corpus(5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(seed=-1), "seed must be >= 0"),
+        (dict(min_tokens=20, max_tokens=10), "min_tokens must be <= max_tokens"),
+    ], ids=["seed_negative", "min_tokens_above_max_tokens"])
+    def test_bad_arguments_are_config_errors(self, kwargs, message):
+        # Unchecked, either reaches numpy and surfaces as a raw ValueError.
+        with pytest.raises(ConfigError, match=message):
+            generate_synthetic_corpus(20, **kwargs)
+
 
 class TestJsonl:
     def test_roundtrip(self, tmp_path):

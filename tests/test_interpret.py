@@ -1,6 +1,7 @@
 """Attribution tests: exact closed forms for linear and quadratic targets,
 completeness on a trained model, discretization scaling laws, planted-signal
-recovery, and misclassification ranking."""
+recovery, and choosing examples (misclassified first, or by id) apart from
+attributing them."""
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from switchtext import EncoderModel, ModelConfig, Tensor
 from switchtext import tensor as T
 from switchtext.data import POSITIVE_KEYWORDS
 from switchtext.errors import ConfigError, DimensionError, LookupError_, VocabularyError
-from switchtext.interpret import (attribution_for_ids, integrated_gradients,
-                                  path_integrated_gradients, rank_misclassified)
+from switchtext.interpret import (attribute, by_id, integrated_gradients, misclassified,
+                                  path_integrated_gradients)
 from switchtext.layers import PAD_ID
 from switchtext.training import EncodedExample, evaluate
 
@@ -90,7 +91,7 @@ class TestModelAttribution:
                 return _method(self, *args, **kwargs)
             monkeypatch.setattr(EncoderModel, name, counted)
         example = EncodedExample(example_id=3, ids=ids, label=0)
-        [(_, report)] = attribution_for_ids(model, [example], [3], target=target, num_steps=8)
+        [(_, report)] = attribute(model, [example], target=target, num_steps=8)
         assert calls == ["forward_from_embeddings"] * 10
         assert report.target_class == (report.predicted_class if target == "predicted" else 0)
         monkeypatch.undo()
@@ -213,13 +214,18 @@ class TestTrainedModelProperties:
         encoded = toy_run.encoded["val"]
         outcome = evaluate(model, encoded, batch_size=64)
         cm = outcome.report.confusion
-        reports = rank_misclassified(model, encoded, vocab=toy_run.vocab, num_steps=16)
-        assert len(reports) == cm.fp + cm.fn
+        wrong = misclassified(model, encoded)
+        assert len(wrong) == cm.fp + cm.fn
+        # false negatives lead, each group in split order
+        assert [e.label for e in wrong] == [1] * cm.fn + [0] * cm.fp
+        for group in (wrong[:cm.fn], wrong[cm.fn:]):
+            positions = [next(i for i, e in enumerate(encoded) if e is w) for w in group]
+            assert positions == sorted(positions)
+        reports = attribute(model, wrong, vocab=toy_run.vocab, num_steps=16)
+        assert [example.example_id for example, _ in reports] == [e.example_id for e in wrong]
         for example, report in reports:
             assert report.predicted_class != example.label
-        # false negatives lead
-        for example, report in reports[:cm.fn]:
-            assert example.label == 1
+            assert report.target_class == example.label
 
     def test_rank_mode_targets_the_class_each_report_predicts(self, toy_run, monkeypatch):
         # evaluate's predictions only pick the examples; here they call every
@@ -229,7 +235,8 @@ class TestTrainedModelProperties:
         outcome = evaluate(toy_run.model, encoded)
         outcome.predictions = np.array([1 - e.label for e in encoded])
         monkeypatch.setattr("switchtext.interpret.evaluate", lambda *args, **kwargs: outcome)
-        reports = rank_misclassified(toy_run.model, encoded, target="predicted", num_steps=8)
+        reports = attribute(toy_run.model, misclassified(toy_run.model, encoded),
+                            target="predicted", num_steps=8)
         assert len(reports) == len(encoded)
         assert all(report.target_class == report.predicted_class for _, report in reports)
         assert any(report.predicted_class == example.label for example, report in reports)
@@ -239,16 +246,22 @@ class TestTrainedModelProperties:
         encoded = toy_run.encoded["train"]
         outcome = evaluate(model, encoded, batch_size=64)
         correct = [e for e, p in zip(encoded, outcome.predictions) if p == e.label][:20]
-        assert rank_misclassified(model, correct, num_steps=16) == []
+        assert misclassified(model, correct) == []
+        assert attribute(model, [], num_steps=16) == []
 
     def test_attribution_by_example_id(self, toy_run):
         encoded = toy_run.encoded["val"]
         wanted = encoded[0].example_id
-        reports = attribution_for_ids(toy_run.model, encoded, [wanted],
-                                      vocab=toy_run.vocab, num_steps=16)
+        second = encoded[1].example_id
+        assert [e.example_id for e in by_id(encoded, [second, str(wanted)])] == [second, wanted]
+        reports = attribute(toy_run.model, by_id(encoded, [wanted]), vocab=toy_run.vocab,
+                            num_steps=16)
         assert len(reports) == 1
         assert reports[0][0].example_id == wanted
-        with pytest.raises(LookupError_):
-            attribution_for_ids(toy_run.model, encoded, [999999], num_steps=16)
+        with pytest.raises(LookupError_, match="not found"):
+            by_id(encoded, [999999])
+        twin = EncodedExample(example_id=str(wanted), ids=encoded[0].ids, label=0)
+        with pytest.raises(LookupError_, match="names 2 examples"):
+            by_id(encoded + [twin], [wanted])
         with pytest.raises(ConfigError, match="target"):
-            attribution_for_ids(toy_run.model, encoded, [wanted], target="bogus", num_steps=16)
+            attribute(toy_run.model, by_id(encoded, [wanted]), target="bogus", num_steps=16)

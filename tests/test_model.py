@@ -263,12 +263,12 @@ def test_each_range_rule_is_checked_at_one_boundary():
                    for path in Path(switchtext.__file__).parent.glob("*.py")
                    for scope in _config_error_sites(ast.parse(path.read_text(encoding="utf-8"))))
     assert sites == [
-        ("cli", "_make_output_dir"), *[("cli", "_merged_config")] * 3, ("cli", "cmd_gen_data"),
+        ("cli", "_make_output_dir"), *[("cli", "_merged_config")] * 3, ("cli", "cmd_attribute"),
         ("cli", "resolve_train_config"),
-        ("data", "build_vocab"), ("data", "class_weights"), *[("data", "generate_synthetic_corpus")] * 3,
+        ("data", "build_vocab"), ("data", "class_weights"), *[("data", "generate_synthetic_corpus")] * 5,
         ("data", "write_artifact"),
-        ("interpret", "_attribute_each"), ("interpret", "_baseline_embedding"),
-        ("interpret", "path_integrated_gradients"), ("interpret", "rank_misclassified"),
+        ("interpret", "_baseline_embedding"), ("interpret", "attribute"),
+        ("interpret", "path_integrated_gradients"),
         ("layers", "init_weight"),
         *[("model", "ModelSettings.from_dict")] * 3, ("model", "ModelSettings.validate"),
         ("model", "export_hidden_embeddings"),
@@ -292,7 +292,7 @@ def test_settable_values_are_pinned():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 count += len(node.args.defaults) + sum(
                     d is not None for d in node.args.kw_defaults)
-    assert count == 159
+    assert count == 154
 
 
 class TestParameterCount:

@@ -55,15 +55,23 @@ class TestMatmul:
         np.testing.assert_allclose(out, naive_matmul(a, b), atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
+        # Inner extents that differ, a batched 3-D operand and a 1-D vector:
+        # matmul takes [m, k] @ [k, n] only.
+        for a_shape, b_shape, shapes in [((2, 3), (2, 2), r"\(2, 3\).*\(2, 2\)"),
+                                         ((4, 3, 5), (5, 2), r"\(4, 3, 5\).*\(5, 2\)"),
+                                         ((3, 5), (5,), r"\(3, 5\).*\(5,\)")]:
+            with pytest.raises(DimensionError, match=shapes):
+                T.matmul(Tensor(np.ones(a_shape)), Tensor(np.ones(b_shape)))
 
     def test_batched_matches_loop(self):
+        # A batch is a loop of 2-D products; the stacked operands are refused.
         a = rng.standard_normal((4, 3, 5))
         b = rng.standard_normal((4, 5, 2))
-        out = T.matmul(Tensor(a), Tensor(b)).data
+        with pytest.raises(DimensionError, match=r"\(4, 3, 5\).*\(4, 5, 2\)"):
+            T.matmul(Tensor(a), Tensor(b))
         for i in range(4):
-            np.testing.assert_allclose(out[i], a[i] @ b[i], atol=1e-12)
+            out = T.matmul(Tensor(a[i]), Tensor(b[i])).data
+            np.testing.assert_allclose(out, naive_matmul(a[i], b[i]), atol=1e-12)
 
     def test_backward_rule(self):
         a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
@@ -374,8 +382,8 @@ class TestGatherScatter:
         def build(m):
             s = T.take_rows(T.take_rows(m, idx), np.array([1, 0, 1]))
             sums = T.segment_sum(T.take_rows(m, np.array([3, 0, 2])), np.array([1, 2]))
-            return (T.sum_(T.mul(s, s)) + T.sum_(T.mul(sums, sums))
-                    + T.sum_(T.take_rows(m, (np.array([0, 0]), np.array([0, 1])))))
+            return T.add(T.add(T.sum_(T.mul(s, s)), T.sum_(T.mul(sums, sums))),
+                         T.sum_(T.take_rows(m, (np.array([0, 0]), np.array([0, 1])))))
 
         assert finite_difference_check(build, Tensor(rng.standard_normal((4, 2))), h=1e-6) < 1e-4
 
